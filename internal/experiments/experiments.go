@@ -3,8 +3,8 @@
 // regenerates the corresponding rows/series from the simulator and models in
 // this repository, at a configurable scale, and returns a textual Report.
 //
-// cmd/tapas-bench executes them at paper scale; the root bench_test.go
-// executes reduced-scale versions under testing.B.
+// cmd/tapas-bench executes, times and profiles them, at paper scale or
+// reduced by -scale.
 package experiments
 
 import (

@@ -209,8 +209,8 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 		return nil, err
 	}
 	// Each point adopts the shared compilation with its own runtime-only
-	// fields, so deduplicated points that differ in Tick or Failures still
-	// run their own schedule.
+	// fields, so deduplicated points that differ in Tick, Failures or policy
+	// parameters still run their own schedule and policy settings.
 	compiled := make([]*sim.CompiledScenario, nPts)
 	for pi := range c.Points {
 		scn := c.Points[pi].Scenario

@@ -66,6 +66,28 @@ func TestCampaignDedupCollapsedAxis(t *testing.T) {
 	}
 }
 
+// TestPolicyAxesShareCompilations pins that policy parameters are run
+// options: power-loop's budget axis varies only PowerGov, so its six grid
+// points compile three scenarios, one per demand factor. TestCampaignGolden
+// Reports pins that the shared compilations still report byte-identically.
+func TestPolicyAxesShareCompilations(t *testing.T) {
+	c, err := loadExample(t, "power-loop.json").Campaign(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[sim.CacheKey]bool)
+	for _, pt := range c.Points {
+		k, err := sim.ScenarioKey(pt.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[k] = true
+	}
+	if len(c.Points) != 6 || len(keys) != 3 {
+		t.Errorf("power-loop: %d grid points compile %d scenarios, want 6 and 3", len(c.Points), len(keys))
+	}
+}
+
 // TestCampaignWarmRerunSkipsAllCompiles is the warm-rerun acceptance check:
 // a second run of the same campaign through the same cache performs zero
 // compile work (cold-compile counter flat, no new scenario misses) and its

@@ -107,28 +107,25 @@ func (s *Scheduler) Submit(spec *scenario.Spec, scale float64) (*Job, error) {
 		return nil, err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
 	s.seq++
 	j := newJob(fmt.Sprintf("c%d", s.seq), spec, camp)
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.mu.Unlock()
-
+	// The queued event precedes the enqueue, so it always precedes the
+	// dispatcher's start event. The job is listed only once the queue has
+	// accepted it, under the lock that guards draining, so a rejected
+	// submission is never listed and Shutdown's drain sees every accepted job.
 	j.emit(Event{Type: "queued", ID: j.ID, Name: spec.Name, Runs: camp.Runs()})
 	select {
 	case s.queue <- j:
-		return j, nil
 	default:
-		j.finish(StatusFailed, ErrQueueFull)
-		s.mu.Lock()
-		delete(s.jobs, j.ID)
-		s.order = s.order[:len(s.order)-1]
-		s.mu.Unlock()
 		return nil, ErrQueueFull
 	}
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	return j, nil
 }
 
 // Job returns a submitted campaign by ID.
@@ -202,8 +199,9 @@ const (
 
 // Event is one JSON-lines record of a campaign's event stream. Fields are
 // populated per type: queued/start carry the campaign shape, progress the
-// run counters, result the compile count and the rendered report, done the
-// terminal status (and error, if any).
+// run counters, result the compile and run counts, done the terminal status
+// (and error, if any). The rendered report is not an event field: fetch it
+// with Job.Report or GET /campaigns/{id}/report once the job is done.
 type Event struct {
 	Type     string `json:"type"`
 	ID       string `json:"id,omitempty"`
@@ -216,7 +214,6 @@ type Event struct {
 	Compiles int    `json:"compiles,omitempty"`
 	Status   Status `json:"status,omitempty"`
 	Error    string `json:"error,omitempty"`
-	Report   string `json:"report,omitempty"`
 }
 
 // Job is one submitted campaign: an append-only event log plus the final
@@ -289,7 +286,7 @@ func (j *Job) run(ctx context.Context, opt scenario.RunOptions) {
 	j.report = buf.Bytes()
 	j.compiles = res.Compiles
 	j.mu.Unlock()
-	j.emit(Event{Type: "result", ID: j.ID, Compiles: res.Compiles, Runs: total, Report: buf.String()})
+	j.emit(Event{Type: "result", ID: j.ID, Compiles: res.Compiles, Runs: total})
 	j.finish(StatusDone, nil)
 }
 

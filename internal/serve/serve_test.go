@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,6 +150,85 @@ func TestSchedulerQueueFull(t *testing.T) {
 	}
 	if _, err := s.Submit(parseSpec(t, smokeSpec), 0); !errors.Is(err, ErrShuttingDown) {
 		t.Errorf("post-shutdown submission: err = %v, want ErrShuttingDown", err)
+	}
+}
+
+// TestSchedulerJobsUnderConcurrentSubmit hammers Submit from many goroutines
+// against a one-slot queue that a stand-in dispatcher keeps draining, so
+// acceptances and rejections interleave. A rejected submission must never
+// displace an accepted one: Jobs, and GET /campaigns which renders every
+// listed job, list exactly the accepted jobs.
+func TestSchedulerJobsUnderConcurrentSubmit(t *testing.T) {
+	// Several Ps let the OS interleave submitters even on one CPU (or
+	// -cpu 1), where a single P would rarely preempt one mid-Submit.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	spec := parseSpec(t, smokeSpec)
+	for round := 0; round < 20; round++ {
+		s := NewScheduler(SchedulerConfig{QueueDepth: 1})
+		s.cancel()
+		s.wg.Wait() // dispatchers gone; the drain below empties the queue instead
+		stop := make(chan struct{})
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			for {
+				select {
+				case j := <-s.queue:
+					j.finish(StatusCanceled, context.Canceled)
+				case <-stop:
+					return
+				}
+			}
+		}()
+
+		var mu sync.Mutex
+		accepted := make(map[string]bool)
+		var wg sync.WaitGroup
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					j, err := s.Submit(spec, 0)
+					if errors.Is(err, ErrQueueFull) {
+						continue
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mu.Lock()
+					accepted[j.ID] = true
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		<-drained
+
+		jobs := s.Jobs()
+		if len(jobs) != len(accepted) {
+			t.Fatalf("round %d: Jobs() lists %d jobs, want the %d accepted", round, len(jobs), len(accepted))
+		}
+		for _, j := range jobs {
+			if j == nil {
+				t.Fatalf("round %d: Jobs() lists a nil job", round)
+			}
+			if !accepted[j.ID] {
+				t.Fatalf("round %d: Jobs() lists %s, which Submit rejected", round, j.ID)
+			}
+		}
+		rec := httptest.NewRecorder()
+		NewServer(s, "").Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/campaigns", nil))
+		var listed []jobJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &listed); rec.Code != http.StatusOK || err != nil || len(listed) != len(accepted) {
+			t.Fatalf("round %d: GET /campaigns = %d (%v) listing %d jobs, want 200 listing %d",
+				round, rec.Code, err, len(listed), len(accepted))
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 // hash of the compile-relevant Scenario fields — so identical grid points
 // across sweeps, reruns, and concurrent campaigns compile once. Hits return
 // a CompiledScenario variant adopting the caller's runtime-only fields
-// (Tick, Failures, RecordRowSeries, Observer, Shards), which is exactly the
-// set a compiled scenario can vary per run; reports from a cache hit are
-// byte-identical to a cold compile.
+// (Tick, Failures, RecordRowSeries, Observer, Shards, and the policy
+// parameters SLOSched and PowerGov), which is exactly the set a compiled
+// scenario can vary per run; reports from a cache hit are byte-identical to
+// a cold compile.
 //
 // Level 2 memoizes the sub-artifacts Compile builds — the generated layout
 // (plus every table derived from it), the workload (generated or
@@ -77,12 +78,15 @@ func (c *CompileCache) Compile(sc Scenario) (*CompiledScenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Deduplicate concurrent compiles of the same key: the first caller
+	// compiles, later ones wait and adopt its result. The lookup shares the
+	// flight lock because a compile is cached before its flight ends, so a
+	// caller missing both has no compile to wait for.
+	c.mu.Lock()
 	if cs, ok := c.scenarios.get(key); ok {
+		c.mu.Unlock()
 		return cs.ForScenario(sc), nil
 	}
-	// Deduplicate concurrent compiles of the same key: the first caller
-	// compiles, later ones wait and adopt its result.
-	c.mu.Lock()
 	if call, ok := c.flight[key]; ok {
 		c.mu.Unlock()
 		<-call.done

@@ -28,8 +28,8 @@ type CompiledScenario struct {
 	// Scenario is the descriptor the artifacts were compiled from. The
 	// compile-relevant fields (Layout, Workload, Region, Duration,
 	// StartOffset, Oversubscribe) must not be changed after compilation;
-	// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, Shards) may be
-	// varied per run via Variant.
+	// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, Shards,
+	// SLOSched, PowerGov) may be varied per run via Variant.
 	Scenario Scenario
 
 	DC       *layout.Datacenter
@@ -408,7 +408,8 @@ func GenerateWorkload(sc Scenario) (*trace.Workload, error) {
 
 // Variant returns a shallow copy sharing every compiled artifact, with
 // mutate applied to the scenario. Only runtime-only fields may be changed:
-// Tick, Failures, RecordRowSeries, Observer, Shards (and shortening Duration).
+// Tick, Failures, RecordRowSeries, Observer, Shards, the policy parameters
+// SLOSched and PowerGov (and shortening Duration).
 // Changing compile-relevant fields (Layout, Workload, Trace, TraceTransforms,
 // Requests, Region, StartOffset, Oversubscribe, lengthening Duration) requires a fresh
 // Compile; Run rejects such variants rather than simulate against stale
@@ -422,7 +423,8 @@ func (cs *CompiledScenario) Variant(mutate func(*Scenario)) *CompiledScenario {
 }
 
 // ForScenario returns a variant of the compilation adopting sc's
-// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, Shards).
+// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, Shards,
+// SLOSched, PowerGov).
 // The caller must ensure sc's compile-relevant fields are content-equal to
 // the compiled scenario's (ScenarioKey equality guarantees it); pointer-typed
 // sources (the replay trace, transform-chain steps) and the
@@ -454,10 +456,6 @@ func (cs *CompiledScenario) checkRuntimeOnly() error {
 		return fmt.Errorf("sim: variant changed TraceTransforms; recompile the scenario")
 	case !sameRequests(cur.Requests, base.Requests):
 		return fmt.Errorf("sim: variant changed Requests; recompile the scenario")
-	case cur.SLOSched != base.SLOSched:
-		return fmt.Errorf("sim: variant changed SLOSched; recompile the scenario")
-	case cur.PowerGov != base.PowerGov:
-		return fmt.Errorf("sim: variant changed PowerGov; recompile the scenario")
 	case cur.Region != base.Region:
 		return fmt.Errorf("sim: variant changed Region; recompile the scenario")
 	case cur.StartOffset != base.StartOffset:

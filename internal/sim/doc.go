@@ -28,8 +28,9 @@
 // workload, weather, request log) shared read-only across runs; CompileCache
 // memoizes them under content-hash keys (ScenarioKey), so campaign grids and
 // repeated what-ifs skip redundant work. Runtime-only fields (Tick,
-// Failures, RecordRowSeries, Observer, Shards) stay out of the key and are
-// adjustable per run via CompiledScenario.Variant.
+// Failures, RecordRowSeries, Observer, Shards, and the policy parameters
+// SLOSched and PowerGov) stay out of the key and are adjustable per run via
+// CompiledScenario.Variant.
 //
 // # Determinism
 //

@@ -27,13 +27,13 @@ func (k CacheKey) String() string { return hex.EncodeToString(k[:]) }
 // ScenarioKey hashes the compile-relevant fields of a scenario: layout
 // config, workload spec (or trace content + transform chain), the
 // request-level replay log when present, region, duration, start offset,
-// and oversubscription. Runtime-only fields — Tick,
-// Failures, RecordRowSeries, Observer, Shards — are excluded, exactly
-// mirroring what CompiledScenario.Variant allows a run to change without
-// recompiling; Workload.Servers is excluded too because Compile overwrites
-// it from the layout. Replayed traces (and splice overlays) are hashed by
-// content via their canonical workload CSV, so the key is stable across
-// loads of the same file and across processes.
+// and oversubscription. Runtime-only fields — Tick, Failures,
+// RecordRowSeries, Observer, Shards and the policy parameters SLOSched and
+// PowerGov — are excluded, exactly mirroring what CompiledScenario.Variant
+// allows a run to change without recompiling; Workload.Servers is excluded
+// too because Compile overwrites it from the layout. Replayed traces (and
+// splice overlays) are hashed by content via their canonical workload CSV,
+// so the key is stable across loads of the same file and across processes.
 func ScenarioKey(sc Scenario) (CacheKey, error) {
 	return scenarioKey(sc, nil)
 }
@@ -51,33 +51,7 @@ func scenarioKey(sc Scenario, memo *fingerprintMemo) (CacheKey, error) {
 	h.hashRegion(sc.Region)
 	h.dur(sc.Duration)
 	h.dur(sc.StartOffset)
-	h.hashSLOSched(sc.SLOSched)
-	h.hashPowerGov(sc.PowerGov)
 	return h.sum(), nil
-}
-
-// hashSLOSched folds the SLO-scheduling parameters into the key. The zero
-// value (policy defaults) contributes nothing, keeping pre-existing keys
-// stable — mirroring hashRequests.
-func (k *keyHasher) hashSLOSched(s SLOSched) {
-	if s == (SLOSched{}) {
-		return
-	}
-	k.str("slosched")
-	k.f64(s.AffinityWeight)
-	k.f64(s.AdmissionSlack)
-}
-
-// hashPowerGov folds the power-governor parameters into the key with the
-// same zero-value rule as hashSLOSched: scenarios that never touch PowerGov
-// keep their pre-existing keys byte for byte.
-func (k *keyHasher) hashPowerGov(p PowerGov) {
-	if p == (PowerGov{}) {
-		return
-	}
-	k.str("powergov")
-	k.f64(p.BudgetFrac)
-	k.f64(p.Gain)
 }
 
 // layoutKey hashes what buildLayoutArtifacts consumes: the layout config and

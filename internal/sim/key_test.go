@@ -24,9 +24,9 @@ func mustKey(t *testing.T, sc Scenario) CacheKey {
 
 // TestScenarioKeyIgnoresRuntimeOnly pins the key's canonicalization contract:
 // every field a compiled scenario can vary per run (the Variant set — Tick,
-// Failures, RecordRowSeries, Observer, Shards — plus Workload.Servers, which
-// Compile overwrites from the layout) must not move the key, so cache hits
-// serve all runtime variants of one compilation.
+// Failures, RecordRowSeries, Observer, Shards, SLOSched, PowerGov — plus
+// Workload.Servers, which Compile overwrites from the layout) must not move
+// the key, so cache hits serve all runtime variants of one compilation.
 func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
 	base := SmallScenario()
 	want := mustKey(t, base)
@@ -39,6 +39,8 @@ func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
 		"observer":         func(sc *Scenario) { sc.Observer = func(*cluster.State) {} },
 		"shards":           func(sc *Scenario) { sc.Shards = 8 },
 		"workload_servers": func(sc *Scenario) { sc.Workload.Servers = 9999 },
+		"slo_sched":        func(sc *Scenario) { sc.SLOSched = SLOSched{AffinityWeight: 0.25, AdmissionSlack: 1.5} },
+		"power_gov":        func(sc *Scenario) { sc.PowerGov = PowerGov{BudgetFrac: 0.7, Gain: 0.5} },
 	}
 	for name, mutate := range mutations {
 		sc := base

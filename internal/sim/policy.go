@@ -87,10 +87,9 @@ type PowerGovTunable interface {
 }
 
 // PowerGov parameterizes closed-loop power-capping policies (core.PowerGov).
-// The zero value leaves policy defaults untouched. Compile-relevant: both
-// fields enter the scenario cache key (when non-zero) because they change
-// frequency states and therefore every downstream metric — and like SLOSched
-// the zero value contributes nothing, keeping pre-existing keys byte-stable.
+// The zero value leaves policy defaults untouched. Runtime-only: no compiled
+// artifact depends on it, so it stays out of the scenario cache key and a
+// compiled scenario adopts it per run.
 type PowerGov struct {
 	// BudgetFrac is each endpoint's power budget as a fraction of the
 	// aggregate server TDP of its placed instances. Policy default 0.8
@@ -105,9 +104,9 @@ type PowerGov struct {
 }
 
 // SLOSched parameterizes SLO-aware scheduling policies (core.SLO). The
-// zero value leaves policy defaults untouched. Compile-relevant: both
-// fields enter the scenario cache key (when non-zero) because they change
-// routing decisions and therefore every downstream metric.
+// zero value leaves policy defaults untouched. Runtime-only, like PowerGov:
+// it stays out of the scenario cache key and a compiled scenario adopts it
+// per run.
 type SLOSched struct {
 	// AffinityWeight is the multiplicative score discount for routing a
 	// request to an instance that recently served the same customer
@@ -184,10 +183,11 @@ type Scenario struct {
 	// SLOSched tunes SLO-aware policies (request-level replay mode only);
 	// the zero value keeps policy defaults. Swept via the
 	// slo.affinity_weight and slo.admission_slack campaign axes.
+	// Runtime-only.
 	SLOSched SLOSched
 	// PowerGov tunes closed-loop power-capping policies (core.PowerGov);
 	// the zero value keeps policy defaults. Swept via the
-	// powergov.budget_frac and powergov.gain campaign axes.
+	// powergov.budget_frac and powergov.gain campaign axes. Runtime-only.
 	PowerGov PowerGov
 	Region   trace.Region
 	Duration time.Duration

@@ -17,53 +17,77 @@ var (
 	_ PowerGovTunable = (*core.PowerGov)(nil)
 )
 
-// TestPowerGovCacheKey pins the keying contract for the governor knobs: the
-// zero value keys identically to the pre-PowerGov encoding (existing cache
-// entries stay valid), while each non-zero knob — and each distinct value —
-// changes the key.
+// TestPowerGovCacheKey pins the keying contract for the governor knobs:
+// PowerGov is runtime-only, so the zero value, each knob and each distinct
+// value key identically, and a CompileCache serves all of them from one
+// compilation that adopts the caller's knobs.
 func TestPowerGovCacheKey(t *testing.T) {
 	reqs := syntheticRequests(50, 2, 5*time.Minute)
-	base := requestScenario(reqs)
-	k0, err := ScenarioKey(base)
-	if err != nil {
-		t.Fatal(err)
+	cache := NewCompileCache(0)
+	var k0 CacheKey
+	for i, pg := range []PowerGov{{}, {BudgetFrac: 0.7}, {Gain: 0.5}, {BudgetFrac: 0.5, Gain: 0.25}} {
+		sc := requestScenario(reqs)
+		sc.PowerGov = pg
+		k, err := ScenarioKey(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			k0 = k
+		} else if k != k0 {
+			t.Errorf("PowerGov %+v changed the scenario key", pg)
+		}
+		cs, err := cache.Compile(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.Scenario.PowerGov != pg {
+			t.Errorf("cached compilation carries PowerGov %+v, want %+v", cs.Scenario.PowerGov, pg)
+		}
 	}
-	zero := requestScenario(reqs)
-	zero.PowerGov = PowerGov{}
-	if k, _ := ScenarioKey(zero); k != k0 {
-		t.Error("zero PowerGov changed the scenario key")
-	}
-	budgeted := requestScenario(reqs)
-	budgeted.PowerGov = PowerGov{BudgetFrac: 0.7}
-	kb, err := ScenarioKey(budgeted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kb == k0 {
-		t.Error("budget fraction not folded into the scenario key")
-	}
-	gained := requestScenario(reqs)
-	gained.PowerGov = PowerGov{Gain: 0.5}
-	kg, err := ScenarioKey(gained)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kg == k0 || kg == kb {
-		t.Error("gain not distinguished in the scenario key")
+	if n := cache.Compiles(); n != 1 {
+		t.Errorf("PowerGov variants took %d compiles, want 1", n)
 	}
 }
 
-// TestVariantRejectsPowerGovChange pins that PowerGov is compile-relevant: a
-// variant changing it must be rejected instead of silently reusing artifacts
-// keyed under other parameters.
-func TestVariantRejectsPowerGovChange(t *testing.T) {
-	cs, err := Compile(requestScenario(syntheticRequests(50, 2, 5*time.Minute)))
+// TestForScenarioAdoptsPolicyParams pins that policy parameters are run
+// options: a compilation adopting other SLOSched and PowerGov values through
+// ForScenario (a cache hit, or a grid point sharing a compilation) reports
+// exactly what a cold compile with those values does.
+func TestForScenarioAdoptsPolicyParams(t *testing.T) {
+	base := requestScenario(overloadedRequests(t, 4))
+	cs, err := Compile(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := cs.Variant(func(s *Scenario) { s.PowerGov.BudgetFrac = 0.5 })
-	if _, err := v.Run(core.NewPowerGov(false)); err == nil {
-		t.Fatal("variant changing PowerGov ran without recompiling")
+	tuned := base
+	tuned.SLOSched = SLOSched{AffinityWeight: 0.25, AdmissionSlack: 0.5}
+	tuned.PowerGov = PowerGov{BudgetFrac: 0.3, Gain: 0.5}
+	for _, pol := range []struct {
+		name string
+		new  func() Policy
+	}{
+		{"slo", func() Policy { return core.NewSLO(false) }},
+		{"powergov", func() Policy { return core.NewPowerGov(false) }},
+	} {
+		cold, err := Run(tuned, pol.new())
+		if err != nil {
+			t.Fatal(err)
+		}
+		adopted, err := cs.ForScenario(tuned).Run(pol.new())
+		if err != nil {
+			t.Fatalf("%s: %v", pol.name, err)
+		}
+		if !reflect.DeepEqual(cold, adopted) {
+			t.Errorf("%s: adopted policy parameters differ from a cold compile with them", pol.name)
+		}
+		defaults, err := cs.Run(pol.new())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(cold, defaults) {
+			t.Errorf("%s: the tuned parameters did not change the run", pol.name)
+		}
 	}
 }
 

@@ -138,53 +138,36 @@ func TestSLOPoliciesShardsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSLOSchedCacheKey pins the keying contract for the new policy
-// parameters: the zero value keys identically to the pre-SLOSched encoding
-// (existing cache entries stay valid), while any non-zero parameter — and
-// each distinct value — changes the key.
+// TestSLOSchedCacheKey pins the keying contract for the SLO-scheduling
+// parameters: SLOSched is runtime-only, so the zero value, each parameter and
+// each distinct value key identically, and a CompileCache serves all of them
+// from one compilation that adopts the caller's parameters.
 func TestSLOSchedCacheKey(t *testing.T) {
 	reqs := syntheticRequests(50, 2, 5*time.Minute)
-	base := requestScenario(reqs)
-	k0, err := ScenarioKey(base)
-	if err != nil {
-		t.Fatal(err)
+	cache := NewCompileCache(0)
+	var k0 CacheKey
+	for i, ss := range []SLOSched{{}, {AffinityWeight: 0.25}, {AdmissionSlack: 1.5}, {AffinityWeight: 0.5, AdmissionSlack: 2}} {
+		sc := requestScenario(reqs)
+		sc.SLOSched = ss
+		k, err := ScenarioKey(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			k0 = k
+		} else if k != k0 {
+			t.Errorf("SLOSched %+v changed the scenario key", ss)
+		}
+		cs, err := cache.Compile(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs.Scenario.SLOSched != ss {
+			t.Errorf("cached compilation carries SLOSched %+v, want %+v", cs.Scenario.SLOSched, ss)
+		}
 	}
-	zero := requestScenario(reqs)
-	zero.SLOSched = SLOSched{}
-	if k, _ := ScenarioKey(zero); k != k0 {
-		t.Error("zero SLOSched changed the scenario key")
-	}
-	weighted := requestScenario(reqs)
-	weighted.SLOSched = SLOSched{AffinityWeight: 0.25}
-	kw, err := ScenarioKey(weighted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kw == k0 {
-		t.Error("affinity weight not folded into the scenario key")
-	}
-	slacked := requestScenario(reqs)
-	slacked.SLOSched = SLOSched{AdmissionSlack: 1.5}
-	ks, err := ScenarioKey(slacked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks == k0 || ks == kw {
-		t.Error("admission slack not distinguished in the scenario key")
-	}
-}
-
-// TestVariantRejectsSLOSchedChange pins that SLOSched is compile-relevant:
-// a variant changing it must be rejected instead of silently reusing
-// artifacts keyed under other parameters.
-func TestVariantRejectsSLOSchedChange(t *testing.T) {
-	cs, err := Compile(requestScenario(syntheticRequests(50, 2, 5*time.Minute)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := cs.Variant(func(s *Scenario) { s.SLOSched.AdmissionSlack = 2 })
-	if _, err := v.Run(core.NewSLO(false)); err == nil {
-		t.Fatal("variant changing SLOSched ran without recompiling")
+	if n := cache.Compiles(); n != 1 {
+		t.Errorf("SLOSched variants took %d compiles, want 1", n)
 	}
 }
 
