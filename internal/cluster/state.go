@@ -103,9 +103,13 @@ type State struct {
 	// CustomerPeakLoad tracks the observed peak GPU load fraction per IaaS
 	// customer; EndpointPeakPerVM tracks peak per-VM token demand per
 	// endpoint. Placement uses these as the "same user / same endpoint"
-	// estimates of §4.1.
+	// estimates of §4.1. Write them only through SeedHistory,
+	// ObserveCustomerLoad and ObserveEndpointDemand, which bump PeakEpoch.
 	CustomerPeakLoad  map[int]float64
 	EndpointPeakPerVM map[int]float64
+	// PeakEpoch counts changes to the two peak maps above, so a consumer
+	// that caches EstimateVMPeakLoad results can tell when they went stale.
+	PeakEpoch uint64
 	// customerPeak mirrors CustomerPeakLoad densely for the customer IDs
 	// present in the workload: ObserveCustomerLoad runs per IaaS server per
 	// tick and the map lookup dominated it. The map stays the source
@@ -366,6 +370,7 @@ func (st *State) SeedHistory(customerPeak, endpointPeak map[int]float64) {
 	for e, v := range endpointPeak {
 		st.EndpointPeakPerVM[e] = v
 	}
+	st.PeakEpoch++
 }
 
 // AisleLimitCFM returns the effective provisioned airflow of an aisle under
@@ -417,6 +422,7 @@ func (st *State) ObserveCustomerLoad(customer int, loadFrac float64) {
 	}
 	if loadFrac > st.CustomerPeakLoad[customer] {
 		st.CustomerPeakLoad[customer] = loadFrac
+		st.PeakEpoch++
 	}
 }
 
@@ -424,6 +430,7 @@ func (st *State) ObserveCustomerLoad(customer int, loadFrac float64) {
 func (st *State) ObserveEndpointDemand(endpoint int, perVMTokens float64) {
 	if perVMTokens > st.EndpointPeakPerVM[endpoint] {
 		st.EndpointPeakPerVM[endpoint] = perVMTokens
+		st.PeakEpoch++
 	}
 }
 
@@ -437,9 +444,8 @@ func (st *State) EstimateVMPeakLoad(spec trace.VMSpec) float64 {
 		}
 		return 1
 	}
-	ep := st.Work.Endpoints[spec.Endpoint]
 	if peak, ok := st.EndpointPeakPerVM[spec.Endpoint]; ok {
-		cap := capacityTokensPerSec(st, ep)
+		cap := capacityTokensPerSec(st)
 		if cap > 0 {
 			f := peak / cap
 			if f > 1 {
@@ -451,7 +457,9 @@ func (st *State) EstimateVMPeakLoad(spec trace.VMSpec) float64 {
 	return 1
 }
 
-func capacityTokensPerSec(st *State, ep trace.EndpointSpec) float64 {
+// capacityTokensPerSec is the per-VM token goodput at the default serving
+// configuration, the capacity a SaaS VM's peak demand is measured against.
+func capacityTokensPerSec(st *State) float64 {
 	e, ok := st.Profile.Entry(llm.DefaultConfig())
 	if !ok {
 		return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/cluster"
@@ -13,15 +14,40 @@ import (
 // §4.5: a validator filtering aisles/rows that would exceed airflow or power
 // envelopes at predicted peak, a temperature preference (IaaS → cool
 // servers, SaaS → warm servers), and an IaaS/SaaS balance preference.
+//
+// Most of a placement's inputs survive to the next one, so the allocator
+// keeps them across calls and is tied to the State it first places into.
 type allocator struct {
 	prof *Profiles
 
-	// Per-placement scratch, reused across calls: placements recur every
-	// tick while arrivals are pending, so the validator's per-row/per-aisle
-	// projections and the candidate list must not allocate steadily.
-	rowPeakW     []float64
-	aislePeakCFM []float64
-	cands        []placeCandidate
+	// Validator projections. rowSumW and aisleSumCFM are each row's
+	// predicted peak power and each aisle's predicted peak airflow, summed
+	// from zero over their servers in ascending server-ID order: the addends
+	// and order of a whole-fleet sweep, so the sums are bit-identical to
+	// one. A row is re-summed only when its cluster.State.RowOccEpoch or the
+	// State's PeakEpoch moved since its last sum, an aisle only when one of
+	// its rows was. srvPeakCFM keeps each server's airflow addend for the
+	// aisle sums; rowSeen and peakSeen are the epochs last summed at.
+	srvPeakCFM  []float64
+	rowSumW     []float64
+	aisleSumCFM []float64
+	aisleDirty  []bool
+	rowSeen     []uint64
+	peakSeen    uint64
+
+	// Scoring memo: partial holds GPUTemp.InletPartial of every GPU at its
+	// server's reference inlet, valid while partStamp[server] == partGen.
+	// partGen advances whenever the reference outside temperature, whose
+	// bits are refBits, changes.
+	partial   []float64
+	partStamp []uint64
+	partGen   uint64
+	refBits   uint64
+
+	// Per-placement scratch, reused across calls: rowPeakW is rowSumW
+	// floored by the row templates, and cands the validator's survivors.
+	rowPeakW []float64
+	cands    []placeCandidate
 
 	// rowTplPeakW is the hour-of-week template peak per row, rebuilt from
 	// the rolling row-power telemetry (power.BuildTemplateRing over
@@ -97,31 +123,15 @@ func (a *allocator) place(st *cluster.State, vm *cluster.VM) (int, bool) {
 	// Validator: predicted peak power per row / airflow per aisle with the
 	// candidate VM added. With under a week of history the paper assumes
 	// peak-load conditions, which is what EstimateVMPeakLoad degrades to.
-	if a.rowPeakW == nil {
-		a.rowPeakW = make([]float64, len(st.DC.Rows))
-		a.aislePeakCFM = make([]float64, len(st.DC.Aisles))
-	}
-	rowPeakW, aislePeakCFM := a.rowPeakW, a.aislePeakCFM
-	for i := range rowPeakW {
-		rowPeakW[i] = 0
-	}
-	for i := range aislePeakCFM {
-		aislePeakCFM[i] = 0
-	}
-	for _, srv := range st.DC.Servers {
-		load := 0.0
-		if vmID := st.ServerVM[srv.ID]; vmID != -1 {
-			load = st.EstimateVMPeakLoad(st.VMs[vmID].Spec)
-		}
-		rowPeakW[srv.Row] += a.prof.PowerFor(srv.GPU.Model).Predict(load)
-		aislePeakCFM[srv.Aisle] += a.prof.AirflowFor(srv.GPU.Model).Predict(load)
-	}
+	a.syncPeaks(st)
+	rowPeakW, aislePeakCFM := a.rowPeakW, a.aisleSumCFM
 	// Once a row has a week of telemetry, its observed template peak floors
 	// the model projection: rows whose history already shows draw near the
 	// envelope stay closed to new load even when per-VM estimates are
 	// optimistic (the paper's template-based row prediction, Fig. 14a).
-	for row := range rowPeakW {
-		if tpl := a.rowTplPeakW[row]; tpl > rowPeakW[row] {
+	for row, sum := range a.rowSumW {
+		rowPeakW[row] = sum
+		if tpl := a.rowTplPeakW[row]; tpl > sum {
 			rowPeakW[row] = tpl
 		}
 	}
@@ -132,6 +142,7 @@ func (a *allocator) place(st *cluster.State, vm *cluster.VM) (int, bool) {
 	if refOutside < 30 {
 		refOutside = 30
 	}
+	a.keyInlets(st, refOutside)
 	cands := a.cands[:0]
 	for _, id := range st.FreeServers() {
 		srv := st.DC.Servers[id]
@@ -142,13 +153,7 @@ func (a *allocator) place(st *cluster.State, vm *cluster.VM) (int, bool) {
 		if aislePeakCFM[srv.Aisle]-idleCFMBy[m]+newPeakCFMBy[m] > st.DC.Aisles[srv.Aisle].ProvAirflowCFM {
 			continue
 		}
-		inlet := a.prof.Inlet.Predict(id, refOutside, 0.8)
-		temp := 0.0
-		for g := 0; g < st.GPUsPerServer; g++ {
-			if t := a.prof.GPUTemp.Predict(id, g, inlet, estLoad); t > temp {
-				temp = t
-			}
-		}
+		temp := a.hottest(st, id, refOutside, estLoad)
 		cands = append(cands, placeCandidate{server: id, predTemp: temp, row: srv.Row, model: m})
 	}
 	a.cands = cands // keep the grown buffer for the next placement
@@ -236,3 +241,97 @@ func (a *allocator) place(st *cluster.State, vm *cluster.VM) (int, bool) {
 
 // coldBandC is the projected-temperature slack defining a VM's cold group.
 const coldBandC = 2.0
+
+// syncPeaks brings the validator's row and aisle projections up to date,
+// re-summing only the rows whose inputs changed since their last sum.
+func (a *allocator) syncPeaks(st *cluster.State) {
+	all := a.rowSumW == nil || st.PeakEpoch != a.peakSeen
+	if a.rowSumW == nil {
+		a.srvPeakCFM = make([]float64, len(st.DC.Servers))
+		a.rowSumW = make([]float64, len(st.DC.Rows))
+		a.rowPeakW = make([]float64, len(st.DC.Rows))
+		a.rowSeen = make([]uint64, len(st.DC.Rows))
+		a.aisleSumCFM = make([]float64, len(st.DC.Aisles))
+		a.aisleDirty = make([]bool, len(st.DC.Aisles))
+	}
+	a.peakSeen = st.PeakEpoch
+	for row, r := range st.DC.Rows {
+		if !all && st.RowOccEpoch[row] == a.rowSeen[row] {
+			continue
+		}
+		a.rowSeen[row] = st.RowOccEpoch[row]
+		sum := 0.0
+		for _, srv := range r.Servers {
+			load := 0.0
+			if vmID := st.ServerVM[srv.ID]; vmID != -1 {
+				load = st.EstimateVMPeakLoad(st.VMs[vmID].Spec)
+			}
+			sum += a.prof.PowerFor(srv.GPU.Model).Predict(load)
+			a.srvPeakCFM[srv.ID] = a.prof.AirflowFor(srv.GPU.Model).Predict(load)
+		}
+		a.rowSumW[row] = sum
+		a.aisleDirty[r.Aisle] = true
+	}
+	for aisle, dirty := range a.aisleDirty {
+		if dirty {
+			a.aisleSumCFM[aisle] = a.sumAisle(st.DC.Aisles[aisle])
+			a.aisleDirty[aisle] = false
+		}
+	}
+}
+
+// sumAisle adds up an aisle's per-server airflow projections in ascending
+// server-ID order. Each row lists its servers in ascending ID, but
+// oversubscription appends both rows' extra racks at the end of the ID space,
+// so the rows are merged by ID rather than concatenated as Aisle.Servers
+// does.
+func (a *allocator) sumAisle(ai *layout.Aisle) float64 {
+	r0, r1 := ai.Rows[0].Servers, ai.Rows[1].Servers
+	sum := 0.0
+	for len(r0) > 0 || len(r1) > 0 {
+		var id int
+		if len(r1) == 0 || len(r0) > 0 && r0[0].ID < r1[0].ID {
+			id, r0 = r0[0].ID, r0[1:]
+		} else {
+			id, r1 = r1[0].ID, r1[1:]
+		}
+		sum += a.srvPeakCFM[id]
+	}
+	return sum
+}
+
+// keyInlets keys the scoring memo on this placement's reference outside
+// temperature, allocating the memo on first use.
+func (a *allocator) keyInlets(st *cluster.State, refOutside float64) {
+	rb := math.Float64bits(refOutside)
+	if a.partial == nil {
+		a.partial = make([]float64, len(st.DC.Servers)*st.GPUsPerServer)
+		a.partStamp = make([]uint64, len(st.DC.Servers))
+		a.partGen, a.refBits = 1, rb
+	}
+	if rb != a.refBits {
+		a.partGen++
+		a.refBits = rb
+	}
+}
+
+// hottest returns a server's predicted hottest-GPU temperature at the
+// reference outside temperature keyInlets last saw and the VM's estimated
+// load, finishing the memoized inlet partials.
+func (a *allocator) hottest(st *cluster.State, id int, refOutside, estLoad float64) float64 {
+	part := a.partial[id*st.GPUsPerServer : (id+1)*st.GPUsPerServer]
+	if a.partStamp[id] != a.partGen {
+		inlet := a.prof.Inlet.Predict(id, refOutside, 0.8)
+		for g := range part {
+			part[g] = a.prof.GPUTemp.InletPartial(id, g, inlet)
+		}
+		a.partStamp[id] = a.partGen
+	}
+	temp := 0.0
+	for g, p := range part {
+		if t := a.prof.GPUTemp.AddPower(id, g, p, estLoad); t > temp {
+			temp = t
+		}
+	}
+	return temp
+}

@@ -64,13 +64,40 @@ func FitInletModel(samples []InletSample, nServers int) (*InletModel, error) {
 // GPUTempModel is the learned per-GPU temperature model (Eq. 2):
 // T_GPU,s,g = f_s,g(T_inlet,s, Load_GPU,g). Linear in both inputs.
 type GPUTempModel struct {
-	// PerGPU[serverID][gpu] over features [1, inletC, powerFrac].
-	PerGPU [][]regress.Linear
+	// Weights holds each GPU's fitted weights over the features
+	// [1, inletC, powerFrac], three per GPU, flat-indexed from
+	// (serverID*GPUsPerServer + gpu)*3.
+	Weights       []float64
+	GPUsPerServer int
 }
 
-// Predict estimates the temperature of one GPU.
+// weights returns one GPU's three fitted weights.
+func (m *GPUTempModel) weights(serverID, gpu int) []float64 {
+	i := (serverID*m.GPUsPerServer + gpu) * 3
+	return m.Weights[i : i+3 : i+3]
+}
+
+// Predict estimates the temperature of one GPU. It sums the weighted
+// features in feature order, as regress.Linear.Eval does, so the result is
+// bit-identical to evaluating the fitted regress.Linear.
 func (m *GPUTempModel) Predict(serverID, gpu int, inletC, powerFrac float64) float64 {
-	return m.PerGPU[serverID][gpu].Eval([]float64{1, inletC, powerFrac})
+	return m.AddPower(serverID, gpu, m.InletPartial(serverID, gpu, inletC), powerFrac)
+}
+
+// InletPartial returns the inlet-dependent part of Predict, the sum of the
+// intercept and inlet terms. Callers that project one GPU at many power
+// fractions under the same inlet compute it once and finish each projection
+// with AddPower.
+func (m *GPUTempModel) InletPartial(serverID, gpu int, inletC float64) float64 {
+	w := m.weights(serverID, gpu)
+	return (0 + w[0]*1) + w[1]*inletC
+}
+
+// AddPower finishes a projection started by InletPartial:
+// AddPower(s, g, InletPartial(s, g, inlet), frac) == Predict(s, g, inlet, frac)
+// bit for bit.
+func (m *GPUTempModel) AddPower(serverID, gpu int, partial, powerFrac float64) float64 {
+	return partial + m.Weights[(serverID*m.GPUsPerServer+gpu)*3+2]*powerFrac
 }
 
 // HeadroomPowerFrac inverts the learned model: the highest power fraction
@@ -78,7 +105,7 @@ func (m *GPUTempModel) Predict(serverID, gpu int, inletC, powerFrac float64) flo
 // This is what the Instance Configurator and router use to compute thermal
 // headroom. Clamped to [0, 1].
 func (m *GPUTempModel) HeadroomPowerFrac(serverID, gpu int, inletC, limitC float64) float64 {
-	w := m.PerGPU[serverID][gpu].Weights
+	w := m.weights(serverID, gpu)
 	// temp = w0 + w1·inlet + w2·powerFrac  ⇒  powerFrac = (limit−w0−w1·inlet)/w2
 	if w[2] <= 0 {
 		return 1
@@ -114,9 +141,8 @@ func FitGPUTempModel(samples []GPUSample, nServers, gpusPerServer int) (*GPUTemp
 		feats[idx] = append(feats[idx], []float64{1, s.InletC, s.PowerFrac})
 		targets[idx] = append(targets[idx], s.TempC)
 	}
-	m := &GPUTempModel{PerGPU: make([][]regress.Linear, nServers)}
+	m := &GPUTempModel{Weights: make([]float64, 0, nServers*gpusPerServer*3), GPUsPerServer: gpusPerServer}
 	for sv := 0; sv < nServers; sv++ {
-		m.PerGPU[sv] = make([]regress.Linear, gpusPerServer)
 		for g := 0; g < gpusPerServer; g++ {
 			idx := sv*gpusPerServer + g
 			if len(feats[idx]) < 6 {
@@ -127,7 +153,7 @@ func FitGPUTempModel(samples []GPUSample, nServers, gpusPerServer int) (*GPUTemp
 			if err != nil {
 				return nil, fmt.Errorf("thermal: fitting gpu temp model server %d gpu %d: %w", sv, g, err)
 			}
-			m.PerGPU[sv][g] = lin
+			m.Weights = append(m.Weights, lin.Weights...)
 		}
 	}
 	return m, nil

@@ -100,6 +100,61 @@ func TestFitGPUTempModelRecoversPhysics(t *testing.T) {
 	}
 }
 
+// TestGPUTempSplitMatchesLinear pins the flat weight table to the fitted
+// regress.Linear models: each GPU's weights are its own fit, and Predict, as
+// well as InletPartial finished by AddPower, equal Linear.Eval over
+// [1, inlet, powerFrac] bit for bit.
+func TestGPUTempSplitMatchesLinear(t *testing.T) {
+	dc, err := layout.New(layout.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(4, 4))
+	nSrv, gpus := 3, dc.Servers[0].GPU.GPUsPerServer
+	var samples []GPUSample
+	for i := 0; i < 50; i++ {
+		inlet, pf := 18+rng.Float64()*12, rng.Float64()
+		for sv := 0; sv < nSrv; sv++ {
+			for g := 0; g < gpus; g++ {
+				samples = append(samples, GPUSample{
+					Server: sv, GPU: g, InletC: inlet, PowerFrac: pf,
+					TempC: GPUTemp(dc.Servers[sv], g, inlet, pf) + rng.NormFloat64()*0.3,
+				})
+			}
+		}
+	}
+	model, err := FitGPUTempModel(samples, nSrv, gpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sv := 0; sv < nSrv; sv++ {
+		for g := 0; g < gpus; g++ {
+			var feats [][]float64
+			var temps []float64
+			for _, s := range samples {
+				if s.Server == sv && s.GPU == g {
+					feats = append(feats, []float64{1, s.InletC, s.PowerFrac})
+					temps = append(temps, s.TempC)
+				}
+			}
+			lin, err := regress.FitLinear(feats, temps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 20; k++ {
+				inlet, pf := rng.Float64()*50-5, rng.Float64()*1.2-0.1
+				want := math.Float64bits(lin.Eval([]float64{1, inlet, pf}))
+				if got := model.Predict(sv, g, inlet, pf); math.Float64bits(got) != want {
+					t.Fatalf("server %d gpu %d: Predict = %v, Linear.Eval = %v", sv, g, got, math.Float64frombits(want))
+				}
+				if got := model.AddPower(sv, g, model.InletPartial(sv, g, inlet), pf); math.Float64bits(got) != want {
+					t.Fatalf("server %d gpu %d: AddPower(InletPartial) = %v, Linear.Eval = %v", sv, g, got, math.Float64frombits(want))
+				}
+			}
+		}
+	}
+}
+
 func TestGPUTempModelHeadroom(t *testing.T) {
 	dc, _ := layout.New(layout.SmallConfig())
 	rng := rand.New(rand.NewPCG(3, 3))
