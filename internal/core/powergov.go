@@ -157,7 +157,7 @@ func (g *PowerGov) RouteRequest(st *cluster.State, insts []*cluster.VM, req llm.
 		if in.Reloading() {
 			continue
 		}
-		pr := llm.PrefillRate(in.Spec, in.Config)
+		pr := in.PrefillRate()
 		if pr <= 0 {
 			continue
 		}
@@ -198,7 +198,7 @@ func (g *PowerGov) RouteRequest(st *cluster.State, insts []*cluster.VM, req llm.
 // more tokens per joule.
 func energyPerTokenEst(st *cluster.State, vm *cluster.VM) float64 {
 	in := vm.Instance
-	rate := llm.DecodeTokenRate(in.Spec, in.Config, in.Config.MaxBatch)
+	rate := in.DecodeRate()
 	if rate <= 0 {
 		return math.Inf(1)
 	}

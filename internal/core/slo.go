@@ -93,7 +93,7 @@ func (s *SLO) AdmitRequest(st *cluster.State, insts []*cluster.VM, req llm.Reque
 		if in.Reloading() {
 			continue
 		}
-		pr := llm.PrefillRate(in.Spec, in.Config)
+		pr := in.PrefillRate()
 		if pr <= 0 {
 			continue
 		}

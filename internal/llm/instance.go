@@ -112,6 +112,14 @@ func (in *Instance) refreshRates() {
 	in.slackFull = in.SLOs.TTFT.Seconds() - in.Work.AvgPromptTokens/in.prefillRate
 }
 
+// PrefillRate returns PrefillRate(in.Spec, in.Config), cached by
+// refreshRates.
+func (in *Instance) PrefillRate() float64 { return in.prefillRate }
+
+// DecodeRate returns DecodeTokenRate(in.Spec, in.Config, in.Config.MaxBatch),
+// cached by refreshRates.
+func (in *Instance) DecodeRate() float64 { return in.decodeRate }
+
 // Enqueue adds a request's tokens to the instance queues.
 func (in *Instance) Enqueue(req Request) {
 	in.enqueuedTokens += float64(req.TotalTokens())

@@ -62,7 +62,9 @@ type queuedReq struct {
 // kernel: each tick consumes wall time at the instance's SpeedFactor, and an
 // operation that outlives the tick carries its remaining work (and its true
 // start time, so TTFT/TBT measure real wall spans across frequency changes)
-// into the next one.
+// into the next one. Decode iterations that can neither admit a prefill nor
+// complete a sequence are advanced as one run (see decodeRun), with the same
+// results bit for bit.
 //
 // All latency bookkeeping is in float64 seconds on an internal wall clock
 // that advances by exactly one tick per Step, so results are independent of
@@ -201,6 +203,9 @@ func (in *Instance) stepQueue(dt time.Duration) {
 		}
 		t += need
 		q.finishOp(in, t)
+		if !q.canPrefill(in) {
+			t, busySecs = q.decodeRun(in, t, tickEnd, sf, busySecs)
+		}
 	}
 	q.now = tickEnd
 	if busySecs > 0 {
@@ -216,7 +221,7 @@ func (in *Instance) stepQueue(dt time.Duration) {
 // (prefill rate zero) falls through to decode, so the running batch never
 // starves behind a request that cannot start. Reports false when drained.
 func (q *RequestQueue) startOp(in *Instance, t float64) bool {
-	if len(q.waiting) > 0 && len(q.active) < in.Config.MaxBatch && in.prefillRate > 0 {
+	if q.canPrefill(in) {
 		if idx := q.pickWaiting(in); idx > 0 {
 			// Rotate the pick to the front, preserving the relative order of
 			// the others; finishOp pops index 0. FIFO picks 0, so the rotate
@@ -234,11 +239,71 @@ func (q *RequestQueue) startOp(in *Instance, t float64) bool {
 	}
 	if len(q.active) > 0 {
 		q.op = opDecode
-		q.opUnitLeft = DecodeStepTime(in.Spec, in.Config, len(q.active)).Seconds()
+		q.opUnitLeft = q.decodeUnit(in)
 		q.opStart = t
 		return true
 	}
 	return false
+}
+
+// canPrefill reports whether startOp admits a waiting request next: one is
+// waiting, the running batch has room and the configuration can prefill.
+func (q *RequestQueue) canPrefill(in *Instance) bool {
+	return len(q.waiting) > 0 && len(q.active) < in.Config.MaxBatch && in.prefillRate > 0
+}
+
+// decodeUnit is the full-speed seconds of one decode iteration over the
+// running batch.
+func (q *RequestQueue) decodeUnit(in *Instance) float64 {
+	return DecodeStepTime(in.Spec, in.Config, len(q.active)).Seconds()
+}
+
+// decodeRun advances, in one pass, the decode iterations that follow an op
+// finished at wall time t when no prefill can start. Nothing changes the
+// batch until a sequence completes, so every iteration has the same length;
+// the run covers up to min(tokensLeft)−1 iterations that fit before tickEnd.
+// It repeats only the scalar updates of stepQueue and finishOp, in their
+// order, so every sum matches the per-iteration path bit for bit, and then
+// touches each running sequence once: tokensLeft drops by the run length and
+// maxTBT takes the largest actual span t_{j+1}−t_j (not need, which can
+// differ from it in the low bits). The completing iteration and one that
+// would cross tickEnd are left to stepQueue. It returns the new wall time
+// and busy seconds.
+func (q *RequestQueue) decodeRun(in *Instance, t, tickEnd, sf, busySecs float64) (float64, float64) {
+	if len(q.active) == 0 {
+		return t, busySecs
+	}
+	left := q.active[0].tokensLeft
+	for _, r := range q.active[1:] {
+		left = min(left, r.tokensLeft)
+	}
+	need := q.decodeUnit(in) / sf
+	n := float64(len(q.active))
+	served, outLeft := in.ServedTokens, q.activeOutLeft
+	var span float64
+	k := 0
+	// need > 0, so need <= tickEnd-t also keeps t < tickEnd.
+	for ; k < left-1 && need <= tickEnd-t; k++ {
+		busySecs += need
+		next := t + need
+		if s := next - t; s > span {
+			span = s
+		}
+		t = next
+		served += n
+		outLeft -= n
+	}
+	if k == 0 {
+		return t, busySecs
+	}
+	in.ServedTokens, q.activeOutLeft = served, outLeft
+	for _, r := range q.active {
+		r.tokensLeft -= k
+		if span > r.maxTBT {
+			r.maxTBT = span
+		}
+	}
+	return t, busySecs
 }
 
 // pickWaiting selects which waiting request the next prefill admits. FIFO is

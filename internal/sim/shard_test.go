@@ -18,8 +18,9 @@ import (
 	"github.com/tapas-sim/tapas/internal/trace"
 )
 
-// -update regenerates the shard golden file (testdata/shard_golden.txt).
-var updateShardGolden = flag.Bool("update", false, "rewrite the shard golden file")
+// -update regenerates the golden files under testdata (shard_golden.txt and
+// request_golden.txt).
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // shardScenario is a deliberately hostile scenario for the sharded tick
 // kernel's dirty-set bookkeeping: a hot region (weather keeps moving the
@@ -184,9 +185,45 @@ func TestShardGoldenSerialEqualsSharded(t *testing.T) {
 	if strings.TrimPrefix(serial, "== serial ==\n") != sharded {
 		t.Errorf("serial and sharded fingerprints differ:\n%s", got)
 	}
+	matchGolden(t, filepath.Join("testdata", "shard_golden.txt"), got)
+}
 
-	path := filepath.Join("testdata", "shard_golden.txt")
-	if *updateShardGolden {
+// TestRequestGoldenSerialEqualsSharded pins the request-level sample series
+// bit for bit. The shard golden runs a binned scenario, so its request
+// hashes cover no samples; here a replayed request log under TAPAS, SLO-EDF
+// admission and the energy-aware power governor, each run serially and with
+// 7 shards, must reproduce testdata/request_golden.txt, TTFT, TBT and
+// queueing-delay hashes included.
+func TestRequestGoldenSerialEqualsSharded(t *testing.T) {
+	cs, err := Compile(requestScenario(syntheticRequests(300, 2, 7*time.Minute)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, pol := range []struct {
+		name string
+		new  func() Policy
+	}{
+		{"tapas", func() Policy { return core.NewFull() }},
+		{"slo-edf", func() Policy { return core.NewSLO(true) }},
+		{"powergov-energy", func() Policy { return core.NewPowerGov(true) }},
+	} {
+		for _, shards := range []int{1, 7} {
+			res, err := cs.Variant(func(s *Scenario) { s.Shards = shards }).Run(pol.new())
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", pol.name, shards, err)
+			}
+			fmt.Fprintf(&sb, "== %s shards=%d ==\n%s", pol.name, shards, fingerprintResult(res))
+		}
+	}
+	matchGolden(t, filepath.Join("testdata", "request_golden.txt"), sb.String())
+}
+
+// matchGolden compares got with the committed golden file at path, or
+// rewrites the file under -update.
+func matchGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
