@@ -1,7 +1,7 @@
 // Micro-benchmarks of the hot paths no benchmark/ workload isolates
 // (placement, routing, instance stepping, offline profiling, regression
 // fitting, the iteration-level engine), plus the 10x fleet-day that serves
-// as the -cpuprofile entry point for fleet-scale placement. End-to-end
+// as the -cpuprofile entry point for fleet-scale runs. End-to-end
 // numbers come from benchmark/ (see benchmark/README.md); per-figure timing
 // comes from `tapas-bench -run <id>`.
 package tapas_test
@@ -171,9 +171,9 @@ func BenchmarkEngineSimHour(b *testing.B) {
 
 // BenchmarkHyperscaleDaySerial provisions the paper's fleet at 10x aisles
 // (~10k servers) and runs one simulated day under full TAPAS on the serial
-// tick kernel. Dirty-set skipping makes steady-state ticks cheap, so this
-// mostly prices initial placement plus a day of VM churn at scale. Profile
-// fleet-scale placement with
+// tick kernel: the initial fill, a day of VM churn and 1,440 ticks over
+// every server, which lead its profile since placement became row-indexed.
+// Profile fleet-scale runs with
 //
 //	go test -run '^$' -bench HyperscaleDaySerial -benchtime 1x -cpuprofile cpu.out .
 func BenchmarkHyperscaleDaySerial(b *testing.B) {

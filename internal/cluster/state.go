@@ -125,8 +125,6 @@ type State struct {
 	rowIaaS     []int   // row → placed IaaS VM count
 	rowSaaS     []int   // row → placed SaaS VM count
 	freeCount   int
-	freeIDs     []int // cached ascending free-server IDs; valid when !freeDirty
-	freeDirty   bool
 }
 
 // NewState initializes cluster state for a datacenter and workload, building
@@ -173,7 +171,6 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		rowIaaS:   make([]int, len(dc.Rows)),
 		rowSaaS:   make([]int, len(dc.Rows)),
 		freeCount: n,
-		freeDirty: true,
 	}
 	for i := range st.ServerVM {
 		st.ServerVM[i] = -1
@@ -221,7 +218,6 @@ func (st *State) Place(vmID, serverID int) error {
 	vm.Server = serverID
 	st.ServerVM[serverID] = vmID
 	st.freeCount--
-	st.freeDirty = true
 	row := st.DC.Servers[serverID].Row
 	st.RowOccEpoch[row]++
 	if vm.Spec.Kind == trace.SaaS {
@@ -250,7 +246,6 @@ func (st *State) Remove(vmID int) {
 		st.ServerVM[vm.Server] = -1
 		st.ServerFreqCap[vm.Server] = 1
 		st.freeCount++
-		st.freeDirty = true
 		vm.Server = -1
 	}
 	vm.Instance = nil
@@ -280,25 +275,6 @@ func (st *State) unindexEndpointVM(vm *VM) {
 			return
 		}
 	}
-}
-
-// FreeServers returns the IDs of unoccupied servers in ascending order. The
-// returned slice is owned by the State and valid until the next Place or
-// Remove; callers must not mutate or retain it.
-func (st *State) FreeServers() []int {
-	if st.freeDirty {
-		if cap(st.freeIDs) < st.freeCount {
-			st.freeIDs = make([]int, 0, len(st.ServerVM))
-		}
-		st.freeIDs = st.freeIDs[:0]
-		for id, vm := range st.ServerVM {
-			if vm == -1 {
-				st.freeIDs = append(st.freeIDs, id)
-			}
-		}
-		st.freeDirty = false
-	}
-	return st.freeIDs
 }
 
 // NumFree returns the number of unoccupied servers.
@@ -363,7 +339,9 @@ func (st *State) GPUTemps(server int) []float64 {
 func (st *State) SeedHistory(customerPeak, endpointPeak map[int]float64) {
 	for c, v := range customerPeak {
 		st.CustomerPeakLoad[c] = v
-		if c >= 0 && c < len(st.customerPeak) && v > st.customerPeak[c] {
+		// The seed replaces the estimate, so the mirror follows it down too:
+		// a mirror left above the map would swallow new peaks in between.
+		if c >= 0 && c < len(st.customerPeak) {
 			st.customerPeak[c] = v
 		}
 	}

@@ -45,9 +45,17 @@ type allocator struct {
 	refBits   uint64
 
 	// Per-placement scratch, reused across calls: rowPeakW is rowSumW
-	// floored by the row templates, and cands the validator's survivors.
+	// floored by the row templates, and offers the validator's survivors.
 	rowPeakW []float64
-	cands    []placeCandidate
+	offers   []rowOffer
+
+	// Row index: one loadTable per VM load estimate placed since st.Now or
+	// partGen last changed, keyed by math.Float64bits of the estimate. When
+	// either changes, every table moves to spare for reuse.
+	tables    map[uint64]*loadTable
+	spare     []*loadTable
+	tablesNow time.Duration
+	tablesGen uint64
 
 	// rowTplPeakW is the hour-of-week template peak per row, rebuilt from
 	// the rolling row-power telemetry (power.BuildTemplateRing over
@@ -93,13 +101,6 @@ func (a *allocator) refreshRowTemplates(st *cluster.State) {
 	}
 }
 
-type placeCandidate struct {
-	server   int
-	predTemp float64
-	row      int
-	model    layout.GPUModel
-}
-
 // tempMargin keeps predicted GPU temperature this far below the throttle
 // threshold when admitting SaaS VMs onto warm servers.
 const tempMargin = 2.0
@@ -143,21 +144,35 @@ func (a *allocator) place(st *cluster.State, vm *cluster.VM) (int, bool) {
 		refOutside = 30
 	}
 	a.keyInlets(st, refOutside)
-	cands := a.cands[:0]
-	for _, id := range st.FreeServers() {
-		srv := st.DC.Servers[id]
-		m := srv.GPU.Model
-		if rowPeakW[srv.Row]-idleWBy[m]+newPeakWBy[m] > st.DC.Rows[srv.Row].ProvPowerW {
+	tab := a.table(st, estLoad)
+
+	// Rows are single-generation (layout builds generations aisle by aisle
+	// and AddRacks copies each row's spec), so the validator passes or fails
+	// a row's free servers together, and a row's power and balance scores
+	// are shared by all of them. Each valid row with a free server offers
+	// its coolest one.
+	offers := a.offers[:0]
+	minProj := math.Inf(1)
+	for row, r := range st.DC.Rows {
+		m := r.Servers[0].GPU.Model
+		peakW := rowPeakW[row] - idleWBy[m] + newPeakWBy[m]
+		if peakW > r.ProvPowerW {
 			continue
 		}
-		if aislePeakCFM[srv.Aisle]-idleCFMBy[m]+newPeakCFMBy[m] > st.DC.Aisles[srv.Aisle].ProvAirflowCFM {
+		if aislePeakCFM[r.Aisle]-idleCFMBy[m]+newPeakCFMBy[m] > st.DC.Aisles[r.Aisle].ProvAirflowCFM {
 			continue
 		}
-		temp := a.hottest(st, id, refOutside, estLoad)
-		cands = append(cands, placeCandidate{server: id, predTemp: temp, row: srv.Row, model: m})
+		agg := a.coolest(st, tab, row, refOutside)
+		if agg.cool < 0 {
+			continue
+		}
+		if agg.coolProj < minProj {
+			minProj = agg.coolProj
+		}
+		offers = append(offers, rowOffer{row: row, score: rowScore(st, row, peakW/r.ProvPowerW, vm.Spec.Kind)})
 	}
-	a.cands = cands // keep the grown buffer for the next placement
-	if len(cands) == 0 {
+	a.offers = offers // keep the grown buffer for the next placement
+	if len(offers) == 0 {
 		return 0, false
 	}
 
@@ -168,75 +183,78 @@ func (a *allocator) place(st *cluster.State, vm *cluster.VM) (int, bool) {
 	// coolest servers remain available for hotter customers arriving later
 	// (hotter VMs project hotter everywhere, hence get the cool hardware).
 	// SaaS VMs prefer the warmest server that stays safely below throttle.
-	minProj := cands[0].predTemp
-	for _, c := range cands[1:] {
-		if c.predTemp < minProj {
-			minProj = c.predTemp
-		}
-	}
-	throttleC := st.Spec.ThrottleTempC
-	inGroup := func(temp float64) bool {
-		if vm.Spec.Kind == trace.IaaS {
-			return temp <= minProj+coldBandC
-		}
-		return temp <= throttleC-tempMargin
+	// Either way the group is the servers projecting at or below limit.
+	limit := st.Spec.ThrottleTempC - tempMargin
+	if vm.Spec.Kind == trace.IaaS {
+		limit = minProj + coldBandC
 	}
 
-	best, bestScore := -1, 1<<30
-	bestTemp := 0.0
-	for _, c := range cands {
-		tempScore := 1
-		if inGroup(c.predTemp) {
-			tempScore = 0
+	// A row whose coolest server is in the group offers the group's warmest
+	// member of the row; otherwise it degrades gracefully to its coolest.
+	// Rows then compete on score, then projection (warmest within the
+	// group, coolest outside it), then server ID: the order in which a scan
+	// of every free server in ascending ID keeps its first strict
+	// improvement. The ID must be compared explicitly because
+	// oversubscribed rows end in IDs past every other row's.
+	best, bestScore, bestKey := -1, 0, 0.0
+	for _, o := range offers {
+		agg := &tab.rows[o.row]
+		// key orders projections within a score: coolest first outside the
+		// group (scored 16 worse), warmest first inside it.
+		srv, score, key := agg.cool, 16+o.score, agg.coolProj
+		if agg.coolProj <= limit {
+			a.warmest(st, tab, o.row, limit)
+			srv, score, key = agg.warm, o.score, -agg.warmProj
 		}
-		// Power preference: avoid concentrating synchronous peaks — prefer
-		// rows whose predicted post-placement peak stays low (Insight #3:
-		// placement relieves hotspots and smooths power spikes).
-		peakFrac := (rowPeakW[c.row] - idleWBy[c.model] + newPeakWBy[c.model]) / st.DC.Rows[c.row].ProvPowerW
-		var powScore int
-		switch {
-		case peakFrac <= 0.75:
-			powScore = 0
-		case peakFrac <= 0.85:
-			powScore = 1
-		case peakFrac <= 0.95:
-			powScore = 2
-		default:
-			powScore = 3
-		}
-		// Balance preference (rule 3): prefer rows where this VM kind is
-		// under-represented. diff = other-kind count − same-kind count.
-		iaas, saas := st.RowMix(c.row)
-		var balScore int
-		diff := saas - iaas
-		if vm.Spec.Kind == trace.SaaS {
-			diff = iaas - saas
-		}
-		switch {
-		case diff > 1: // other kind heavy: adding here improves balance
-			balScore = 0
-		case diff >= -1: // balanced
-			balScore = 1
-		default: // already heavy in this kind
-			balScore = 2
-		}
-		score := tempScore*16 + powScore*4 + balScore
-		better := score < bestScore
-		if score == bestScore {
-			if tempScore == 0 {
-				// Within the preferred group take the warmest member (both
-				// kinds): it conserves the coolest servers.
-				better = c.predTemp > bestTemp
-			} else {
-				// Outside the group, degrade gracefully to the coolest.
-				better = c.predTemp < bestTemp
-			}
-		}
-		if better {
-			best, bestScore, bestTemp = c.server, score, c.predTemp
+		if best == -1 || score < bestScore || score == bestScore && (key < bestKey || key == bestKey && srv < best) {
+			best, bestScore, bestKey = srv, score, key
 		}
 	}
-	return best, best != -1
+	return best, true
+}
+
+// rowOffer is a row that passed the validator and has a free server, with
+// its power and balance score for the VM being placed.
+type rowOffer struct {
+	row, score int
+}
+
+// rowScore is a row's power and balance preference for a VM of the given
+// kind, lower is better; peakFrac is the row's predicted post-placement peak
+// as a fraction of its envelope. It stays below 16, the weight of a server
+// outside the VM's temperature group.
+func rowScore(st *cluster.State, row int, peakFrac float64, kind trace.VMKind) int {
+	// Power preference: avoid concentrating synchronous peaks — prefer
+	// rows whose predicted post-placement peak stays low (Insight #3:
+	// placement relieves hotspots and smooths power spikes).
+	var powScore int
+	switch {
+	case peakFrac <= 0.75:
+		powScore = 0
+	case peakFrac <= 0.85:
+		powScore = 1
+	case peakFrac <= 0.95:
+		powScore = 2
+	default:
+		powScore = 3
+	}
+	// Balance preference (rule 3): prefer rows where this VM kind is
+	// under-represented. diff = other-kind count − same-kind count.
+	iaas, saas := st.RowMix(row)
+	var balScore int
+	diff := saas - iaas
+	if kind == trace.SaaS {
+		diff = iaas - saas
+	}
+	switch {
+	case diff > 1: // other kind heavy: adding here improves balance
+		balScore = 0
+	case diff >= -1: // balanced
+		balScore = 1
+	default: // already heavy in this kind
+		balScore = 2
+	}
+	return powScore*4 + balScore
 }
 
 // coldBandC is the projected-temperature slack defining a VM's cold group.
@@ -312,6 +330,111 @@ func (a *allocator) keyInlets(st *cluster.State, refOutside float64) {
 	if rb != a.refBits {
 		a.partGen++
 		a.refBits = rb
+	}
+}
+
+// loadTable caches, for one load estimate, each server's hottest-GPU
+// projection and per row the two free servers placement can choose: the
+// coolest, and the warmest at or below a threshold. Projections depend only
+// on the server, the load and the reference inlet (partGen), so they hold
+// for the table's life. The row aggregates also depend on which servers are
+// free, so they carry the cluster.State.RowOccEpoch they were found at.
+type loadTable struct {
+	load float64
+	proj []float64 // per server; NaN until projected (hottest is never NaN)
+	rows []rowAgg
+}
+
+// rowAgg is one row's aggregates in a loadTable. The stamps hold
+// RowOccEpoch+1, so a zero rowAgg is stale.
+type rowAgg struct {
+	// cool is the free server with the lowest projection (the lowest ID
+	// among equals), or -1 for a full row.
+	coolAt   uint64
+	cool     int
+	coolProj float64
+	// warm is the free server with the highest projection at or below the
+	// threshold whose bits are warmLimit (the lowest ID among equals), or
+	// -1 if there is none.
+	warmAt    uint64
+	warmLimit uint64
+	warm      int
+	warmProj  float64
+}
+
+// table returns the load table for estLoad, recycling every table once
+// st.Now or the inlet-partial generation moves: a tick's placements share
+// tables, and the next tick starts empty without allocating.
+func (a *allocator) table(st *cluster.State, estLoad float64) *loadTable {
+	if a.tables == nil || st.Now != a.tablesNow || a.partGen != a.tablesGen {
+		if a.tables == nil {
+			a.tables = make(map[uint64]*loadTable)
+		}
+		for _, tab := range a.tables {
+			a.spare = append(a.spare, tab)
+		}
+		clear(a.tables)
+		a.tablesNow, a.tablesGen = st.Now, a.partGen
+	}
+	key := math.Float64bits(estLoad)
+	if tab, ok := a.tables[key]; ok {
+		return tab
+	}
+	var tab *loadTable
+	if n := len(a.spare); n > 0 {
+		tab, a.spare = a.spare[n-1], a.spare[:n-1]
+	} else {
+		tab = &loadTable{proj: make([]float64, len(st.DC.Servers)), rows: make([]rowAgg, len(st.DC.Rows))}
+	}
+	tab.load = estLoad
+	for i := range tab.proj {
+		tab.proj[i] = math.NaN()
+	}
+	clear(tab.rows)
+	a.tables[key] = tab
+	return tab
+}
+
+// coolest brings a row's coolest free server up to date and returns the
+// row's aggregates. Rows list their servers in ascending ID, so the first
+// strict improvement is the lowest ID among equals.
+func (a *allocator) coolest(st *cluster.State, tab *loadTable, row int, refOutside float64) *rowAgg {
+	agg := &tab.rows[row]
+	if at := st.RowOccEpoch[row] + 1; agg.coolAt != at {
+		agg.coolAt, agg.cool = at, -1
+		for _, srv := range st.DC.Rows[row].Servers {
+			if st.ServerVM[srv.ID] != -1 {
+				continue
+			}
+			p := tab.proj[srv.ID]
+			if math.IsNaN(p) {
+				p = a.hottest(st, srv.ID, refOutside, tab.load)
+				tab.proj[srv.ID] = p
+			}
+			if agg.cool == -1 || p < agg.coolProj {
+				agg.cool, agg.coolProj = srv.ID, p
+			}
+		}
+	}
+	return agg
+}
+
+// warmest brings a row's warmest free server at or below limit up to date.
+// It reads the projections coolest made at the same epoch.
+func (a *allocator) warmest(st *cluster.State, tab *loadTable, row int, limit float64) {
+	agg := &tab.rows[row]
+	at, lb := st.RowOccEpoch[row]+1, math.Float64bits(limit)
+	if agg.warmAt == at && agg.warmLimit == lb {
+		return
+	}
+	agg.warmAt, agg.warmLimit, agg.warm = at, lb, -1
+	for _, srv := range st.DC.Rows[row].Servers {
+		if st.ServerVM[srv.ID] != -1 {
+			continue
+		}
+		if p := tab.proj[srv.ID]; p <= limit && (agg.warm == -1 || p > agg.warmProj) {
+			agg.warm, agg.warmProj = srv.ID, p
+		}
 	}
 }
 

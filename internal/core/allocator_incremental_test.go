@@ -29,9 +29,18 @@ func sweepPeaks(st *cluster.State, prof *Profiles) (rowW, aisleCFM []float64) {
 	return rowW, aisleCFM
 }
 
+// placeCandidate is a free server the validator admits, with its
+// hottest-GPU projection at the VM's load.
+type placeCandidate struct {
+	server   int
+	predTemp float64
+	row      int
+	model    layout.GPUModel
+}
+
 // sweepCandidates recomputes, from scratch, the validator's floored row
-// projections and every surviving candidate with its hottest-GPU
-// projection, in the order the allocator visits them.
+// projections and every free server it admits with its hottest-GPU
+// projection, in ascending server ID.
 func sweepCandidates(st *cluster.State, prof *Profiles, tplPeakW []float64, vm *cluster.VM) (rowPeakW, aislePeakCFM []float64, cands []placeCandidate) {
 	estLoad := st.EstimateVMPeakLoad(vm.Spec)
 	rowPeakW, aislePeakCFM = sweepPeaks(st, prof)
@@ -44,7 +53,10 @@ func sweepCandidates(st *cluster.State, prof *Profiles, tplPeakW []float64, vm *
 	if refOutside < 30 {
 		refOutside = 30
 	}
-	for _, id := range st.FreeServers() {
+	for id, occupant := range st.ServerVM {
+		if occupant != -1 {
+			continue
+		}
 		srv := st.DC.Servers[id]
 		pw, af := prof.PowerFor(srv.GPU.Model), prof.AirflowFor(srv.GPU.Model)
 		if rowPeakW[srv.Row]-pw.Predict(0)+pw.Predict(estLoad) > st.DC.Rows[srv.Row].ProvPowerW {
@@ -65,6 +77,77 @@ func sweepCandidates(st *cluster.State, prof *Profiles, tplPeakW []float64, vm *
 	return rowPeakW, aislePeakCFM, cands
 }
 
+// sweepChoose is the allocator's choice as a scan: it scores every
+// candidate by the three rules, in ascending server ID, and keeps the first
+// strict improvement.
+func sweepChoose(st *cluster.State, prof *Profiles, rowPeakW []float64, cands []placeCandidate, vm *cluster.VM) (int, bool) {
+	if len(cands) == 0 {
+		return 0, false
+	}
+	estLoad := st.EstimateVMPeakLoad(vm.Spec)
+	minProj := cands[0].predTemp
+	for _, c := range cands[1:] {
+		if c.predTemp < minProj {
+			minProj = c.predTemp
+		}
+	}
+	throttleC := st.Spec.ThrottleTempC
+	inGroup := func(temp float64) bool {
+		if vm.Spec.Kind == trace.IaaS {
+			return temp <= minProj+coldBandC
+		}
+		return temp <= throttleC-tempMargin
+	}
+	best, bestScore := -1, 1<<30
+	bestTemp := 0.0
+	for _, c := range cands {
+		tempScore := 1
+		if inGroup(c.predTemp) {
+			tempScore = 0
+		}
+		pw := prof.PowerFor(c.model)
+		peakFrac := (rowPeakW[c.row] - pw.Predict(0) + pw.Predict(estLoad)) / st.DC.Rows[c.row].ProvPowerW
+		var powScore int
+		switch {
+		case peakFrac <= 0.75:
+			powScore = 0
+		case peakFrac <= 0.85:
+			powScore = 1
+		case peakFrac <= 0.95:
+			powScore = 2
+		default:
+			powScore = 3
+		}
+		iaas, saas := st.RowMix(c.row)
+		var balScore int
+		diff := saas - iaas
+		if vm.Spec.Kind == trace.SaaS {
+			diff = iaas - saas
+		}
+		switch {
+		case diff > 1:
+			balScore = 0
+		case diff >= -1:
+			balScore = 1
+		default:
+			balScore = 2
+		}
+		score := tempScore*16 + powScore*4 + balScore
+		better := score < bestScore
+		if score == bestScore {
+			if tempScore == 0 {
+				better = c.predTemp > bestTemp
+			} else {
+				better = c.predTemp < bestTemp
+			}
+		}
+		if better {
+			best, bestScore, bestTemp = c.server, score, c.predTemp
+		}
+	}
+	return best, best != -1
+}
+
 func sameBits(a, b []float64) int {
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -74,24 +157,46 @@ func sameBits(a, b []float64) int {
 	return -1
 }
 
+// tieServers gives every server server 0's inlet surface and GPU weights,
+// so all free servers project alike and placements tie. The GPUs first run
+// 10 °C hotter: a VM at full load then projects above the SaaS throttle
+// margin and takes a row's coolest server, while lighter ones take the
+// warmest in their group, so ties reach both row aggregates.
+func tieServers(prof *Profiles) {
+	for id := range prof.Inlet.PerServer {
+		prof.Inlet.PerServer[id] = prof.Inlet.PerServer[0]
+	}
+	w, n := prof.GPUTemp.Weights, prof.GPUTemp.GPUsPerServer*3
+	for i := 0; i < n; i += 3 {
+		w[i] += 10
+	}
+	for i := n; i < len(w); i += n {
+		copy(w[i:i+n], w[:n])
+	}
+}
+
 // TestAllocatorIncrementalMatchesSweep drives random place, bind, Remove,
-// peak-observation, outside-temperature and row-telemetry steps against one
-// allocator and checks every placement against a from-scratch sweep: the
-// row and aisle projections and every candidate's hottest-GPU projection
-// agree by math.Float64bits. The scoring rules below the validator are
-// unchanged, so at the clamp probes and every tenth step the chosen server
-// is also checked against a fresh allocator, whose caches start empty. The
-// oversubscribed fleet is where aisle sums in Aisle.Servers order would
-// differ from ascending-ID order.
+// peak-observation, outside-temperature, row-telemetry and clock steps
+// against one allocator. Every placement must choose the server (and ok) of
+// a from-scratch sweep that scores each free server in ascending ID, and
+// the allocator's row and aisle projections must match the sweep's by
+// math.Float64bits. Bursts place several VMs with one load estimate inside
+// a tick, as a fleet's first tick does. The oversubscribed fleets have rows
+// whose extra racks take IDs past every other row's, so row order and ID
+// order disagree; on the tied fleet every server projects alike, which only
+// an explicit server-ID tie-break gets right. The mixed fleet has rows of
+// two generations.
 func TestAllocatorIncrementalMatchesSweep(t *testing.T) {
 	fleets := []struct {
 		name    string
 		cfg     layout.Config
 		oversub float64
 		hetero  bool
+		tied    bool
 	}{
 		{name: "small", cfg: layout.SmallConfig()},
 		{name: "oversubscribed", cfg: layout.SmallConfig(), oversub: 0.2},
+		{name: "tied", cfg: layout.SmallConfig(), oversub: 0.2, tied: true},
 		{name: "mixed", cfg: func() layout.Config {
 			c := layout.SmallConfig()
 			c.Aisles, c.MixGPU, c.MixFraction = 2, layout.H100, 0.5
@@ -121,10 +226,13 @@ func TestAllocatorIncrementalMatchesSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if fl.tied {
+				tieServers(prof)
+			}
 			alloc := &allocator{prof: prof}
 			tpl := &allocator{prof: prof} // builds the oracle's row templates
 			rng := rand.New(rand.NewPCG(5, 9))
-			places := 0
+			places, placed := 0, 0
 
 			check := func(step string, vm *cluster.VM) (int, bool) {
 				t.Helper()
@@ -141,28 +249,20 @@ func TestAllocatorIncrementalMatchesSweep(t *testing.T) {
 				if i := sameBits(alloc.aisleSumCFM, aislePeakCFM); i >= 0 {
 					t.Fatalf("%s: aisle %d sum %v, sweep %v", step, i, alloc.aisleSumCFM[i], aislePeakCFM[i])
 				}
-				if len(alloc.cands) != len(cands) {
-					t.Fatalf("%s: %d candidates, sweep %d", step, len(alloc.cands), len(cands))
-				}
-				for i, c := range cands {
-					got := alloc.cands[i]
-					if got.server != c.server || math.Float64bits(got.predTemp) != math.Float64bits(c.predTemp) {
-						t.Fatalf("%s: candidate %d = server %d at %v °C, sweep server %d at %v °C",
-							step, i, got.server, got.predTemp, c.server, c.predTemp)
-					}
-				}
-				if ok != (len(cands) > 0) {
-					t.Fatalf("%s: place ok = %v with %d sweep candidates", step, ok, len(cands))
+				if wsrv, wok := sweepChoose(st, prof, rowPeakW, cands, vm); srv != wsrv || ok != wok {
+					t.Fatalf("%s %d: chose server %d (ok %v), the sweep %d (ok %v)", step, places, srv, ok, wsrv, wok)
 				}
 				places++
 				return srv, ok
 			}
-			checkChoice := func(step string, vm *cluster.VM, srv int, ok bool) {
-				t.Helper()
-				fresh := &allocator{prof: prof}
-				if fsrv, fok := fresh.place(st, vm); fsrv != srv || fok != ok {
-					t.Fatalf("%s: chose server %d (ok %v), a fresh allocator %d (ok %v)", step, srv, ok, fsrv, fok)
+			bind := func(vm *cluster.VM, srv int, ok bool) {
+				if !ok {
+					return
 				}
+				if err := st.Place(vm.Spec.ID, srv); err != nil {
+					t.Fatal(err)
+				}
+				placed++
 			}
 			nextVM := func(kind trace.VMKind) *cluster.VM {
 				for _, vm := range st.VMs {
@@ -172,26 +272,41 @@ func TestAllocatorIncrementalMatchesSweep(t *testing.T) {
 				}
 				return nil
 			}
+			randomKind := func() trace.VMKind {
+				if rng.IntN(2) == 0 {
+					return trace.SaaS
+				}
+				return trace.IaaS
+			}
 
 			// The same VM on both sides of the reference-temperature clamp
-			// (OutsideC+4 vs 30): the memoized inlet partials must follow
-			// the outside temperature.
+			// (OutsideC+4 vs 30): the memoized inlet partials and the load
+			// tables built on them must follow the outside temperature.
 			probe := nextVM(trace.IaaS)
 			for _, outside := range []float64{20, 26, 26.5, 35, 20} {
 				st.OutsideC = outside
-				srv, ok := check("clamp probe", probe)
-				checkChoice("clamp probe", probe, srv, ok)
+				check("clamp probe", probe)
 			}
 
-			for step := 0; step < 400; step++ {
-				if step == 200 {
+			for step := 0; step < 600; step++ {
+				if step == 300 {
 					// A week of row telemetry: the template floor engages,
-					// and row 0 closes at its envelope.
+					// and row 0 closes at its envelope. On the mixed fleet
+					// the other rows sit between the envelope less a
+					// full-load VM's projection on A100 and on H100, so
+					// the row's own generation decides whether it admits
+					// heavy VMs.
 					week := int(7 * 24 * time.Hour / cluster.HistoryRes)
+					delta := func(m layout.GPUModel) float64 {
+						return prof.PowerFor(m).Predict(1) - prof.PowerFor(m).Predict(0)
+					}
 					for row, r := range st.DC.Rows {
 						v := r.ProvPowerW * 0.5
-						if row == 0 {
+						switch {
+						case row == 0:
 							v = r.ProvPowerW
+						case fl.hetero:
+							v = r.ProvPowerW - (delta(layout.A100)+delta(layout.H100))/2
 						}
 						for i := 0; i < week; i++ {
 							st.RowPowerHist[row].Push(v)
@@ -200,56 +315,69 @@ func TestAllocatorIncrementalMatchesSweep(t *testing.T) {
 					st.Now += templateRefresh
 					st.SeedHistory(map[int]float64{0: 0.3}, map[int]float64{0: 500})
 				}
-				switch op := rng.IntN(10); {
-				case op < 4: // place and bind
-					kind := trace.IaaS
-					if rng.IntN(2) == 0 {
-						kind = trace.SaaS
+				switch op := rng.IntN(12); {
+				case op < 3: // place and bind
+					if vm := nextVM(randomKind()); vm != nil {
+						srv, ok := check("place", vm)
+						bind(vm, srv, ok)
 					}
-					vm := nextVM(kind)
-					if vm == nil {
+				case op < 5: // a burst sharing one load estimate
+					first := nextVM(randomKind())
+					if first == nil {
 						continue
 					}
-					srv, ok := check("place", vm)
-					if step%10 == 0 {
-						checkChoice("place", vm, srv, ok)
+					same := func(vm *cluster.VM) bool {
+						if vm.Spec.Kind == trace.IaaS {
+							return vm.Spec.Customer == first.Spec.Customer
+						}
+						return vm.Spec.Endpoint == first.Spec.Endpoint
 					}
-					if ok {
-						if err := st.Place(vm.Spec.ID, srv); err != nil {
-							t.Fatal(err)
+					burst := 0
+					for _, vm := range st.VMs[first.Spec.ID:] {
+						if burst == 4 {
+							break
+						}
+						if vm.Server == -1 && vm.Spec.Kind == first.Spec.Kind && same(vm) {
+							srv, ok := check("burst", vm)
+							bind(vm, srv, ok)
+							burst++
 						}
 					}
-				case op < 5: // place without binding
+				case op < 6: // place without binding
 					if vm := nextVM(trace.SaaS); vm != nil {
 						check("probe", vm)
 					}
-				case op < 7: // departure
-					var placed []int
+				case op < 8: // departure
+					var bound []int
 					for _, vm := range st.VMs {
 						if vm.Server >= 0 {
-							placed = append(placed, vm.Spec.ID)
+							bound = append(bound, vm.Spec.ID)
 						}
 					}
-					if len(placed) > 0 {
-						st.Remove(placed[rng.IntN(len(placed))])
+					if len(bound) > 0 {
+						st.Remove(bound[rng.IntN(len(bound))])
 					}
-				case op < 8: // a new customer peak
+				case op < 9: // a new customer peak
 					st.ObserveCustomerLoad(st.VMs[rng.IntN(len(st.VMs))].Spec.Customer, rng.Float64())
-				case op < 9: // a new endpoint peak
+				case op < 10: // a new endpoint peak
 					st.ObserveEndpointDemand(rng.IntN(len(st.Work.Endpoints)), rng.Float64()*2000)
-				default: // weather moves across the reference clamp
+				case op < 11: // weather moves across the reference clamp
 					st.OutsideC = 18 + rng.Float64()*16
+				default: // the next tick
+					st.Now += time.Minute
 				}
 			}
-			if places < 150 {
-				t.Fatalf("only %d placements checked", places)
+			if places < 300 || placed < 150 {
+				t.Fatalf("only %d placements checked, %d bound", places, placed)
 			}
 		})
 	}
 }
 
 // TestPlaceAllocFree pins the allocator's steady state: once its caches are
-// built, a placement into a cluster with one changed row allocates nothing.
+// built, a placement into a cluster with one changed row allocates nothing,
+// within a tick and in the first placement of a new tick, whose load tables
+// are recycled.
 func TestPlaceAllocFree(t *testing.T) {
 	st, prof := newComponentState(t)
 	alloc := &allocator{prof: prof}
@@ -267,5 +395,12 @@ func TestPlaceAllocFree(t *testing.T) {
 	placeBindRemove()
 	if n := testing.AllocsPerRun(50, placeBindRemove); n != 0 {
 		t.Errorf("place+bind+remove allocates %.1f times per call, want 0", n)
+	}
+	nextTick := func() {
+		st.Now += st.Tick
+		placeBindRemove()
+	}
+	if n := testing.AllocsPerRun(50, nextTick); n != 0 {
+		t.Errorf("place+bind+remove in a new tick allocates %.1f times per call, want 0", n)
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"github.com/tapas-sim/tapas/internal/trace"
 )
 
-// -update regenerates the golden files under testdata (shard_golden.txt and
-// request_golden.txt).
+// -update regenerates the golden files under testdata (shard_golden.txt,
+// request_golden.txt and placement_golden.txt).
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // shardScenario is a deliberately hostile scenario for the sharded tick
