@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for compiles and runs (1 = sequential)")
-		shards    = fs.Int("shards", 0, "tick-kernel shards per run (0 keeps the spec's; 1 serial, -1 = GOMAXPROCS); reports are byte-identical at any value")
 		scale     = fs.Float64("scale", 0, "override the spec's scale (0 keeps it; 1.0 = paper scale)")
 		format    = fs.String("format", "", "override the spec's report format: text | csv | json")
 		progress  = fs.Bool("progress", false, "stream per-run progress to stderr while campaigns execute")
@@ -84,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		QueueDepth: fs.NArg() + 1,
 		Parallel:   *parallel,
-		Shards:     *shards,
 		CacheSize:  *cacheSize,
 	})
 	defer sched.Shutdown(context.Background())

@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	var (
 		addr      = fs.String("addr", ":8080", "HTTP listen address")
 		parallel  = fs.Int("parallel", 0, "worker pool size per campaign (0 = GOMAXPROCS)")
-		shards    = fs.Int("shards", 0, "tick-kernel shards per run (0 keeps each spec's; -1 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 16, "admission-control queue depth; submissions beyond it get HTTP 429")
 		cacheSize = fs.Int("cache-size", 0, "compile-cache entries per level (0 = default)")
 		baseDir   = fs.String("base-dir", "", "directory relative trace paths in POSTed specs resolve against (\"\" = working directory)")
@@ -68,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		QueueDepth: *queue,
 		Parallel:   *parallel,
-		Shards:     *shards,
 		CacheSize:  *cacheSize,
 	})
 	srv := &http.Server{Handler: serve.NewServer(sched, *baseDir).Handler()}

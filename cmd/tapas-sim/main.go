@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		oversub  = fs.Float64("oversub", 0, "oversubscription ratio (0.4 = +40% racks)")
 		failure  = fs.String("failure", "", "inject emergency: power | cooling")
 		seed     = fs.Uint64("seed", 42, "deterministic seed")
-		shards   = fs.Int("shards", 0, "tick-kernel shards (0/1 serial, -1 = GOMAXPROCS); output is byte-identical at any value")
 		specPath = fs.String("spec", "", "run a declarative scenario spec file instead of the flag-built scenario")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -51,15 +50,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *specPath != "" {
 		// The spec fully describes the scenario; a scenario-shaping flag
 		// alongside it would be silently ignored, so reject the combination
-		// (-policy and -shards are the deliberate overrides: policy selects
-		// what runs, shards is runtime-only and never changes the output).
+		// (-policy is the deliberate override: it selects what runs).
 		for _, name := range []string{"scale", "hours", "mix", "oversub", "failure", "seed"} {
 			if flagWasSet(fs, name) {
 				fmt.Fprintf(stderr, "tapas-sim: -%s conflicts with -spec (edit the spec file instead)\n", name)
 				return 2
 			}
 		}
-		return runSpec(*specPath, *policy, flagWasSet(fs, "policy"), *shards, stdout, stderr)
+		return runSpec(*specPath, *policy, flagWasSet(fs, "policy"), stdout, stderr)
 	}
 
 	var sc tapas.Scenario
@@ -73,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sc.Workload.SaaSFraction = *mix
 	sc.Workload.Seed = *seed
 	sc.Oversubscribe = *oversub
-	sc.Shards = *shards
 	switch *failure {
 	case "power":
 		sc.Failures = []tapas.FailureEvent{{Kind: tapas.PowerFailure, At: sc.Duration / 4, Duration: sc.Duration / 2}}
@@ -103,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runSpec executes a single-point scenario spec under each of its policies,
 // compiling the scenario once and sharing it across the runs.
-func runSpec(path, policyFlag string, policySet bool, shards int, stdout, stderr io.Writer) int {
+func runSpec(path, policyFlag string, policySet bool, stdout, stderr io.Writer) int {
 	spec, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "tapas-sim:", err)
@@ -122,9 +119,6 @@ func runSpec(path, policyFlag string, policySet bool, shards int, stdout, stderr
 		return 1
 	}
 	sc := c.Points[0].Scenario
-	if shards != 0 {
-		sc.Shards = shards // runtime-only: output stays byte-identical
-	}
 	cs, err := tapas.Compile(sc)
 	if err != nil {
 		fmt.Fprintln(stderr, "tapas-sim:", err)

@@ -34,7 +34,7 @@ func main() {
 					s.row1 += st.ServerPowerW[srv.ID]
 				}
 			}
-			for _, tc := range st.GPUTempC {
+			for _, tc := range st.ServerHotGPUTempC {
 				if tc > s.maxT {
 					s.maxT = tc
 				}

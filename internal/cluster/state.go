@@ -68,15 +68,13 @@ type State struct {
 	ServerLoadFrac   []float64
 	ServerAirflowCFM []float64
 	ServerFreqCap    []float64 // 1 = uncapped; lowered by capping
-	// GPUPowerFrac and GPUTempC are flat per-GPU telemetry indexed
-	// server*GPUsPerServer + gpu; use GPUFracs/GPUTemps for the per-server
-	// view. The flat layout keeps the simulator's fleet sweeps on contiguous
-	// memory instead of a slice-of-slices pointer chase.
+	// GPUPowerFrac is flat per-GPU telemetry indexed server*GPUsPerServer +
+	// gpu; use GPUFracs for the per-server view. The flat layout keeps the
+	// simulator's fleet sweeps on contiguous memory instead of a
+	// slice-of-slices pointer chase.
 	GPUPowerFrac []float64
-	GPUTempC     []float64
-	// ServerHotGPUTempC is each server's hottest GPU temperature, maintained
-	// by the tick kernel alongside GPUTempC so per-server consumers (the
-	// router's risk gate) read one slot instead of rescanning the GPU block.
+	// ServerHotGPUTempC is each server's hottest GPU temperature, the only
+	// GPU temperature the tick kernel publishes: policies gate risk on it.
 	ServerHotGPUTempC []float64
 	GPUsPerServer     int
 	RowPowerW         []float64
@@ -86,10 +84,10 @@ type State struct {
 	// cooling emergency).
 	AirflowLimitFrac float64
 
-	// RowOccEpoch counts placements and removals per row. The simulator's
-	// dirty-set tick compares epochs across ticks to prove a row's occupancy
-	// inputs are unchanged and skip re-evaluating it; anything that binds or
-	// unbinds VMs goes through Place/Remove, so the counter is exact.
+	// RowOccEpoch counts placements and removals per row. The TAPAS
+	// allocator compares epochs across calls to prove a row's occupancy is
+	// unchanged and reuse its cached sums; anything that binds or unbinds
+	// VMs goes through Place/Remove, so the counter is exact.
 	RowOccEpoch []uint64
 
 	// Rolling history at HistoryRes for templates and placement prediction,
@@ -155,7 +153,6 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		ServerAirflowCFM:  make([]float64, n),
 		ServerFreqCap:     make([]float64, n),
 		GPUPowerFrac:      make([]float64, n*spec.GPUsPerServer),
-		GPUTempC:          make([]float64, n*spec.GPUsPerServer),
 		ServerHotGPUTempC: make([]float64, n),
 		GPUsPerServer:     spec.GPUsPerServer,
 		RowPowerW:         make([]float64, len(dc.Rows)),
@@ -323,13 +320,6 @@ func (st *State) ServerGPUSpec(server int) *layout.GPUSpec {
 func (st *State) GPUFracs(server int) []float64 {
 	i := server * st.GPUsPerServer
 	return st.GPUPowerFrac[i : i+st.GPUsPerServer]
-}
-
-// GPUTemps returns the per-GPU temperatures of one server as a subslice of
-// the flat telemetry array.
-func (st *State) GPUTemps(server int) []float64 {
-	i := server * st.GPUsPerServer
-	return st.GPUTempC[i : i+st.GPUsPerServer]
 }
 
 // SeedHistory installs precomputed "previous week" demand estimates (§3.1):

@@ -240,11 +240,6 @@ func TestRouterAvoidsHotServers(t *testing.T) {
 	rt := &router{prof: prof}
 	// Make one server thermally critical.
 	hot := vms[0].Server
-	temps := st.GPUTemps(hot)
-	for g := range temps {
-		temps[g] = st.Spec.ThrottleTempC - 1
-	}
-	// The tick kernel maintains the per-server max the router reads.
 	st.ServerHotGPUTempC[hot] = st.Spec.ThrottleTempC - 1
 	// High demand (spread regime) that still fits the safe instances'
 	// serving capacity, so nothing overflows onto the risky one.
@@ -314,9 +309,10 @@ func TestRouterConsolidatesAtLowLoad(t *testing.T) {
 func TestRouterOverloadStillServesEveryone(t *testing.T) {
 	st, prof := newComponentState(t)
 	vms := setupEndpoint(t, st, 4)
-	// Everything at risk: temps critical everywhere.
-	for i := range st.GPUTempC {
-		st.GPUTempC[i] = st.Spec.ThrottleTempC
+	// Everything at risk: temps critical everywhere, so every instance's
+	// headroom is 0 and only the even-split fallback serves the demand.
+	for i := range st.ServerHotGPUTempC {
+		st.ServerHotGPUTempC[i] = st.Spec.ThrottleTempC
 	}
 	rt := &router{prof: prof}
 	rt.route(st, st.Work.Endpoints[0], 4e5, 1e5)

@@ -22,8 +22,7 @@ import (
 // ServerFreqCap a gain-sized step toward that state — approaching the
 // recommendation gradually from either side, where TAPAS slams caps down on
 // violations and waits for the engine's fixed decay. Every tuned server
-// hosts an instance, so the governor only touches occupied servers and the
-// engine's dirty-set capping contract (sim.Policy) holds.
+// hosts an instance, so the governor only touches occupied servers.
 //
 // The energy-aware variant additionally replaces request routing: among the
 // candidates whose projected time-to-first-token still fits the TTFT SLO,

@@ -58,9 +58,9 @@ func TestPowerGovCapsOverBudgetEndpoint(t *testing.T) {
 	}
 }
 
-// TestPowerGovOnlyTouchesOccupiedServers pins the sim.Policy capping
-// contract the dirty-set engine optimization relies on: the governor must
-// never move the frequency cap of a server without an instance.
+// TestPowerGovOnlyTouchesOccupiedServers pins that the governor tunes only
+// the servers hosting its endpoints' instances: it must never move the
+// frequency cap of a server without an instance.
 func TestPowerGovOnlyTouchesOccupiedServers(t *testing.T) {
 	st, _ := newComponentState(t)
 	pol := NewPowerGov(false)

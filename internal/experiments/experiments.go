@@ -30,10 +30,6 @@ type Params struct {
 	// ≤ 0 selects GOMAXPROCS. Reports are byte-identical across worker
 	// counts: every run is seeded per job and collected in job order.
 	Parallel int
-	// Shards sets every run's tick-kernel shard count (see
-	// sim.Scenario.Shards; 0/1 serial, negative selects GOMAXPROCS).
-	// Reports are byte-identical at any value.
-	Shards int
 }
 
 // DefaultParams runs at paper scale.
@@ -186,7 +182,6 @@ func scaledScenario(p Params) sim.Scenario {
 	sc := sim.DefaultScenario()
 	sc.Layout.Seed = p.Seed
 	sc.Workload.Seed = p.Seed
-	sc.Shards = p.Shards
 	ScaleLarge(&sc, p.Scale, false, false)
 	return sc
 }
@@ -195,7 +190,6 @@ func scaledScenario(p Params) sim.Scenario {
 func smallScenario(p Params) sim.Scenario {
 	sc := sim.SmallScenario()
 	sc.Workload.Seed = p.Seed
-	sc.Shards = p.Shards
 	ScaleSmall(&sc, p.Scale, false)
 	return sc
 }

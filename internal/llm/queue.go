@@ -67,8 +67,8 @@ type queuedReq struct {
 // results bit for bit.
 //
 // All latency bookkeeping is in float64 seconds on an internal wall clock
-// that advances by exactly one tick per Step, so results are independent of
-// how the fleet is sharded across worker goroutines.
+// that advances by exactly one tick per Step, so results depend only on the
+// sequence of steps, never on host time or on concurrent runs.
 type RequestQueue struct {
 	now  float64 // wall clock, seconds since simulation start
 	disc Discipline

@@ -71,11 +71,6 @@ type RunOptions struct {
 	// Parallel bounds the worker pool (≤ 0 selects GOMAXPROCS). Reports are
 	// byte-identical across worker counts.
 	Parallel int
-	// Shards overrides every run's tick-kernel shard count when non-zero
-	// (see sim.Scenario.Shards; negative selects GOMAXPROCS). Reports are
-	// byte-identical at any shard count, so this only trades intra-run
-	// latency against the cross-run parallelism of Parallel.
-	Shards int
 	// Cache, when non-nil, serves compilations from (and fills) a
 	// content-addressed compile cache, so identical scenarios across
 	// back-to-back or concurrent campaigns compile once. Reports from cache
@@ -190,9 +185,6 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	compiledUniq, err := experiments.RunParallelCtx(ctx, len(uniq), opt.Parallel, func(_, ui int) (*sim.CompiledScenario, error) {
 		pi := uniq[ui]
 		scn := c.Points[pi].Scenario
-		if opt.Shards != 0 {
-			scn.Shards = opt.Shards // runtime-only: never changes the report
-		}
 		var cs *sim.CompiledScenario
 		var err error
 		if opt.Cache != nil {
@@ -213,11 +205,7 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	// parameters still run their own schedule and policy settings.
 	compiled := make([]*sim.CompiledScenario, nPts)
 	for pi := range c.Points {
-		scn := c.Points[pi].Scenario
-		if opt.Shards != 0 {
-			scn.Shards = opt.Shards
-		}
-		compiled[pi] = compiledUniq[group[pi]].ForScenario(scn)
+		compiled[pi] = compiledUniq[group[pi]].ForScenario(c.Points[pi].Scenario)
 	}
 	total := len(c.Policies) * nPts
 	var done atomic.Int64

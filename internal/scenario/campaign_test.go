@@ -119,26 +119,6 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSLOReplayReportShardInvariant pins the request-level SLO report across
-// the throughput knobs: any intra-run shard count, stacked on any worker-pool
-// size, must reproduce the serial single-worker report byte for byte —
-// per-request TTFT/TBT percentiles, attainment and shed columns included.
-// slo-policies additionally covers admission shedding and EDF queue order
-// under sharding.
-func TestSLOReplayReportShardInvariant(t *testing.T) {
-	for _, name := range []string{"slo-replay", "slo-policies", "power-loop"} {
-		base := runCampaign(t, loadExample(t, name+".json"), 1)
-		for _, shards := range []int{2, 7, -1} {
-			shards := shards
-			s := loadExample(t, name+".json")
-			s.Shards = &shards
-			if got := runCampaign(t, s, 8); got != base {
-				t.Errorf("%s shards=%d: report differs from the serial run:\n--- got ---\n%s--- want ---\n%s", name, shards, got, base)
-			}
-		}
-	}
-}
-
 // TestCampaignCSVAndJSON smoke-checks the machine-readable formats.
 func TestCampaignCSVAndJSON(t *testing.T) {
 	s := loadExample(t, "rolling-emergencies.json")

@@ -270,11 +270,10 @@ type Spec struct {
 	Oversubscribe *float64      `json:"oversubscribe,omitempty"`
 	Failures      []FailureSpec `json:"failures,omitempty"`
 
-	// Shards splits the tick kernel's per-server phases across a bounded
-	// worker pool (see sim.Scenario.Shards): 0 or 1 runs serially, n ≥ 2
-	// uses n fixed chunks, negative selects GOMAXPROCS. Reports are
-	// byte-identical at any shard count, so this is a throughput knob, not
-	// a scenario parameter — tapas-campaign's -shards flag overrides it.
+	// Shards is accepted and ignored: the tick kernel is serial, and
+	// campaigns use cores through tapas-campaign's -parallel. The field
+	// still parses because the parser rejects unknown fields and existing
+	// specs set it.
 	Shards *int `json:"shards,omitempty"`
 
 	// Policies are evaluated on every grid point: "baseline", "tapas", or a
@@ -622,9 +621,6 @@ func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 	}
 	if s.Oversubscribe != nil {
 		sc.Oversubscribe = *s.Oversubscribe
-	}
-	if s.Shards != nil {
-		sc.Shards = *s.Shards
 	}
 	for _, f := range s.Failures {
 		ev, err := f.event()

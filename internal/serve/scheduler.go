@@ -32,8 +32,6 @@ type SchedulerConfig struct {
 	Concurrency int
 	// Parallel is each campaign's worker-pool bound (≤ 0 = GOMAXPROCS).
 	Parallel int
-	// Shards overrides every run's tick-kernel shard count when non-zero.
-	Shards int
 	// CacheSize bounds the shared compile cache (entries per level;
 	// ≤ 0 = sim.DefaultCacheEntries).
 	CacheSize int
@@ -90,7 +88,6 @@ func (s *Scheduler) dispatch() {
 		case j := <-s.queue:
 			j.run(s.ctx, scenario.RunOptions{
 				Parallel: s.cfg.Parallel,
-				Shards:   s.cfg.Shards,
 				Cache:    s.cache,
 			})
 		}

@@ -65,7 +65,6 @@ func TestCompileCacheServesRuntimeVariants(t *testing.T) {
 	varied := base
 	varied.Tick = 30 * time.Second
 	varied.Failures = []FailureEvent{{Kind: CoolingFailure, At: 5 * time.Minute, Duration: 5 * time.Minute}}
-	varied.Shards = 2
 
 	cs, err := cache.Compile(varied)
 	if err != nil {

@@ -28,7 +28,7 @@ type CompiledScenario struct {
 	// Scenario is the descriptor the artifacts were compiled from. The
 	// compile-relevant fields (Layout, Workload, Region, Duration,
 	// StartOffset, Oversubscribe) must not be changed after compilation;
-	// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, Shards,
+	// runtime-only fields (Tick, Failures, RecordRowSeries, Observer,
 	// SLOSched, PowerGov) may be varied per run via Variant.
 	Scenario Scenario
 
@@ -56,7 +56,7 @@ type CompiledScenario struct {
 
 	// Idle tick-kernel constants, precomputed with the exact operation
 	// sequence the fused tick loop runs for an idle uncapped server, so the
-	// engine's dirty-set fast paths substitute them bit for bit:
+	// kernel's idle path (idleServer) substitutes them bit for bit:
 	// idleTickWBy is the server power the power pass produces at all-idle
 	// GPU fractions, and idleAirflowBy the fan airflow the airflow pass
 	// derives from that power.
@@ -91,13 +91,6 @@ type CompiledScenario struct {
 	// (non-IaaS, or time-warped by a trace transform).
 	vmPhase []int32
 	phaseBy []float64
-
-	// rowSpanEnd[row] is the exclusive end of the row's leading contiguous
-	// server-ID span (layouts assign row servers consecutive IDs; only
-	// oversubscription appends out-of-span servers at the end of the ID
-	// space). The dirty-set tick sweeps a clean row's span without
-	// per-server checks.
-	rowSpanEnd []int32
 }
 
 // Compile builds the run-invariant artifacts of a scenario. The returned
@@ -143,7 +136,6 @@ type layoutArtifacts struct {
 	srvAisle      []int32
 	srvMaxBias    []float64
 	srvMaxGain    []float64
-	rowSpanEnd    []int32
 }
 
 // workloadArtifacts groups every compiled artifact derived solely from the
@@ -194,18 +186,11 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 		la.srvMaxBias[i] = maxB
 		la.srvMaxGain[i] = maxG
 	}
-	la.rowSpanEnd = make([]int32, len(dc.Rows))
-	for i := range la.rowSpanEnd {
-		la.rowSpanEnd[i] = -1
-	}
 	for i, s := range dc.Servers {
 		la.srvRow[i] = int32(s.Row)
 		la.srvAisle[i] = int32(s.Aisle)
 		la.srvModel[i] = uint8(s.GPU.Model)
 		la.fleetTDPW += s.GPU.ServerTDPW
-		if end := la.rowSpanEnd[s.Row]; end == -1 || end == int32(i) {
-			la.rowSpanEnd[s.Row] = int32(i + 1)
-		}
 	}
 	// One serving profile and idle-power table per hardware generation
 	// present; the base generation reuses the profile built above.
@@ -306,7 +291,6 @@ func assemble(sc Scenario, la *layoutArtifacts, wa *workloadArtifacts, outside *
 		srvAisle:      la.srvAisle,
 		srvMaxBias:    la.srvMaxBias,
 		srvMaxGain:    la.srvMaxGain,
-		rowSpanEnd:    la.rowSpanEnd,
 		customerPeak:  wa.customerPeak,
 		endpointPeak:  wa.endpointPeak,
 		vmPhase:       wa.vmPhase,
@@ -408,8 +392,8 @@ func GenerateWorkload(sc Scenario) (*trace.Workload, error) {
 
 // Variant returns a shallow copy sharing every compiled artifact, with
 // mutate applied to the scenario. Only runtime-only fields may be changed:
-// Tick, Failures, RecordRowSeries, Observer, Shards, the policy parameters
-// SLOSched and PowerGov (and shortening Duration).
+// Tick, Failures, RecordRowSeries, Observer, the policy parameters SLOSched
+// and PowerGov (and shortening Duration).
 // Changing compile-relevant fields (Layout, Workload, Trace, TraceTransforms,
 // Requests, Region, StartOffset, Oversubscribe, lengthening Duration) requires a fresh
 // Compile; Run rejects such variants rather than simulate against stale
@@ -423,8 +407,8 @@ func (cs *CompiledScenario) Variant(mutate func(*Scenario)) *CompiledScenario {
 }
 
 // ForScenario returns a variant of the compilation adopting sc's
-// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, Shards,
-// SLOSched, PowerGov).
+// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, SLOSched,
+// PowerGov).
 // The caller must ensure sc's compile-relevant fields are content-equal to
 // the compiled scenario's (ScenarioKey equality guarantees it); pointer-typed
 // sources (the replay trace, transform-chain steps) and the

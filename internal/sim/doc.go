@@ -28,16 +28,16 @@
 // workload, weather, request log) shared read-only across runs; CompileCache
 // memoizes them under content-hash keys (ScenarioKey), so campaign grids and
 // repeated what-ifs skip redundant work. Runtime-only fields (Tick,
-// Failures, RecordRowSeries, Observer, Shards, and the policy parameters
-// SLOSched and PowerGov) stay out of the key and are adjustable per run via
+// Failures, RecordRowSeries, Observer, and the policy parameters SLOSched and
+// PowerGov) stay out of the key and are adjustable per run via
 // CompiledScenario.Variant.
 //
 // # Determinism
 //
 // Every run is a pure function of its scenario: seeded RNG streams drive
-// workload generation and noise, the sharded tick kernel fixes both the
-// shard partition (contiguous server-ID chunks) and the reduction order
-// (ascending server ID) independent of shard count, and request completions
-// are harvested in ascending VM-ID order at departure and end of run.
-// Reports are therefore byte-identical at any -parallel / -shards setting.
+// workload generation and noise, the tick kernel is one serial pass in
+// ascending server ID whose order is the order of every cross-server sum,
+// and request completions are harvested in ascending VM-ID order at
+// departure and end of run. Runs share only immutable compiled artifacts,
+// so reports are byte-identical at any -parallel setting.
 package sim

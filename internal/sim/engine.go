@@ -44,25 +44,11 @@ type Initializer interface {
 	Init(st *cluster.State) error
 }
 
-// The tick kernel (airflowStep + fleetStep) is split into two phases so a run
-// can shard across workers and still report byte-identically to a serial run:
-//
-//   - Phase A visits every server exactly once, writing only that server's
-//     slots in the flat telemetry arrays plus per-shard partials whose merge
-//     is exact under any grouping (integer counters, float max). Shards are
-//     fixed contiguous server-ID ranges, so the partition never depends on
-//     timing.
-//   - Phase B runs serially in ascending server-ID order and performs every
-//     floating-point accumulation (row power, total power, aisle airflow
-//     demand, IaaS cap-loss) exactly as the historical fused loop did — same
-//     values, same order — so float non-associativity never shows.
-//
-// The dirty-set tick rides on the same structure: a server that ended the
-// previous sweep idle and uncapped cannot throttle or change power, so phase
-// A replaces its physics with compile-time idle constants, and rows whose
-// occupancy epoch and capping inputs are untouched skip even the per-server
-// checks (see Scenario.Shards, the Policy capping contract, and
-// cluster.State.RowOccEpoch).
+// runner executes one run. The tick kernel (airflowStep + fleetStep) is one
+// serial pass over the fleet in ascending server ID: each server's physics is
+// followed at once by its share of every cross-server reduction (row power,
+// total power, capped-server counts, IaaS cap loss, customer peaks), so every
+// floating-point sum accumulates in server-ID order.
 type runner struct {
 	sc      Scenario
 	cs      *CompiledScenario
@@ -93,27 +79,6 @@ type runner struct {
 	// of once per server.
 	rowRecoverOK   []bool
 	aisleRecoverOK []bool
-
-	// Sharding state. pool is nil for serial runs; shards is the effective
-	// count (≥ 1). srvCapLoss defers the IaaS cap-loss contribution from
-	// phase A (parallel, unordered) to phase B (serial, ID-ordered); -1
-	// marks "not an IaaS server this tick".
-	pool          *shardPool
-	shards        int
-	srvCapLoss    []float64
-	shardMaxTemp  []float64
-	shardThrottle []int
-	shardStable   [][]int32 // per shard: per row, servers that ended the sweep idle+uncapped
-
-	// Dirty-set row epochs. A row whose servers all ended the previous sweep
-	// idle and uncapped, whose occupancy epoch is unchanged, and whose row
-	// and aisle saw no capping call since, is swept through the idle fast
-	// path without per-server checks.
-	rowStableCnt    []int32
-	rowOccSeen      []uint64
-	rowCapTouched   []bool
-	aisleCapTouched []bool
-	rowFastUntil    []int32 // per row: idle-sweep up to this server ID (exclusive); -1 = dirty
 
 	// phaseDaily[i] is this tick's diurnal sine for compiled phase i
 	// (CompiledScenario.phaseBy): one sine per distinct customer phase per
@@ -193,7 +158,6 @@ func (r *runner) run() (*Result, error) {
 		}
 	}
 	n := len(st.DC.Servers)
-	rows := len(st.DC.Rows)
 	r.thermalCap = make([]float64, n)
 	for i := range r.thermalCap {
 		r.thermalCap[i] = 1
@@ -201,30 +165,9 @@ func (r *runner) run() (*Result, error) {
 		st.ServerPowerW[i] = r.cs.idleWBy[r.cs.srvModel[i]]
 	}
 	r.aisleViolated = make([]bool, len(st.DC.Aisles))
-	r.rowRecoverOK = make([]bool, rows)
+	r.rowRecoverOK = make([]bool, len(st.DC.Rows))
 	r.aisleRecoverOK = make([]bool, len(st.DC.Aisles))
 	r.prevDCLoad = 0.3
-
-	r.shards = normalizeShards(r.sc.Shards, n)
-	if r.shards > 1 {
-		r.pool = newShardPool(r.shards, n)
-		defer r.pool.close()
-	}
-	r.srvCapLoss = make([]float64, n)
-	for i := range r.srvCapLoss {
-		r.srvCapLoss[i] = -1
-	}
-	r.shardMaxTemp = make([]float64, r.shards)
-	r.shardThrottle = make([]int, r.shards)
-	r.shardStable = make([][]int32, r.shards)
-	for s := range r.shardStable {
-		r.shardStable[s] = make([]int32, rows)
-	}
-	r.rowStableCnt = make([]int32, rows)
-	r.rowOccSeen = make([]uint64, rows)
-	r.rowCapTouched = make([]bool, rows)
-	r.aisleCapTouched = make([]bool, len(st.DC.Aisles))
-	r.rowFastUntil = make([]int32, rows)
 	r.phaseDaily = make([]float64, len(r.cs.phaseBy))
 	r.vmNoise = make([]trace.NoiseCache, len(st.VMs))
 	for i := range r.vmNoise {
@@ -462,25 +405,19 @@ func defaultRequestTarget(insts []*cluster.VM) int {
 
 // airflowStep derives per-server airflow from the previous tick's power
 // (fans chase heat, so fan control lags load by one tick), aggregates aisle
-// demand, and invokes the policy when an aisle out-draws its AHUs. Phase A
-// (per-server airflow) shards; phase B (aisle sums, policy calls) runs
-// serially in server-ID order — the accumulation sequence of the historical
-// fused loop.
+// demand in server-ID order, and invokes the policy when an aisle out-draws
+// its AHUs.
 func (r *runner) airflowStep() {
 	st := r.st
 	if !r.fanSeeded {
 		// First tick only: ServerPowerW holds the initializer's seed rather
 		// than a kernel-written value, so derive fan airflow from it once.
-		// Every later tick reuses the airflow fleetShard stored alongside
+		// Every later tick reuses the airflow serverStep stored alongside
 		// the server power it is a pure function of — nothing between the
 		// kernel write and this read mutates ServerPowerW, so folding the
 		// fan pass into the kernel is exact and saves a fleet-wide sweep.
 		r.fanSeeded = true
-		if r.pool != nil {
-			r.pool.run(func(_, lo, hi int) { r.airflowShard(lo, hi) })
-		} else {
-			r.airflowShard(0, len(st.ServerPowerW))
-		}
+		r.seedAirflow()
 	}
 	for a := range st.AisleDemandCFM {
 		st.AisleDemandCFM[a] = 0
@@ -494,19 +431,18 @@ func (r *runner) airflowStep() {
 		r.aisleViolated[a] = st.AisleDemandCFM[a] > limit
 		if r.aisleViolated[a] {
 			r.pol.CapAisle(st, a, st.AisleDemandCFM[a], limit)
-			r.aisleCapTouched[a] = true
 		}
 		st.AisleRecircC[a] = thermal.RecirculationPenalty(st.AisleDemandCFM[a], limit)
 	}
 }
 
-// airflowShard computes fan airflow for a contiguous server range. A server
-// drawing exactly the idle tick power — every idle server after its first
-// sweep — reuses the precompiled idle airflow instead of re-deriving it.
-func (r *runner) airflowShard(lo, hi int) {
+// seedAirflow computes every server's fan airflow from its power draw. A
+// server drawing exactly the idle tick power reuses the precompiled idle
+// airflow instead of re-deriving it.
+func (r *runner) seedAirflow() {
 	st := r.st
 	cs := r.cs
-	for id := lo; id < hi; id++ {
+	for id := range st.ServerPowerW {
 		m := cs.srvModel[id]
 		p := st.ServerPowerW[id]
 		if p == cs.idleTickWBy[m] {
@@ -520,12 +456,13 @@ func (r *runner) airflowShard(lo, hi int) {
 	}
 }
 
-// fleetStep is the fused tick kernel: one pass over the fleet advances SaaS
-// instances, computes per-GPU power fractions, applies hardware thermal
-// throttling against the compiled coefficient tables, and accumulates server,
-// row and total power. Phase A (per-server physics) shards; phase B (row,
-// total and IaaS reductions) runs serially in server-ID order; a trailing
-// per-row loop applies the policy's capping response and records the tick.
+// fleetStep is the tick kernel: one pass over the fleet in ascending server
+// ID advances SaaS instances, computes per-GPU power fractions, applies
+// hardware thermal throttling against the compiled coefficient tables, and
+// adds each server's power to its row and the fleet total right after its
+// physics. Nothing in the pass reads row power, the total or the customer
+// peaks, so every sum accumulates in server-ID order. A trailing per-row loop
+// applies the policy's capping response and records the tick.
 //
 // A server-tick is thermally capped when its GPUs throttle or its aisle's
 // airflow is violated; power-capped when its row exceeds its effective limit.
@@ -543,28 +480,6 @@ func (r *runner) fleetStep(wall time.Duration) {
 	for a := range r.aisleRecoverOK {
 		r.aisleRecoverOK[a] = st.AisleDemandCFM[a] < st.AisleLimitCFM(a)*0.93
 	}
-
-	// Dirty-set gate: a row re-enters the full per-server sweep only when
-	// some input changed since its last visit — a placement or removal
-	// (occupancy epoch), a capping call on the row or its aisle, or a server
-	// that ended the previous sweep occupied or capped. Everything else
-	// about a clean row is reproduced exactly by the idle fast path.
-	dcRows := st.DC.Rows
-	for row := range dcRows {
-		if r.rowStableCnt[row] == int32(len(dcRows[row].Servers)) &&
-			st.RowOccEpoch[row] == r.rowOccSeen[row] &&
-			!r.rowCapTouched[row] && !r.aisleCapTouched[dcRows[row].Aisle] {
-			r.rowFastUntil[row] = cs.rowSpanEnd[row]
-		} else {
-			r.rowFastUntil[row] = -1
-		}
-		r.rowOccSeen[row] = st.RowOccEpoch[row]
-		r.rowCapTouched[row] = false
-	}
-	for a := range r.aisleCapTouched {
-		r.aisleCapTouched[a] = false
-	}
-
 	for row := range st.RowPowerW {
 		st.RowPowerW[row] = 0
 	}
@@ -575,61 +490,23 @@ func (r *runner) fleetStep(wall time.Duration) {
 	for i, ph := range cs.phaseBy {
 		r.phaseDaily[i] = trace.DailySin(wall, ph)
 	}
-	n := len(st.ServerPowerW)
 
-	// Phase A: per-server physics over fixed contiguous shard ranges.
-	if r.pool != nil {
-		r.pool.run(func(s, lo, hi int) {
-			stable := r.shardStable[s]
-			for i := range stable {
-				stable[i] = 0
-			}
-			r.shardMaxTemp[s], r.shardThrottle[s] = r.fleetShard(wall, inletBase, lo, hi, stable)
-		})
-	} else {
-		stable := r.shardStable[0]
-		for i := range stable {
-			stable[i] = 0
-		}
-		r.shardMaxTemp[0], r.shardThrottle[0] = r.fleetShard(wall, inletBase, 0, n, stable)
-	}
-	maxTemp := 0.0
-	for s := 0; s < r.shards; s++ {
-		if r.shardMaxTemp[s] > maxTemp {
-			maxTemp = r.shardMaxTemp[s]
-		}
-		r.res.ThermalThrottleSrvTicks += r.shardThrottle[s]
-	}
-	for row := range r.rowStableCnt {
-		c := r.shardStable[0][row]
-		for s := 1; s < r.shards; s++ {
-			c += r.shardStable[s][row]
-		}
-		r.rowStableCnt[row] = c
-	}
-
-	// Phase B: the floating-point reductions, serial in ascending server-ID
-	// order — the exact accumulation sequence of the historical fused loop.
 	srvRow := cs.srvRow
-	total := 0.0
-	for id, p := range st.ServerPowerW {
+	maxTemp, total := 0.0, 0.0
+	for id := range st.ServerPowerW {
+		if t := r.serverStep(id, wall, inletBase); t > maxTemp {
+			maxTemp = t
+		}
+		p := st.ServerPowerW[id]
 		st.RowPowerW[srvRow[id]] += p
 		total += p
 		if st.ServerFreqCap[id] < 1 {
 			r.res.FreqCapSrvTicks++
 		}
-		if cl := r.srvCapLoss[id]; cl >= 0 {
-			r.srvCapLoss[id] = -1
-			r.res.IaaSFreqCapSum += cl
-			r.res.IaaSServerTicks++
-			vm := st.VMs[st.ServerVM[id]]
-			st.ObserveCustomerLoad(vm.Spec.Customer, st.ServerLoadFrac[id])
-		}
 	}
 	// Per-endpoint energy: integrate the full power of every server hosting
-	// an endpoint's instances over the tick. Runs in the serial phase so the
-	// per-endpoint float accumulation is in fixed (endpoint, ascending VM-ID)
-	// order — byte-identical at any shard count, like the reductions above.
+	// an endpoint's instances over the tick, in (endpoint, ascending VM-ID)
+	// order.
 	tickSecs := r.sc.Tick.Seconds()
 	for ep := range r.res.EndpointEnergyJ {
 		sum := 0.0
@@ -639,14 +516,13 @@ func (r *runner) fleetStep(wall time.Duration) {
 		r.res.EndpointEnergyJ[ep] += sum * tickSecs
 	}
 
-	r.res.ServerTicks += n
+	r.res.ServerTicks += len(st.ServerPowerW)
 	r.res.MaxTempC = append(r.res.MaxTempC, maxTemp)
 	peak := 0.0
 	for row, draw := range st.RowPowerW {
 		limit := st.Budget.RowLimitW(row)
 		if draw > limit {
 			r.pol.CapRow(st, row, draw, limit)
-			r.rowCapTouched[row] = true
 			r.res.PowerCapSrvTicks += len(st.DC.Rows[row].Servers)
 		}
 		if draw > peak {
@@ -661,256 +537,204 @@ func (r *runner) fleetStep(wall time.Duration) {
 	r.prevDCLoad = total / cs.fleetTDPW
 }
 
-// fleetShard runs phase A for servers [lo, hi): per-server physics with no
-// cross-server accumulation. It returns the range's max GPU temperature and
-// thermally-capped server count (both merge exactly across shards), and
-// counts per row how many servers ended the sweep idle and uncapped.
-func (r *runner) fleetShard(wall time.Duration, inletBase float64, lo, hi int, stable []int32) (maxTemp float64, throttleTicks int) {
+// serverStep advances one server by a tick: cap recovery, its VM's load,
+// GPU power with hardware throttling, inlet and GPU temperatures, server
+// power and next tick's fan airflow. An IaaS server also adds its cap loss
+// and observes its customer's load. It returns the server's hottest GPU
+// temperature.
+func (r *runner) serverStep(id int, wall time.Duration, inletBase float64) float64 {
 	st := r.st
 	cs := r.cs
 	co := cs.Coeffs
-	srvRow, srvAisle := cs.srvRow, cs.srvAisle
-	gpus := st.GPUsPerServer
-	id := lo
-	for id < hi {
-		row := int(srvRow[id])
-		if fu := r.rowFastUntil[row]; fu > int32(id) {
-			// Clean row: every server is known idle and uncapped, so sweep
-			// its contiguous span without re-checking each one.
-			end := hi
-			if int(fu) < end {
-				end = int(fu)
-			}
-			aisle := int(srvAisle[id])
-			viol := r.aisleViolated[aisle]
-			start := id
-			for ; id < end; id++ {
-				if t := r.idleServer(id, inletBase, aisle); t > maxTemp {
-					maxTemp = t
-				}
-				if viol {
-					throttleTicks++
-				}
-			}
-			stable[row] += int32(id - start)
-			continue
-		}
-		m := cs.srvModel[id]
-		spec := &cs.specBy[m]
-		idleFrac := cs.idleFracBy[m]
-		throttleC := spec.ThrottleTempC
-		aisle := int(srvAisle[id])
-		vmID := st.ServerVM[id]
-
-		if vmID == -1 && st.ServerFreqCap[id] == 1 && r.thermalCap[id] == 1 {
-			// Idle and uncapped: cap recovery is a no-op, the GPUs sit at
-			// the idle fraction, and the throttle condition (frac > idle)
-			// can never fire, so the compiled idle constants reproduce the
-			// full path bit for bit.
-			if t := r.idleServer(id, inletBase, aisle); t > maxTemp {
-				maxTemp = t
-			}
-			if r.aisleViolated[aisle] {
-				throttleTicks++
-			}
-			stable[row]++
-			id++
-			continue
-		}
-
-		if r.rowRecoverOK[row] && r.aisleRecoverOK[aisle] {
-			// Branch instead of math.Min: caps are positive finite, so the
-			// semantics match and the non-inlined call is avoided.
-			if c := st.ServerFreqCap[id] * capRecovery; c < 1 {
-				st.ServerFreqCap[id] = c
-			} else {
-				st.ServerFreqCap[id] = 1
-			}
-		}
-		base := id * gpus
-		// ServerHotGPUTempC still holds last tick's hottest GPU, so the
-		// cool check is one read instead of a scan over the GPU block.
-		if st.ServerHotGPUTempC[id] <= throttleC-5 {
-			if c := r.thermalCap[id] * capRecovery; c < 1 {
-				r.thermalCap[id] = c
-			} else {
-				r.thermalCap[id] = 1
-			}
-		}
-		cap := st.ServerFreqCap[id] * r.thermalCap[id]
-
-		// Every GPU of a server runs at one of two power fractions: actFrac
-		// on the first nAct GPUs (the VM's active set) and the idle fraction
-		// on the rest. The workload switch derives the pair; the single
-		// per-GPU loop below then fuses fraction fill, thermal evaluation
-		// with hardware throttling, and the power sum into one pass over the
-		// flat coefficient tables.
-		actFrac := idleFrac
-		nAct := gpus
-		loadFrac := 0.0
-		switch {
-		case vmID == -1:
-		case st.VMs[vmID].Spec.Kind == trace.IaaS:
-			vm := st.VMs[vmID]
-			var util float64
-			if pi := cs.vmPhase[vmID]; pi >= 0 {
-				util = vm.Spec.Load.AtTick(&r.tickEval, r.phaseDaily[pi], &r.vmNoise[vmID])
-			} else {
-				util = vm.Spec.Load.At(wall)
-			}
-			actFrac = power.GPUPower(spec, util, cap) / spec.GPUTDPW
-			loadFrac = util
-			// The cap-loss sum and the customer-peak observation are
-			// deferred to phase B: the float accumulation is order-sensitive
-			// and the peak map write would race across shards.
-			r.srvCapLoss[id] = 1 - cap
-		default: // SaaS
-			in := st.VMs[vmID].Instance
-			if cap == 1 && in.StepDrained(r.sc.Tick) {
-				// Drained and uncapped, the SaaS path collapses to idle
-				// physics: BusyFrac is 0, so GPUPowerFrac returns exactly
-				// the GPU idle fraction and every fraction, temperature and
-				// power below reproduces the idle-server constants bit for
-				// bit. Occupied servers are never row-stable, so no
-				// stable[row] count.
-				if t := r.idleServer(id, inletBase, aisle); t > maxTemp {
-					maxTemp = t
-				}
-				if r.aisleViolated[aisle] {
-					throttleTicks++
-				}
-				id++
-				continue
-			}
-			in.SpeedFactor = cap
-			in.Step(r.sc.Tick)
-			gpuBase := in.GPUPowerFrac()
-			// Frequency capping shrinks the dynamic share of GPU power.
-			// math.Pow(1, x) is exactly 1, so uncapped servers (the common
-			// case) skip the call without changing the result.
-			powCap := 1.0
-			if cap != 1 {
-				powCap = math.Pow(cap, dynPowerExp)
-			}
-			actFrac = idleFrac + (gpuBase-idleFrac)*powCap
-			nAct = in.ActiveGPUs()
-			loadFrac = in.BusyFrac * float64(in.ActiveGPUs()) / float64(spec.GPUsPerServer)
-		}
-		st.ServerLoadFrac[id] = loadFrac
-
-		// Thermals and power: inlet, GPU temperatures with hardware
-		// throttling, and the server power sum in one pass. Clamp01 is
-		// hoisted per distinct fraction; the per-GPU temperature stays a
-		// multiply-add over the flat bias/gain tables.
-		inlet := inletBase + co.InletOffsetC[id] + st.AisleRecircC[aisle]
-		st.ServerInletC[id] = inlet
-		fracs := st.GPUPowerFrac[base : base+gpus]
-		temps := st.GPUTempC[base : base+gpus]
-		bias := co.BiasC[base : base+gpus]
-		gain := co.GainC[base : base+gpus]
-		cfAct := units.Clamp01(actFrac)
-		throttled := false
-		srvMax := 0.0
-		sum := 0.0
-		w := spec.GPUTDPW
-		if nAct > gpus {
-			nAct = gpus
-		}
-		if actFrac <= idleFrac || inlet+cs.srvMaxBias[id]+cs.srvMaxGain[id]*cfAct <= throttleC {
-			// The precomputed coefficient maxima upper-bound every GPU
-			// temperature (rounding is monotone), so the throttle condition
-			// cannot fire anywhere in the block and the loop runs without
-			// the per-GPU check. f*w is the same multiply every iteration,
-			// so hoisting it is bit-identical.
-			actW := actFrac * w
-			for g := 0; g < nAct; g++ {
-				temp := inlet + bias[g] + gain[g]*cfAct
-				fracs[g] = actFrac
-				temps[g] = temp
-				if temp > srvMax {
-					srvMax = temp
-				}
-				sum += actW
-			}
-		} else {
-			for g := 0; g < nAct; g++ {
-				f := actFrac
-				temp := inlet + bias[g] + gain[g]*cfAct
-				if temp > throttleC && f > idleFrac {
-					throttled = true
-					allowed := co.MaxPowerFrac(base+g, inlet, throttleC)
-					if allowed < idleFrac {
-						allowed = idleFrac // hardware cannot go below idle draw
-					}
-					if allowed < f {
-						f = allowed
-						temp = inlet + bias[g] + gain[g]*units.Clamp01(f)
-					}
-				}
-				fracs[g] = f
-				temps[g] = temp
-				if temp > srvMax {
-					srvMax = temp
-				}
-				sum += f * w
-			}
-		}
-		if nAct < gpus {
-			// Inactive GPUs sit at the idle fraction, which can never
-			// satisfy the throttle condition (f > idleFrac), so this run is
-			// branch-free.
-			cfIdle := units.Clamp01(idleFrac)
-			idleTerm := idleFrac * w
-			for g := nAct; g < gpus; g++ {
-				temp := inlet + bias[g] + gain[g]*cfIdle
-				fracs[g] = idleFrac
-				temps[g] = temp
-				if temp > srvMax {
-					srvMax = temp
-				}
-				sum += idleTerm
-			}
-		}
-		st.ServerHotGPUTempC[id] = srvMax
-		if srvMax > maxTemp {
-			maxTemp = srvMax
-		}
-		if throttled {
-			// The hardware clock-down slows next tick's work.
-			r.thermalCap[id] = math.Max(0.3, r.thermalCap[id]*0.85)
-		}
-		if throttled || r.aisleViolated[aisle] {
-			throttleTicks++
-		}
-		// power.ServerPower and thermal.FanFrac, unrolled to share one
-		// Clamp01 of the load fraction (Clamp01 is pure, so reusing the
-		// value is bit-identical); the addition order matches ServerPower.
-		clf := units.Clamp01(loadFrac)
-		p := units.Lerp(spec.ServerOtherW, spec.ServerOtherMaxW, clf) + sum + power.FanPower(spec, 0.3+0.7*clf)
-		st.ServerPowerW[id] = p
-		// Next tick's fan airflow is a pure function of this power draw;
-		// computing it here retires the separate airflow fleet pass.
-		if p == cs.idleTickWBy[m] {
-			st.ServerAirflowCFM[id] = cs.idleAirflowBy[m]
-		} else {
-			idleP := cs.idleWBy[m]
-			// heatFrac is already clamped, so Lerp directly (thermal.Airflow
-			// would only re-clamp — Clamp01 is idempotent).
-			heatFrac := units.Clamp01((p - idleP) / (spec.ServerTDPW - idleP))
-			st.ServerAirflowCFM[id] = units.Lerp(spec.AirflowIdleCFM, spec.AirflowMaxCFM, heatFrac)
-		}
-		if vmID == -1 && st.ServerFreqCap[id] == 1 && r.thermalCap[id] == 1 {
-			stable[row]++
-		}
-		id++
+	aisle := int(cs.srvAisle[id])
+	vmID := st.ServerVM[id]
+	if vmID == -1 && st.ServerFreqCap[id] == 1 && r.thermalCap[id] == 1 {
+		// Idle and uncapped: cap recovery is a no-op, the GPUs sit at the
+		// idle fraction, and the throttle condition (frac > idle) can never
+		// fire, so the compiled idle constants reproduce the full path bit
+		// for bit.
+		return r.idleServer(id, inletBase, aisle)
 	}
-	return maxTemp, throttleTicks
+	m := cs.srvModel[id]
+	spec := &cs.specBy[m]
+	idleFrac := cs.idleFracBy[m]
+	throttleC := spec.ThrottleTempC
+	gpus := st.GPUsPerServer
+
+	if r.rowRecoverOK[cs.srvRow[id]] && r.aisleRecoverOK[aisle] {
+		// Branch instead of math.Min: caps are positive finite, so the
+		// semantics match and the non-inlined call is avoided.
+		if c := st.ServerFreqCap[id] * capRecovery; c < 1 {
+			st.ServerFreqCap[id] = c
+		} else {
+			st.ServerFreqCap[id] = 1
+		}
+	}
+	base := id * gpus
+	// ServerHotGPUTempC still holds last tick's hottest GPU, so the
+	// cool check is one read instead of a scan over the GPU block.
+	if st.ServerHotGPUTempC[id] <= throttleC-5 {
+		if c := r.thermalCap[id] * capRecovery; c < 1 {
+			r.thermalCap[id] = c
+		} else {
+			r.thermalCap[id] = 1
+		}
+	}
+	cap := st.ServerFreqCap[id] * r.thermalCap[id]
+
+	// Every GPU of a server runs at one of two power fractions: actFrac
+	// on the first nAct GPUs (the VM's active set) and the idle fraction
+	// on the rest. The workload switch derives the pair; the single
+	// per-GPU loop below then fuses fraction fill, thermal evaluation
+	// with hardware throttling, and the power sum into one pass over the
+	// flat coefficient tables.
+	actFrac := idleFrac
+	nAct := gpus
+	loadFrac := 0.0
+	switch {
+	case vmID == -1:
+	case st.VMs[vmID].Spec.Kind == trace.IaaS:
+		vm := st.VMs[vmID]
+		var util float64
+		if pi := cs.vmPhase[vmID]; pi >= 0 {
+			util = vm.Spec.Load.AtTick(&r.tickEval, r.phaseDaily[pi], &r.vmNoise[vmID])
+		} else {
+			util = vm.Spec.Load.At(wall)
+		}
+		actFrac = power.GPUPower(spec, util, cap) / spec.GPUTDPW
+		loadFrac = util
+		r.res.IaaSFreqCapSum += 1 - cap
+		r.res.IaaSServerTicks++
+		st.ObserveCustomerLoad(vm.Spec.Customer, util)
+	default: // SaaS
+		in := st.VMs[vmID].Instance
+		if cap == 1 && in.StepDrained(r.sc.Tick) {
+			// Drained and uncapped, the SaaS path collapses to idle
+			// physics: BusyFrac is 0, so GPUPowerFrac returns exactly
+			// the GPU idle fraction and every fraction, temperature and
+			// power below reproduces the idle-server constants bit for
+			// bit.
+			return r.idleServer(id, inletBase, aisle)
+		}
+		in.SpeedFactor = cap
+		in.Step(r.sc.Tick)
+		gpuBase := in.GPUPowerFrac()
+		// Frequency capping shrinks the dynamic share of GPU power.
+		// math.Pow(1, x) is exactly 1, so uncapped servers (the common
+		// case) skip the call without changing the result.
+		powCap := 1.0
+		if cap != 1 {
+			powCap = math.Pow(cap, dynPowerExp)
+		}
+		actFrac = idleFrac + (gpuBase-idleFrac)*powCap
+		nAct = in.ActiveGPUs()
+		loadFrac = in.BusyFrac * float64(in.ActiveGPUs()) / float64(spec.GPUsPerServer)
+	}
+	st.ServerLoadFrac[id] = loadFrac
+
+	// Thermals and power: inlet, GPU temperatures with hardware
+	// throttling, and the server power sum in one pass. Clamp01 is
+	// hoisted per distinct fraction; the per-GPU temperature stays a
+	// multiply-add over the flat bias/gain tables.
+	inlet := inletBase + co.InletOffsetC[id] + st.AisleRecircC[aisle]
+	st.ServerInletC[id] = inlet
+	fracs := st.GPUPowerFrac[base : base+gpus]
+	bias := co.BiasC[base : base+gpus]
+	gain := co.GainC[base : base+gpus]
+	cfAct := units.Clamp01(actFrac)
+	throttled := false
+	srvMax := 0.0
+	sum := 0.0
+	w := spec.GPUTDPW
+	if nAct > gpus {
+		nAct = gpus
+	}
+	if actFrac <= idleFrac || inlet+cs.srvMaxBias[id]+cs.srvMaxGain[id]*cfAct <= throttleC {
+		// The precomputed coefficient maxima upper-bound every GPU
+		// temperature (rounding is monotone), so the throttle condition
+		// cannot fire anywhere in the block and the loop runs without
+		// the per-GPU check. f*w is the same multiply every iteration,
+		// so hoisting it is bit-identical.
+		actW := actFrac * w
+		for g := 0; g < nAct; g++ {
+			temp := inlet + bias[g] + gain[g]*cfAct
+			fracs[g] = actFrac
+			if temp > srvMax {
+				srvMax = temp
+			}
+			sum += actW
+		}
+	} else {
+		for g := 0; g < nAct; g++ {
+			f := actFrac
+			temp := inlet + bias[g] + gain[g]*cfAct
+			if temp > throttleC && f > idleFrac {
+				throttled = true
+				allowed := co.MaxPowerFrac(base+g, inlet, throttleC)
+				if allowed < idleFrac {
+					allowed = idleFrac // hardware cannot go below idle draw
+				}
+				if allowed < f {
+					f = allowed
+					temp = inlet + bias[g] + gain[g]*units.Clamp01(f)
+				}
+			}
+			fracs[g] = f
+			if temp > srvMax {
+				srvMax = temp
+			}
+			sum += f * w
+		}
+	}
+	if nAct < gpus {
+		// Inactive GPUs sit at the idle fraction, which can never
+		// satisfy the throttle condition (f > idleFrac), so this run is
+		// branch-free.
+		cfIdle := units.Clamp01(idleFrac)
+		idleTerm := idleFrac * w
+		for g := nAct; g < gpus; g++ {
+			temp := inlet + bias[g] + gain[g]*cfIdle
+			fracs[g] = idleFrac
+			if temp > srvMax {
+				srvMax = temp
+			}
+			sum += idleTerm
+		}
+	}
+	st.ServerHotGPUTempC[id] = srvMax
+	if throttled {
+		// The hardware clock-down slows next tick's work.
+		r.thermalCap[id] = math.Max(0.3, r.thermalCap[id]*0.85)
+	}
+	if throttled || r.aisleViolated[aisle] {
+		r.res.ThermalThrottleSrvTicks++
+	}
+	// power.ServerPower and thermal.FanFrac, unrolled to share one
+	// Clamp01 of the load fraction (Clamp01 is pure, so reusing the
+	// value is bit-identical); the addition order matches ServerPower.
+	clf := units.Clamp01(loadFrac)
+	p := units.Lerp(spec.ServerOtherW, spec.ServerOtherMaxW, clf) + sum + power.FanPower(spec, 0.3+0.7*clf)
+	st.ServerPowerW[id] = p
+	// Next tick's fan airflow is a pure function of this power draw;
+	// computing it here retires the separate airflow fleet pass.
+	if p == cs.idleTickWBy[m] {
+		st.ServerAirflowCFM[id] = cs.idleAirflowBy[m]
+	} else {
+		idleP := cs.idleWBy[m]
+		// heatFrac is already clamped, so Lerp directly (thermal.Airflow
+		// would only re-clamp — Clamp01 is idempotent).
+		heatFrac := units.Clamp01((p - idleP) / (spec.ServerTDPW - idleP))
+		st.ServerAirflowCFM[id] = units.Lerp(spec.AirflowIdleCFM, spec.AirflowMaxCFM, heatFrac)
+	}
+	return srvMax
 }
 
-// idleServer is the dirty-set fast path for an idle, uncapped server: GPU
-// fractions sit at the idle fraction, temperatures still track this tick's
-// inlet (weather, datacenter load and recirculation move every tick), and
-// power is the compiled idle constant. Returns the hottest GPU temperature.
+// idleServer is the kernel's path for an idle, uncapped server (and a
+// drained, uncapped SaaS server): GPU fractions sit at the idle fraction,
+// temperatures still track this tick's inlet (weather, datacenter load and
+// recirculation move every tick), and power is the compiled idle constant.
+// A violated aisle still counts the server-tick as thermally capped. Returns
+// the hottest GPU temperature.
 func (r *runner) idleServer(id int, inletBase float64, aisle int) float64 {
 	st := r.st
 	cs := r.cs
@@ -920,7 +744,6 @@ func (r *runner) idleServer(id int, inletBase float64, aisle int) float64 {
 	idleFrac := cs.idleFracBy[m]
 	base := id * gpus
 	fracs := st.GPUPowerFrac[base : base+gpus]
-	temps := st.GPUTempC[base : base+gpus]
 	bias := co.BiasC[base : base+gpus]
 	gain := co.GainC[base : base+gpus]
 	inlet := inletBase + co.InletOffsetC[id] + st.AisleRecircC[aisle]
@@ -930,15 +753,16 @@ func (r *runner) idleServer(id int, inletBase float64, aisle int) float64 {
 	maxT := 0.0
 	for g := range fracs {
 		fracs[g] = idleFrac
-		temp := inlet + bias[g] + gain[g]*cf
-		temps[g] = temp
-		if temp > maxT {
+		if temp := inlet + bias[g] + gain[g]*cf; temp > maxT {
 			maxT = temp
 		}
 	}
 	st.ServerHotGPUTempC[id] = maxT
 	st.ServerPowerW[id] = cs.idleTickWBy[m]
 	st.ServerAirflowCFM[id] = cs.idleAirflowBy[m]
+	if r.aisleViolated[aisle] {
+		r.res.ThermalThrottleSrvTicks++
+	}
 	return maxT
 }
 

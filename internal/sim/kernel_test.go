@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -8,26 +9,26 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/tapas-sim/tapas/internal/cluster"
 	"github.com/tapas-sim/tapas/internal/core"
 	"github.com/tapas-sim/tapas/internal/trace"
 )
 
-// -update regenerates the golden files under testdata (shard_golden.txt,
+// -update regenerates the golden files under testdata (kernel_golden.txt,
 // request_golden.txt and placement_golden.txt).
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// shardScenario is a deliberately hostile scenario for the sharded tick
-// kernel's dirty-set bookkeeping: a hot region (weather keeps moving the
-// inlet base), mid-run power and cooling emergencies (global invalidation
-// plus capping churn), and oversubscription (rows whose trailing servers sit
-// outside the contiguous ID span the clean-row sweep uses).
-func shardScenario() Scenario {
+// hostileScenario is a deliberately hostile scenario for the tick kernel: a
+// hot region (weather keeps moving the inlet base), mid-run power and
+// cooling emergencies (capping churn), and oversubscription (rows whose
+// trailing servers sit at the end of the server-ID space).
+func hostileScenario() Scenario {
 	sc := DefaultScenario()
 	sc.Layout.Aisles = 2
 	sc.Duration = 2 * time.Hour
@@ -43,14 +44,25 @@ func shardScenario() Scenario {
 	return sc
 }
 
-// TestShardedRunsByteIdentical is the determinism property of the sharded
-// tick kernel: for any shard count, and with runs racing each other over one
-// shared compiled scenario (the campaign runner's -parallel shape), every
-// Result field — full per-tick series included — matches the serial engine
-// exactly. reflect.DeepEqual on float64 series is bit equality, so any
-// reordered floating-point reduction fails here.
-func TestShardedRunsByteIdentical(t *testing.T) {
-	cs, err := Compile(shardScenario())
+// heatwaveScenario is hostileScenario in a 45 °C region at its afternoon
+// peak: hot enough that GPUs hit the throttle limit, so hardware thermal
+// caps feed the IaaS cap loss.
+func heatwaveScenario() Scenario {
+	sc := hostileScenario()
+	sc.Region.MeanC = 45
+	sc.Region.DiurnalAmpC = 10
+	sc.StartOffset = 13 * time.Hour
+	return sc
+}
+
+// TestConcurrentRunsMatchLoneRun races TAPAS and baseline runs over one
+// shared compiled scenario, the campaign runner's -parallel shape: every
+// Result field, full per-tick series included, must match a lone run of the
+// same policy exactly.
+// reflect.DeepEqual on float64 series is bit equality, so state leaking
+// between runs through the compiled artifacts fails here.
+func TestConcurrentRunsMatchLoneRun(t *testing.T) {
+	cs, err := Compile(hostileScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,42 +75,29 @@ func TestShardedRunsByteIdentical(t *testing.T) {
 	} {
 		pol := pol
 		t.Run(pol.name, func(t *testing.T) {
-			serial, err := cs.Variant(func(s *Scenario) { s.Shards = 1 }).Run(pol.new())
+			t.Parallel() // the two policies' runs race each other too
+			lone, err := cs.Run(pol.new())
 			if err != nil {
 				t.Fatal(err)
 			}
-			shardCounts := []int{0, 2, 7, runtime.NumCPU(), -1}
-			for _, n := range shardCounts {
-				n := n
-				res, err := cs.Variant(func(s *Scenario) { s.Shards = n }).Run(pol.new())
-				if err != nil {
-					t.Fatalf("shards=%d: %v", n, err)
-				}
-				if !reflect.DeepEqual(serial, res) {
-					t.Errorf("shards=%d diverged from the serial engine", n)
-				}
-			}
-			// Cross-run parallelism on top of intra-run sharding: all shard
-			// counts race over the same compiled scenario, as under the
-			// campaign runner's worker pool at any -parallel value.
-			results := make([]*Result, len(shardCounts))
-			errs := make([]error, len(shardCounts))
+			results := make([]*Result, 4)
+			errs := make([]error, len(results))
 			var wg sync.WaitGroup
-			for i, n := range shardCounts {
-				i, n := i, n
+			for i := range results {
+				i := i
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					results[i], errs[i] = cs.Variant(func(s *Scenario) { s.Shards = n }).Run(pol.new())
+					results[i], errs[i] = cs.Run(pol.new())
 				}()
 			}
 			wg.Wait()
-			for i, n := range shardCounts {
+			for i, res := range results {
 				if errs[i] != nil {
-					t.Fatalf("concurrent shards=%d: %v", n, errs[i])
+					t.Fatalf("concurrent run %d: %v", i, errs[i])
 				}
-				if !reflect.DeepEqual(serial, results[i]) {
-					t.Errorf("concurrent shards=%d diverged from the serial engine", n)
+				if !reflect.DeepEqual(lone, res) {
+					t.Errorf("concurrent run %d diverged from the lone run", i)
 				}
 			}
 		})
@@ -149,52 +148,76 @@ func fingerprintResult(r *Result) string {
 	fmt.Fprintf(&sb, "req ttft fnv64a %016x tbt %016x queue %016x completed %d violated %d\n",
 		hash(flat(r.ReqTTFT)), hash(flat(r.ReqTBT)), hash(flat(r.ReqQueueDelay)),
 		r.RequestsCompleted(AllEndpoints), violated)
+	fmt.Fprintf(&sb, "freqCap %d endpoint energyJ fnv64a %016x servedTokens fnv64a %016x\n",
+		r.FreqCapSrvTicks, hash(r.EndpointEnergyJ), hash(r.EndpointServedTokens))
 	return sb.String()
 }
 
-// TestShardGoldenSerialEqualsSharded pins serial ≡ sharded against a
-// committed golden: both the serial engine and a 7-shard run must reproduce
-// testdata/shard_golden.txt byte for byte. A regression in either path (or a
-// nondeterministic reduction) cannot pass — the committed bits are the
-// arbiter, not a run-to-run comparison.
-func TestShardGoldenSerialEqualsSharded(t *testing.T) {
-	cs, err := Compile(shardScenario())
+// TestKernelGolden pins the tick kernel against a committed golden: TAPAS
+// and the baseline on the hostile scenario, and both on its heatwave
+// variant, must reproduce testdata/kernel_golden.txt byte for byte. TAPAS
+// caps nothing on the hostile scenario, so the capping reductions
+// (frequency-capped and power-capped server-ticks, IaaS cap loss) are pinned
+// by the baseline and by the heatwave runs, whose GPUs reach the hardware
+// throttle limit.
+func TestKernelGolden(t *testing.T) {
+	hostile, err := Compile(hostileScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heat, err := Compile(heatwaveScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	for _, variant := range []struct {
-		name   string
-		shards int
+	for _, run := range []struct {
+		name string
+		cs   *CompiledScenario
+		pol  Policy
 	}{
-		{"serial", 1},
-		{"sharded-7", 7},
+		{"tapas", hostile, core.NewFull()},
+		{"baseline", hostile, core.New(core.Options{})},
+		{"heatwave baseline", heat, core.New(core.Options{})},
+		{"heatwave tapas", heat, core.NewFull()},
 	} {
-		res, err := cs.Variant(func(s *Scenario) { s.Shards = variant.shards }).Run(core.NewFull())
+		var st *cluster.State
+		res, err := run.cs.Variant(func(s *Scenario) {
+			s.Observer = func(live *cluster.State) { st = live }
+		}).Run(run.pol)
 		if err != nil {
-			t.Fatalf("%s: %v", variant.name, err)
+			t.Fatalf("%s: %v", run.name, err)
 		}
-		fmt.Fprintf(&sb, "== %s ==\n%s", variant.name, fingerprintResult(res))
+		fmt.Fprintf(&sb, "== %s ==\n%s%s", run.name, fingerprintResult(res), fingerprintPeaks(st))
 	}
-	got := sb.String()
-
-	serial, sharded, ok := strings.Cut(got, "== sharded-7 ==\n")
-	if !ok {
-		t.Fatal("malformed fingerprint output")
-	}
-	if strings.TrimPrefix(serial, "== serial ==\n") != sharded {
-		t.Errorf("serial and sharded fingerprints differ:\n%s", got)
-	}
-	matchGolden(t, filepath.Join("testdata", "shard_golden.txt"), got)
+	matchGolden(t, filepath.Join("testdata", "kernel_golden.txt"), sb.String())
 }
 
-// TestRequestGoldenSerialEqualsSharded pins the request-level sample series
-// bit for bit. The shard golden runs a binned scenario, so its request
-// hashes cover no samples; here a replayed request log under TAPAS, SLO-EDF
-// admission and the energy-aware power governor, each run serially and with
-// 7 shards, must reproduce testdata/request_golden.txt, TTFT, TBT and
-// queueing-delay hashes included.
-func TestRequestGoldenSerialEqualsSharded(t *testing.T) {
+// fingerprintPeaks renders the customer-peak load estimates a run left in
+// its state, which the kernel updates from every IaaS server's load, by
+// float bits in ascending customer order.
+func fingerprintPeaks(st *cluster.State) string {
+	ids := make([]int, 0, len(st.CustomerPeakLoad))
+	for c := range st.CustomerPeakLoad {
+		ids = append(ids, c)
+	}
+	sort.Ints(ids)
+	h := fnv.New64a()
+	var buf [16]byte
+	for _, c := range ids {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(c))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(st.CustomerPeakLoad[c]))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("customerPeak fnv64a %016x peakEpoch %d\n", h.Sum64(), st.PeakEpoch)
+}
+
+// TestRequestGolden pins the request-level sample series bit for bit. The
+// kernel golden runs a binned scenario, so its request hashes cover no
+// samples; here a replayed request log under TAPAS, SLO-EDF admission and
+// the energy-aware power governor must reproduce
+// testdata/request_golden.txt, TTFT, TBT and queueing-delay hashes
+// included.
+func TestRequestGolden(t *testing.T) {
 	cs, err := Compile(requestScenario(syntheticRequests(300, 2, 7*time.Minute)))
 	if err != nil {
 		t.Fatal(err)
@@ -208,13 +231,11 @@ func TestRequestGoldenSerialEqualsSharded(t *testing.T) {
 		{"slo-edf", func() Policy { return core.NewSLO(true) }},
 		{"powergov-energy", func() Policy { return core.NewPowerGov(true) }},
 	} {
-		for _, shards := range []int{1, 7} {
-			res, err := cs.Variant(func(s *Scenario) { s.Shards = shards }).Run(pol.new())
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", pol.name, shards, err)
-			}
-			fmt.Fprintf(&sb, "== %s shards=%d ==\n%s", pol.name, shards, fingerprintResult(res))
+		res, err := cs.Run(pol.new())
+		if err != nil {
+			t.Fatalf("%s: %v", pol.name, err)
 		}
+		fmt.Fprintf(&sb, "== %s ==\n%s", pol.name, fingerprintResult(res))
 	}
 	matchGolden(t, filepath.Join("testdata", "request_golden.txt"), sb.String())
 }

@@ -24,7 +24,7 @@ func mustKey(t *testing.T, sc Scenario) CacheKey {
 
 // TestScenarioKeyIgnoresRuntimeOnly pins the key's canonicalization contract:
 // every field a compiled scenario can vary per run (the Variant set — Tick,
-// Failures, RecordRowSeries, Observer, Shards, SLOSched, PowerGov — plus
+// Failures, RecordRowSeries, Observer, SLOSched, PowerGov — plus
 // Workload.Servers, which Compile overwrites from the layout) must not move
 // the key, so cache hits serve all runtime variants of one compilation.
 func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
@@ -37,7 +37,6 @@ func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
 		},
 		"record_rows":      func(sc *Scenario) { sc.RecordRowSeries = true },
 		"observer":         func(sc *Scenario) { sc.Observer = func(*cluster.State) {} },
-		"shards":           func(sc *Scenario) { sc.Shards = 8 },
 		"workload_servers": func(sc *Scenario) { sc.Workload.Servers = 9999 },
 		"slo_sched":        func(sc *Scenario) { sc.SLOSched = SLOSched{AffinityWeight: 0.25, AdmissionSlack: 1.5} },
 		"power_gov":        func(sc *Scenario) { sc.PowerGov = PowerGov{BudgetFrac: 0.7, Gain: 0.5} },

@@ -49,8 +49,8 @@ type Result struct {
 	// Per-endpoint energy accounting, sized to the workload's endpoints by
 	// the engine and populated in both binned and request-level modes.
 	// EndpointEnergyJ integrates the full power of every server hosting an
-	// endpoint's instances over each tick (accumulated serially in the tick
-	// kernel, so values are byte-identical at any shard count);
+	// endpoint's instances over each tick (accumulated after each kernel
+	// pass in ascending VM-ID order);
 	// EndpointServedTokens attributes served tokens per endpoint in the
 	// engine's deterministic harvest order.
 	EndpointEnergyJ      []float64
@@ -60,8 +60,8 @@ type Result struct {
 	// carries a request log (Scenario.Requests). Outer slices are indexed by
 	// endpoint ID and sized on demand; samples are seconds, appended in the
 	// engine's deterministic harvest order (ascending VM ID at departure and
-	// end of run), so reports are byte-identical at any -parallel/-shards
-	// setting. Requests still in flight at the horizon contribute nothing.
+	// end of run), so reports are byte-identical at any -parallel setting.
+	// Requests still in flight at the horizon contribute nothing.
 	ReqTTFT       [][]float64 // per endpoint: time to first token
 	ReqTBT        [][]float64 // per endpoint: max time between tokens
 	ReqQueueDelay [][]float64 // per endpoint: arrival → prefill start

@@ -28,14 +28,6 @@ type Policy interface {
 	CapRow(st *cluster.State, row int, drawW, limitW float64)
 	// CapAisle reacts to an aisle's airflow demand exceeding its
 	// provisioned supply (heat recirculation pressure).
-	//
-	// Capping contract: CapRow and CapAisle may lower ServerFreqCap for any
-	// server of the named row/aisle. Other hooks (Configure in particular)
-	// may only change ServerFreqCap of occupied servers. The engine's
-	// dirty-set tick relies on this to prove that a row of idle, uncapped
-	// servers is unchanged between sweeps: occupancy changes are counted by
-	// cluster.State.RowOccEpoch and capping calls are observed at the call
-	// site, so an idle server's frequency cap cannot move unobserved.
 	CapAisle(st *cluster.State, aisle int, demandCFM, limitCFM float64)
 }
 
@@ -201,14 +193,6 @@ type Scenario struct {
 	// RecordRowSeries keeps the full per-row power series (needed by
 	// Fig. 10-style outputs; costs memory on long runs).
 	RecordRowSeries bool
-	// Shards splits the per-server phases of the tick kernel across a
-	// bounded worker pool: 0 or 1 runs serially, n ≥ 2 uses n fixed
-	// contiguous server-ID chunks, and a negative value uses GOMAXPROCS.
-	// Results are byte-identical at any shard count: shard boundaries are
-	// fixed up front and every floating-point reduction runs serially in
-	// server-ID order after the parallel phase. Runtime-only — a compiled
-	// scenario can vary it per run.
-	Shards int
 	// Observer, when set, is invoked at the end of every tick with the live
 	// cluster state. The characterization experiments use it to sample
 	// sensors; it must not mutate the state.

@@ -137,40 +137,3 @@ func TestPowerGovEnergyAccounting(t *testing.T) {
 		}
 	}
 }
-
-// TestPowerGovShardsByteIdentical extends the shard-determinism property to
-// the governor loop and the energy-aware router: tuned caps, integrated
-// energy, and routing decisions must be bit-identical at every shard count.
-func TestPowerGovShardsByteIdentical(t *testing.T) {
-	cs, err := Compile(requestScenario(overloadedRequests(t, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []struct {
-		name string
-		new  func() Policy
-	}{
-		{"powergov", func() Policy { return core.NewPowerGov(false) }},
-		{"powergov-energy", func() Policy { return core.NewPowerGov(true) }},
-	} {
-		pol := pol
-		t.Run(pol.name, func(t *testing.T) {
-			serial, err := cs.Variant(func(s *Scenario) { s.Shards = 1 }).Run(pol.new())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.RequestsCompleted(AllEndpoints) == 0 {
-				t.Fatal("request mode inactive: no completions to compare")
-			}
-			for _, n := range []int{2, 7, -1} {
-				res, err := cs.Variant(func(s *Scenario) { s.Shards = n }).Run(pol.new())
-				if err != nil {
-					t.Fatalf("shards=%d: %v", n, err)
-				}
-				if !reflect.DeepEqual(serial, res) {
-					t.Errorf("shards=%d diverged from the serial engine", n)
-				}
-			}
-		})
-	}
-}

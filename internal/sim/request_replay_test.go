@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -86,45 +85,6 @@ func TestRequestReplayPopulatesSLOAccounting(t *testing.T) {
 	}
 	if res.SaaSServedTokens <= 0 {
 		t.Error("request replay served no tokens")
-	}
-}
-
-// TestRequestReplayShardsByteIdentical extends the shard determinism
-// property to request-level replay: per-request queues, routing, and the
-// harvest order of the SLO samples must be bit-identical at every shard
-// count, for both the default router and TAPAS's affinity-aware
-// RouteRequest.
-func TestRequestReplayShardsByteIdentical(t *testing.T) {
-	cs, err := Compile(requestScenario(syntheticRequests(300, 2, 7*time.Minute)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []struct {
-		name string
-		new  func() Policy
-	}{
-		{"baseline", func() Policy { return core.New(core.Options{}) }},
-		{"tapas", func() Policy { return core.NewFull() }},
-	} {
-		pol := pol
-		t.Run(pol.name, func(t *testing.T) {
-			serial, err := cs.Variant(func(s *Scenario) { s.Shards = 1 }).Run(pol.new())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.RequestsCompleted(AllEndpoints) == 0 {
-				t.Fatal("request mode inactive: no completions to compare")
-			}
-			for _, n := range []int{2, 7, -1} {
-				res, err := cs.Variant(func(s *Scenario) { s.Shards = n }).Run(pol.new())
-				if err != nil {
-					t.Fatalf("shards=%d: %v", n, err)
-				}
-				if !reflect.DeepEqual(serial, res) {
-					t.Errorf("shards=%d diverged from the serial engine", n)
-				}
-			}
-		})
 	}
 }
 

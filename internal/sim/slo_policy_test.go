@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -97,44 +96,6 @@ func TestSLOAdmissionBeatsTAPASUnderOverload(t *testing.T) {
 	}
 	if a, b := slo.SLOAttainment(AllEndpoints), tapas.SLOAttainment(AllEndpoints); !(a > b) {
 		t.Errorf("SLO-Admit attainment %.4f does not beat TAPAS %.4f at 8x overload", a, b)
-	}
-}
-
-// TestSLOPoliciesShardsByteIdentical extends the shard-determinism property
-// to admission control and both queue disciplines: shedding decisions, EDF
-// reordering, and the harvest order must be bit-identical at every shard
-// count.
-func TestSLOPoliciesShardsByteIdentical(t *testing.T) {
-	cs, err := Compile(requestScenario(overloadedRequests(t, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []struct {
-		name string
-		new  func() Policy
-	}{
-		{"slo-fifo", func() Policy { return core.NewSLO(false) }},
-		{"slo-edf", func() Policy { return core.NewSLO(true) }},
-	} {
-		pol := pol
-		t.Run(pol.name, func(t *testing.T) {
-			serial, err := cs.Variant(func(s *Scenario) { s.Shards = 1 }).Run(pol.new())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.RequestsCompleted(AllEndpoints) == 0 {
-				t.Fatal("request mode inactive: no completions to compare")
-			}
-			for _, n := range []int{2, 7, -1} {
-				res, err := cs.Variant(func(s *Scenario) { s.Shards = n }).Run(pol.new())
-				if err != nil {
-					t.Fatalf("shards=%d: %v", n, err)
-				}
-				if !reflect.DeepEqual(serial, res) {
-					t.Errorf("shards=%d diverged from the serial engine", n)
-				}
-			}
-		})
 	}
 }
 

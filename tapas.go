@@ -229,10 +229,6 @@ type ExperimentParams struct {
 	// forces fully sequential execution. Reports are byte-identical across
 	// worker counts.
 	Parallel int
-	// Shards sets each simulation's tick-kernel shard count (see
-	// Scenario.Shards; 0/1 serial, negative selects GOMAXPROCS). Reports
-	// are byte-identical at any value.
-	Shards int
 }
 
 // RunExperiment regenerates one of the paper's tables/figures and writes the
@@ -253,7 +249,7 @@ func RunExperimentWith(id string, p ExperimentParams, w io.Writer) error {
 	if p.Scale <= 0 {
 		p.Scale = 1
 	}
-	rep, err := spec.Run(experiments.Params{Scale: p.Scale, Seed: p.Seed, Parallel: p.Parallel, Shards: p.Shards})
+	rep, err := spec.Run(experiments.Params{Scale: p.Scale, Seed: p.Seed, Parallel: p.Parallel})
 	if err != nil {
 		return fmt.Errorf("tapas: experiment %s: %w", id, err)
 	}
