@@ -225,3 +225,122 @@ func TestExportFromSpec(t *testing.T) {
 		t.Errorf("stderr %q does not explain the sweep rejection", errOut.String())
 	}
 }
+
+// TestRunExportTable drives runExport through every source and output
+// option: specs (sweeping, replaying, missing), the three presets and an
+// unknown one, the flat VM table, the request log and its rate scale, and
+// unwritable outputs.
+func TestRunExportTable(t *testing.T) {
+	dir := t.TempDir()
+	trace, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "pinned-small.trace.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "pinned.csv"), trace, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replaying := filepath.Join(dir, "replaying.json")
+	if err := os.WriteFile(replaying, []byte(`{"name": "replaying", "layout": {"preset": "small"},
+	  "duration": "20m", "workload": {"trace": "pinned.csv"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	badGrid := filepath.Join(dir, "bad-grid.json")
+	if err := os.WriteFile(badGrid, []byte(`{"name": "bad-grid", "layout": {"preset": "small"},
+	  "duration": "20m", "workload": {"trace": "missing.csv"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sweeping := filepath.Join("..", "..", "examples", "scenarios", "heatwave-sweep.json")
+	out := filepath.Join(dir, "out.csv")
+	vms := filepath.Join(dir, "out.vms.csv")
+	reqs := filepath.Join(dir, "out.requests.csv")
+	noDir := filepath.Join(dir, "no-such-dir", "x.csv")
+	cases := []struct {
+		name                string
+		out, vms, spec, pre string
+		reqs                string
+		scale               float64
+		wantCode            int
+		wantErr             string
+		wantFiles           []string
+	}{
+		{name: "spec with preset", out: out, spec: sweeping, pre: "quick", scale: 1, wantCode: 2, wantErr: "mutually exclusive"},
+		{name: "sweeping spec", out: out, spec: sweeping, scale: 1, wantCode: 2, wantErr: "sweeps axes"},
+		{name: "replaying spec", out: out, spec: replaying, scale: 1, wantCode: 2, wantErr: "already replays a recorded trace"},
+		{name: "missing spec", out: out, spec: filepath.Join(dir, "missing.json"), scale: 1, wantCode: 1, wantErr: "missing.json"},
+		{name: "spec with a missing trace", out: out, spec: badGrid, scale: 1, wantCode: 1, wantErr: "missing.csv"},
+		{name: "default preset", out: out, scale: 1, wantErr: "recorded 73 VMs / 3 endpoints over 20m0s", wantFiles: []string{out}},
+		{name: "preset quick", out: out, pre: "quick", scale: 1, wantErr: "over 20m0s", wantFiles: []string{out}},
+		{name: "preset small", out: out, pre: "small", scale: 1, wantErr: "over 1h0m0s", wantFiles: []string{out}},
+		{name: "preset large", out: out, pre: "large", scale: 1, wantErr: "10 endpoints over 168h0m0s", wantFiles: []string{out}},
+		{name: "unknown preset", out: out, pre: "galactic", scale: 1, wantCode: 2, wantErr: `unknown preset "galactic" (known: quick, small, large)`},
+		{name: "flat VM table", out: out, vms: vms, scale: 1, wantErr: "wrote flat VM table to " + vms, wantFiles: []string{out, vms}},
+		{name: "request log", out: out, reqs: reqs, scale: 0.05, wantErr: "(rate scale 0.05) to " + reqs, wantFiles: []string{out, reqs}},
+		{name: "request scale zero", out: out, reqs: reqs, scale: 0, wantCode: 2, wantErr: "-requests-scale 0 must be positive"},
+		{name: "request scale negative", out: out, reqs: reqs, scale: -1, wantCode: 2, wantErr: "-requests-scale -1 must be positive"},
+		{name: "unwritable trace", out: noDir, scale: 1, wantCode: 1, wantErr: "no-such-dir"},
+		{name: "unwritable VM table", out: out, vms: noDir, scale: 1, wantCode: 1, wantErr: "no-such-dir"},
+		{name: "unwritable request log", out: out, reqs: noDir, scale: 1, wantCode: 1, wantErr: "no-such-dir"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, p := range []string{out, vms, reqs} {
+				os.Remove(p)
+			}
+			var errOut strings.Builder
+			code := runExport(tc.out, tc.vms, tc.spec, tc.pre, 42, tc.reqs, tc.scale, &errOut)
+			if code != tc.wantCode {
+				t.Errorf("exit code %d, want %d (stderr: %s)", code, tc.wantCode, errOut.String())
+			}
+			if !strings.Contains(errOut.String(), tc.wantErr) {
+				t.Errorf("stderr %q does not contain %q", errOut.String(), tc.wantErr)
+			}
+			for _, p := range tc.wantFiles {
+				if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+					t.Errorf("%s not written (%v)", p, err)
+				}
+			}
+		})
+	}
+}
+
+// TestRunTransformTable drives runTransform: missing paths, an inline chain
+// against a chain file, an empty chain, parse and load errors, a missing
+// input trace and an unwritable output.
+func TestRunTransformTable(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join("..", "..", "examples", "scenarios", "pinned-small.trace.csv")
+	chainFile := filepath.Join("..", "..", "examples", "traces", "scale-2x.json")
+	out := filepath.Join(dir, "out.csv")
+	cases := []struct {
+		name, chain, in, out string
+		wantCode             int
+		wantErr              string
+	}{
+		{name: "missing -in", chain: "[]", out: out, wantCode: 2, wantErr: "needs both -in"},
+		{name: "missing -out", chain: "[]", in: in, wantCode: 2, wantErr: "needs both -in"},
+		{name: "inline chain", chain: ` [{"op": "demand_scale", "factor": 2, "seed": 7}]`, in: in, out: out, wantErr: "applied 1-step chain"},
+		{name: "chain file", chain: chainFile, in: in, out: out, wantErr: "applied 2-step chain"},
+		{name: "empty chain", chain: "[]", in: in, out: out, wantCode: 2, wantErr: "chain is empty"},
+		{name: "parse error", chain: `[{"op": "demand_scale", "factor": }]`, in: in, out: out, wantCode: 1, wantErr: "tapas-trace:"},
+		{name: "missing chain file", chain: filepath.Join(dir, "chain.json"), in: in, out: out, wantCode: 1, wantErr: "chain.json"},
+		{name: "missing splice overlay", chain: `[{"op": "splice", "trace": "no-such-overlay.csv"}]`, in: in, out: out, wantCode: 1, wantErr: "no-such-overlay.csv"},
+		{name: "missing input trace", chain: chainFile, in: filepath.Join(dir, "none.csv"), out: out, wantCode: 1, wantErr: "none.csv"},
+		{name: "unwritable output", chain: chainFile, in: in, out: filepath.Join(dir, "no-such-dir", "x.csv"), wantCode: 1, wantErr: "no-such-dir"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			os.Remove(out)
+			var errOut strings.Builder
+			code := runTransform(tc.chain, tc.in, tc.out, &errOut)
+			if code != tc.wantCode {
+				t.Errorf("exit code %d, want %d (stderr: %s)", code, tc.wantCode, errOut.String())
+			}
+			if !strings.Contains(errOut.String(), tc.wantErr) {
+				t.Errorf("stderr %q does not contain %q", errOut.String(), tc.wantErr)
+			}
+			if _, err := os.Stat(out); (err == nil) != (tc.wantCode == 0) {
+				t.Errorf("output written = %v, want %v", err == nil, tc.wantCode == 0)
+			}
+		})
+	}
+}

@@ -93,11 +93,6 @@ type State struct {
 	// Rolling history at HistoryRes for templates and placement prediction,
 	// bounded to HistoryMaxSamples without per-append copying.
 	RowPowerHist []*ring.Ring
-	// ServerInletHist is nil unless EnableServerInletHistory was called:
-	// per-server rings cost O(servers × HistoryMaxSamples) memory and no
-	// policy consumes them, so hyperscale runs keep memory O(active series)
-	// by default.
-	ServerInletHist []*ring.Ring
 	// CustomerPeakLoad tracks the observed peak GPU load fraction per IaaS
 	// customer; EndpointPeakPerVM tracks peak per-VM token demand per
 	// endpoint. Placement uses these as the "same user / same endpoint"
@@ -347,20 +342,6 @@ func (st *State) AisleLimitCFM(aisle int) float64 {
 	return st.DC.Aisles[aisle].ProvAirflowCFM * st.AirflowLimitFrac
 }
 
-// EnableServerInletHistory allocates the per-server inlet-temperature rings.
-// They are off by default — O(servers × HistoryMaxSamples) memory that no
-// built-in policy reads — so only analyses that sample per-server inlet
-// history opt in, before the run starts.
-func (st *State) EnableServerInletHistory() {
-	if st.ServerInletHist != nil {
-		return
-	}
-	st.ServerInletHist = make([]*ring.Ring, len(st.ServerVM))
-	for s := range st.ServerInletHist {
-		st.ServerInletHist[s] = ring.New(HistoryMaxSamples)
-	}
-}
-
 // RecordHistory appends the current telemetry to the rolling history when a
 // full HistoryRes interval has elapsed. Histories are bounded to four weeks.
 func (st *State) RecordHistory(dt time.Duration) {
@@ -371,9 +352,6 @@ func (st *State) RecordHistory(dt time.Duration) {
 	st.histAccum = 0
 	for r := range st.RowPowerHist {
 		st.RowPowerHist[r].Push(st.RowPowerW[r])
-	}
-	for s := range st.ServerInletHist {
-		st.ServerInletHist[s].Push(st.ServerInletC[s])
 	}
 }
 

@@ -196,37 +196,12 @@ func (c *configurator) pick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW,
 	// A quality floor of 1 (the non-emergency case) can only be met by the
 	// precomputed full-quality subset; scanning just it preserves the
 	// goodput ordering while skipping the reduced-quality majority.
-	idx := p.FullQuality
-	if qualityFloor < 1 {
-		idx = nil
+	idx := p.AnyQuality
+	if qualityFloor >= 1 {
+		idx = p.FullQuality
 	}
 	var best *llm.ProfileEntry
-	if idx != nil {
-		for _, i := range idx { // sorted by goodput descending
-			e := &p.Entries[i]
-			if e.Goodput < required {
-				break // all later entries have even less goodput
-			}
-			if !feasible(e) {
-				continue
-			}
-			if best == nil || e.Quality > best.Quality ||
-				(e.Quality == best.Quality && (e.AvgServerPowerW < best.AvgServerPowerW ||
-					(e.AvgServerPowerW == best.AvgServerPowerW && llm.ReconfigTime(cur, e.Config) < llm.ReconfigTime(cur, best.Config)))) {
-				best = e
-			}
-		}
-		if best != nil {
-			return *best, true
-		}
-		for _, i := range idx {
-			if e := &p.Entries[i]; feasible(e) {
-				return *e, true
-			}
-		}
-		return llm.ProfileEntry{}, false
-	}
-	for i := range p.Entries { // sorted by goodput descending
+	for _, i := range idx { // sorted by goodput descending
 		e := &p.Entries[i]
 		if e.Goodput < required {
 			break // all later entries have even less goodput
@@ -248,7 +223,7 @@ func (c *configurator) pick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW,
 	}
 	// Demand cannot be covered within limits: serve as much as possible
 	// with the highest-goodput feasible entry.
-	for i := range p.Entries {
+	for _, i := range idx {
 		if e := &p.Entries[i]; feasible(e) {
 			return *e, true
 		}

@@ -126,14 +126,13 @@ func maxOf(xs []float64) float64 {
 
 // RouteRequest implements sim.RequestRouter. The base variant keeps TAPAS
 // routing. The energy-aware variant minimizes energy subject to the deadline:
-// among the candidates whose projected time-to-first-token (wait already
-// accrued + queued work + own prefill) still fits the TTFT SLO, it picks the
-// lowest queued-work score weighted by the candidate's estimated energy per
-// token (normalized to the most efficient candidate) — so on a heterogeneous
-// fleet requests drift to the efficient generation until its backlog
-// approaches the deadline, never past it. When no candidate fits, energy is
-// irrelevant (the request is late wherever it lands) and routing falls back
-// to plain TAPAS latency damage control.
+// the shared scorer (scoreRequest) weights each candidate's queued work by
+// its estimated energy per token, normalized to the most efficient instance,
+// and admits only candidates whose projected time-to-first-token fits the
+// TTFT SLO — so on a heterogeneous fleet requests drift to the efficient
+// generation until its backlog approaches the deadline, never past it. When
+// no candidate fits, energy is irrelevant (the request is late wherever it
+// lands) and routing falls back to plain TAPAS latency damage control.
 func (g *PowerGov) RouteRequest(st *cluster.State, insts []*cluster.VM, req llm.Request) (int, bool) {
 	if !g.energyAware {
 		return g.TAPAS.RouteRequest(st, insts, req)
@@ -144,49 +143,10 @@ func (g *PowerGov) RouteRequest(st *cluster.State, insts []*cluster.VM, req llm.
 			minJ = j
 		}
 	}
-	// The engine admits at the start of the current tick; st.Now is its end.
-	waited := (st.Now - st.Tick - req.Arrival).Seconds()
-	if waited < 0 {
-		waited = 0
+	if idx, ok := scoreRequest(st, insts, req, affinityDiscount, 1, minJ); ok {
+		return idx, true
 	}
-	throttleC := st.Spec.ThrottleTempC
-	best, bestScore := -1, math.Inf(1)
-	for i, vm := range insts {
-		in := vm.Instance
-		if in.Reloading() {
-			continue
-		}
-		pr := in.PrefillRate()
-		if pr <= 0 {
-			continue
-		}
-		backlog := in.DemandSeconds()
-		if waited+backlog+float64(req.PromptTokens)/pr > in.SLOs.TTFT.Seconds() {
-			continue // this instance would already blow the deadline
-		}
-		// Queued seconds of work, weighted by relative energy per token; the
-		// +1s bias keeps the efficiency preference decisive between idle
-		// instances, where backlog alone degenerates to zero for everyone.
-		score := (backlog + 1) * energyPerTokenEst(st, vm) / minJ
-		if in.HasAffinity(req.Customer) {
-			score *= affinityDiscount
-		}
-		srv := st.DC.Servers[vm.Server]
-		rowUse := st.RowPowerW[srv.Row] / (st.Budget.RowLimitW(srv.Row) + 1)
-		aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
-		tempUse := st.ServerHotGPUTempC[vm.Server] / (throttleC - 2)
-		if headroomOf(rowUse, aisleUse, tempUse) <= 0 {
-			score += unsafePenaltySecs
-		}
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if best < 0 {
-		// No candidate meets the deadline: fall back to TAPAS routing.
-		return g.TAPAS.RouteRequest(st, insts, req)
-	}
-	return best, true
+	return g.TAPAS.RouteRequest(st, insts, req)
 }
 
 // energyPerTokenEst estimates an instance's marginal serving cost in joules

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
+
 	"github.com/tapas-sim/tapas/internal/cluster"
+	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/trace"
 )
 
@@ -49,7 +52,6 @@ func (r *router) route(st *cluster.State, ep trace.EndpointSpec, prompt, output 
 	if len(insts) == 0 {
 		return
 	}
-	throttleC := st.Spec.ThrottleTempC
 	tickSecs := st.Tick.Seconds()
 	scoredInsts := r.scored[:0]
 	aggCap := 0.0 // serving capacity of instances with any headroom
@@ -59,11 +61,7 @@ func (r *router) route(st *cluster.State, ep trace.EndpointSpec, prompt, output 
 			scoredInsts = append(scoredInsts, routeScored{vm: vm, hash: routeHash(ep.ID, vm.Server)})
 			continue
 		}
-		srv := st.DC.Servers[vm.Server]
-		rowUse := st.RowPowerW[srv.Row] / (st.Budget.RowLimitW(srv.Row) + 1)
-		aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
-		tempUse := st.ServerHotGPUTempC[vm.Server] / (throttleC - 2)
-		head := headroomOf(rowUse, aisleUse, tempUse)
+		head := serverHeadroom(st, vm.Server)
 		capTokens := 0.0
 		if g, ok := in.ConfigGoodput(st.ProfileFor(vm.Server)); ok {
 			capTokens = g * tickSecs
@@ -185,10 +183,16 @@ func (r *router) route(st *cluster.State, ep trace.EndpointSpec, prompt, output 
 	}
 }
 
-// headroomOf folds the three limit utilizations into one headroom score:
-// 0 when any limit sits beyond the risk gate, otherwise the smallest
-// normalized distance to the gate.
-func headroomOf(rowUse, aisleUse, tempUse float64) float64 {
+// serverHeadroom folds a server's three limit utilizations (its row's power,
+// its aisle's airflow and its hottest GPU's temperature) into one headroom
+// score: 0 when any limit sits beyond the risk gate, otherwise the smallest
+// normalized distance to the gate. Binned routing and the request scorer
+// both read it.
+func serverHeadroom(st *cluster.State, id int) float64 {
+	srv := st.DC.Servers[id]
+	rowUse := st.RowPowerW[srv.Row] / (st.Budget.RowLimitW(srv.Row) + 1)
+	aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
+	tempUse := st.ServerHotGPUTempC[id] / (st.Spec.ThrottleTempC - 2)
 	head := 1.0
 	for _, use := range [3]float64{rowUse, aisleUse, tempUse} {
 		if use >= riskGate {
@@ -199,6 +203,61 @@ func headroomOf(rowUse, aisleUse, tempUse float64) float64 {
 		}
 	}
 	return head
+}
+
+// scoreRequest is the request-level scorer every policy family shares: it
+// returns the instance with the lowest score, the first on ties, and false
+// when no instance qualifies. Reloading instances never qualify. An
+// instance's score is its queued seconds of work; with an energy normalizer
+// minJ > 0 it is (work + 1 s) × energy per token / minJ instead, where the
+// +1 s keeps the efficiency preference decisive between idle instances.
+// Instances already holding the customer's KV-cache state have the score
+// scaled by affinity, and instances without thermal/power headroom pay
+// unsafePenaltySecs.
+//
+// A slack > 0 also admits only instances whose projected time-to-first-token
+// fits slack × TTFT SLO: the wait the request has already accrued since
+// arrival (the engine routes at tick start, so a request arriving just after
+// a boundary carries most of a tick on the clock before any instance sees
+// it), the queued work ahead of it and its own prefill time. Instances that
+// cannot prefill never fit. Slack 0 admits every instance, including those.
+func scoreRequest(st *cluster.State, insts []*cluster.VM, req llm.Request, affinity, slack, minJ float64) (int, bool) {
+	// The engine admits at the start of the current tick; st.Now is its end.
+	waited := (st.Now - st.Tick - req.Arrival).Seconds()
+	if waited < 0 {
+		waited = 0
+	}
+	best, bestScore := -1, math.Inf(1)
+	for i, vm := range insts {
+		in := vm.Instance
+		if in.Reloading() {
+			continue
+		}
+		backlog := in.DemandSeconds()
+		if slack > 0 {
+			pr := in.PrefillRate()
+			if pr <= 0 || waited+backlog+float64(req.PromptTokens)/pr > slack*in.SLOs.TTFT.Seconds() {
+				continue // this instance would already blow the deadline
+			}
+		}
+		score := backlog
+		if minJ > 0 {
+			score = (backlog + 1) * energyPerTokenEst(st, vm) / minJ
+		}
+		if in.HasAffinity(req.Customer) {
+			score *= affinity
+		}
+		if serverHeadroom(st, vm.Server) <= 0 {
+			score += unsafePenaltySecs
+		}
+		if score < bestScore {
+			best, bestScore = i, score
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return best, true
 }
 
 // consolidationSort stably orders instance indexes for the low-load regime:

@@ -1,0 +1,526 @@
+package core
+
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/tapas-sim/tapas/internal/cluster"
+	"github.com/tapas-sim/tapas/internal/layout"
+	"github.com/tapas-sim/tapas/internal/llm"
+	"github.com/tapas-sim/tapas/internal/trace"
+)
+
+// The functions below are the request decisions and the configurator scan
+// as they stood before the policy families shared scoreRequest,
+// serverHeadroom and one pick scan: three copies of the request loop, four
+// of the headroom signal and two of the scan. They are the oracle the merged
+// code must match decision for decision.
+
+// oracleHeadroom is the headroom signal each pre-merge loop computed inline
+// (and binned routing too), with the same operands in the same order.
+func oracleHeadroom(st *cluster.State, id int, throttleC float64) float64 {
+	srv := st.DC.Servers[id]
+	rowLimitW := st.Budget.RowLimitW(srv.Row)
+	rowUse := st.RowPowerW[srv.Row] / (rowLimitW + 1)
+	aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
+	tempUse := st.ServerHotGPUTempC[id] / (throttleC - 2)
+	head := 1.0
+	for _, use := range [3]float64{rowUse, aisleUse, tempUse} {
+		if use >= riskGate {
+			return 0
+		}
+		if h := (riskGate - use) / riskGate; h < head {
+			head = h
+		}
+	}
+	return head
+}
+
+func oracleTAPASRoute(t *TAPAS, st *cluster.State, insts []*cluster.VM, req llm.Request) (int, bool) {
+	if !t.opts.Route {
+		return 0, false
+	}
+	throttleC := st.Spec.ThrottleTempC
+	best, bestScore := -1, math.Inf(1)
+	for i, vm := range insts {
+		in := vm.Instance
+		if in.Reloading() {
+			continue
+		}
+		score := in.DemandSeconds()
+		if in.HasAffinity(req.Customer) {
+			score *= affinityDiscount
+		}
+		if oracleHeadroom(st, vm.Server, throttleC) <= 0 {
+			score += unsafePenaltySecs
+		}
+		if score < bestScore {
+			best, bestScore = i, score
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return best, true
+}
+
+func oracleSLOAdmit(s *SLO, st *cluster.State, insts []*cluster.VM, req llm.Request) (int, bool) {
+	throttleC := st.Spec.ThrottleTempC
+	waited := (st.Now - st.Tick - req.Arrival).Seconds()
+	if waited < 0 {
+		waited = 0
+	}
+	best, bestScore := -1, math.Inf(1)
+	for i, vm := range insts {
+		in := vm.Instance
+		if in.Reloading() {
+			continue
+		}
+		pr := in.PrefillRate()
+		if pr <= 0 {
+			continue
+		}
+		backlog := in.DemandSeconds()
+		projTTFT := waited + backlog + float64(req.PromptTokens)/pr
+		if projTTFT > s.admissionSlack*in.SLOs.TTFT.Seconds() {
+			continue
+		}
+		score := backlog
+		if in.HasAffinity(req.Customer) {
+			score *= s.affinityWeight
+		}
+		if oracleHeadroom(st, vm.Server, throttleC) <= 0 {
+			score += unsafePenaltySecs
+		}
+		if score < bestScore {
+			best, bestScore = i, score
+		}
+	}
+	if best < 0 {
+		return 0, false
+	}
+	return best, true
+}
+
+func oraclePowerGovRoute(g *PowerGov, st *cluster.State, insts []*cluster.VM, req llm.Request) (int, bool) {
+	if !g.energyAware {
+		return oracleTAPASRoute(g.TAPAS, st, insts, req)
+	}
+	minJ := math.Inf(1)
+	for _, vm := range insts {
+		if j := energyPerTokenEst(st, vm); j < minJ {
+			minJ = j
+		}
+	}
+	waited := (st.Now - st.Tick - req.Arrival).Seconds()
+	if waited < 0 {
+		waited = 0
+	}
+	throttleC := st.Spec.ThrottleTempC
+	best, bestScore := -1, math.Inf(1)
+	for i, vm := range insts {
+		in := vm.Instance
+		if in.Reloading() {
+			continue
+		}
+		pr := in.PrefillRate()
+		if pr <= 0 {
+			continue
+		}
+		backlog := in.DemandSeconds()
+		if waited+backlog+float64(req.PromptTokens)/pr > in.SLOs.TTFT.Seconds() {
+			continue
+		}
+		score := (backlog + 1) * energyPerTokenEst(st, vm) / minJ
+		if in.HasAffinity(req.Customer) {
+			score *= affinityDiscount
+		}
+		if oracleHeadroom(st, vm.Server, throttleC) <= 0 {
+			score += unsafePenaltySecs
+		}
+		if score < bestScore {
+			best, bestScore = i, score
+		}
+	}
+	if best < 0 {
+		return oracleTAPASRoute(g.TAPAS, st, insts, req)
+	}
+	return best, true
+}
+
+func oraclePick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW, qualityFloor, required float64, reloadOK bool) (llm.ProfileEntry, bool) {
+	feasible := func(e *llm.ProfileEntry) bool {
+		return e.Goodput > 0 && e.Quality >= qualityFloor &&
+			e.PeakGPUPowerFrac <= maxFrac && e.PeakServerPowerW <= maxServerW &&
+			(reloadOK || llm.ReconfigTime(cur, e.Config) == 0)
+	}
+	idx := p.FullQuality
+	if qualityFloor < 1 {
+		idx = nil
+	}
+	var best *llm.ProfileEntry
+	if idx != nil {
+		for _, i := range idx {
+			e := &p.Entries[i]
+			if e.Goodput < required {
+				break
+			}
+			if !feasible(e) {
+				continue
+			}
+			if best == nil || e.Quality > best.Quality ||
+				(e.Quality == best.Quality && (e.AvgServerPowerW < best.AvgServerPowerW ||
+					(e.AvgServerPowerW == best.AvgServerPowerW && llm.ReconfigTime(cur, e.Config) < llm.ReconfigTime(cur, best.Config)))) {
+				best = e
+			}
+		}
+		if best != nil {
+			return *best, true
+		}
+		for _, i := range idx {
+			if e := &p.Entries[i]; feasible(e) {
+				return *e, true
+			}
+		}
+		return llm.ProfileEntry{}, false
+	}
+	for i := range p.Entries {
+		e := &p.Entries[i]
+		if e.Goodput < required {
+			break
+		}
+		if !feasible(e) {
+			continue
+		}
+		if best == nil || e.Quality > best.Quality ||
+			(e.Quality == best.Quality && (e.AvgServerPowerW < best.AvgServerPowerW ||
+				(e.AvgServerPowerW == best.AvgServerPowerW && llm.ReconfigTime(cur, e.Config) < llm.ReconfigTime(cur, best.Config)))) {
+			best = e
+		}
+	}
+	if best != nil {
+		return *best, true
+	}
+	for i := range p.Entries {
+		if e := &p.Entries[i]; feasible(e) {
+			return *e, true
+		}
+	}
+	return llm.ProfileEntry{}, false
+}
+
+// oracleFleet is one random fleet: a layout of two GPU generations (A100
+// aisle and H100 aisle) with its workload, rebuilt into a fresh cluster
+// state per round.
+type oracleFleet struct {
+	dc *layout.Datacenter
+	w  *trace.Workload
+}
+
+func newOracleFleet(t *testing.T) oracleFleet {
+	t.Helper()
+	cfg := layout.SmallConfig()
+	cfg.Aisles, cfg.MixGPU, cfg.MixFraction = 2, layout.H100, 0.5
+	dc, err := layout.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dc.Heterogeneous() {
+		t.Fatal("oracle fleet must mix GPU generations")
+	}
+	w, err := trace.Generate(trace.WorkloadConfig{
+		Servers: len(dc.Servers), SaaSFraction: 0.6,
+		Duration: 24 * time.Hour, Endpoints: 3, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oracleFleet{dc: dc, w: w}
+}
+
+// round places up to n SaaS instances on random servers of a fresh
+// state and randomizes what the request decisions read: reloading and
+// zero-prefill-rate instances, backlogs from idle (tied) to past the TTFT
+// SLO in both fluid and request-queue mode, KV affinity, and row power,
+// aisle airflow and hot-GPU temperature on both sides of the risk gate —
+// some exactly on it.
+func (f oracleFleet) round(t *testing.T, rng *rand.Rand, n int) (*cluster.State, []*cluster.VM) {
+	t.Helper()
+	st := cluster.NewState(f.dc, f.w)
+	st.Tick = []time.Duration{time.Second, 5 * time.Second}[rng.IntN(2)]
+	st.Now = time.Duration(10+rng.IntN(100)) * st.Tick
+	var saas []int
+	for i, vm := range st.VMs {
+		if vm.Spec.Kind == trace.SaaS {
+			saas = append(saas, i)
+		}
+	}
+	rng.Shuffle(len(saas), func(i, j int) { saas[i], saas[j] = saas[j], saas[i] })
+	servers := rng.Perm(len(f.dc.Servers))
+	if n > len(saas) {
+		n = len(saas)
+	}
+	ttft := st.SLOs.TTFT.Seconds()
+	insts := make([]*cluster.VM, 0, n)
+	for k := 0; k < n; k++ {
+		if err := st.Place(saas[k], servers[k]); err != nil {
+			t.Fatal(err)
+		}
+		vm := st.VMs[saas[k]]
+		in := vm.Instance
+		cfg := in.Config
+		switch r := rng.IntN(10); {
+		case r == 0:
+			cfg.Model = llm.Llama13B // a reload-class change: reloading
+		case r == 1:
+			cfg.FreqFrac = 0 // a free change that zeroes the prefill rate
+		case r < 5:
+			cfg.FreqFrac = []float64{0.9, 0.65, 0.5}[rng.IntN(3)]
+			cfg.MaxBatch = []int{64, 16, 4}[rng.IntN(3)]
+		}
+		in.Reconfigure(cfg)
+		if rng.IntN(2) == 0 {
+			in.AttachQueue(st.Now - st.Tick)
+		}
+		if rng.IntN(10) >= 3 { // otherwise idle: a tied zero backlog
+			secs := rng.Float64() * 2.5 * ttft
+			prompt := secs * math.Max(in.PrefillRate(), 1) / 2
+			if q := in.Queue(); q != nil {
+				for m := 0; m < 1+rng.IntN(4); m++ {
+					in.EnqueueRequest(llm.Request{
+						ID: int64(m), Customer: rng.IntN(6),
+						PromptTokens: int(prompt) / 2, OutputTokens: 1 + rng.IntN(200),
+					})
+				}
+			} else {
+				in.EnqueueBulk(prompt, prompt/4)
+			}
+		}
+		for c := 0; c < 5; c++ {
+			if rng.IntN(4) == 0 {
+				in.Touch(c)
+			}
+		}
+		insts = append(insts, vm)
+	}
+	over := 1.05
+	if rng.IntN(8) == 0 {
+		over = 1.3 // every limit may bind: the unsafe penalty decides
+	}
+	for row := range st.RowPowerW {
+		st.RowPowerW[row] = (st.Budget.RowLimitW(row) + 1) * (0.3 + rng.Float64()*(over-0.3))
+	}
+	for a := range st.AisleDemandCFM {
+		st.AisleDemandCFM[a] = (st.AisleLimitCFM(a) + 1) * (0.3 + rng.Float64()*(over-0.3))
+	}
+	gate := st.Spec.ThrottleTempC - 2
+	for id := range st.ServerHotGPUTempC {
+		st.ServerHotGPUTempC[id] = gate * (0.5 + rng.Float64()*(over-0.5))
+		if rng.IntN(12) == 0 {
+			st.ServerHotGPUTempC[id] = onGate(gate)
+		}
+	}
+	return st, insts
+}
+
+// onGate returns a temperature whose utilization tempC/gate is exactly
+// riskGate, the boundary at which a server's headroom reaches 0.
+func onGate(gate float64) float64 {
+	tc := riskGate * gate
+	for tc/gate < riskGate {
+		tc = math.Nextafter(tc, math.Inf(1))
+	}
+	for tc/gate > riskGate {
+		tc = math.Nextafter(tc, math.Inf(-1))
+	}
+	return tc
+}
+
+// oracleRequest draws a request: customers with and without affinity,
+// arrivals from well before the tick (the projected TTFT past slack × SLO)
+// to inside it (the accrued wait clamps to 0), prompts from empty to four
+// times the mean. One in eight lands exactly on the admission boundary of
+// an idle instance at slack 1 or 2: an empty prompt that has waited exactly
+// slack × TTFT SLO.
+func oracleRequest(rng *rand.Rand, st *cluster.State) llm.Request {
+	tickStart := st.Now - st.Tick
+	req := llm.Request{ID: rng.Int64(), Customer: rng.IntN(6), OutputTokens: 1 + rng.IntN(300)}
+	if rng.IntN(8) == 0 {
+		req.Arrival = tickStart - time.Duration(1+rng.IntN(2))*st.SLOs.TTFT
+		return req
+	}
+	span := st.Tick + 2*st.SLOs.TTFT
+	req.Arrival = st.Now - time.Duration(rng.Int64N(int64(span)))
+	if rng.IntN(6) > 0 {
+		req.PromptTokens = rng.IntN(4096)
+	}
+	return req
+}
+
+// TestRequestScorerMatchesOracle pins the shared request scorer against the
+// three loops it replaced: on random mixed-generation fleets every TAPAS,
+// SLO (slack 0.5, 1, 2 × affinity 0.25, 0.5, 1), PowerGov and
+// PowerGov-Energy decision must equal the oracle's (idx, ok). Counters
+// check that the random cases reach every branch the merge touched.
+func TestRequestScorerMatchesOracle(t *testing.T) {
+	f := newOracleFleet(t)
+	rng := rand.New(rand.NewPCG(17, 29))
+	tapas, noRoute := NewFull(), New(Options{Place: true, Config: true})
+	pg, pge := NewPowerGov(false), NewPowerGov(true)
+	var slos []*SLO
+	for _, slack := range []float64{0.5, 1, 2} {
+		for _, aff := range []float64{0.25, 0.5, 1} {
+			s := NewSLO(slack == 1)
+			s.TuneSLO(aff, slack)
+			slos = append(slos, s)
+		}
+	}
+	seen := map[string]int{}
+	for round := 0; round < 300; round++ {
+		st, insts := f.round(t, rng, 1+rng.IntN(16))
+		for r := 0; r < 25; r++ {
+			req := oracleRequest(rng, st)
+			if st.Now-st.Tick < req.Arrival {
+				seen["late arrival"]++
+			}
+			check := func(name string, got, want func() (int, bool)) (int, bool) {
+				t.Helper()
+				gi, gok := got()
+				wi, wok := want()
+				if gi != wi || gok != wok {
+					t.Fatalf("round %d request %d: %s = (%d, %v), oracle (%d, %v)", round, r, name, gi, gok, wi, wok)
+				}
+				return gi, gok
+			}
+			idx, ok := check("TAPAS", func() (int, bool) { return tapas.RouteRequest(st, insts, req) },
+				func() (int, bool) { return oracleTAPASRoute(tapas, st, insts, req) })
+			if !ok {
+				seen["TAPAS defers"]++
+			} else {
+				seen["TAPAS routes"]++
+				if insts[idx].Instance.PrefillRate() <= 0 {
+					seen["TAPAS picks a zero-rate instance"]++
+				}
+				if serverHeadroom(st, insts[idx].Server) <= 0 {
+					seen["TAPAS picks an unsafe server"]++
+				}
+			}
+			check("TAPAS without Route", func() (int, bool) { return noRoute.RouteRequest(st, insts, req) },
+				func() (int, bool) { return oracleTAPASRoute(noRoute, st, insts, req) })
+			check("PowerGov", func() (int, bool) { return pg.RouteRequest(st, insts, req) },
+				func() (int, bool) { return oraclePowerGovRoute(pg, st, insts, req) })
+			check("PowerGov-Energy", func() (int, bool) { return pge.RouteRequest(st, insts, req) },
+				func() (int, bool) { return oraclePowerGovRoute(pge, st, insts, req) })
+			// Energy weights never change eligibility, so the deadline
+			// filter alone tells whether PowerGov-Energy scored or fell back.
+			if _, ok := scoreRequest(st, insts, req, affinityDiscount, 1, 0); ok {
+				seen["PowerGov-Energy scores"]++
+			} else {
+				seen["PowerGov-Energy falls back"]++
+			}
+			for _, s := range slos {
+				_, admit := check(s.Name(), func() (int, bool) { return s.AdmitRequest(st, insts, req) },
+					func() (int, bool) { return oracleSLOAdmit(s, st, insts, req) })
+				if admit {
+					seen["SLO admits"]++
+				} else {
+					seen["SLO sheds"]++
+				}
+			}
+		}
+	}
+	for _, k := range []string{"late arrival", "TAPAS defers", "TAPAS routes", "TAPAS picks a zero-rate instance",
+		"TAPAS picks an unsafe server", "PowerGov-Energy scores", "PowerGov-Energy falls back", "SLO admits", "SLO sheds"} {
+		if seen[k] == 0 {
+			t.Errorf("no random case reached %q", k)
+		}
+	}
+	t.Logf("branch counts: %v", seen)
+}
+
+// TestPickMatchesOracle pins the single configurator scan against the two
+// scans it replaced, on both generations' profiles: quality floors 1 and
+// 0.6, gated and ungated reloads, required demand from 0 through exact
+// entry goodputs to +Inf, and limits drawn around (and exactly at) the
+// entries' peak power. A tied copy of each profile rounds average power to
+// 250 W steps, so the cheapest-reconfiguration tie-break decides too.
+func TestPickMatchesOracle(t *testing.T) {
+	c := newConfigurator(nil)
+	rng := rand.New(rand.NewPCG(31, 37))
+	seen := map[string]int{}
+	var profiles []*llm.Profile
+	for _, m := range []layout.GPUModel{layout.A100, layout.H100} {
+		p := llm.BuildProfile(layout.Spec(m), llm.DefaultWorkload())
+		tied := *p
+		tied.Entries = slices.Clone(p.Entries)
+		for i := range tied.Entries {
+			tied.Entries[i].AvgServerPowerW = math.Round(tied.Entries[i].AvgServerPowerW/250) * 250
+		}
+		profiles = append(profiles, p, &tied)
+	}
+	for _, p := range profiles {
+		n := len(p.Entries)
+		for k := 0; k < 20000; k++ {
+			cur := p.Entries[rng.IntN(n)].Config
+			e := &p.Entries[rng.IntN(n)]
+			maxFrac, maxServerW := e.PeakGPUPowerFrac, e.PeakServerPowerW
+			if rng.IntN(3) > 0 {
+				maxFrac = 0.2 + rng.Float64()*0.9
+				maxServerW = p.Spec.ServerTDPW * (0.2 + rng.Float64()*0.9)
+			}
+			qualityFloor := []float64{1, emergencyQualityFloor}[rng.IntN(2)]
+			required := []float64{math.Inf(1), 0, p.Entries[rng.IntN(n)].Goodput, rng.Float64() * 1.1 * p.Entries[0].Goodput}[rng.IntN(4)]
+			reloadOK := rng.IntN(2) == 0
+			got, gok := c.pick(p, cur, maxFrac, maxServerW, qualityFloor, required, reloadOK)
+			want, wok := oraclePick(p, cur, maxFrac, maxServerW, qualityFloor, required, reloadOK)
+			if got != want || gok != wok {
+				t.Fatalf("pick(cur %v, frac %v, server %v W, floor %v, required %v, reload %v) = %v (%v), oracle %v (%v)",
+					cur, maxFrac, maxServerW, qualityFloor, required, reloadOK, got.Config, gok, want.Config, wok)
+			}
+			outcome := "none"
+			switch {
+			case gok && got.Goodput >= required:
+				outcome = "covers demand"
+			case gok:
+				outcome = "falls back"
+			}
+			seen[outcome+" at floor "+map[bool]string{true: "1", false: "0.6"}[qualityFloor == 1]+map[bool]string{true: "", false: ", gated"}[reloadOK]]++
+		}
+	}
+	for _, floor := range []string{"1", "0.6"} {
+		for _, gate := range []string{"", ", gated"} {
+			for _, outcome := range []string{"covers demand", "falls back", "none"} {
+				if k := outcome + " at floor " + floor + gate; seen[k] == 0 {
+					t.Errorf("no random case reached %q", k)
+				}
+			}
+		}
+	}
+	t.Logf("outcome counts: %v", seen)
+}
+
+// TestRequestDecisionsAllocFree pins that every policy's request decision
+// and the configurator scan stay off the heap.
+func TestRequestDecisionsAllocFree(t *testing.T) {
+	f := newOracleFleet(t)
+	rng := rand.New(rand.NewPCG(41, 43))
+	st, insts := f.round(t, rng, 16)
+	req := llm.Request{Customer: 1, PromptTokens: 1024, OutputTokens: 256, Arrival: st.Now - st.Tick}
+	tapas, slo, pg, pge := NewFull(), NewSLO(true), NewPowerGov(false), NewPowerGov(true)
+	c := newConfigurator(nil)
+	p := llm.BuildProfile(layout.Spec(layout.A100), llm.DefaultWorkload())
+	for name, decide := range map[string]func(){
+		"TAPAS":           func() { tapas.RouteRequest(st, insts, req) },
+		"SLO":             func() { slo.AdmitRequest(st, insts, req) },
+		"PowerGov":        func() { pg.RouteRequest(st, insts, req) },
+		"PowerGov-Energy": func() { pge.RouteRequest(st, insts, req) },
+		"pick":            func() { c.pick(p, llm.DefaultConfig(), 0.8, 5000, 1, math.Inf(1), false) },
+	} {
+		if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per decision, want 0", name, allocs)
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"github.com/tapas-sim/tapas/internal/cluster"
 	"github.com/tapas-sim/tapas/internal/llm"
 )
@@ -71,54 +69,11 @@ func (s *SLO) QueueDiscipline() llm.Discipline {
 	return llm.FIFO
 }
 
-// AdmitRequest implements sim.RequestAdmitter. Each candidate instance gets
-// the TAPAS routing score (queued work, affinity-discounted, unsafe-
-// penalized) plus a projected TTFT: the wait the request has already accrued
-// since arrival (the engine routes at tick start, so a request arriving just
-// after a boundary carries most of a tick on the clock before any instance
-// sees it), the queued seconds of work ahead of it, and its own prefill
-// time. The request goes to the best-scoring instance whose projection fits
-// slack × TTFT SLO; when none does — every candidate is overloaded or
-// reloading, or the request is already too old — it is shed.
+// AdmitRequest implements sim.RequestAdmitter with the shared request
+// scorer (scoreRequest): the TAPAS routing score (queued work, discounted by
+// the affinity weight, unsafe-penalized) among the instances whose projected
+// TTFT fits slack × TTFT SLO. When none fits — every candidate is
+// overloaded or reloading, or the request is already too old — it is shed.
 func (s *SLO) AdmitRequest(st *cluster.State, insts []*cluster.VM, req llm.Request) (int, bool) {
-	throttleC := st.Spec.ThrottleTempC
-	// The engine admits at the start of the current tick; st.Now is its end.
-	waited := (st.Now - st.Tick - req.Arrival).Seconds()
-	if waited < 0 {
-		waited = 0
-	}
-	best, bestScore := -1, math.Inf(1)
-	for i, vm := range insts {
-		in := vm.Instance
-		if in.Reloading() {
-			continue
-		}
-		pr := in.PrefillRate()
-		if pr <= 0 {
-			continue
-		}
-		backlog := in.DemandSeconds()
-		projTTFT := waited + backlog + float64(req.PromptTokens)/pr
-		if projTTFT > s.admissionSlack*in.SLOs.TTFT.Seconds() {
-			continue // this instance would already blow the deadline
-		}
-		score := backlog
-		if in.HasAffinity(req.Customer) {
-			score *= s.affinityWeight
-		}
-		srv := st.DC.Servers[vm.Server]
-		rowUse := st.RowPowerW[srv.Row] / (st.Budget.RowLimitW(srv.Row) + 1)
-		aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
-		tempUse := st.ServerHotGPUTempC[vm.Server] / (throttleC - 2)
-		if headroomOf(rowUse, aisleUse, tempUse) <= 0 {
-			score += unsafePenaltySecs
-		}
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if best < 0 {
-		return 0, false // no instance can meet the deadline: shed
-	}
-	return best, true
+	return scoreRequest(st, insts, req, s.affinityWeight, s.admissionSlack, 0)
 }

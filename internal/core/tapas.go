@@ -136,38 +136,14 @@ const unsafePenaltySecs = 1e6
 // RouteRequest implements sim.RequestRouter for request-level replay. With
 // the Route lever active, requests prefer instances already serving the same
 // customer (KV-cache affinity) and avoid instances whose server lacks
-// thermal or power headroom — the same signals the fluid token router uses.
-// With the lever off it defers to the engine's least-queued-work default.
+// thermal or power headroom — the same signals the fluid token router uses
+// (scoreRequest, with no deadline filter). With the lever off, or when every
+// instance is reloading, it defers to the engine's least-queued-work default.
 func (t *TAPAS) RouteRequest(st *cluster.State, insts []*cluster.VM, req llm.Request) (int, bool) {
 	if !t.opts.Route {
 		return 0, false
 	}
-	throttleC := st.Spec.ThrottleTempC
-	best, bestScore := -1, math.Inf(1)
-	for i, vm := range insts {
-		in := vm.Instance
-		if in.Reloading() {
-			continue
-		}
-		score := in.DemandSeconds()
-		if in.HasAffinity(req.Customer) {
-			score *= affinityDiscount
-		}
-		srv := st.DC.Servers[vm.Server]
-		rowUse := st.RowPowerW[srv.Row] / (st.Budget.RowLimitW(srv.Row) + 1)
-		aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
-		tempUse := st.ServerHotGPUTempC[vm.Server] / (throttleC - 2)
-		if headroomOf(rowUse, aisleUse, tempUse) <= 0 {
-			score += unsafePenaltySecs
-		}
-		if score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if best < 0 {
-		return 0, false // every instance reloading; engine default applies
-	}
-	return best, true
+	return scoreRequest(st, insts, req, affinityDiscount, 0, 0)
 }
 
 // Configure implements sim.Policy. Besides the Instance Configurator it
@@ -357,17 +333,5 @@ func (t *TAPAS) selectiveCap(st *cluster.State, ids []int, shedW float64) {
 	freqScale := math.Pow(factor, 1/power.DVFSExponent)
 	for _, id := range saas {
 		st.ServerFreqCap[id] = math.Max(minFreqCap, st.ServerFreqCap[id]*freqScale)
-	}
-}
-
-// ResetOverruns clears every consecutive-violation counter at once. The
-// per-tick decay in Configure (decayOverruns) keeps long runs correct on its
-// own; this remains for embedders that reset a policy between episodes.
-func (t *TAPAS) ResetOverruns() {
-	for i := range t.rowOverRuns {
-		t.rowOverRuns[i] = 0
-	}
-	for i := range t.aisleOverRuns {
-		t.aisleOverRuns[i] = 0
 	}
 }

@@ -247,19 +247,3 @@ func TestOverrunCountersRecoverOnLongHorizons(t *testing.T) {
 		t.Fatal("sustained violation must still cap after recovery")
 	}
 }
-
-func TestResetOverruns(t *testing.T) {
-	pol := NewFull()
-	_ = runSmall(t, pol, func(sc *sim.Scenario) { sc.Oversubscribe = 0.4 })
-	pol.ResetOverruns()
-	for _, v := range pol.rowOverRuns {
-		if v != 0 {
-			t.Fatal("rowOverRuns not reset")
-		}
-	}
-	for _, v := range pol.aisleOverRuns {
-		if v != 0 {
-			t.Fatal("aisleOverRuns not reset")
-		}
-	}
-}

@@ -120,20 +120,6 @@ func (in *Instance) PrefillRate() float64 { return in.prefillRate }
 // cached by refreshRates.
 func (in *Instance) DecodeRate() float64 { return in.decodeRate }
 
-// Enqueue adds a request's tokens to the instance queues.
-func (in *Instance) Enqueue(req Request) {
-	in.enqueuedTokens += float64(req.TotalTokens())
-	in.pendingPrefill += float64(req.PromptTokens)
-	// Output tokens become decode work once their prompt is prefilled; the
-	// fluid model moves them over proportionally, so track the ratio.
-	if req.PromptTokens > 0 {
-		// Exponentially smooth the ratio toward the live mix.
-		r := float64(req.OutputTokens) / float64(req.PromptTokens)
-		in.outputRatio = 0.95*in.outputRatio + 0.05*r
-	}
-	in.Touch(req.Customer)
-}
-
 // EnqueueBulk adds aggregate token demand directly (used when the trace
 // provides per-tick totals rather than individual requests).
 func (in *Instance) EnqueueBulk(promptTokens, outputTokens float64) {
@@ -331,16 +317,6 @@ func (in *Instance) GPUPowerFrac() float64 {
 	busy := in.BusyFrac*in.PrefillShare*in.prefillFrac +
 		in.BusyFrac*(1-in.PrefillShare)*in.decodeFrac
 	return units.Clamp01(busy + (1-in.BusyFrac)*idleFrac)
-}
-
-// MemIntensityNow returns the current blended memory intensity for HBM
-// temperature modelling.
-func (in *Instance) MemIntensityNow() float64 {
-	if in.BusyFrac == 0 {
-		return 0
-	}
-	return in.PrefillShare*MemIntensity(Prefill, in.Config) +
-		(1-in.PrefillShare)*MemIntensity(Decode, in.Config)
 }
 
 // ActiveGPUs returns how many of the server's GPUs this instance drives.

@@ -28,7 +28,8 @@ func TestInstanceIdleStep(t *testing.T) {
 
 func TestInstanceServesQueue(t *testing.T) {
 	in := newTestInstance()
-	in.Enqueue(Request{ID: 1, Customer: 7, PromptTokens: 1024, OutputTokens: 256})
+	in.EnqueueBulk(1024, 256)
+	in.Touch(7)
 	in.Step(time.Minute)
 	if in.ServedTokens <= 0 {
 		t.Fatal("instance served nothing")
@@ -132,19 +133,6 @@ func TestInstanceQualityAccounting(t *testing.T) {
 	fresh.Reconfigure(cfg)
 	if q := fresh.AvgQuality(); q >= 1 {
 		t.Errorf("7B config quality = %v, want < 1", q)
-	}
-}
-
-func TestInstanceMemIntensityTracksPhase(t *testing.T) {
-	in := newTestInstance()
-	if in.MemIntensityNow() != 0 {
-		t.Error("idle instance mem intensity must be 0")
-	}
-	in.EnqueueBulk(100000, 25000)
-	in.Step(time.Minute)
-	mi := in.MemIntensityNow()
-	if mi <= 0 || mi > 1 {
-		t.Errorf("busy mem intensity = %v, want in (0,1]", mi)
 	}
 }
 

@@ -40,8 +40,10 @@ type Profile struct {
 	// ordering) whose Quality is at least 1 — the only entries that can pass
 	// a quality floor of 1, which is what the Instance Configurator requires
 	// outside emergencies. Scanning just these skips the reduced-quality
-	// majority of the table on the common path.
+	// majority of the table on the common path. AnyQuality lists every
+	// position in goodput order, the list scanned under a lower floor.
 	FullQuality []int
+	AnyQuality  []int
 }
 
 // BuildProfile characterizes every valid configuration, computing the data
@@ -60,8 +62,10 @@ func BuildProfile(spec layout.GPUSpec, w Workload) *Profile {
 		return p.Entries[i].Config.String() < p.Entries[j].Config.String()
 	})
 	p.index = make(map[Config]int, len(p.Entries))
+	p.AnyQuality = make([]int, len(p.Entries))
 	for i, e := range p.Entries {
 		p.index[e.Config] = i
+		p.AnyQuality[i] = i
 		if e.Quality >= 1 {
 			p.FullQuality = append(p.FullQuality, i)
 		}
@@ -96,53 +100,6 @@ func phaseTimeShare(spec layout.GPUSpec, c Config, w Workload) float64 {
 		return 0
 	}
 	return dPre / (dPre + dDec)
-}
-
-// Best returns the highest-goodput entry satisfying all three limits: a
-// per-GPU power-fraction ceiling (thermal headroom), a server power ceiling,
-// and a quality floor. ok is false when nothing qualifies. This is the
-// Instance Configurator's core search (§4.3).
-func (p *Profile) Best(maxGPUPowerFrac, maxServerPowerW, minQuality float64) (ProfileEntry, bool) {
-	for _, e := range p.Entries { // already sorted by goodput desc
-		if e.Goodput <= 0 {
-			continue
-		}
-		if e.PeakGPUPowerFrac <= maxGPUPowerFrac &&
-			e.PeakServerPowerW <= maxServerPowerW &&
-			e.Quality >= minQuality {
-			return e, true
-		}
-	}
-	return ProfileEntry{}, false
-}
-
-// BestPreferringCheapReconfig behaves like Best but among entries within
-// tolerance of the best goodput prefers ones not requiring a model reload
-// from the current config — the paper's "quantization and size changes are
-// a last resort" rule.
-func (p *Profile) BestPreferringCheapReconfig(cur Config, maxGPUPowerFrac, maxServerPowerW, minQuality float64) (ProfileEntry, bool) {
-	best, ok := p.Best(maxGPUPowerFrac, maxServerPowerW, minQuality)
-	if !ok {
-		return best, false
-	}
-	const tolerance = 0.93 // accept ≤7% goodput loss to avoid a reload
-	if ReconfigTime(cur, best.Config) == 0 {
-		return best, true
-	}
-	for _, e := range p.Entries {
-		if e.Goodput < best.Goodput*tolerance {
-			break
-		}
-		if ReconfigTime(cur, e.Config) != 0 {
-			continue
-		}
-		if e.PeakGPUPowerFrac <= maxGPUPowerFrac &&
-			e.PeakServerPowerW <= maxServerPowerW &&
-			e.Quality >= minQuality && e.Goodput > 0 {
-			return e, true
-		}
-	}
-	return best, true
 }
 
 // Entry returns the profile entry for an exact configuration.

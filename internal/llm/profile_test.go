@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tapas-sim/tapas/internal/layout"
@@ -38,60 +39,31 @@ func TestProfileEntryLookup(t *testing.T) {
 	}
 }
 
-func TestBestRespectsLimits(t *testing.T) {
+// TestFullQualityIsLlama70BFP16 pins the configurator's two scan lists:
+// FullQuality holds exactly the 70B FP16 entries (quality 1 means the
+// reference model unquantized), AnyQuality every entry, both in the
+// table's goodput order.
+func TestFullQualityIsLlama70BFP16(t *testing.T) {
 	p := buildTestProfile(t)
-	unconstrained, ok := p.Best(1, 1e9, 0)
-	if !ok {
-		t.Fatal("unconstrained Best must succeed")
-	}
-	// A strict per-GPU power limit must produce a config within it and with
-	// no more goodput than the unconstrained best.
-	limited, ok := p.Best(0.6, 1e9, 0)
-	if !ok {
-		t.Fatal("limited Best must still find something")
-	}
-	if limited.PeakGPUPowerFrac > 0.6 {
-		t.Errorf("limited pick violates GPU power limit: %v", limited.PeakGPUPowerFrac)
-	}
-	if limited.Goodput > unconstrained.Goodput {
-		t.Error("limited pick cannot beat unconstrained goodput")
-	}
-	// Quality floor of 1.0 restricts to 70B FP16.
-	hq, ok := p.Best(1, 1e9, 1.0)
-	if !ok {
-		t.Fatal("quality-floor Best must succeed")
-	}
-	if hq.Config.Model != Llama70B || hq.Config.Quant != FP16 {
-		t.Errorf("quality floor 1.0 picked %v", hq.Config)
-	}
-	// Impossible limits fail.
-	if _, ok := p.Best(0.0, 1, 2); ok {
-		t.Error("impossible limits must return ok=false")
-	}
-}
-
-func TestBestPreferringCheapReconfig(t *testing.T) {
-	p := buildTestProfile(t)
-	cur := DefaultConfig()
-	// With a modest power squeeze there is usually a frequency/batch-only
-	// variant within tolerance of the best; it must be preferred.
-	best, ok := p.Best(0.85, 1e9, 0)
-	if !ok {
-		t.Fatal("Best failed")
-	}
-	picked, ok := p.BestPreferringCheapReconfig(cur, 0.85, 1e9, 0)
-	if !ok {
-		t.Fatal("BestPreferringCheapReconfig failed")
-	}
-	if ReconfigTime(cur, picked.Config) == 0 {
-		if picked.Goodput < best.Goodput*0.93 {
-			t.Errorf("cheap pick goodput %v below tolerance of best %v", picked.Goodput, best.Goodput)
+	var want []int
+	for i, e := range p.Entries {
+		if e.Config.Model == Llama70B && e.Config.Quant == FP16 {
+			want = append(want, i)
 		}
-	} else if picked.Config != best.Config {
-		t.Error("when no cheap config qualifies, must return the best")
 	}
-	if _, ok := p.BestPreferringCheapReconfig(cur, 0, 1, 2); ok {
-		t.Error("impossible limits must return ok=false")
+	if len(want) == 0 || len(want) == len(p.Entries) {
+		t.Fatalf("%d of %d entries are 70B FP16; the table must hold both kinds", len(want), len(p.Entries))
+	}
+	if !slices.Equal(p.FullQuality, want) {
+		t.Errorf("FullQuality = %v, want the 70B FP16 positions %v", p.FullQuality, want)
+	}
+	if len(p.AnyQuality) != len(p.Entries) {
+		t.Fatalf("AnyQuality has %d positions, want %d", len(p.AnyQuality), len(p.Entries))
+	}
+	for i, pos := range p.AnyQuality {
+		if pos != i {
+			t.Fatalf("AnyQuality[%d] = %d, want every position in goodput order", i, pos)
+		}
 	}
 }
 

@@ -38,16 +38,6 @@ func (b *Budget) SetEmergency(multiplier float64) {
 // Multiplier reports the current capacity factor.
 func (b *Budget) Multiplier() float64 { return b.multiplier }
 
-// OverdrawW returns how far a row's draw exceeds its effective limit
-// (0 when within limits).
-func (b *Budget) OverdrawW(row int, drawW float64) float64 {
-	over := drawW - b.RowLimitW(row)
-	if over < 0 {
-		return 0
-	}
-	return over
-}
-
 // UniformCapFactor computes the fraction by which every server in an
 // over-budget row must scale its power to fit the limit. This is the
 // baseline's capping behaviour: homogeneous limits pushed down the

@@ -45,18 +45,6 @@ func TestBudgetEmergency(t *testing.T) {
 	}
 }
 
-func TestBudgetOverdraw(t *testing.T) {
-	dc, _ := layout.New(layout.SmallConfig())
-	b := NewBudget(dc)
-	limit := b.RowLimitW(0)
-	if got := b.OverdrawW(0, limit-100); got != 0 {
-		t.Errorf("within-limit overdraw = %v, want 0", got)
-	}
-	if got := b.OverdrawW(0, limit+500); got != 500 {
-		t.Errorf("overdraw = %v, want 500", got)
-	}
-}
-
 func TestUniformCapFactor(t *testing.T) {
 	if got := UniformCapFactor(900, 1000); got != 1 {
 		t.Errorf("under-limit cap = %v, want 1", got)

@@ -194,8 +194,8 @@ type Scenario struct {
 	// Fig. 10-style outputs; costs memory on long runs).
 	RecordRowSeries bool
 	// Observer, when set, is invoked at the end of every tick with the live
-	// cluster state. The characterization experiments use it to sample
-	// sensors; it must not mutate the state.
+	// cluster state, for example to sample sensors or to time ticks; it
+	// must not mutate the state.
 	Observer func(st *cluster.State)
 }
 
