@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/cluster"
+	"github.com/tapas-sim/tapas/internal/layout"
+	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/sim"
 	"github.com/tapas-sim/tapas/internal/trace"
 )
@@ -64,6 +66,105 @@ func TestMigratorMovesHotSaaSVM(t *testing.T) {
 	}
 	if st.ServerVM[vm.Server] != vm.Spec.ID {
 		t.Fatal("new server binding inconsistent")
+	}
+}
+
+// TestMigratorRehostsAcrossGenerations moves a SaaS VM from a hot A100
+// server to an H100 server, the only free ones left: its instance must then
+// describe the H100 it runs on (spec, rates, GPU power fractions) while
+// keeping its configuration and queued work.
+func TestMigratorRehostsAcrossGenerations(t *testing.T) {
+	cfg := layout.SmallConfig()
+	cfg.Aisles, cfg.MixGPU, cfg.MixFraction = 2, layout.H100, 0.5
+	dc, err := layout.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.Generate(trace.WorkloadConfig{
+		Servers: len(dc.Servers), SaaSFraction: 0.5,
+		Duration: 24 * time.Hour, Endpoints: 3, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cluster.NewState(dc, w)
+	st.Tick = time.Minute
+	prof, err := BuildProfiles(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range st.ServerInletC {
+		st.ServerInletC[i] = 24
+		st.ServerPowerW[i] = 2000
+	}
+	// The hottest A100 server hosts a SaaS VM; every other A100 server is
+	// occupied, so the only targets are H100 servers.
+	hot, hotGain := -1, 0.0
+	for _, srv := range dc.Servers {
+		if srv.GPU.Model != layout.A100 {
+			continue
+		}
+		for _, g := range srv.GPUTempGainC {
+			if g > hotGain {
+				hotGain, hot = g, srv.ID
+			}
+		}
+	}
+	next := 0
+	var vm *cluster.VM
+	for _, srv := range dc.Servers {
+		if srv.GPU.Model != layout.A100 {
+			continue
+		}
+		for ; next < len(st.VMs); next++ {
+			if v := st.VMs[next]; srv.ID != hot || v.Spec.Kind == trace.SaaS {
+				break
+			}
+		}
+		if next == len(st.VMs) {
+			t.Fatal("workload too small to fill the A100 servers")
+		}
+		if err := st.Place(next, srv.ID); err != nil {
+			t.Fatal(err)
+		}
+		if srv.ID == hot {
+			vm = st.VMs[next]
+		}
+		next++
+	}
+	in := vm.Instance
+	in.EnqueueBulk(5000, 1000)
+	cfgBefore, queued := in.Config, in.QueueTokens()
+	st.ServerInletC[hot] = 28
+	for g := range st.GPUFracs(hot) {
+		st.GPUFracs(hot)[g] = 0.95
+	}
+	st.Now = time.Hour
+
+	mig := newMigrator(prof)
+	if moves := mig.step(st); moves != 1 {
+		t.Fatalf("migrations = %d, want 1", moves)
+	}
+	target := st.ServerGPUSpec(vm.Server)
+	if target.Model != layout.H100 {
+		t.Fatalf("VM moved to a %v server, want H100 (the only free ones)", target.Model)
+	}
+	if vm.Instance != in {
+		t.Fatal("migration replaced the instance instead of moving it")
+	}
+	if in.Spec.Model != layout.H100 {
+		t.Errorf("instance still describes %v hardware after moving to an H100 server", in.Spec.Model)
+	}
+	fresh := llm.NewInstance(*target, in.Config, in.Work, in.SLOs)
+	if in.PrefillRate() != fresh.PrefillRate() || in.DecodeRate() != fresh.DecodeRate() {
+		t.Errorf("rates after the move = (%v, %v), want the H100's (%v, %v)",
+			in.PrefillRate(), in.DecodeRate(), fresh.PrefillRate(), fresh.DecodeRate())
+	}
+	if got, want := in.GPUPowerFrac(), fresh.GPUPowerFrac(); got != want {
+		t.Errorf("idle GPU power fraction after the move = %v, want the H100's %v", got, want)
+	}
+	if in.Config != cfgBefore || in.QueueTokens() != queued {
+		t.Errorf("move changed config %v → %v or queue %v → %v", cfgBefore, in.Config, queued, in.QueueTokens())
 	}
 }
 
