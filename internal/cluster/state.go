@@ -54,6 +54,11 @@ type State struct {
 
 	VMs      []*VM
 	ServerVM []int // server → VM index, or -1
+	// ServerInst is each server's serving instance: its SaaS VM's Instance,
+	// nil for free and IaaS servers. Place, Remove and Move keep it in step
+	// with VM.Instance, so the tick kernel reads a server's instance
+	// without loading its VM.
+	ServerInst []*llm.Instance
 
 	// Telemetry, refreshed by the simulator each tick. Now is the
 	// simulation clock (governs VM arrivals/lifetimes); Wall additionally
@@ -84,10 +89,10 @@ type State struct {
 	// cooling emergency).
 	AirflowLimitFrac float64
 
-	// RowOccEpoch counts placements and removals per row. The TAPAS
+	// RowOccEpoch counts placements, removals and moves per row. The TAPAS
 	// allocator compares epochs across calls to prove a row's occupancy is
 	// unchanged and reuse its cached sums; anything that binds or unbinds
-	// VMs goes through Place/Remove, so the counter is exact.
+	// VMs goes through Place/Remove/Move, so the counter is exact.
 	RowOccEpoch []uint64
 
 	// Rolling history at HistoryRes for templates and placement prediction,
@@ -112,7 +117,7 @@ type State struct {
 
 	histAccum time.Duration
 
-	// Incremental indexes maintained by Place/Remove so the per-tick
+	// Incremental indexes maintained by Place/Remove/Move so the per-tick
 	// queries below are lookups rather than full-VM scans.
 	epInstances [][]*VM // endpoint → placed serving VMs, ascending VM ID
 	rowIaaS     []int   // row → placed IaaS VM count
@@ -142,6 +147,7 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		Budget:  power.NewBudget(dc),
 
 		ServerVM:          make([]int, n),
+		ServerInst:        make([]*llm.Instance, n),
 		ServerInletC:      make([]float64, n),
 		ServerPowerW:      make([]float64, n),
 		ServerLoadFrac:    make([]float64, n),
@@ -216,6 +222,7 @@ func (st *State) Place(vmID, serverID int) error {
 		st.rowSaaS[row]++
 		ep := st.Work.Endpoints[vm.Spec.Endpoint]
 		vm.Instance = llm.NewInstance(st.DC.Servers[serverID].GPU, llm.DefaultConfig(), ep.Work, st.SLOs)
+		st.ServerInst[serverID] = vm.Instance
 		st.indexEndpointVM(vm)
 	} else {
 		st.rowIaaS[row]++
@@ -236,11 +243,45 @@ func (st *State) Remove(vmID int) {
 			st.rowIaaS[row]--
 		}
 		st.ServerVM[vm.Server] = -1
+		st.ServerInst[vm.Server] = nil
 		st.ServerFreqCap[vm.Server] = 1
 		st.freeCount++
 		vm.Server = -1
 	}
 	vm.Instance = nil
+}
+
+// Move rebinds a placed SaaS VM and its serving instance to a free server
+// (§4.1 migration). The instance keeps its configuration, queues and
+// affinity and re-derives its rates from the target's GPU generation. The
+// source server's frequency cap resets, as on Remove, and both rows'
+// RowOccEpoch advance. On error nothing changes.
+func (st *State) Move(vmID, serverID int) error {
+	if vmID < 0 || vmID >= len(st.VMs) {
+		return fmt.Errorf("cluster: VM %d out of range", vmID)
+	}
+	if serverID < 0 || serverID >= len(st.ServerVM) {
+		return fmt.Errorf("cluster: server %d out of range", serverID)
+	}
+	vm := st.VMs[vmID]
+	if vm.Spec.Kind != trace.SaaS || vm.Server == -1 {
+		return fmt.Errorf("cluster: VM %d is not a placed SaaS VM", vmID)
+	}
+	if st.ServerVM[serverID] != -1 {
+		return fmt.Errorf("cluster: server %d already hosts VM %d", serverID, st.ServerVM[serverID])
+	}
+	from := vm.Server
+	fromRow, toRow := st.DC.Servers[from].Row, st.DC.Servers[serverID].Row
+	st.RowOccEpoch[fromRow]++
+	st.RowOccEpoch[toRow]++
+	st.rowSaaS[fromRow]--
+	st.rowSaaS[toRow]++
+	st.ServerVM[from], st.ServerInst[from] = -1, nil
+	st.ServerFreqCap[from] = 1
+	st.ServerVM[serverID], st.ServerInst[serverID] = vmID, vm.Instance
+	vm.Server = serverID
+	vm.Instance.Rehost(st.DC.Servers[serverID].GPU)
+	return nil
 }
 
 // indexEndpointVM inserts a freshly placed SaaS VM into its endpoint's

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/layout"
+	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/trace"
 )
 
@@ -293,5 +296,210 @@ func TestAisleLimitUnderEmergency(t *testing.T) {
 	st.AirflowLimitFrac = 0.9
 	if got := st.AisleLimitCFM(0); got != normal*0.9 {
 		t.Errorf("emergency aisle limit = %v, want %v", got, normal*0.9)
+	}
+}
+
+// TestIndexesMatchRecountProperty applies random Place, Remove and Move
+// calls to a mixed IaaS/SaaS, A100/H100 fleet. After every call each
+// incremental index must equal a recount from VMs, every row the call
+// touched must have advanced its RowOccEpoch and no other row may have; a
+// call the contract rejects must return an error and change nothing.
+func TestIndexesMatchRecountProperty(t *testing.T) {
+	cfg := layout.SmallConfig()
+	cfg.Aisles, cfg.MixGPU, cfg.MixFraction = 2, layout.H100, 0.5
+	dc, err := layout.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.Generate(trace.WorkloadConfig{
+		Servers: len(dc.Servers), SaaSFraction: 0.5,
+		Duration: 24 * time.Hour, Endpoints: 3, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewState(dc, w)
+	n := len(st.ServerVM)
+	rng := rand.New(rand.NewPCG(1, 2))
+	ops := map[string]int{}
+	for step := 0; step < 4000; step++ {
+		vmID := rng.IntN(len(st.VMs))
+		srv := rng.IntN(n+2) - 1 // one out-of-range ID at each end
+		vm := st.VMs[vmID]
+		st.ServerFreqCap[rng.IntN(n)] = 0.5 // a capped server must reset when freed
+		from := vm.Server
+		inRange := srv >= 0 && srv < n
+		free := inRange && st.ServerVM[srv] == -1
+		before := snapshotIndexes(st)
+		var op string
+		var touched []int
+		var wantErr bool
+		err = nil
+		switch rng.IntN(3) {
+		case 0:
+			op = "place"
+			wantErr = !free || vm.Server != -1
+			if !wantErr {
+				touched = []int{st.DC.Servers[srv].Row}
+			}
+			err = st.Place(vmID, srv)
+		case 1:
+			op = "remove"
+			if vm.Server != -1 {
+				touched = []int{st.DC.Servers[vm.Server].Row}
+			}
+			st.Remove(vmID)
+		default:
+			op = "move"
+			wantErr = !free || vm.Server == -1 || vm.Spec.Kind != trace.SaaS
+			if !wantErr {
+				touched = []int{st.DC.Servers[vm.Server].Row, st.DC.Servers[srv].Row}
+			}
+			err = st.Move(vmID, srv)
+		}
+		if (err != nil) != wantErr {
+			t.Fatalf("step %d: %s(VM %d, server %d) error = %v, want error %v", step, op, vmID, srv, err, wantErr)
+		}
+		after := snapshotIndexes(st)
+		if err != nil {
+			if !reflect.DeepEqual(after, before) {
+				t.Fatalf("step %d: rejected %s(VM %d, server %d) changed the indexes", step, op, vmID, srv)
+			}
+			ops[op+" rejected"]++
+			continue
+		}
+		if len(touched) > 0 {
+			ops[op]++
+		}
+		checkIndexesRecount(t, st)
+		if from != -1 && vm.Server != from && st.ServerFreqCap[from] != 1 {
+			t.Fatalf("step %d: %s(VM %d, server %d) left the freed server %d capped at %v", step, op, vmID, srv, from, st.ServerFreqCap[from])
+		}
+		for row := range st.RowOccEpoch {
+			bumped := after.epoch[row] > before.epoch[row]
+			want := false
+			for _, r := range touched {
+				want = want || r == row
+			}
+			if bumped != want {
+				t.Fatalf("step %d: %s(VM %d, server %d) bumped row %d epoch = %v, want %v", step, op, vmID, srv, row, bumped, want)
+			}
+		}
+	}
+	for _, op := range []string{"place", "remove", "move", "place rejected", "move rejected"} {
+		if ops[op] == 0 {
+			t.Errorf("no %s call exercised", op)
+		}
+	}
+}
+
+// indexSnapshot is every index Place, Remove and Move maintain, copied.
+type indexSnapshot struct {
+	serverVM   []int
+	serverInst []*llm.Instance
+	vmServer   []int
+	vmInst     []*llm.Instance
+	instModel  []layout.GPUModel
+	endpoints  [][]*VM
+	rowIaaS    []int
+	rowSaaS    []int
+	free       int
+	epoch      []uint64
+	freqCap    []float64
+}
+
+func snapshotIndexes(st *State) indexSnapshot {
+	s := indexSnapshot{
+		serverVM:   append([]int(nil), st.ServerVM...),
+		serverInst: append([]*llm.Instance(nil), st.ServerInst...),
+		free:       st.NumFree(),
+		epoch:      append([]uint64(nil), st.RowOccEpoch...),
+		freqCap:    append([]float64(nil), st.ServerFreqCap...),
+	}
+	for _, vm := range st.VMs {
+		s.vmServer = append(s.vmServer, vm.Server)
+		s.vmInst = append(s.vmInst, vm.Instance)
+		m := layout.GPUModel(-1)
+		if vm.Instance != nil {
+			m = vm.Instance.Spec.Model
+		}
+		s.instModel = append(s.instModel, m)
+	}
+	for ep := range st.Work.Endpoints {
+		s.endpoints = append(s.endpoints, append([]*VM(nil), st.EndpointInstances(ep)...))
+	}
+	for row := range st.DC.Rows {
+		iaas, saas := st.RowMix(row)
+		s.rowIaaS = append(s.rowIaaS, iaas)
+		s.rowSaaS = append(s.rowSaaS, saas)
+	}
+	return s
+}
+
+// checkIndexesRecount recounts every index from VMs and compares.
+func checkIndexesRecount(t *testing.T, st *State) {
+	t.Helper()
+	serverVM := make([]int, len(st.ServerVM))
+	for i := range serverVM {
+		serverVM[i] = -1
+	}
+	serverInst := make([]*llm.Instance, len(st.ServerVM))
+	endpoints := make([][]*VM, len(st.Work.Endpoints))
+	rowIaaS := make([]int, len(st.DC.Rows))
+	rowSaaS := make([]int, len(st.DC.Rows))
+	free := len(st.ServerVM)
+	for id, vm := range st.VMs {
+		if vm.Server == -1 {
+			if vm.Instance != nil {
+				t.Fatalf("unplaced VM %d keeps an instance", id)
+			}
+			continue
+		}
+		serverVM[vm.Server] = id
+		serverInst[vm.Server] = vm.Instance
+		free--
+		row := st.DC.Servers[vm.Server].Row
+		if vm.Spec.Kind == trace.IaaS {
+			rowIaaS[row]++
+			if vm.Instance != nil {
+				t.Fatalf("IaaS VM %d has an instance", id)
+			}
+			continue
+		}
+		rowSaaS[row]++
+		endpoints[vm.Spec.Endpoint] = append(endpoints[vm.Spec.Endpoint], vm)
+		if vm.Instance == nil {
+			t.Fatalf("placed SaaS VM %d has no instance", id)
+		}
+		if got, want := vm.Instance.Spec.Model, st.ServerGPUSpec(vm.Server).Model; got != want {
+			t.Fatalf("VM %d's instance describes %v hardware on a %v server", id, got, want)
+		}
+	}
+	if !reflect.DeepEqual(st.ServerVM, serverVM) {
+		t.Fatal("ServerVM differs from the VMs' Server fields")
+	}
+	for i, in := range serverInst {
+		if st.ServerInst[i] != in {
+			t.Fatalf("ServerInst[%d] differs from its VM's Instance", i)
+		}
+	}
+	for ep, want := range endpoints {
+		got := st.EndpointInstances(ep)
+		if len(got) != len(want) {
+			t.Fatalf("endpoint %d lists %d instances, recount %d", ep, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("endpoint %d instance %d is VM %d, want VM %d (ascending VM ID)", ep, i, got[i].Spec.ID, want[i].Spec.ID)
+			}
+		}
+	}
+	for row := range st.DC.Rows {
+		if iaas, saas := st.RowMix(row); iaas != rowIaaS[row] || saas != rowSaaS[row] {
+			t.Fatalf("RowMix(%d) = (%d, %d), recount (%d, %d)", row, iaas, saas, rowIaaS[row], rowSaaS[row])
+		}
+	}
+	if st.NumFree() != free {
+		t.Fatalf("NumFree = %d, recount %d", st.NumFree(), free)
 	}
 }

@@ -38,8 +38,8 @@ func newMigrator(prof *Profiles) *migrator {
 
 // step evaluates migration opportunities and executes up to
 // migrationsPerRound moves (§4.1's create → transfer → decommission,
-// collapsed to one tick at simulator granularity; the serving instance rides
-// along with its queues and affinity state).
+// collapsed to one tick at simulator granularity; cluster.State.Move carries
+// the serving instance along with its queues and affinity state).
 func (m *migrator) step(st *cluster.State) int {
 	if st.Now-m.lastRun < m.interval {
 		return 0
@@ -76,16 +76,9 @@ func (m *migrator) step(st *cluster.State) int {
 		if !ok || target == cur {
 			continue
 		}
-		inst := vm.Instance
-		st.Remove(vm.Spec.ID)
-		if err := st.Place(vm.Spec.ID, target); err != nil {
-			// Target raced away; put the VM back where it was.
-			if err2 := st.Place(vm.Spec.ID, cur); err2 != nil {
-				continue
-			}
+		if err := st.Move(vm.Spec.ID, target); err != nil {
+			continue
 		}
-		// Keep the serving state (queues, affinity) across the move.
-		vm.Instance = inst
 		m.lastMove[vm.Spec.ID] = st.Now
 		moves++
 	}

@@ -67,6 +67,12 @@ func TestMigratorMovesHotSaaSVM(t *testing.T) {
 	if st.ServerVM[vm.Server] != vm.Spec.ID {
 		t.Fatal("new server binding inconsistent")
 	}
+	if st.ServerInst[vm.Server] != vm.Instance {
+		t.Error("ServerInst does not hold the moved instance at the target")
+	}
+	if st.ServerInst[hot] != nil {
+		t.Error("ServerInst still holds an instance at the source")
+	}
 }
 
 // TestMigratorRehostsAcrossGenerations moves a SaaS VM from a hot A100

@@ -13,15 +13,35 @@ import (
 // between prefill and decode in proportion to demand, as continuous batching
 // does.
 type Instance struct {
-	Spec   layout.GPUSpec
-	Config Config
-	Work   Workload
-	SLOs   SLOs
+	// Step, StepDrained, GPUPowerFrac and DemandSeconds run once per
+	// instance per tick and touch only the fields from here through Work,
+	// so a server-tick reads the instance's leading cache lines. Spec, SLOs,
+	// the affinity map and the goodput memo, read on reconfiguration,
+	// routing and capped SLO slack, come after.
+
+	// queue, when non-nil, switches the instance into request-level replay
+	// mode: Step runs the discrete-event continuous-batching queue instead
+	// of the fluid token drain. See AttachQueue.
+	queue *RequestQueue
 
 	pendingPrefill float64 // prompt tokens awaiting prefill
 	pendingDecode  float64 // output tokens awaiting generation
-	outputRatio    float64 // avg output-per-prompt-token ratio of queue
 	reloadLeft     time.Duration
+	// enqueuedTokens accumulates tokens routed to the instance since the
+	// last Step; the configurator reads it as the live demand signal.
+	enqueuedTokens float64
+	affinityNow    time.Duration
+
+	// Per-tick outputs, refreshed by Step.
+	BusyFrac     float64 // fraction of the tick spent serving
+	PrefillShare float64 // fraction of busy time in prefill
+	BacklogSecs  float64 // unserved demand at tick end, in seconds of work
+
+	// Step is called once per instance per tick with the same dt, so the
+	// duration→seconds conversions are memoized on the dt value.
+	lastDt     time.Duration
+	cachedSecs float64
+	cachedSub  float64
 
 	// SpeedFactor scales serving rates to model hardware frequency capping
 	// imposed from outside the instance (thermal throttle, power cap).
@@ -30,24 +50,7 @@ type Instance struct {
 	// stalls the instance entirely (a fully capped instance makes no
 	// progress). NewInstance seeds it to 1.
 	SpeedFactor float64
-
-	// affinity holds recently served customers for KV-cache reuse routing.
-	affinity    map[int]time.Duration
-	affinityNow time.Duration
-
-	// queue, when non-nil, switches the instance into request-level replay
-	// mode: Step runs the discrete-event continuous-batching queue instead
-	// of the fluid token drain. See AttachQueue.
-	queue *RequestQueue
-
-	// Per-tick outputs, refreshed by Step.
-	BusyFrac     float64 // fraction of the tick spent serving
-	PrefillShare float64 // fraction of busy time in prefill
-	BacklogSecs  float64 // unserved demand at tick end, in seconds of work
-
-	// enqueuedTokens accumulates tokens routed to the instance since the
-	// last Step; the configurator reads it as the live demand signal.
-	enqueuedTokens float64
+	outputRatio float64 // avg output-per-prompt-token ratio of queue
 
 	// Derived rates of the current configuration, cached because Step,
 	// DemandSeconds and GPUPowerFrac run per instance per tick while the
@@ -59,17 +62,20 @@ type Instance struct {
 	gpuIdleFrac float64 // Spec.GPUIdleW / Spec.GPUTDPW
 	slackFull   float64 // TTFT slack at full speed: SLOs.TTFT - AvgPromptTokens/prefillRate
 
-	// Step is called once per instance per tick with the same dt, so the
-	// duration→seconds conversions are memoized on the dt value.
-	lastDt     time.Duration
-	cachedSecs float64
-	cachedSub  float64
-
 	// Cumulative accounting.
 	ServedTokens      float64
 	CompletedRequests float64
 	QualityWeight     float64 // quality-weighted completed requests
 	SLOViolatedReqs   float64
+
+	Config Config
+	Work   Workload
+
+	Spec layout.GPUSpec
+	SLOs SLOs
+
+	// affinity holds recently served customers for KV-cache reuse routing.
+	affinity map[int]time.Duration
 
 	// Cached Profile.Entry goodput lookup for ConfigGoodput: the router asks
 	// for the current configuration's goodput every tick, while the
@@ -110,6 +116,14 @@ func (in *Instance) refreshRates() {
 	in.decodeFrac = GPUPowerFrac(in.Spec, in.Config, Decode)
 	in.gpuIdleFrac = in.Spec.GPUIdleW / in.Spec.GPUTDPW
 	in.slackFull = in.SLOs.TTFT.Seconds() - in.Work.AvgPromptTokens/in.prefillRate
+}
+
+// Rehost moves the instance onto hardware of the given spec (migration to
+// another server), keeping its configuration, queues, affinity and
+// counters, and re-derives the cached rates from the new spec.
+func (in *Instance) Rehost(spec layout.GPUSpec) {
+	in.Spec = spec
+	in.refreshRates()
 }
 
 // PrefillRate returns PrefillRate(in.Spec, in.Config), cached by

@@ -162,3 +162,24 @@ func TestDemandSeconds(t *testing.T) {
 		t.Error("queued instance demand must be positive")
 	}
 }
+
+// TestRehostRederivesRates moves an A100 instance onto H100 hardware: its
+// cached rates and GPU power fractions must equal a fresh H100 instance's
+// at the same configuration, while its queue and affinity stay.
+func TestRehostRederivesRates(t *testing.T) {
+	in := newTestInstance()
+	in.EnqueueBulk(4096, 1024)
+	in.Touch(7)
+	queued := in.QueueTokens()
+	h100 := layout.Spec(layout.H100)
+	in.Rehost(h100)
+	fresh := NewInstance(h100, in.Config, in.Work, in.SLOs)
+	if in.PrefillRate() != fresh.PrefillRate() || in.DecodeRate() != fresh.DecodeRate() ||
+		in.prefillFrac != fresh.prefillFrac || in.decodeFrac != fresh.decodeFrac ||
+		in.gpuIdleFrac != fresh.gpuIdleFrac || in.slackFull != fresh.slackFull {
+		t.Error("rehosted instance keeps rates of its old hardware")
+	}
+	if in.QueueTokens() != queued || !in.HasAffinity(7) || in.Config != DefaultConfig() {
+		t.Error("rehosting lost queued work, affinity or configuration")
+	}
+}

@@ -1,7 +1,7 @@
 // Package regress implements the regression toolkit used by TAPAS profiling:
-// dense linear least squares, polynomial and piecewise-polynomial fits, a
-// multivariate piecewise surface (the paper's inlet-temperature model), and
-// error metrics (MAE, RMSE, R²).
+// dense linear least squares, polynomial and multivariate linear fits, a
+// piecewise surface (the paper's inlet-temperature model), and summary
+// statistics (MAE, mean and standard deviation, percentiles).
 //
 // The paper (§5.1) evaluates several regression families and selects
 // piecewise polynomial regression for the cooling models because it reaches

@@ -15,45 +15,6 @@ func MAE(pred, actual []float64) float64 {
 	return sum / float64(len(pred))
 }
 
-// RMSE returns the root-mean-square error between predictions and actuals.
-func RMSE(pred, actual []float64) float64 {
-	if len(pred) == 0 || len(pred) != len(actual) {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i := range pred {
-		d := pred[i] - actual[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(pred)))
-}
-
-// R2 returns the coefficient of determination of predictions vs actuals.
-func R2(pred, actual []float64) float64 {
-	if len(pred) == 0 || len(pred) != len(actual) {
-		return math.NaN()
-	}
-	mean := 0.0
-	for _, a := range actual {
-		mean += a
-	}
-	mean /= float64(len(actual))
-	ssRes, ssTot := 0.0, 0.0
-	for i := range actual {
-		d := actual[i] - pred[i]
-		ssRes += d * d
-		t := actual[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return math.Inf(-1)
-	}
-	return 1 - ssRes/ssTot
-}
-
 // MeanStd returns the mean and population standard deviation of xs.
 func MeanStd(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {

@@ -20,46 +20,26 @@ func TestMAE(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{0, 0}, []float64{3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMSE = %v, want sqrt(12.5)", got)
-	}
-	if !math.IsNaN(RMSE(nil, nil)) {
-		t.Error("RMSE(nil) should be NaN")
-	}
-}
-
+// TestRMSEGreaterOrEqualMAEProperty checks MAE against the root-mean-square
+// error, as MAE² ≤ mean squared error (Jensen's inequality).
 func TestRMSEGreaterOrEqualMAEProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	f := func(_ uint64) bool {
 		n := int(rng.Uint64()%20) + 1
 		pred := make([]float64, n)
 		act := make([]float64, n)
+		mse := 0.0
 		for i := range pred {
 			pred[i] = rng.Float64() * 100
 			act[i] = rng.Float64() * 100
+			mse += (pred[i] - act[i]) * (pred[i] - act[i])
 		}
-		return RMSE(pred, act) >= MAE(pred, act)-1e-9
+		mse /= float64(n)
+		mae := MAE(pred, act)
+		return mae*mae <= mse*(1+1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestR2(t *testing.T) {
-	actual := []float64{1, 2, 3, 4}
-	if got := R2(actual, actual); math.Abs(got-1) > 1e-12 {
-		t.Errorf("perfect R² = %v, want 1", got)
-	}
-	mean := []float64{2.5, 2.5, 2.5, 2.5}
-	if got := R2(mean, actual); math.Abs(got) > 1e-12 {
-		t.Errorf("mean-predictor R² = %v, want 0", got)
-	}
-	if got := R2([]float64{1, 1}, []float64{2, 2}); !math.IsInf(got, -1) {
-		t.Errorf("constant-actual wrong-pred R² = %v, want -Inf", got)
-	}
-	if got := R2([]float64{2, 2}, []float64{2, 2}); got != 1 {
-		t.Errorf("constant exact R² = %v, want 1", got)
 	}
 }
 

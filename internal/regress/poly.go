@@ -1,9 +1,6 @@
 package regress
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Poly is a univariate polynomial c₀ + c₁x + c₂x² + … .
 type Poly struct {
@@ -45,69 +42,6 @@ func FitPoly(x, y []float64, degree int) (Poly, error) {
 		return Poly{}, err
 	}
 	return Poly{Coeffs: coeffs}, nil
-}
-
-// Piecewise is a piecewise polynomial over contiguous segments of the x axis.
-// Knots are the interior segment boundaries in ascending order; segment i
-// covers x in [Knots[i-1], Knots[i]) with open ends extrapolated by the first
-// and last pieces. Pieces has len(Knots)+1 entries.
-type Piecewise struct {
-	Knots  []float64
-	Pieces []Poly
-}
-
-// Eval evaluates the piecewise polynomial at x.
-func (pw Piecewise) Eval(x float64) float64 {
-	idx := sort.SearchFloat64s(pw.Knots, x)
-	return pw.Pieces[idx].Eval(x)
-}
-
-// FitPiecewise fits an independent degree-d polynomial per segment. Segments
-// with too few points inherit the neighbouring fit so the result is total
-// over the whole axis.
-func FitPiecewise(x, y []float64, knots []float64, degree int) (Piecewise, error) {
-	if len(x) != len(y) {
-		return Piecewise{}, fmt.Errorf("regress: len(x)=%d != len(y)=%d", len(x), len(y))
-	}
-	if !sort.Float64sAreSorted(knots) {
-		return Piecewise{}, fmt.Errorf("regress: knots must be ascending")
-	}
-	nseg := len(knots) + 1
-	segX := make([][]float64, nseg)
-	segY := make([][]float64, nseg)
-	for i, xi := range x {
-		s := sort.SearchFloat64s(knots, xi)
-		segX[s] = append(segX[s], xi)
-		segY[s] = append(segY[s], y[i])
-	}
-	pieces := make([]Poly, nseg)
-	fitted := make([]bool, nseg)
-	anyFit := false
-	for s := 0; s < nseg; s++ {
-		if len(segX[s]) > degree {
-			p, err := FitPoly(segX[s], segY[s], degree)
-			if err == nil {
-				pieces[s], fitted[s] = p, true
-				anyFit = true
-			}
-		}
-	}
-	if !anyFit {
-		return Piecewise{}, ErrInsufficientData
-	}
-	// Fill unfitted segments from the nearest fitted neighbour so Eval is
-	// total. Scan left-to-right then right-to-left.
-	for s := 1; s < nseg; s++ {
-		if !fitted[s] && fitted[s-1] {
-			pieces[s], fitted[s] = pieces[s-1], true
-		}
-	}
-	for s := nseg - 2; s >= 0; s-- {
-		if !fitted[s] && fitted[s+1] {
-			pieces[s], fitted[s] = pieces[s+1], true
-		}
-	}
-	return Piecewise{Knots: append([]float64(nil), knots...), Pieces: pieces}, nil
 }
 
 // Linear is a multivariate linear model y = w·f(x) over an explicit feature

@@ -103,60 +103,6 @@ func TestFitPolyRecoveryProperty(t *testing.T) {
 	}
 }
 
-func TestFitPiecewiseTwoRegimes(t *testing.T) {
-	// Flat at 18 below x=15, then linear 18 + 0.5(x−15): the paper's inlet
-	// shape. A single knot at 15 must capture both regimes.
-	var xs, ys []float64
-	for x := 0.0; x <= 30; x += 0.25 {
-		xs = append(xs, x)
-		if x < 15 {
-			ys = append(ys, 18)
-		} else {
-			ys = append(ys, 18+0.5*(x-15))
-		}
-	}
-	pw, err := FitPiecewise(xs, ys, []float64{15}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pw.Eval(5); math.Abs(got-18) > 0.01 {
-		t.Errorf("cold regime Eval(5) = %v, want 18", got)
-	}
-	if got := pw.Eval(25); math.Abs(got-23) > 0.01 {
-		t.Errorf("warm regime Eval(25) = %v, want 23", got)
-	}
-}
-
-func TestFitPiecewiseEmptySegmentInherits(t *testing.T) {
-	// All data above the knot: the lower segment must inherit the upper fit
-	// so extrapolation below the training range still works (the paper calls
-	// out random forests failing exactly here).
-	var xs, ys []float64
-	for x := 20.0; x <= 40; x++ {
-		xs = append(xs, x)
-		ys = append(ys, 2*x)
-	}
-	pw, err := FitPiecewise(xs, ys, []float64{15}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pw.Eval(10); math.Abs(got-20) > 1e-3 {
-		t.Errorf("extrapolated Eval(10) = %v, want 20", got)
-	}
-}
-
-func TestFitPiecewiseUnsortedKnots(t *testing.T) {
-	if _, err := FitPiecewise([]float64{1, 2}, []float64{1, 2}, []float64{5, 3}, 1); err == nil {
-		t.Error("expected unsorted-knots error")
-	}
-}
-
-func TestFitPiecewiseNoData(t *testing.T) {
-	if _, err := FitPiecewise(nil, nil, []float64{1}, 1); err == nil {
-		t.Error("expected insufficient-data error")
-	}
-}
-
 func TestLinearEvalAndFit(t *testing.T) {
 	var feats [][]float64
 	var ys []float64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/tapas-sim/tapas/internal/cluster"
 	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/power"
@@ -474,21 +473,11 @@ func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
 	if err := cs.checkRuntimeOnly(); err != nil {
 		return nil, err
 	}
-	st := cluster.NewStateFrom(cs.DC, cs.Workload, cs.Profile)
-	for m, p := range cs.profileBy {
-		if p != nil && p != cs.Profile {
-			st.SetModelProfile(layout.GPUModel(m), p)
-		}
+	r, err := cs.newRunner(pol)
+	if err != nil {
+		return nil, err
 	}
-	st.Tick = sc.Tick
-	st.SeedHistory(cs.customerPeak, cs.endpointPeak)
-	if init, ok := pol.(Initializer); ok {
-		if err := init.Init(st); err != nil {
-			return nil, fmt.Errorf("sim: policy init: %w", err)
-		}
-	}
-	r := &runner{sc: sc, cs: cs, pol: pol, st: st, outside: cs.Outside}
-	return r.run()
+	return r.run(), nil
 }
 
 // compileHistory pre-computes the per-customer and per-endpoint demand

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/cluster"
+	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/power"
 	"github.com/tapas-sim/tapas/internal/thermal"
@@ -95,10 +96,24 @@ type runner struct {
 	expiry    []vmExpiry
 	expiryDue []int
 	// tickEval shares this tick's weekend/noise-bucket terms across every
-	// un-warped load-pattern evaluation; vmNoise memoizes each VM's noise
-	// hashes across the ~10 ticks that share a bucket.
+	// un-warped load-pattern evaluation.
 	tickEval trace.TickEval
-	vmNoise  []trace.NoiseCache
+	// srvIaaS is each server's IaaS record, indexed by server ID, so an
+	// IaaS server-tick reads its VM's load inputs without loading the VM.
+	srvIaaS []iaasRecord
+}
+
+// iaasRecord is the tick kernel's copy of one server's IaaS VM inputs: the
+// VM's load pattern, compiled phase index and customer, plus the noise memo
+// that saves the pattern's two noise hashes across the ~10 ticks sharing a
+// noise bucket. serverStep rebuilds it whenever the server's VM differs
+// from the one it was built for (bindIaaS).
+type iaasRecord struct {
+	vm       int32 // VM the record was built for; -1 before the first
+	phase    int32 // CompiledScenario.vmPhase of vm; -1 for time-warped patterns
+	customer int
+	load     trace.LoadPattern
+	noise    trace.NoiseCache
 }
 
 // vmExpiry is one expiry-heap entry: the simulation time a placed VM's
@@ -144,8 +159,26 @@ func (r *runner) popExpiry() {
 	}
 }
 
-func (r *runner) run() (*Result, error) {
-	st := r.st
+// newRunner builds a run of the compiled scenario under a policy: a private
+// cluster.State around the shared read-only artifacts, seeded with the
+// compiled history and initialized by the policy, plus the runner's
+// per-server scratch.
+func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
+	sc := cs.Scenario
+	st := cluster.NewStateFrom(cs.DC, cs.Workload, cs.Profile)
+	for m, p := range cs.profileBy {
+		if p != nil && p != cs.Profile {
+			st.SetModelProfile(layout.GPUModel(m), p)
+		}
+	}
+	st.Tick = sc.Tick
+	st.SeedHistory(cs.customerPeak, cs.endpointPeak)
+	if init, ok := pol.(Initializer); ok {
+		if err := init.Init(st); err != nil {
+			return nil, fmt.Errorf("sim: policy init: %w", err)
+		}
+	}
+	r := &runner{sc: sc, cs: cs, pol: pol, st: st, outside: cs.Outside}
 	ticks := int(r.sc.Duration / r.sc.Tick)
 	r.res = &Result{Policy: r.pol.Name(), Tick: r.sc.Tick, Ticks: ticks}
 	r.res.MaxTempC = make([]float64, 0, ticks)
@@ -159,8 +192,10 @@ func (r *runner) run() (*Result, error) {
 	}
 	n := len(st.DC.Servers)
 	r.thermalCap = make([]float64, n)
+	r.srvIaaS = make([]iaasRecord, n)
 	for i := range r.thermalCap {
 		r.thermalCap[i] = 1
+		r.srvIaaS[i].vm = -1
 		// Seed the fan-control lag with each generation's idle draw.
 		st.ServerPowerW[i] = r.cs.idleWBy[r.cs.srvModel[i]]
 	}
@@ -169,12 +204,7 @@ func (r *runner) run() (*Result, error) {
 	r.aisleRecoverOK = make([]bool, len(st.DC.Aisles))
 	r.prevDCLoad = 0.3
 	r.phaseDaily = make([]float64, len(r.cs.phaseBy))
-	r.vmNoise = make([]trace.NoiseCache, len(st.VMs))
-	for i := range r.vmNoise {
-		r.vmNoise[i].Bucket = ^uint64(0)
-	}
-	requestMode := len(r.cs.requests) > 0
-	if requestMode {
+	if len(r.cs.requests) > 0 {
 		r.epReqTokens = make([]float64, len(st.Work.Endpoints))
 		r.reqRouter, _ = r.pol.(RequestRouter)
 		r.reqAdmitter, _ = r.pol.(RequestAdmitter)
@@ -192,25 +222,13 @@ func (r *runner) run() (*Result, error) {
 	// spec references a workload endpoint, so the slices never grow mid-run.
 	r.res.EndpointEnergyJ = make([]float64, len(st.Work.Endpoints))
 	r.res.EndpointServedTokens = make([]float64, len(st.Work.Endpoints))
+	return r, nil
+}
 
-	for ti := 0; ti < ticks; ti++ {
-		now := time.Duration(ti+1) * r.sc.Tick
-		wall := r.sc.StartOffset + now
-		st.Now = now
-		st.Wall = wall
-		st.OutsideC = r.outside.At(wall)
-		st.DCLoadFrac = r.prevDCLoad
-
-		r.applyFailures(now)
-		r.churnVMs(now)
-		if requestMode {
-			r.routeRequests(now)
-		} else {
-			r.routeDemand(wall)
-		}
-		r.pol.Configure(st)
-		r.airflowStep()
-		r.fleetStep(wall)
+func (r *runner) run() *Result {
+	st := r.st
+	for ti := 0; ti < r.res.Ticks; ti++ {
+		r.fleetStep(r.beginTick(ti))
 		st.RecordHistory(r.sc.Tick)
 		if r.sc.Observer != nil {
 			r.sc.Observer(st)
@@ -222,7 +240,31 @@ func (r *runner) run() (*Result, error) {
 			r.harvest(vm)
 		}
 	}
-	return r.res, nil
+	return r.res
+}
+
+// beginTick advances the clocks to tick ti and runs every phase before the
+// tick kernel: failures, churn and placement, routing, configuration and
+// airflow. It returns the wall time the kernel evaluates load patterns at.
+func (r *runner) beginTick(ti int) time.Duration {
+	st := r.st
+	now := time.Duration(ti+1) * r.sc.Tick
+	wall := r.sc.StartOffset + now
+	st.Now = now
+	st.Wall = wall
+	st.OutsideC = r.outside.At(wall)
+	st.DCLoadFrac = r.prevDCLoad
+
+	r.applyFailures(now)
+	r.churnVMs(now)
+	if len(r.cs.requests) > 0 {
+		r.routeRequests(now)
+	} else {
+		r.routeDemand(wall)
+	}
+	r.pol.Configure(st)
+	r.airflowStep()
+	return wall
 }
 
 // applyFailures sets the emergency multipliers for the current time.
@@ -541,7 +583,9 @@ func (r *runner) fleetStep(wall time.Duration) {
 // GPU power with hardware throttling, inlet and GPU temperatures, server
 // power and next tick's fan airflow. An IaaS server also adds its cap loss
 // and observes its customer's load. It returns the server's hottest GPU
-// temperature.
+// temperature. A server's VM inputs come from server-indexed tables, not
+// from its heap VM: st.ServerInst holds a SaaS server's instance and
+// r.srvIaaS an IaaS server's load inputs.
 func (r *runner) serverStep(id int, wall time.Duration, inletBase float64) float64 {
 	st := r.st
 	cs := r.cs
@@ -591,23 +635,25 @@ func (r *runner) serverStep(id int, wall time.Duration, inletBase float64) float
 	actFrac := idleFrac
 	nAct := gpus
 	loadFrac := 0.0
-	switch {
+	switch in := st.ServerInst[id]; {
 	case vmID == -1:
-	case st.VMs[vmID].Spec.Kind == trace.IaaS:
-		vm := st.VMs[vmID]
+	case in == nil: // IaaS
+		rec := &r.srvIaaS[id]
+		if rec.vm != int32(vmID) {
+			r.bindIaaS(rec, vmID)
+		}
 		var util float64
-		if pi := cs.vmPhase[vmID]; pi >= 0 {
-			util = vm.Spec.Load.AtTick(&r.tickEval, r.phaseDaily[pi], &r.vmNoise[vmID])
+		if rec.phase >= 0 {
+			util = rec.load.AtTick(&r.tickEval, r.phaseDaily[rec.phase], &rec.noise)
 		} else {
-			util = vm.Spec.Load.At(wall)
+			util = rec.load.At(wall)
 		}
 		actFrac = power.GPUPower(spec, util, cap) / spec.GPUTDPW
 		loadFrac = util
 		r.res.IaaSFreqCapSum += 1 - cap
 		r.res.IaaSServerTicks++
-		st.ObserveCustomerLoad(vm.Spec.Customer, util)
+		st.ObserveCustomerLoad(rec.customer, util)
 	default: // SaaS
-		in := st.VMs[vmID].Instance
 		if cap == 1 && in.StepDrained(r.sc.Tick) {
 			// Drained and uncapped, the SaaS path collapses to idle
 			// physics: BusyFrac is 0, so GPUPowerFrac returns exactly
@@ -727,6 +773,22 @@ func (r *runner) serverStep(id int, wall time.Duration, inletBase float64) float
 		st.ServerAirflowCFM[id] = units.Lerp(spec.AirflowIdleCFM, spec.AirflowMaxCFM, heatFrac)
 	}
 	return srvMax
+}
+
+// bindIaaS rebuilds a server's IaaS record for the VM now on it. An IaaS
+// VM's load inputs never change, so the copy stays exact for as long as the
+// VM stays; the noise memo restarts empty, and since it caches a pure
+// function of the pattern's seed and the noise bucket, a fresh memo only
+// re-derives the same hashes.
+func (r *runner) bindIaaS(rec *iaasRecord, vmID int) {
+	spec := &r.st.VMs[vmID].Spec
+	*rec = iaasRecord{
+		vm:       int32(vmID),
+		phase:    r.cs.vmPhase[vmID],
+		customer: spec.Customer,
+		load:     spec.Load,
+		noise:    trace.NoiseCache{Bucket: ^uint64(0)},
+	}
 }
 
 // idleServer is the kernel's path for an idle, uncapped server (and a
