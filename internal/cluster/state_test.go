@@ -334,6 +334,7 @@ func TestIndexesMatchRecountProperty(t *testing.T) {
 		var op string
 		var touched []int
 		var wantErr bool
+		var why string // the contract's reason to reject a move
 		err = nil
 		switch rng.IntN(3) {
 		case 0:
@@ -351,7 +352,17 @@ func TestIndexesMatchRecountProperty(t *testing.T) {
 			st.Remove(vmID)
 		default:
 			op = "move"
-			wantErr = !free || vm.Server == -1 || vm.Spec.Kind != trace.SaaS
+			switch {
+			case !inRange:
+				why = ": out-of-range server"
+			case vm.Server == -1:
+				why = ": unplaced VM"
+			case vm.Spec.Kind != trace.SaaS:
+				why = ": IaaS VM"
+			case !free:
+				why = ": occupied server"
+			}
+			wantErr = why != ""
 			if !wantErr {
 				touched = []int{st.DC.Servers[vm.Server].Row, st.DC.Servers[srv].Row}
 			}
@@ -365,7 +376,7 @@ func TestIndexesMatchRecountProperty(t *testing.T) {
 			if !reflect.DeepEqual(after, before) {
 				t.Fatalf("step %d: rejected %s(VM %d, server %d) changed the indexes", step, op, vmID, srv)
 			}
-			ops[op+" rejected"]++
+			ops[op+" rejected"+why]++
 			continue
 		}
 		if len(touched) > 0 {
@@ -386,7 +397,9 @@ func TestIndexesMatchRecountProperty(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range []string{"place", "remove", "move", "place rejected", "move rejected"} {
+	for _, op := range []string{"place", "remove", "move", "place rejected",
+		"move rejected: out-of-range server", "move rejected: unplaced VM",
+		"move rejected: IaaS VM", "move rejected: occupied server"} {
 		if ops[op] == 0 {
 			t.Errorf("no %s call exercised", op)
 		}

@@ -13,11 +13,11 @@ import (
 // between prefill and decode in proportion to demand, as continuous batching
 // does.
 type Instance struct {
-	// Step, StepDrained, GPUPowerFrac and DemandSeconds run once per
-	// instance per tick and touch only the fields from here through Work,
-	// so a server-tick reads the instance's leading cache lines. Spec, SLOs,
-	// the affinity map and the goodput memo, read on reconfiguration,
-	// routing and capped SLO slack, come after.
+	// The fields a binned tick's Step, StepDrained, GPUPowerFrac and
+	// DemandSeconds read come first, from here through Work, so a
+	// server-tick reads the instance's leading cache lines. Spec, SLOs, the
+	// affinity map and the goodput memo, read on reconfiguration, routing,
+	// capped SLO slack and request-level decode steps, come after.
 
 	// queue, when non-nil, switches the instance into request-level replay
 	// mode: Step runs the discrete-event continuous-batching queue instead

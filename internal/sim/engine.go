@@ -162,7 +162,7 @@ func (r *runner) popExpiry() {
 // newRunner builds a run of the compiled scenario under a policy: a private
 // cluster.State around the shared read-only artifacts, seeded with the
 // compiled history and initialized by the policy, plus the runner's
-// per-server scratch.
+// per-server working state.
 func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
 	sc := cs.Scenario
 	st := cluster.NewStateFrom(cs.DC, cs.Workload, cs.Profile)
