@@ -16,7 +16,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden report files")
 // goldenIDs are the experiments pinned byte-for-byte: the multi-run grids
 // that share compiled scenarios across runs, plus the week-scale single runs
 // whose tick kernel was fused.
-var goldenIDs = []string{"fig10", "fig11", "fig18", "fig19", "fig20", "table2"}
+var goldenIDs = []string{"fig10", "fig11", "fig18", "fig19", "fig20", "fig21", "table2"}
 
 func renderReport(t *testing.T, id string, p Params) string {
 	t.Helper()
