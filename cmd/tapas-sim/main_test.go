@@ -44,6 +44,8 @@ func TestRunErrors(t *testing.T) {
 			[]string{"-bogus"}, 2, "flag provided but not defined"},
 		"spec with axes": {
 			[]string{"-spec", axesSpec}, 2, "sweeps axes"},
+		"shorter than one tick": {
+			[]string{"-hours", "0.01"}, 1, "shorter than one tick"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

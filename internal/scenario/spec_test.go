@@ -323,3 +323,37 @@ func TestDefaultPoliciesAndMetrics(t *testing.T) {
 		t.Errorf("default metrics = %v", got)
 	}
 }
+
+// TestCampaignRejectsScenarioShorterThanOneTick checks that expansion
+// refuses a scenario shorter than one tick, after scaling, so -validate and
+// the daemon's submit reject it before any job runs. The small preset with
+// no duration runs 20 minutes below scale 0.5, so a 30-minute tick is too
+// long there but fits its paper-scale hour.
+func TestCampaignRejectsScenarioShorterThanOneTick(t *testing.T) {
+	cases := []struct {
+		name  string
+		json  string
+		scale float64
+	}{
+		{"explicit duration", `{"name":"x","duration":"30m","tick":"1h"}`, 0},
+		{"scaled small preset", `{"name":"x","layout":{"preset":"small"},"tick":"30m"}`, 0.1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Parse([]byte(tc.json))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Campaign(tc.scale); err == nil || !strings.Contains(err.Error(), "shorter than one tick") {
+				t.Errorf("err = %v, want a shorter-than-one-tick error", err)
+			}
+		})
+	}
+	s, err := Parse([]byte(`{"name":"x","layout":{"preset":"small"},"tick":"30m"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Campaign(1); err != nil {
+		t.Errorf("a 30m tick in the small preset's 1h: %v", err)
+	}
+}

@@ -366,6 +366,16 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("negative scale = %d, want 400", resp.StatusCode)
 	}
 
+	resp, err = http.Post(ts.URL+"/campaigns", "application/json",
+		strings.NewReader(`{"name":"x","layout":{"preset":"small"},"duration":"30m","tick":"1h"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("scenario shorter than one tick = %d, want 400", resp.StatusCode)
+	}
+
 	for _, path := range []string{"/campaigns/nope", "/campaigns/nope/events", "/campaigns/nope/report"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

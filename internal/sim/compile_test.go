@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,5 +161,34 @@ func TestCompiledRunRejectsStaleArtifacts(t *testing.T) {
 	})
 	if _, err := short.Run(naivePolicy{}); err != nil {
 		t.Errorf("shortened-duration variant must run: %v", err)
+	}
+}
+
+// TestRunRejectsScenarioShorterThanOneTick pins the zero-tick guard: a
+// scenario shorter than one tick would run no tick at all and report empty
+// series as a 0 °C fleet with perfect service. Run refuses it, on a fresh
+// scenario and on a variant that shortens the duration below the tick; a
+// duration of exactly one tick still runs that tick.
+func TestRunRejectsScenarioShorterThanOneTick(t *testing.T) {
+	sc := SmallScenario()
+	sc.Tick = 2 * sc.Duration
+	if _, err := Run(sc, naivePolicy{}); err == nil || !strings.Contains(err.Error(), "shorter than one tick") {
+		t.Errorf("scenario shorter than its tick: err = %v, want a shorter-than-one-tick error", err)
+	}
+	cs, err := Compile(SmallScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := cs.Variant(func(s *Scenario) { s.Duration = s.Tick / 2 })
+	if _, err := short.Run(naivePolicy{}); err == nil || !strings.Contains(err.Error(), "shorter than one tick") {
+		t.Errorf("variant shortened below one tick: err = %v, want a shorter-than-one-tick error", err)
+	}
+	one := cs.Variant(func(s *Scenario) { s.Duration = s.Tick })
+	res, err := one.Run(naivePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ticks != 1 || len(res.MaxTempC) != 1 {
+		t.Errorf("one-tick variant ran %d ticks (%d samples), want 1", res.Ticks, len(res.MaxTempC))
 	}
 }
