@@ -100,6 +100,11 @@ func (s *Spec) Campaign(scale float64) (*Campaign, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: spec %q: %w", s.Name, err)
 	}
+	// Scaling can shorten the run below an explicit tick; no axis changes
+	// either, so checking the base scenario covers every grid point.
+	if base.Duration < base.Tick {
+		return nil, fmt.Errorf("scenario: spec %q: duration %v is shorter than one tick (%v)", s.Name, base.Duration, base.Tick)
+	}
 	points, err := s.expand(base)
 	if err != nil {
 		return nil, err

@@ -470,6 +470,9 @@ func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
 	if sc.Tick <= 0 {
 		return nil, fmt.Errorf("sim: non-positive tick %v", sc.Tick)
 	}
+	if sc.Duration < sc.Tick {
+		return nil, fmt.Errorf("sim: duration %v is shorter than one tick (%v); the run would have no ticks", sc.Duration, sc.Tick)
+	}
 	if err := cs.checkRuntimeOnly(); err != nil {
 		return nil, err
 	}
