@@ -6,10 +6,12 @@ import (
 	"sort"
 	"time"
 
+	"github.com/tapas-sim/tapas/internal/cluster"
 	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/power"
 	"github.com/tapas-sim/tapas/internal/regress"
+	"github.com/tapas-sim/tapas/internal/scenario"
 	"github.com/tapas-sim/tapas/internal/sim"
 	"github.com/tapas-sim/tapas/internal/thermal"
 	"github.com/tapas-sim/tapas/internal/trace"
@@ -65,7 +67,7 @@ func Table1(p Params) (*Report, error) {
 // Fig1 renders the median inlet temperature per rack across the layout.
 func Fig1(p Params) (*Report, error) {
 	r := &Report{ID: "fig1", Title: "Datacenter layout inlet heatmap"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	outside := trace.NewOutsideTemp(trace.RegionTemperate, 7*24*time.Hour, 10*time.Minute, p.Seed)
 	medians := make([][]float64, len(dc.Rows))
 	for rowID, row := range dc.Rows {
@@ -93,7 +95,7 @@ func Fig1(p Params) (*Report, error) {
 // Fig2 prints the inlet and outside temperature timeline for three servers.
 func Fig2(p Params) (*Report, error) {
 	r := &Report{ID: "fig2", Title: "Inlet vs outside temperature, three servers, one month"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	outside := trace.NewOutsideTemp(trace.RegionTemperate, 31*24*time.Hour, 10*time.Minute, p.Seed)
 	servers := []*layout.Server{dc.Servers[0], dc.Servers[len(dc.Servers)/2], dc.Servers[len(dc.Servers)-1]}
 	r.addf("%-6s %8s %8s %8s %8s", "day", "outside", "srv1", "srv2", "srv3")
@@ -113,7 +115,7 @@ func Fig2(p Params) (*Report, error) {
 // the regime slopes.
 func Fig3(p Params) (*Report, error) {
 	r := &Report{ID: "fig3", Title: "Inlet vs outside regression"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	rng := rand.New(rand.NewPCG(p.Seed, 3))
 	for i, srv := range []*layout.Server{dc.Servers[0], dc.Servers[len(dc.Servers)/2], dc.Servers[len(dc.Servers)-1]} {
 		var xs, ys, zs []float64
@@ -147,7 +149,7 @@ func Fig3(p Params) (*Report, error) {
 // position within rows, and height within racks.
 func Fig4(p Params) (*Report, error) {
 	r := &Report{ID: "fig4", Title: "Inlet distribution across physical entities"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	byRow := map[int][]float64{}
 	byRackPos := map[int][]float64{}
 	byHeight := map[int][]float64{}
@@ -197,7 +199,7 @@ func Fig5(p Params) (*Report, error) {
 // diurnal load over 45 days.
 func Fig6(p Params) (*Report, error) {
 	r := &Report{ID: "fig6", Title: "GPU temperature and power over 45 days"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	srv := dc.Servers[0]
 	spec := srv.GPU
 	outside := trace.NewOutsideTemp(trace.RegionTemperate, 45*24*time.Hour, 10*time.Minute, p.Seed)
@@ -222,7 +224,7 @@ func Fig6(p Params) (*Report, error) {
 // Fig7 fits the GPU-temperature regression and reports its MAE.
 func Fig7(p Params) (*Report, error) {
 	r := &Report{ID: "fig7", Title: "GPU temperature regression"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	srv := dc.Servers[0]
 	rng := rand.New(rand.NewPCG(p.Seed, 7))
 	var feats [][]float64
@@ -254,7 +256,7 @@ func Fig7(p Params) (*Report, error) {
 // server.
 func Fig8(p Params) (*Report, error) {
 	r := &Report{ID: "fig8", Title: "Sorted per-GPU temperatures of one server"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	srv := dc.Servers[0]
 	temps := make([]float64, len(srv.GPUTempGainC))
 	for g := range temps {
@@ -275,7 +277,7 @@ func Fig8(p Params) (*Report, error) {
 // the per-GPU-number medians.
 func Fig9(p Params) (*Report, error) {
 	r := &Report{ID: "fig9", Title: "Fleet GPU temperature distribution at high load"}
-	dc := mustDC(scaledLayout(p))
+	dc := largeDC(p)
 	var all []float64
 	byIdx := make([][]float64, dc.Servers[0].GPU.GPUsPerServer)
 	for _, srv := range dc.Servers {
@@ -301,28 +303,44 @@ func Fig9(p Params) (*Report, error) {
 // imbalance: four sample row timelines plus the P50/P99 CDF across rows.
 func Fig10(p Params) (*Report, error) {
 	r := &Report{ID: "fig10", Title: "Row power imbalance"}
-	sc := scaledScenario(p)
-	sc.RecordRowSeries = true
-	res, err := sim.Run(sc, baselinePolicy())
+	s := largeSpec(r.ID, p)
+	s.Policies = []string{"baseline"}
+	c, err := s.Campaign(p.Scale)
 	if err != nil {
 		return nil, err
 	}
-	nRows := len(res.RowPowerW)
-	step := len(res.RowPowerW[0]) / 8
+	// The observer runs after each tick's kernel, when st.RowPowerW holds
+	// the tick's row draws.
+	var rowW [][]float64
+	c.Points[0].Scenario.Observer = func(st *cluster.State) {
+		if rowW == nil {
+			rowW = make([][]float64, len(st.RowPowerW))
+		}
+		for row, w := range st.RowPowerW {
+			rowW[row] = append(rowW[row], w)
+		}
+	}
+	res, err := c.Run(scenario.RunOptions{Parallel: p.Parallel})
+	if err != nil {
+		return nil, err
+	}
+	peak := res.Runs[0][0].PeakPower()
+	nRows := len(rowW)
+	step := len(rowW[0]) / 8
 	if step == 0 {
 		step = 1
 	}
 	for i := 0; i < 4 && i < nRows; i++ {
 		line := fmt.Sprintf("row %d util%%:", i)
-		for t := 0; t < len(res.RowPowerW[i]); t += step {
-			line += fmt.Sprintf(" %3.0f", res.RowPowerW[i][t]/res.PeakPower()*100)
+		for t := 0; t < len(rowW[i]); t += step {
+			line += fmt.Sprintf(" %3.0f", rowW[i][t]/peak*100)
 		}
 		r.Lines = append(r.Lines, line)
 	}
 	var p50s, p99s []float64
 	for row := 0; row < nRows; row++ {
-		p50s = append(p50s, regress.Percentile(res.RowPowerW[row], 50))
-		p99s = append(p99s, regress.Percentile(res.RowPowerW[row], 99))
+		p50s = append(p50s, regress.Percentile(rowW[row], 50))
+		p99s = append(p99s, regress.Percentile(rowW[row], 99))
 	}
 	maxP99 := regress.Percentile(p99s, 100)
 	r.addf("rows whose P99 power sits below the hungriest row:")
@@ -405,11 +423,11 @@ func Fig11(p Params) (*Report, error) {
 	// for any worker count. Each worker keeps its own permutation scratch
 	// and reseeds a private PCG per trial instead of allocating a new one.
 	type trialResult struct{ tempC, powerKW float64 }
-	workers := ResolveWorkers(p.Parallel)
+	workers := sim.ResolveWorkers(p.Parallel)
 	perms := make([][]int, workers)
 	pcgs := make([]*rand.PCG, workers)
 	rngs := make([]*rand.Rand, workers)
-	results, _ := RunParallel(trials, workers, func(worker, trial int) (trialResult, error) {
+	results, _ := sim.RunParallel(trials, workers, func(worker, trial int) (trialResult, error) {
 		perm := perms[worker]
 		if perm == nil {
 			perm = make([]int, len(dc.Servers))

@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
-	"github.com/tapas-sim/tapas/internal/core"
 	"github.com/tapas-sim/tapas/internal/regress"
+	"github.com/tapas-sim/tapas/internal/scenario"
 	"github.com/tapas-sim/tapas/internal/sim"
 )
-
-func baselinePolicy() sim.Policy { return core.NewBaseline() }
-func tapasPolicy() sim.Policy    { return core.NewFull() }
 
 // Fig18 reproduces the real-cluster experiment: peak row power over one hour
 // under Baseline vs TAPAS, plus the fluid-vs-fine simulator validation (the
@@ -18,21 +16,14 @@ func tapasPolicy() sim.Policy    { return core.NewFull() }
 func Fig18(p Params) (*Report, error) {
 	r := &Report{ID: "fig18", Title: "Real-cluster peak power: Baseline vs TAPAS"}
 	// One compilation covers all three runs (Baseline, TAPAS, and the
-	// fine-tick validation below): layout, workload, weather and seeded
-	// history are identical across them.
-	cs, err := sim.Compile(smallScenario(p))
+	// fine-tick validation below): the tick is runtime-only, so the second
+	// campaign is served from the first one's cache entry.
+	cache := sim.NewCompileCache(0)
+	res, err := runSpec(smallSpec(r.ID, p), p, cache)
 	if err != nil {
 		return nil, err
 	}
-	results := map[string]*sim.Result{}
-	for _, pol := range []sim.Policy{baselinePolicy(), tapasPolicy()} {
-		res, err := cs.Run(pol)
-		if err != nil {
-			return nil, err
-		}
-		results[res.Policy] = res
-	}
-	base, tapas := results["Baseline"], results["TAPAS"]
+	base, tapas := res.Runs[0][0], res.Runs[1][0]
 	norm := base.PeakPower()
 	step := base.Ticks / 12
 	if step == 0 {
@@ -50,15 +41,16 @@ func Fig18(p Params) (*Report, error) {
 	r.addf("TAPAS P99 SLO violations: %.2f%%, quality: %.3f", tapas.SLOViolationRate()*100, tapas.AvgQuality())
 
 	// Simulator validation: the same scenario at a finer tick plays the
-	// "real cluster"; the coarse fluid run is the simulator. The tick is a
-	// runtime-only knob, so the compiled artifacts are reused as-is.
-	fine := cs.Variant(func(sc *sim.Scenario) { sc.Tick = 15 * time.Second })
-	fineRes, err := fine.Run(tapasPolicy())
+	// "real cluster"; the coarse fluid run is the simulator.
+	fine := smallSpec(r.ID, p)
+	tick := scenario.Duration(15 * time.Second)
+	fine.Tick, fine.Policies = &tick, []string{"tapas"}
+	fineRes, err := runSpec(fine, p, cache)
 	if err != nil {
 		return nil, err
 	}
 	coarseSeries := normalizedSeries(tapas.PeakRowPowerW, norm)
-	fineSeries := downsample(normalizedSeries(fineRes.PeakRowPowerW, norm), 4)
+	fineSeries := downsample(normalizedSeries(fineRes.Runs[0][0].PeakRowPowerW, norm), 4)
 	n := len(coarseSeries)
 	if len(fineSeries) < n {
 		n = len(fineSeries)
@@ -72,19 +64,11 @@ func Fig18(p Params) (*Report, error) {
 // power for Baseline vs TAPAS.
 func Fig19(p Params) (*Report, error) {
 	r := &Report{ID: "fig19", Title: "Week-scale max temperature and peak power"}
-	cs, err := sim.Compile(scaledScenario(p))
+	res, err := runSpec(largeSpec(r.ID, p), p, nil)
 	if err != nil {
 		return nil, err
 	}
-	results := map[string]*sim.Result{}
-	for _, pol := range []sim.Policy{baselinePolicy(), tapasPolicy()} {
-		res, err := cs.Run(pol)
-		if err != nil {
-			return nil, err
-		}
-		results[res.Policy] = res
-	}
-	base, tapas := results["Baseline"], results["TAPAS"]
+	base, tapas := res.Runs[0][0], res.Runs[1][0]
 	normP := base.PeakPower()
 	step := base.Ticks / 14
 	if step == 0 {
@@ -111,69 +95,29 @@ func Fig19(p Params) (*Report, error) {
 }
 
 // Fig20 runs the ablation: all eight policies across five SaaS/IaaS mixes,
-// reporting normalized max temperature and peak power.
+// reporting max temperature and peak power normalized to each mix's
+// provisioned envelopes. It is the grid of
+// examples/scenarios/fig20-ablation.json at p's scale and seed.
 func Fig20(p Params) (*Report, error) {
 	r := &Report{ID: "fig20", Title: "Ablation: policies × SaaS/IaaS mixes"}
-	mixes := []struct {
-		name string
-		saas float64
-	}{
-		{"SaaS", 1.0}, {"75/25", 0.75}, {"50/50", 0.5}, {"25/75", 0.25}, {"IaaS", 0.0},
-	}
-	variants := []core.Options{
-		{},
-		{Place: true},
-		{Route: true},
-		{Config: true},
-		{Place: true, Route: true},
-		{Place: true, Config: true},
-		{Route: true, Config: true},
-		{Place: true, Route: true, Config: true},
-	}
-	// Normalize to provisioned envelopes: row power limit and throttle temp.
-	sc0 := scaledScenario(p)
-	dc := mustDC(sc0.Layout)
-	provPower := dc.Rows[0].ProvPowerW
-	provTemp := dc.Servers[0].GPU.ThrottleTempC
-
-	header := fmt.Sprintf("%-14s", "policy")
-	for _, m := range mixes {
-		header += fmt.Sprintf(" %12s", m.name)
-	}
-	r.Lines = append(r.Lines, "normalized max temperature / normalized peak power", header)
-	// The 8 variants × 5 mixes grid is 40 independent simulations. The five
-	// mixes compile once each (workload generation differs per SaaS
-	// fraction); all eight policy variants of a mix then share the compiled
-	// artifacts read-only across the worker pool. Results match the
-	// compile-per-run path exactly.
-	compiled, err := RunParallel(len(mixes), p.Parallel, func(_, mi int) (*sim.CompiledScenario, error) {
-		sc := scaledScenario(p)
-		sc.Workload.SaaSFraction = mixes[mi].saas
-		return sim.Compile(sc)
-	})
+	s := largeSpec(r.ID, p)
+	s.Policies = []string{"baseline", "place", "route", "config", "place,route", "place,config", "route,config", "tapas"}
+	s.Axes = []scenario.AxisSpec{{
+		Param:  "workload.saas_fraction",
+		Values: numbers(1, 0.75, 0.5, 0.25, 0),
+		Labels: []string{"SaaS", "75/25", "50/50", "25/75", "IaaS"},
+	}}
+	res, err := runSpec(s, p, nil)
 	if err != nil {
 		return nil, err
 	}
-	type cell struct{ temp, power float64 }
-	cells, err := RunParallel(len(variants)*len(mixes), p.Parallel, func(_, job int) (cell, error) {
-		opts := variants[job/len(mixes)]
-		res, err := compiled[job%len(mixes)].Run(core.New(opts))
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{temp: res.MaxTemp() / provTemp, power: res.PeakPower() / provPower}, nil
-	})
-	if err != nil {
+	var sb strings.Builder
+	if _, err := res.WriteTo(&sb); err != nil {
 		return nil, err
 	}
-	for vi, opts := range variants {
-		line := fmt.Sprintf("%-14s", core.New(opts).Name())
-		for mi := range mixes {
-			c := cells[vi*len(mixes)+mi]
-			line += fmt.Sprintf("  %4.2f/%4.2f", c.temp, c.power)
-		}
-		r.Lines = append(r.Lines, line)
-	}
+	// Keep the campaign's grid and drop its own title line.
+	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+	r.Lines = append(r.Lines, lines[1:]...)
 	r.notef("paper Fig. 20: each lever ≤12%% alone; TAPAS −17%% temp / −23%% power at 50/50; all-SaaS best (−23/−28%%); all-IaaS limited to Place")
 	return r, nil
 }
@@ -182,23 +126,18 @@ func Fig20(p Params) (*Report, error) {
 // under thermal and power capping for Baseline and TAPAS.
 func Fig21(p Params) (*Report, error) {
 	r := &Report{ID: "fig21", Title: "Oversubscription capping sweep"}
+	s := largeSpec(r.ID, p)
+	s.Axes = []scenario.AxisSpec{{Param: "oversubscribe", Values: numbers(0, 0.1, 0.2, 0.3, 0.4, 0.5)}}
+	res, err := runSpec(s, p, nil)
+	if err != nil {
+		return nil, err
+	}
 	r.addf("%-8s %10s %14s %14s", "policy", "oversub%", "thermal-cap%", "power-cap%")
-	for _, ratio := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		// Oversubscription changes the generated layout, so each ratio
-		// compiles once and both policies share it.
-		sc := scaledScenario(p)
-		sc.Oversubscribe = ratio
-		cs, err := sim.Compile(sc)
-		if err != nil {
-			return nil, err
-		}
-		for _, mk := range []func() sim.Policy{baselinePolicy, tapasPolicy} {
-			res, err := cs.Run(mk())
-			if err != nil {
-				return nil, err
-			}
+	for xi, pt := range res.Campaign.Points {
+		for _, runs := range res.Runs {
+			run := runs[xi]
 			r.addf("%-8s %10.0f %14.2f %14.2f",
-				res.Policy, ratio*100, res.ThrottleFrac()*100, res.PowerCapFrac()*100)
+				run.Policy, pt.Scenario.Oversubscribe*100, run.ThrottleFrac()*100, run.PowerCapFrac()*100)
 		}
 	}
 	r.notef("paper Fig. 21: no capping at 0%%; Baseline caps heavily beyond 20%%; TAPAS <0.7%% up to 40%%")
@@ -209,44 +148,30 @@ func Fig21(p Params) (*Report, error) {
 // cooling (90% airflow) failures during a peak-load window.
 func Table2(p Params) (*Report, error) {
 	r := &Report{ID: "table2", Title: "Emergency management: Baseline vs TAPAS"}
-	peakLoad := func(sc *sim.Scenario) {
-		// The paper measures emergencies over a peak-load window (§5.4);
-		// below this demand the degraded envelopes still cover the fleet
-		// and neither policy needs to act.
-		sc.Workload.DemandScale = 1.3
-		sc.Workload.Occupancy = 0.97
-	}
-	// The emergency matrix is 2 emergencies × 2 policies × {normal, failed}
-	// = 8 independent simulations sharing one compiled scenario: the failure
-	// schedule is a runtime-only knob, so every job reuses the same layout,
-	// workload and seeded history via Variant.
-	base := smallScenario(p)
-	peakLoad(&base)
-	cs, err := sim.Compile(base)
+	// The paper measures emergencies over a peak-load window (§5.4); below
+	// this demand the degraded envelopes still cover the fleet and neither
+	// policy needs to act.
+	s := smallSpec(r.ID, p)
+	demand, occupancy := 1.3, 0.97
+	s.Workload.DemandScale, s.Workload.Occupancy = &demand, &occupancy
+	// The normal runs and each emergency's failed runs are campaigns over
+	// one cached compilation: the failure schedule is runtime-only.
+	cache := sim.NewCompileCache(0)
+	normals, err := runSpec(s, p, cache)
 	if err != nil {
 		return nil, err
 	}
-	emergencies := []sim.FailureKind{sim.PowerFailure, sim.CoolingFailure}
-	policies := []func() sim.Policy{baselinePolicy, tapasPolicy}
-	runs, err := RunParallel(len(emergencies)*len(policies)*2, p.Parallel, func(_, job int) (*sim.Result, error) {
-		emergency := emergencies[job/(len(policies)*2)]
-		mk := policies[(job/2)%len(policies)]
-		run := cs
-		if job%2 == 1 {
-			run = cs.Variant(func(sc *sim.Scenario) {
-				sc.Failures = []sim.FailureEvent{{Kind: emergency, At: sc.Duration / 6, Duration: sc.Duration}}
-			})
+	d := normals.Campaign.Points[0].Scenario.Duration
+	for _, kind := range []string{"power", "cooling"} {
+		emergency := *s
+		emergency.Failures = []scenario.FailureSpec{{Kind: kind, At: scenario.Duration(d / 6), Duration: scenario.Duration(d)}}
+		res, err := runSpec(&emergency, p, cache)
+		if err != nil {
+			return nil, err
 		}
-		return run.Run(mk())
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ei, emergency := range emergencies {
-		r.addf("--- %s emergency ---", emergency)
-		for pi := range policies {
-			base := ei*len(policies)*2 + pi*2
-			normal, failed := runs[base], runs[base+1]
+		r.addf("--- %s emergency ---", kind)
+		for pi, runs := range res.Runs {
+			normal, failed := normals.Runs[pi][0], runs[0]
 			saasPerf := failed.SaaSServedTokens/normal.SaaSServedTokens - 1
 			quality := failed.AvgQuality()/normal.AvgQuality() - 1
 			r.addf("%-8s IaaS perf %+5.1f%%  SaaS perf %+5.1f%%  IaaS quality +0.0%%  SaaS quality %+5.1f%%",
@@ -255,6 +180,15 @@ func Table2(p Params) (*Report, error) {
 	}
 	r.notef("paper Table 2: Baseline −35%%/−22%% perf (power/thermal) at zero quality cost; TAPAS holds IaaS at 0%%, improves SaaS perf, trades ≤12%%/6%% quality")
 	return r, nil
+}
+
+// numbers lists numeric sweep-axis values.
+func numbers(xs ...float64) []scenario.AxisValue {
+	out := make([]scenario.AxisValue, len(xs))
+	for i, x := range xs {
+		out[i] = scenario.AxisValue{Num: x, IsNum: true}
+	}
+	return out
 }
 
 func normalizedSeries(xs []float64, norm float64) []float64 {

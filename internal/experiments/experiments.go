@@ -2,6 +2,10 @@
 // paper's characterization (§2–§3) and evaluation (§5). Each runner
 // regenerates the corresponding rows/series from the simulator and models in
 // this repository, at a configurable scale, and returns a textual Report.
+// The simulation-backed figures (Figs. 10 and 18–21, Table 2) build
+// scenario specs and run them as campaigns (internal/scenario), the path
+// tapas-campaign and the campaign daemon take; their runners only format
+// the results.
 //
 // cmd/tapas-bench executes, times and profiles them, at paper scale or
 // reduced by -scale.
@@ -12,9 +16,9 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/tapas-sim/tapas/internal/layout"
+	"github.com/tapas-sim/tapas/internal/scenario"
 	"github.com/tapas-sim/tapas/internal/sim"
 	"github.com/tapas-sim/tapas/internal/trace"
 )
@@ -25,10 +29,10 @@ type Params struct {
 	// (1.0 = the paper's setup; benchmarks use ~0.1).
 	Scale float64
 	Seed  uint64
-	// Parallel bounds the worker pool for multi-run experiments (fig11's
-	// random placements, fig20's ablation grid, table2's emergency matrix).
-	// ≤ 0 selects GOMAXPROCS. Reports are byte-identical across worker
-	// counts: every run is seeded per job and collected in job order.
+	// Parallel bounds the worker pool for multi-run experiments: fig11's
+	// random placements and the spec campaigns of Figs. 10 and 18–21 and
+	// Table 2. ≤ 0 selects GOMAXPROCS. Reports are byte-identical across
+	// worker counts: every run is seeded per job and collected in job order.
 	Parallel int
 }
 
@@ -113,85 +117,40 @@ func Lookup(id string) (Spec, bool) {
 
 // --- shared scenario builders -------------------------------------------
 
-// scaleAisles is the one aisle-scaling rule (round to nearest, floor 2)
-// shared by scaledLayout and ScaleLarge.
-func scaleAisles(aisles int, scale float64) int {
-	n := int(float64(aisles)*scale + 0.5)
-	if n < 2 {
-		n = 2
-	}
-	return n
+// largeSpec is the paper's large-scale evaluation setup (the ~1000-server
+// preset over a paper week, Baseline vs TAPAS) seeded with p.Seed. Its
+// campaign takes p.Scale: see runSpec.
+func largeSpec(id string, p Params) *scenario.Spec {
+	return &scenario.Spec{Name: id, Seed: &p.Seed}
 }
 
-// scaledLayout returns the large-cluster layout scaled toward paper size.
-func scaledLayout(p Params) layout.Config {
-	lc := layout.DefaultConfig()
-	lc.Aisles = scaleAisles(lc.Aisles, p.Scale)
-	lc.Seed = p.Seed
-	return lc
+// smallSpec is the paper's 80-server real-cluster setup. A spec's seed sets
+// the layout seed too, but the testbed is fixed hardware: its layout keeps
+// the preset's seed whatever p.Seed is.
+func smallSpec(id string, p Params) *scenario.Spec {
+	layoutSeed := layout.SmallConfig().Seed
+	return &scenario.Spec{Name: id, Seed: &p.Seed,
+		Layout: scenario.LayoutSpec{Preset: "small", Seed: &layoutSeed}}
 }
 
-// ScaleLarge applies the quick-run scaling rules of the large preset in
-// place: aisle count and duration shrink proportionally, and sub-half-scale
-// runs shift to the 9 h diurnal-peak start offset unless the caller pinned
-// an offset explicitly. The 6 h duration floor guards the preset's paper
-// week; a caller-chosen duration (explicitDuration) scales with only a
-// 5-minute floor so short campaigns stay short. Shared with the
-// scenario-spec pipeline so spec campaigns reproduce the runners'
-// scenarios exactly.
-func ScaleLarge(sc *sim.Scenario, scale float64, explicitOffset, explicitDuration bool) {
-	sc.Layout.Aisles = scaleAisles(sc.Layout.Aisles, scale)
-	floor := 6 * time.Hour
-	if explicitDuration {
-		floor = 5 * time.Minute
+// runSpec expands a figure's spec at p.Scale (a non-positive scale keeps
+// paper scale) and runs it on p's worker pool, through cache when non-nil.
+func runSpec(s *scenario.Spec, p Params, cache *sim.CompileCache) (*scenario.Result, error) {
+	c, err := s.Campaign(p.Scale)
+	if err != nil {
+		return nil, err
 	}
-	dur := time.Duration(float64(sc.Duration) * scale)
-	if dur < floor {
-		dur = floor
-	}
-	sc.Duration = dur
-	sc.Workload.Duration = dur
-	sc.Workload.Servers = sc.Layout.Aisles * 2 * sc.Layout.RacksPerRow * sc.Layout.ServersPerRack
-	if scale < 0.5 && !explicitOffset {
-		sc.StartOffset = 9 * time.Hour // short runs still cover the daily peak
-	}
+	return c.Run(scenario.RunOptions{Parallel: p.Parallel, Cache: cache})
 }
 
-// ScaleSmall applies the quick-run scaling rules of the small (real-cluster)
-// preset in place: sub-half-scale runs shorten to the 20-minute smoke
-// window, or — when the caller set a duration explicitly — scale it
-// proportionally with a 5-minute floor.
-func ScaleSmall(sc *sim.Scenario, scale float64, explicitDuration bool) {
-	if scale >= 0.5 {
-		return
+// largeDC builds the datacenter of the one-point large spec, the cluster
+// the characterization figures draw.
+func largeDC(p Params) *layout.Datacenter {
+	c, err := largeSpec("layout", p).Campaign(p.Scale)
+	if err != nil {
+		panic(err) // a fixed spec with no files to load cannot fail to expand
 	}
-	d := 20 * time.Minute
-	if explicitDuration {
-		d = time.Duration(float64(sc.Duration) * scale)
-		if d < 5*time.Minute {
-			d = 5 * time.Minute
-		}
-	}
-	sc.Duration = d
-	sc.Workload.Duration = d
-}
-
-// scaledScenario returns the paper's large-scale evaluation scenario at the
-// requested scale.
-func scaledScenario(p Params) sim.Scenario {
-	sc := sim.DefaultScenario()
-	sc.Layout.Seed = p.Seed
-	sc.Workload.Seed = p.Seed
-	ScaleLarge(&sc, p.Scale, false, false)
-	return sc
-}
-
-// smallScenario returns the real-cluster scenario (80 servers, 1 h).
-func smallScenario(p Params) sim.Scenario {
-	sc := sim.SmallScenario()
-	sc.Workload.Seed = p.Seed
-	ScaleSmall(&sc, p.Scale, false)
-	return sc
+	return mustDC(c.Points[0].Scenario.Layout)
 }
 
 // mustDC builds a datacenter or panics (generation only fails on invalid

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -36,14 +35,14 @@ func TestAllExperimentsRunAtQuickScale(t *testing.T) {
 
 // TestParallelReportsDeterministic pins the fan-out contract: multi-run
 // experiments produce byte-identical reports whether their independent runs
-// execute sequentially or on a worker pool. fig20 and table2 share one
-// compiled scenario per mix across the pool, so this also pins that the
-// shared read-only artifacts cannot skew results.
+// execute sequentially or on a worker pool. The campaigns of fig18–fig21
+// and table2 share one compiled scenario per grid point across the pool, so
+// this also pins that the shared read-only artifacts cannot skew results.
 func TestParallelReportsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run sweep skipped in -short")
 	}
-	for _, id := range []string{"fig11", "fig20", "table2"} {
+	for _, id := range []string{"fig11", "fig18", "fig19", "fig20", "fig21", "table2"} {
 		spec, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("%s not registered", id)
@@ -64,41 +63,6 @@ func TestParallelReportsDeterministic(t *testing.T) {
 		if seq, par := render(1), render(4); seq != par {
 			t.Errorf("%s report differs between parallel=1 and parallel=4:\n--- sequential ---\n%s--- parallel ---\n%s", id, seq, par)
 		}
-	}
-}
-
-func TestRunParallelOrderingAndErrors(t *testing.T) {
-	squares, err := RunParallel(50, 4, func(_, job int) (int, error) {
-		return job * job, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range squares {
-		if v != i*i {
-			t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-	// The reported error is the lowest-index failure, independent of
-	// scheduling; later jobs still run.
-	ran := make([]bool, 20)
-	_, err = RunParallel(20, 4, func(_, job int) (int, error) {
-		ran[job] = true
-		if job == 7 || job == 13 {
-			return 0, fmt.Errorf("job %d failed", job)
-		}
-		return 0, nil
-	})
-	if err == nil || err.Error() != "job 7 failed" {
-		t.Errorf("err = %v, want the lowest-index failure (job 7)", err)
-	}
-	for i, r := range ran {
-		if !r {
-			t.Errorf("job %d never ran", i)
-		}
-	}
-	if out, err := RunParallel(0, 4, func(_, int2 int) (int, error) { return 0, nil }); err != nil || out != nil {
-		t.Errorf("n=0 must be a no-op, got %v, %v", out, err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"github.com/tapas-sim/tapas/internal/core"
-	"github.com/tapas-sim/tapas/internal/experiments"
 	"github.com/tapas-sim/tapas/internal/sim"
 )
 
@@ -152,9 +151,9 @@ type Result struct {
 // (sim.ScenarioKey) so identical compile-relevant scenarios compile once,
 // each unique scenario compiles once (through RunOptions.Cache when set,
 // sim.Compile otherwise), and all policies share the compiled artifacts
-// read-only across the worker pool, exactly like the hard-coded experiment
-// grids. The result is deterministic and independent of the worker count,
-// the cache state, and the deduplication.
+// read-only across the worker pool (sim.RunParallelCtx). The result is
+// deterministic and independent of the worker count, the cache state, and
+// the deduplication.
 func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	ctx := opt.Context
 	if ctx == nil {
@@ -187,7 +186,7 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 		}
 		group[pi] = ui
 	}
-	compiledUniq, err := experiments.RunParallelCtx(ctx, len(uniq), opt.Parallel, func(_, ui int) (*sim.CompiledScenario, error) {
+	compiledUniq, err := sim.RunParallelCtx(ctx, len(uniq), opt.Parallel, func(_, ui int) (*sim.CompiledScenario, error) {
 		pi := uniq[ui]
 		scn := c.Points[pi].Scenario
 		var cs *sim.CompiledScenario
@@ -214,7 +213,7 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	}
 	total := len(c.Policies) * nPts
 	var done atomic.Int64
-	runs, err := experiments.RunParallelCtx(ctx, total, opt.Parallel, func(_, job int) (*sim.Result, error) {
+	runs, err := sim.RunParallelCtx(ctx, total, opt.Parallel, func(_, job int) (*sim.Result, error) {
 		pol := c.Policies[job/nPts]
 		res, err := compiled[job%nPts].Run(pol.New())
 		if err != nil {

@@ -37,11 +37,10 @@ func runCampaign(t *testing.T, s *Spec, parallel int) string {
 	return sb.String()
 }
 
-// TestFig20SpecMatchesExperimentGolden is the compatibility contract of the
-// spec pipeline: the committed fig20-ablation example, run through the
-// generic campaign runner, must reproduce the hard-coded Fig. 20 runner's
-// golden rows byte-for-byte — same scenario construction, same compile-once
-// grid, same normalization, same formatting.
+// TestFig20SpecMatchesExperimentGolden ties the committed fig20-ablation
+// example, which the benchmark's ablation workload runs, to the Fig. 20
+// runner's golden: the example's grid must reproduce the golden rows
+// byte-for-byte.
 func TestFig20SpecMatchesExperimentGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("40-run campaign skipped in -short")
@@ -68,9 +67,9 @@ func TestFig20SpecMatchesExperimentGolden(t *testing.T) {
 	}
 }
 
-// TestCampaignGoldenReports pins the committed example campaigns (the ones
-// the hard-coded runners cannot express) byte-for-byte, so spec files and
-// report rendering cannot rot silently.
+// TestCampaignGoldenReports pins the committed example campaigns that no
+// paper figure runs byte-for-byte, so spec files and report rendering
+// cannot rot silently.
 func TestCampaignGoldenReports(t *testing.T) {
 	for _, name := range []string{"hetero-fleet", "heatwave-sweep", "rolling-emergencies", "replay-pinned", "replay-scaled", "slo-replay", "slo-policies", "power-loop"} {
 		name := name
@@ -155,7 +154,7 @@ func TestCampaignCSVAndJSON(t *testing.T) {
 }
 
 // TestHeteroCampaignOrdersGenerations checks the flagship configuration no
-// hard-coded runner can express: under the oblivious Baseline, peak power
+// paper figure runs: under the oblivious Baseline, peak power
 // rises monotonically with the H100 share of the fleet.
 func TestHeteroCampaignOrdersGenerations(t *testing.T) {
 	s := loadExample(t, "hetero-fleet.json")

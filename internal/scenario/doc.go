@@ -3,13 +3,14 @@
 // mix, weather, oversubscription, emergency schedule, policy set) plus sweep
 // axes that expand the spec into a campaign grid. The campaign runner
 // compiles each unique scenario once (sim.Compile) and fans the runs out
-// across a bounded worker pool (experiments.RunParallel), emitting
-// deterministic text/CSV/JSON reports.
+// across a bounded worker pool (sim.RunParallel), emitting deterministic
+// text/CSV/JSON reports. It owns the presets' quick-run scaling rules
+// (Spec.Scale).
 //
-// Specs make every "what-if" campaign of the paper's evaluation — and many
-// the hard-coded experiment runners cannot express (heterogeneous A100+H100
-// fleets, weather sweeps, rolling emergencies) — a committed file instead of
-// a new runner. See examples/scenarios/.
+// Specs make every "what-if" campaign a committed file instead of new code:
+// heterogeneous A100+H100 fleets, weather sweeps, rolling emergencies. The
+// paper's evaluation figures (internal/experiments) run as spec campaigns
+// too. See examples/scenarios/.
 //
 // A spec whose workload carries a per-request log (workload.requests, a CSV
 // recorded by tapas-trace) runs in request-level replay mode: report columns

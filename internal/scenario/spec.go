@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tapas-sim/tapas/internal/experiments"
 	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/sim"
 	"github.com/tapas-sim/tapas/internal/trace"
@@ -252,10 +251,10 @@ type ReportSpec struct {
 type Spec struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
-	// Scale shrinks the preset toward quick runs exactly like the
-	// experiment runners' -scale: it scales aisle count and duration (large
-	// preset; floors of 2 aisles / 6 h) or shortens the run to 20 minutes
-	// (small preset, scale < 0.5). 0 means 1.0 (paper scale).
+	// Scale shrinks the preset toward quick runs, as tapas-bench's -scale
+	// does for the paper's figures: it scales aisle count and duration
+	// (large preset; floors of 2 aisles / 6 h) or shortens the run to 20
+	// minutes (small preset, scale < 0.5). 0 means 1.0 (paper scale).
 	Scale float64 `json:"scale,omitempty"`
 	// Seed drives every deterministic generator; layout/workload seeds
 	// override it individually. Default 42.
@@ -533,8 +532,7 @@ func (s *Spec) metricIDs() []string {
 }
 
 // baseScenario materializes the un-swept sim.Scenario: preset, overrides,
-// then scaling — the same pipeline the experiment runners use, so a spec of
-// an existing figure reproduces it byte-identically.
+// then scaling. The paper's figures run through this pipeline too.
 func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 	small := s.Layout.Preset == "small"
 	var sc sim.Scenario
@@ -630,13 +628,10 @@ func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 		sc.Failures = append(sc.Failures, ev)
 	}
 
-	// Scaling: the exact rules the experiment runners apply (shared
-	// helpers), so a spec of an existing figure reproduces it
-	// byte-identically.
 	if small {
-		experiments.ScaleSmall(&sc, scale, s.Duration != nil)
+		scaleSmall(&sc, scale, s.Duration != nil)
 	} else {
-		experiments.ScaleLarge(&sc, scale, s.StartOffset != nil, s.Duration != nil)
+		scaleLarge(&sc, scale, s.StartOffset != nil, s.Duration != nil)
 	}
 	sc.Workload.Duration = sc.Duration
 
@@ -678,4 +673,51 @@ func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 		}
 	}
 	return sc, nil
+}
+
+// scaleLarge applies the quick-run scaling rules of the large preset in
+// place: aisle count (rounded, at least 2) and duration shrink
+// proportionally, and sub-half-scale runs shift to the 9 h diurnal-peak
+// start offset unless the spec pins an offset (explicitOffset). The 6 h
+// duration floor guards the preset's paper week; a spec-chosen duration
+// (explicitDuration) scales with only a 5-minute floor so short campaigns
+// stay short.
+func scaleLarge(sc *sim.Scenario, scale float64, explicitOffset, explicitDuration bool) {
+	sc.Layout.Aisles = int(float64(sc.Layout.Aisles)*scale + 0.5)
+	if sc.Layout.Aisles < 2 {
+		sc.Layout.Aisles = 2
+	}
+	floor := 6 * time.Hour
+	if explicitDuration {
+		floor = 5 * time.Minute
+	}
+	dur := time.Duration(float64(sc.Duration) * scale)
+	if dur < floor {
+		dur = floor
+	}
+	sc.Duration = dur
+	sc.Workload.Duration = dur
+	sc.Workload.Servers = sc.Layout.Aisles * 2 * sc.Layout.RacksPerRow * sc.Layout.ServersPerRack
+	if scale < 0.5 && !explicitOffset {
+		sc.StartOffset = 9 * time.Hour // short runs still cover the daily peak
+	}
+}
+
+// scaleSmall applies the quick-run scaling rules of the small (real-cluster)
+// preset in place: sub-half-scale runs shorten to the 20-minute smoke
+// window, or, when the spec sets a duration (explicitDuration), scale it
+// proportionally with a 5-minute floor.
+func scaleSmall(sc *sim.Scenario, scale float64, explicitDuration bool) {
+	if scale >= 0.5 {
+		return
+	}
+	d := 20 * time.Minute
+	if explicitDuration {
+		d = time.Duration(float64(sc.Duration) * scale)
+		if d < 5*time.Minute {
+			d = 5 * time.Minute
+		}
+	}
+	sc.Duration = d
+	sc.Workload.Duration = d
 }

@@ -64,9 +64,9 @@ func TestParseAndValidateErrors(t *testing.T) {
 	}
 }
 
-// TestBaseScenarioScaling checks the spec pipeline reproduces the experiment
-// runners' scaling rules: aisle rounding, the 6-hour duration floor, the
-// 9-hour start offset for short large-preset runs, and the seed threading.
+// TestBaseScenarioScaling checks the presets' scaling rules: aisle
+// rounding, the 6-hour duration floor, the 9-hour start offset for short
+// large-preset runs, and the seed threading.
 func TestBaseScenarioScaling(t *testing.T) {
 	s, err := Parse([]byte(`{"name":"x","scale":0.12}`))
 	if err != nil {

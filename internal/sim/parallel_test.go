@@ -1,8 +1,9 @@
-package experiments
+package sim
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -71,5 +72,40 @@ func TestRunParallelCtxJobErrorWins(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the job-0 failure", err)
+	}
+}
+
+func TestRunParallelOrderingAndErrors(t *testing.T) {
+	squares, err := RunParallel(50, 4, func(_, job int) (int, error) {
+		return job * job, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range squares {
+		if v != i*i {
+			t.Fatalf("result[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+	// The reported error is the lowest-index failure, independent of
+	// scheduling; later jobs still run.
+	ran := make([]bool, 20)
+	_, err = RunParallel(20, 4, func(_, job int) (int, error) {
+		ran[job] = true
+		if job == 7 || job == 13 {
+			return 0, fmt.Errorf("job %d failed", job)
+		}
+		return 0, nil
+	})
+	if err == nil || err.Error() != "job 7 failed" {
+		t.Errorf("err = %v, want the lowest-index failure (job 7)", err)
+	}
+	for i, r := range ran {
+		if !r {
+			t.Errorf("job %d never ran", i)
+		}
+	}
+	if out, err := RunParallel(0, 4, func(_, int2 int) (int, error) { return 0, nil }); err != nil || out != nil {
+		t.Errorf("n=0 must be a no-op, got %v, %v", out, err)
 	}
 }

@@ -1,4 +1,4 @@
-package experiments
+package sim
 
 import (
 	"reflect"
@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/core"
-	"github.com/tapas-sim/tapas/internal/sim"
 )
 
 // TestReplayFanOutDeterministicAcrossWorkers pins the replay half of the
@@ -15,23 +14,23 @@ import (
 // workloads) produces deeply-equal results for every job regardless of the
 // worker count — the property campaign reports' byte-determinism rests on.
 func TestReplayFanOutDeterministicAcrossWorkers(t *testing.T) {
-	sc := sim.SmallScenario()
+	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
 	sc.Workload.Duration = sc.Duration
-	wl, err := sim.GenerateWorkload(sc)
+	wl, err := GenerateWorkload(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Trace = wl
-	cs, err := sim.Compile(sc)
+	cs, err := Compile(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const jobs = 6
-	run := func(workers int) []*sim.Result {
+	run := func(workers int) []*Result {
 		t.Helper()
-		res, err := RunParallel(jobs, workers, func(_, job int) (*sim.Result, error) {
+		res, err := RunParallel(jobs, workers, func(_, job int) (*Result, error) {
 			// Alternate policies so the pool replays the shared trace under
 			// different mutation patterns, not six identical runs.
 			if job%2 == 0 {

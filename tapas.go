@@ -272,7 +272,7 @@ func RunExperiments(ids []string, p ExperimentParams, w io.Writer) error {
 	if len(ids) > 1 {
 		child.Parallel = 1
 	}
-	bufs, err := experiments.RunParallel(len(ids), p.Parallel, func(_, job int) (*bytes.Buffer, error) {
+	bufs, err := sim.RunParallel(len(ids), p.Parallel, func(_, job int) (*bytes.Buffer, error) {
 		var b bytes.Buffer
 		if err := RunExperimentWith(ids[job], child, &b); err != nil {
 			return nil, err
