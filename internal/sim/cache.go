@@ -15,8 +15,8 @@ import (
 // hash of the compile-relevant Scenario fields — so identical grid points
 // across sweeps, reruns, and concurrent campaigns compile once. Hits return
 // a CompiledScenario variant adopting the caller's runtime-only fields
-// (Tick, Failures, RecordRowSeries, Observer, and the policy parameters
-// SLOSched and PowerGov), which is exactly the set a compiled
+// (Tick, Failures, Observer, and the policy parameters SLOSched and
+// PowerGov), which is exactly the set a compiled
 // scenario can vary per run; reports from a cache hit are byte-identical to
 // a cold compile.
 //

@@ -27,8 +27,8 @@ type CompiledScenario struct {
 	// Scenario is the descriptor the artifacts were compiled from. The
 	// compile-relevant fields (Layout, Workload, Region, Duration,
 	// StartOffset, Oversubscribe) must not be changed after compilation;
-	// runtime-only fields (Tick, Failures, RecordRowSeries, Observer,
-	// SLOSched, PowerGov) may be varied per run via Variant.
+	// runtime-only fields (Tick, Failures, Observer, SLOSched, PowerGov)
+	// may be varied per run via Variant.
 	Scenario Scenario
 
 	DC       *layout.Datacenter
@@ -391,8 +391,8 @@ func GenerateWorkload(sc Scenario) (*trace.Workload, error) {
 
 // Variant returns a shallow copy sharing every compiled artifact, with
 // mutate applied to the scenario. Only runtime-only fields may be changed:
-// Tick, Failures, RecordRowSeries, Observer, the policy parameters SLOSched
-// and PowerGov (and shortening Duration).
+// Tick, Failures, Observer, the policy parameters SLOSched and PowerGov
+// (and shortening Duration).
 // Changing compile-relevant fields (Layout, Workload, Trace, TraceTransforms,
 // Requests, Region, StartOffset, Oversubscribe, lengthening Duration) requires a fresh
 // Compile; Run rejects such variants rather than simulate against stale
@@ -406,8 +406,7 @@ func (cs *CompiledScenario) Variant(mutate func(*Scenario)) *CompiledScenario {
 }
 
 // ForScenario returns a variant of the compilation adopting sc's
-// runtime-only fields (Tick, Failures, RecordRowSeries, Observer, SLOSched,
-// PowerGov).
+// runtime-only fields (Tick, Failures, Observer, SLOSched, PowerGov).
 // The caller must ensure sc's compile-relevant fields are content-equal to
 // the compiled scenario's (ScenarioKey equality guarantees it); pointer-typed
 // sources (the replay trace, transform-chain steps) and the

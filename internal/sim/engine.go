@@ -184,12 +184,6 @@ func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
 	r.res.MaxTempC = make([]float64, 0, ticks)
 	r.res.PeakRowPowerW = make([]float64, 0, ticks)
 	r.res.TotalPowerW = make([]float64, 0, ticks)
-	if r.sc.RecordRowSeries {
-		r.res.RowPowerW = make([][]float64, len(st.DC.Rows))
-		for row := range r.res.RowPowerW {
-			r.res.RowPowerW[row] = make([]float64, 0, ticks)
-		}
-	}
 	n := len(st.DC.Servers)
 	r.thermalCap = make([]float64, n)
 	r.srvIaaS = make([]iaasRecord, n)
@@ -569,9 +563,6 @@ func (r *runner) fleetStep(wall time.Duration) {
 		}
 		if draw > peak {
 			peak = draw
-		}
-		if r.sc.RecordRowSeries {
-			r.res.RowPowerW[row] = append(r.res.RowPowerW[row], draw)
 		}
 	}
 	r.res.PeakRowPowerW = append(r.res.PeakRowPowerW, peak)

@@ -196,14 +196,29 @@ func TestRunOversubscriptionAddsServersAndCapping(t *testing.T) {
 	}
 }
 
-func TestRunRowSeriesRecording(t *testing.T) {
-	res := smallRun(t, func(sc *Scenario) { sc.RecordRowSeries = true })
-	if len(res.RowPowerW) != 2 {
-		t.Fatalf("row series count = %d, want 2", len(res.RowPowerW))
+// TestObserverSeesEachTicksRowPower pins how per-row power series are
+// recorded: the observer runs once per tick after the kernel, when
+// st.RowPowerW holds that tick's row draws, so each tick's maximum over rows
+// is the result's peak row power for the tick, bit for bit.
+func TestObserverSeesEachTicksRowPower(t *testing.T) {
+	var peaks []float64
+	res := smallRun(t, func(sc *Scenario) {
+		sc.Observer = func(st *cluster.State) {
+			peak := 0.0
+			for _, w := range st.RowPowerW {
+				if w > peak {
+					peak = w
+				}
+			}
+			peaks = append(peaks, peak)
+		}
+	})
+	if len(peaks) != res.Ticks {
+		t.Fatalf("observer ran %d times over %d ticks", len(peaks), res.Ticks)
 	}
-	for row, series := range res.RowPowerW {
-		if len(series) != res.Ticks {
-			t.Fatalf("row %d series length %d, want %d", row, len(series), res.Ticks)
+	for tick, peak := range peaks {
+		if math.Float64bits(peak) != math.Float64bits(res.PeakRowPowerW[tick]) {
+			t.Fatalf("tick %d: max observed row power %v, result peak %v", tick, peak, res.PeakRowPowerW[tick])
 		}
 	}
 }
@@ -243,7 +258,6 @@ func TestMixedFleetRun(t *testing.T) {
 	sc.Layout.MixFraction = 0.5
 	sc.Duration = 30 * time.Minute
 	sc.Workload.Duration = sc.Duration
-	sc.RecordRowSeries = true
 
 	cs, err := Compile(sc)
 	if err != nil {

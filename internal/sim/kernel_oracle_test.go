@@ -254,9 +254,6 @@ func (k *oracleKernel) fleetStep(wall time.Duration) {
 		if draw > peak {
 			peak = draw
 		}
-		if r.sc.RecordRowSeries {
-			r.res.RowPowerW[row] = append(r.res.RowPowerW[row], draw)
-		}
 	}
 	r.res.PeakRowPowerW = append(r.res.PeakRowPowerW, peak)
 	r.res.TotalPowerW = append(r.res.TotalPowerW, total)

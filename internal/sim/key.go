@@ -27,9 +27,9 @@ func (k CacheKey) String() string { return hex.EncodeToString(k[:]) }
 // ScenarioKey hashes the compile-relevant fields of a scenario: layout
 // config, workload spec (or trace content + transform chain), the
 // request-level replay log when present, region, duration, start offset,
-// and oversubscription. Runtime-only fields — Tick, Failures,
-// RecordRowSeries, Observer and the policy parameters SLOSched and
-// PowerGov — are excluded, exactly mirroring what CompiledScenario.Variant
+// and oversubscription. Runtime-only fields — Tick, Failures, Observer and
+// the policy parameters SLOSched and PowerGov — are excluded, exactly
+// mirroring what CompiledScenario.Variant
 // allows a run to change without recompiling; Workload.Servers is excluded
 // too because Compile overwrites it from the layout. Replayed traces (and
 // splice overlays) are hashed by content via their canonical workload CSV,

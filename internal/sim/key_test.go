@@ -24,7 +24,7 @@ func mustKey(t *testing.T, sc Scenario) CacheKey {
 
 // TestScenarioKeyIgnoresRuntimeOnly pins the key's canonicalization contract:
 // every field a compiled scenario can vary per run (the Variant set — Tick,
-// Failures, RecordRowSeries, Observer, SLOSched, PowerGov — plus
+// Failures, Observer, SLOSched, PowerGov — plus
 // Workload.Servers, which Compile overwrites from the layout) must not move
 // the key, so cache hits serve all runtime variants of one compilation.
 func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
@@ -35,7 +35,6 @@ func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
 		"failures": func(sc *Scenario) {
 			sc.Failures = []FailureEvent{{Kind: PowerFailure, At: time.Minute, Duration: time.Minute}}
 		},
-		"record_rows":      func(sc *Scenario) { sc.RecordRowSeries = true },
 		"observer":         func(sc *Scenario) { sc.Observer = func(*cluster.State) {} },
 		"workload_servers": func(sc *Scenario) { sc.Workload.Servers = 9999 },
 		"slo_sched":        func(sc *Scenario) { sc.SLOSched = SLOSched{AffinityWeight: 0.25, AdmissionSlack: 1.5} },

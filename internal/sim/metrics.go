@@ -18,7 +18,6 @@ type Result struct {
 	MaxTempC      []float64 // hottest GPU in the datacenter
 	PeakRowPowerW []float64 // hungriest row
 	TotalPowerW   []float64
-	RowPowerW     [][]float64 // per row, only when Scenario.RecordRowSeries
 
 	// Event accounting in server-ticks. A server-tick is thermally capped
 	// when its GPUs hardware-throttle or its aisle out-draws the AHUs;

@@ -190,12 +190,10 @@ type Scenario struct {
 	StartOffset   time.Duration
 	Oversubscribe float64 // extra rack ratio added at fixed envelopes
 	Failures      []FailureEvent
-	// RecordRowSeries keeps the full per-row power series (needed by
-	// Fig. 10-style outputs; costs memory on long runs).
-	RecordRowSeries bool
 	// Observer, when set, is invoked at the end of every tick with the live
-	// cluster state, for example to sample sensors or to time ticks; it
-	// must not mutate the state.
+	// cluster state, for example to sample sensors, record per-row power
+	// (st.RowPowerW holds the tick's row draws) or time ticks; it must not
+	// mutate the state.
 	Observer func(st *cluster.State)
 }
 
