@@ -37,59 +37,14 @@ type CompiledScenario struct {
 	Profile  *llm.Profile
 	Coeffs   *thermal.Coeffs
 
-	// requests is the transformed, validated request log of request-level
-	// replay scenarios (Scenario.Requests after the transform chain); nil in
-	// binned mode. Shared read-only across runs like every other artifact.
-	requests []llm.Request
-
-	// Per-generation artifacts for heterogeneous fleets, dense-indexed by
-	// layout.GPUModel. profileBy[base model] aliases Profile; absent models
-	// hold zero values. srvModel is the per-server generation index used by
-	// the tick kernel, and fleetTDPW the aggregate server TDP.
-	profileBy  [layout.GPUModelCount]*llm.Profile
-	specBy     [layout.GPUModelCount]layout.GPUSpec
-	idleWBy    [layout.GPUModelCount]float64
-	idleFracBy [layout.GPUModelCount]float64
-	srvModel   []uint8
-	fleetTDPW  float64
-
-	// Idle tick-kernel constants, precomputed with the exact operation
-	// sequence the fused tick loop runs for an idle uncapped server, so the
-	// kernel's idle path (idleServer) substitutes them bit for bit:
-	// idleTickWBy is the server power the power pass produces at all-idle
-	// GPU fractions, and idleAirflowBy the fan airflow the airflow pass
-	// derives from that power.
-	idleTickWBy   [layout.GPUModelCount]float64
-	idleAirflowBy [layout.GPUModelCount]float64
+	// The tick kernel's tables, embedded by value so that every kernel read
+	// is one load from the compiled scenario.
+	layoutTables
+	workloadTables
 
 	// compiledFrom snapshots the descriptor Compile ran against, so Run can
 	// reject variants that changed compile-relevant fields.
 	compiledFrom Scenario
-
-	// Seeded history estimates (§3.1), copied into each run's state.
-	customerPeak map[int]float64
-	endpointPeak map[int]float64
-
-	// Flat per-server topology for the tick kernel's fleet sweeps.
-	srvRow   []int32
-	srvAisle []int32
-
-	// Per-server maxima over the GPU block's thermal coefficients. Rounding
-	// is monotone, so inlet + srvMaxBias + srvMaxGain*cf is a floating-point
-	// upper bound on every GPU temperature the fused loop can produce at
-	// power fraction cf; when that bound stays at or below the throttle
-	// limit the kernel runs the branch-free loop variant.
-	srvMaxBias []float64
-	srvMaxGain []float64
-
-	// vmPhase maps a VM index to an entry of phaseBy — the distinct
-	// PhaseHours values among the workload's un-warped IaaS load patterns
-	// (phases are shared per customer, so there are few). The tick kernel
-	// computes each phase's diurnal sine once per tick instead of once per
-	// IaaS server. -1 marks patterns that must go through LoadPattern.At
-	// (non-IaaS, or time-warped by a trace transform).
-	vmPhase []int32
-	phaseBy []float64
 }
 
 // Compile builds the run-invariant artifacts of a scenario. The returned
@@ -114,40 +69,79 @@ func Compile(sc Scenario) (*CompiledScenario, error) {
 const outsideSeedXor = 0xd00d
 
 // layoutArtifacts groups every compiled artifact derived solely from the
-// layout config (plus oversubscription): the generated datacenter and all
-// per-server/per-generation tables the tick kernel reads. One instance is
-// shared read-only by every compiled scenario with the same layout — a
-// climate or demand sweep builds it once.
+// layout config (plus oversubscription): the generated datacenter, its base
+// generation's serving profile and thermal coefficients, and the tables the
+// tick kernel reads. One instance is shared read-only by every compiled
+// scenario with the same layout — a climate or demand sweep builds it once.
 type layoutArtifacts struct {
 	dc      *layout.Datacenter
 	profile *llm.Profile
 	coeffs  *thermal.Coeffs
+	layoutTables
+}
 
-	profileBy     [layout.GPUModelCount]*llm.Profile
-	specBy        [layout.GPUModelCount]layout.GPUSpec
-	idleWBy       [layout.GPUModelCount]float64
-	idleFracBy    [layout.GPUModelCount]float64
+// layoutTables are the per-server and per-generation tables derived from
+// the layout.
+type layoutTables struct {
+	// Per-generation artifacts for heterogeneous fleets, dense-indexed by
+	// layout.GPUModel. profileBy[base model] aliases the base profile;
+	// absent models hold zero values. srvModel is the per-server generation
+	// index used by the tick kernel, and fleetTDPW the aggregate server TDP.
+	profileBy  [layout.GPUModelCount]*llm.Profile
+	specBy     [layout.GPUModelCount]layout.GPUSpec
+	idleWBy    [layout.GPUModelCount]float64
+	idleFracBy [layout.GPUModelCount]float64
+	srvModel   []uint8
+	fleetTDPW  float64
+
+	// Idle tick-kernel constants, precomputed with the exact operation
+	// sequence the fused tick loop runs for an idle uncapped server, so the
+	// kernel's idle path (idleServer) substitutes them bit for bit:
+	// idleTickWBy is the server power the power pass produces at all-idle
+	// GPU fractions, and idleAirflowBy the fan airflow the airflow pass
+	// derives from that power.
 	idleTickWBy   [layout.GPUModelCount]float64
 	idleAirflowBy [layout.GPUModelCount]float64
-	srvModel      []uint8
-	fleetTDPW     float64
-	srvRow        []int32
-	srvAisle      []int32
-	srvMaxBias    []float64
-	srvMaxGain    []float64
+
+	// Flat per-server topology for the tick kernel's fleet sweeps.
+	srvRow   []int32
+	srvAisle []int32
+
+	// Per-server maxima over the GPU block's thermal coefficients. Rounding
+	// is monotone, so inlet + srvMaxBias + srvMaxGain*cf is a floating-point
+	// upper bound on every GPU temperature the fused loop can produce at
+	// power fraction cf; when that bound stays at or below the throttle
+	// limit the kernel runs the branch-free loop variant.
+	srvMaxBias []float64
+	srvMaxGain []float64
 }
 
 // workloadArtifacts groups every compiled artifact derived solely from the
-// materialized workload: the trace itself, the seeded "previous week"
-// history, the shared-phase index for un-warped IaaS load patterns, and the
-// transformed request log of request-level replay scenarios.
+// materialized workload: the trace itself and the tables derived from it.
 type workloadArtifacts struct {
-	w            *trace.Workload
-	requests     []llm.Request
+	w *trace.Workload
+	workloadTables
+}
+
+// workloadTables are the run-invariant tables derived from the workload.
+type workloadTables struct {
+	// requests is the transformed, validated request log of request-level
+	// replay scenarios (Scenario.Requests after the transform chain); nil
+	// in binned mode.
+	requests []llm.Request
+
+	// Seeded history estimates (§3.1), copied into each run's state.
 	customerPeak map[int]float64
 	endpointPeak map[int]float64
-	vmPhase      []int32
-	phaseBy      []float64
+
+	// vmPhase maps a VM index to an entry of phaseBy — the distinct
+	// PhaseHours values among the workload's un-warped IaaS load patterns
+	// (phases are shared per customer, so there are few). The tick kernel
+	// computes each phase's diurnal sine once per tick instead of once per
+	// IaaS server. -1 marks patterns that must go through LoadPattern.At
+	// (non-IaaS, or time-warped by a trace transform).
+	vmPhase []int32
+	phaseBy []float64
 }
 
 // buildLayoutArtifacts generates the datacenter and precomputes the tables
@@ -161,16 +155,19 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 		dc.AddRacks(oversubscribe)
 	}
 	spec := layout.Spec(dc.Config.GPU)
+	n := len(dc.Servers)
 	la := &layoutArtifacts{
-		dc:       dc,
-		profile:  llm.BuildProfile(spec, llm.DefaultWorkload()),
-		coeffs:   thermal.CompileCoeffs(dc.Servers, spec.GPUsPerServer),
-		srvRow:   make([]int32, len(dc.Servers)),
-		srvAisle: make([]int32, len(dc.Servers)),
-		srvModel: make([]uint8, len(dc.Servers)),
+		dc:      dc,
+		profile: llm.BuildProfile(spec, llm.DefaultWorkload()),
+		coeffs:  thermal.CompileCoeffs(dc.Servers, spec.GPUsPerServer),
+		layoutTables: layoutTables{
+			srvRow:     make([]int32, n),
+			srvAisle:   make([]int32, n),
+			srvModel:   make([]uint8, n),
+			srvMaxBias: make([]float64, n),
+			srvMaxGain: make([]float64, n),
+		},
 	}
-	la.srvMaxBias = make([]float64, len(dc.Servers))
-	la.srvMaxGain = make([]float64, len(dc.Servers))
 	for i := range dc.Servers {
 		base := i * spec.GPUsPerServer
 		maxB, maxG := 0.0, 0.0
@@ -270,30 +267,15 @@ func buildOutside(sc Scenario, w *trace.Workload) *trace.OutsideTemp {
 // content key is byte-identical, so assembly never depends on provenance.
 func assemble(sc Scenario, la *layoutArtifacts, wa *workloadArtifacts, outside *trace.OutsideTemp) *CompiledScenario {
 	return &CompiledScenario{
-		Scenario:      sc,
-		compiledFrom:  sc,
-		DC:            la.dc,
-		Workload:      wa.w,
-		requests:      wa.requests,
-		Outside:       outside,
-		Profile:       la.profile,
-		Coeffs:        la.coeffs,
-		profileBy:     la.profileBy,
-		specBy:        la.specBy,
-		idleWBy:       la.idleWBy,
-		idleFracBy:    la.idleFracBy,
-		idleTickWBy:   la.idleTickWBy,
-		idleAirflowBy: la.idleAirflowBy,
-		srvModel:      la.srvModel,
-		fleetTDPW:     la.fleetTDPW,
-		srvRow:        la.srvRow,
-		srvAisle:      la.srvAisle,
-		srvMaxBias:    la.srvMaxBias,
-		srvMaxGain:    la.srvMaxGain,
-		customerPeak:  wa.customerPeak,
-		endpointPeak:  wa.endpointPeak,
-		vmPhase:       wa.vmPhase,
-		phaseBy:       wa.phaseBy,
+		Scenario:       sc,
+		compiledFrom:   sc,
+		DC:             la.dc,
+		Workload:       wa.w,
+		Outside:        outside,
+		Profile:        la.profile,
+		Coeffs:         la.coeffs,
+		layoutTables:   la.layoutTables,
+		workloadTables: wa.workloadTables,
 	}
 }
 
