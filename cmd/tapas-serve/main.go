@@ -43,8 +43,8 @@ func main() {
 // run is the testable entry point: it parses args, serves until the stop
 // channel (or a signal) fires, and returns the process exit code. A nil stop
 // installs the SIGINT/SIGTERM handler; tests pass their own channel. The
-// bound address is printed to stdout ("listening on ...") so callers using
-// -addr :0 can discover the port.
+// bound address is printed to stdout ("listening on ...") once the daemon
+// handles signals, so callers using -addr :0 can discover the port.
 func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	fs := flag.NewFlagSet("tapas-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -76,8 +76,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		fmt.Fprintln(stderr, "tapas-serve:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())
-
 	if stop == nil {
 		ch := make(chan struct{})
 		sigs := make(chan os.Signal, 1)
@@ -88,6 +86,9 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		}()
 		stop = ch
 	}
+	// Announce only once the handler is in place: a signal sent right after
+	// the announcement must start a graceful shutdown, not kill the process.
+	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -37,28 +39,52 @@ const smokeSpec = `{
   "report": {"format": "csv"}
 }`
 
+// startDaemon runs the daemon with args on an ephemeral port and returns
+// its base URL, once the listener is announced on stdout, and the channel
+// its exit code arrives on.
+func startDaemon(t *testing.T, stdout, stderr *syncBuffer, stop <-chan struct{}, args ...string) (string, <-chan int) {
+	t.Helper()
+	code := make(chan int, 1)
+	go func() { code <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), stdout, stderr, stop) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if out := stdout.String(); strings.HasPrefix(out, "listening on ") {
+			return "http://" + strings.TrimSpace(strings.TrimPrefix(out, "listening on ")), code
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never announced its address; stdout=%q stderr=%q", stdout.String(), stderr.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// submit posts a spec and returns the new campaign's ID.
+func submit(t *testing.T, base, spec string) string {
+	t.Helper()
+	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var created struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /campaigns = %d", resp.StatusCode)
+	}
+	return created.ID
+}
+
 // TestRunServesAndShutsDown boots the daemon on an ephemeral port, runs one
 // campaign through the HTTP API, and exercises graceful shutdown via the
 // test stop channel.
 func TestRunServesAndShutsDown(t *testing.T) {
 	var stdout, stderr syncBuffer
 	stop := make(chan struct{})
-	code := make(chan int, 1)
-	go func() { code <- run([]string{"-addr", "127.0.0.1:0"}, &stdout, &stderr, stop) }()
-
-	// The bound address is announced on stdout once the listener is up.
-	var base string
-	deadline := time.Now().Add(10 * time.Second)
-	for base == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never announced its address; stdout=%q stderr=%q", stdout.String(), stderr.String())
-		}
-		if out := stdout.String(); strings.HasPrefix(out, "listening on ") {
-			base = "http://" + strings.TrimSpace(strings.TrimPrefix(out, "listening on "))
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	base, code := startDaemon(t, &stdout, &stderr, stop)
 
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -69,24 +95,11 @@ func TestRunServesAndShutsDown(t *testing.T) {
 		t.Fatalf("/healthz = %d", resp.StatusCode)
 	}
 
-	resp, err = http.Post(base+"/campaigns", "application/json", strings.NewReader(smokeSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&created); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /campaigns = %d", resp.StatusCode)
-	}
+	id := submit(t, base, smokeSpec)
 
 	// The events stream ends once the campaign is done; then the report
 	// renders as CSV.
-	resp, err = http.Get(base + "/campaigns/" + created.ID + "/events")
+	resp, err = http.Get(base + "/campaigns/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +111,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	if !strings.Contains(string(events), `"type":"done"`) {
 		t.Fatalf("event stream missing terminal event:\n%s", events)
 	}
-	resp, err = http.Get(base + "/campaigns/" + created.ID + "/report")
+	resp, err = http.Get(base + "/campaigns/" + id + "/report")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +132,83 @@ func TestRunServesAndShutsDown(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+	if !strings.Contains(stderr.String(), "shutting down") {
+		t.Errorf("stderr missing shutdown notice: %q", stderr.String())
+	}
+}
+
+// TestRunGraceExpiresWhileCampaignRuns pins the shutdown budget: when a
+// campaign is still running as -grace expires, run stops waiting for it and
+// for the campaign's open event stream, reports both unfinished shutdowns
+// and exits 1.
+func TestRunGraceExpiresWhileCampaignRuns(t *testing.T) {
+	var stdout, stderr syncBuffer
+	stop := make(chan struct{})
+	base, code := startDaemon(t, &stdout, &stderr, stop, "-grace", "1ns", "-parallel", "1")
+	// Three paper-scale days on the large preset run for about a second,
+	// far longer than the gap between seeing the job run and stopping.
+	id := submit(t, base, `{"name":"slow","duration":"72h","policies":["baseline"]}`)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/campaigns/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var job struct {
+			Status string `json:"status"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&job)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if job.Status == "running" {
+			break
+		}
+		if job.Status != "queued" || time.Now().After(deadline) {
+			t.Fatalf("campaign status %q, want it running", job.Status)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	events, err := http.Get(base + "/campaigns/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer events.Body.Close()
+
+	close(stop)
+	select {
+	case c := <-code:
+		if c != 1 {
+			t.Errorf("exit code %d, want 1; stderr: %s", c, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not give up after its grace budget")
+	}
+	for _, want := range []string{"scheduler shutdown", "http shutdown"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr does not report the unfinished %s: %q", want, stderr.String())
+		}
+	}
+}
+
+// TestRunShutsDownOnSIGTERM signals the test process once the daemon
+// announces its address: run installs its handler before announcing, so
+// SIGTERM starts a graceful shutdown.
+func TestRunShutsDownOnSIGTERM(t *testing.T) {
+	var stdout, stderr syncBuffer
+	_, code := startDaemon(t, &stdout, &stderr, nil)
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case c := <-code:
+		if c != 0 {
+			t.Errorf("exit code %d; stderr: %s", c, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not shut down on SIGTERM")
 	}
 	if !strings.Contains(stderr.String(), "shutting down") {
 		t.Errorf("stderr missing shutdown notice: %q", stderr.String())

@@ -144,6 +144,26 @@ func TestBaseScenarioScaling(t *testing.T) {
 	if sc3.Layout.Aisles != 1 {
 		t.Errorf("small preset aisles = %d, want 1", sc3.Layout.Aisles)
 	}
+
+	// An explicit small-preset duration scales proportionally, with a
+	// 5-minute floor; from half scale up the preset runs unscaled.
+	s4, err := Parse([]byte(`{"name":"x","duration":"2h","layout":{"preset":"small"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		scale float64
+		want  time.Duration
+	}{{0.25, 30 * time.Minute}, {0.01, 5 * time.Minute}, {0.5, 2 * time.Hour}} {
+		sc4, err := s4.baseScenario(tc.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc4.Duration != tc.want || sc4.Workload.Duration != tc.want {
+			t.Errorf("explicit 2h small-preset duration at scale %v = %v (workload %v), want %v",
+				tc.scale, sc4.Duration, sc4.Workload.Duration, tc.want)
+		}
+	}
 }
 
 // TestExpandCartesian checks multi-axis grids expand row-major with the last
