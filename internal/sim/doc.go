@@ -38,5 +38,7 @@
 // ascending server ID whose order is the order of every cross-server sum,
 // and request completions are harvested in ascending VM-ID order at
 // departure and end of run. Runs share only immutable compiled artifacts,
-// so reports are byte-identical at any -parallel setting.
+// and RunParallel, the worker pool campaigns and the paper's figures fan
+// independent runs out on, collects results in job order, so reports are
+// byte-identical at any -parallel setting.
 package sim
