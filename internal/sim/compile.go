@@ -447,12 +447,8 @@ func sameRequests(a, b []llm.Request) bool {
 // for concurrent use: every call builds a private cluster.State around the
 // shared read-only artifacts.
 func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
-	sc := cs.Scenario
-	if sc.Tick <= 0 {
-		return nil, fmt.Errorf("sim: non-positive tick %v", sc.Tick)
-	}
-	if sc.Duration < sc.Tick {
-		return nil, fmt.Errorf("sim: duration %v is shorter than one tick (%v); the run would have no ticks", sc.Duration, sc.Tick)
+	if err := checkTicks(cs.Scenario); err != nil {
+		return nil, err
 	}
 	if err := cs.checkRuntimeOnly(); err != nil {
 		return nil, err
@@ -462,6 +458,18 @@ func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
 		return nil, err
 	}
 	return r.run(), nil
+}
+
+// checkTicks rejects a scenario that would run no tick: a non-positive tick
+// or a duration shorter than one tick.
+func checkTicks(sc Scenario) error {
+	if sc.Tick <= 0 {
+		return fmt.Errorf("sim: non-positive tick %v", sc.Tick)
+	}
+	if sc.Duration < sc.Tick {
+		return fmt.Errorf("sim: duration %v is shorter than one tick (%v); the run would have no ticks", sc.Duration, sc.Tick)
+	}
+	return nil
 }
 
 // compileHistory pre-computes the per-customer and per-endpoint demand

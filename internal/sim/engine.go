@@ -29,8 +29,8 @@ const capRecovery = 1.05
 // evaluating several policies (or failure schedules) over the same scenario
 // should Compile once and call CompiledScenario.Run per policy instead.
 func Run(sc Scenario, pol Policy) (*Result, error) {
-	if sc.Tick <= 0 {
-		return nil, fmt.Errorf("sim: non-positive tick %v", sc.Tick)
+	if err := checkTicks(sc); err != nil {
+		return nil, err
 	}
 	cs, err := Compile(sc)
 	if err != nil {
