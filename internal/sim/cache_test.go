@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -195,6 +196,68 @@ func TestLRUCacheOrderAndEviction(t *testing.T) {
 	}
 	if got := c.keysMRU()[0]; got != key(3) {
 		t.Errorf("duplicate add did not refresh recency: MRU is %v", got)
+	}
+}
+
+// TestCompileCacheWaitsForInFlightCompile pins the flight-wait branch of
+// Compile without relying on goroutine timing: with a compile of the key
+// registered in flight, a caller waits for it and adopts its result with its
+// own runtime-only fields, or returns its error, and never compiles itself.
+func TestCompileCacheWaitsForInFlightCompile(t *testing.T) {
+	sc := quickScenario()
+	compiled, err := Compile(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fine := sc
+	fine.Tick = 30 * time.Second
+	boom := errors.New("compile failed")
+	for _, tc := range []struct {
+		name string
+		cs   *CompiledScenario
+		err  error
+	}{{"result", compiled, nil}, {"error", nil, boom}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache := NewCompileCache(0)
+			key, err := cache.Key(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			call := &flightCall{done: make(chan struct{})}
+			cache.mu.Lock()
+			cache.flight[key] = call
+			cache.mu.Unlock()
+			type out struct {
+				cs  *CompiledScenario
+				err error
+			}
+			got := make(chan out, 1)
+			go func() {
+				cs, err := cache.Compile(fine)
+				got <- out{cs, err}
+			}()
+			// The entry stays in flight until the test ends, so the caller
+			// waits whenever it runs.
+			call.cs, call.err = tc.cs, tc.err
+			close(call.done)
+			res := <-got
+			if tc.err != nil {
+				if !errors.Is(res.err, tc.err) {
+					t.Fatalf("err = %v, want the in-flight compile's error", res.err)
+				}
+				return
+			}
+			if res.err != nil {
+				t.Fatal(res.err)
+			}
+			if res.cs.DC != compiled.DC || res.cs.Scenario.Tick != fine.Tick {
+				t.Errorf("waiter did not adopt the in-flight compilation with its own tick (DC shared %v, tick %v)",
+					res.cs.DC == compiled.DC, res.cs.Scenario.Tick)
+			}
+			if n := cache.Compiles(); n != 0 {
+				t.Errorf("waiter compiled %d times itself", n)
+			}
+		})
 	}
 }
 
