@@ -115,16 +115,29 @@ func BenchmarkInstanceStep(b *testing.B) {
 	}
 }
 
+// BenchmarkOfflineProfiling fits every profile of the small preset (80
+// servers) and of the 5x fleet (5,200 servers) that the fleet-day workload
+// fits in its set-up.
 func BenchmarkOfflineProfiling(b *testing.B) {
-	dc, err := layout.New(layout.SmallConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.BuildProfiles(dc); err != nil {
-			b.Fatal(err)
-		}
+	fleet := layout.DefaultConfig()
+	fleet.FleetScale = 5
+	for _, bc := range []struct {
+		name string
+		cfg  layout.Config
+	}{{"small", layout.SmallConfig()}, {"5x", fleet}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dc, err := layout.New(bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildProfiles(dc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

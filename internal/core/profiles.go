@@ -48,17 +48,10 @@ func BuildProfiles(dc *layout.Datacenter) (*Profiles, error) {
 	// Inlet model: sweep outside temperature and datacenter load.
 	outsides := []float64{0, 5, 10, 14, 16, 20, 24, 26, 30, 35, 40}
 	loads := []float64{0, 0.25, 0.5, 0.75, 1}
-	var inletSamples []thermal.InletSample
-	for _, o := range outsides {
-		for _, l := range loads {
-			s := thermal.InletSample{OutsideC: o, DCLoadFrac: l, InletC: make([]float64, len(dc.Servers))}
-			for i, srv := range dc.Servers {
-				s.InletC[i] = thermal.InletTemp(srv, o, l, 0)
-			}
-			inletSamples = append(inletSamples, s)
-		}
-	}
-	inletModel, err := thermal.FitInletModel(inletSamples, len(dc.Servers))
+	inletModel, err := thermal.FitInletModel(outsides, loads, len(dc.Servers),
+		func(sv int, outsideC, dcLoadFrac float64) float64 {
+			return thermal.InletTemp(dc.Servers[sv], outsideC, dcLoadFrac, 0)
+		})
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling inlet model: %w", err)
 	}
@@ -66,20 +59,10 @@ func BuildProfiles(dc *layout.Datacenter) (*Profiles, error) {
 	// GPU temperature model: sweep inlet × GPU power per GPU.
 	inlets := []float64{18, 22, 26, 30}
 	fracs := []float64{0.1, 0.4, 0.7, 1.0}
-	var gpuSamples []thermal.GPUSample
-	for _, srv := range dc.Servers {
-		for g := 0; g < spec.GPUsPerServer; g++ {
-			for _, in := range inlets {
-				for _, f := range fracs {
-					gpuSamples = append(gpuSamples, thermal.GPUSample{
-						Server: srv.ID, GPU: g, InletC: in, PowerFrac: f,
-						TempC: thermal.GPUTemp(srv, g, in, f),
-					})
-				}
-			}
-		}
-	}
-	gpuModel, err := thermal.FitGPUTempModel(gpuSamples, len(dc.Servers), spec.GPUsPerServer)
+	gpuModel, err := thermal.FitGPUTempModel(inlets, fracs, len(dc.Servers), spec.GPUsPerServer,
+		func(sv, g int, inletC, powerFrac float64) float64 {
+			return thermal.GPUTemp(dc.Servers[sv], g, inletC, powerFrac)
+		})
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling GPU temp model: %w", err)
 	}

@@ -88,3 +88,27 @@ func TestProfilesDistinguishServers(t *testing.T) {
 		t.Error("per-server inlet models must reflect spatial heterogeneity")
 	}
 }
+
+// TestBuildProfilesAllocs pins the fit's cost: the shared designs and the
+// airflow and power fits take a constant number of allocations per layout,
+// and each server adds three for its inlet surface (pieces, weights and the
+// gathered segment targets), never one per sample. The per-sample fit made
+// 29,825 on the small preset and 385,996 on the large one.
+func TestBuildProfilesAllocs(t *testing.T) {
+	const perLayout, perServer = 256, 3
+	for _, cfg := range []layout.Config{layout.SmallConfig(), layout.DefaultConfig()} {
+		dc, err := layout.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := BuildProfiles(dc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := perLayout + perServer*len(dc.Servers); allocs > float64(limit) {
+			t.Errorf("%s (%d servers): BuildProfiles made %.0f allocations, want at most %d",
+				cfg.Name, len(dc.Servers), allocs, limit)
+		}
+	}
+}

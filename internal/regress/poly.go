@@ -16,9 +16,6 @@ func (p Poly) Eval(x float64) float64 {
 	return v
 }
 
-// Degree reports the nominal degree (len(coeffs)-1, or -1 when empty).
-func (p Poly) Degree() int { return len(p.Coeffs) - 1 }
-
 // FitPoly fits a degree-d polynomial to (x, y) by least squares.
 func FitPoly(x, y []float64, degree int) (Poly, error) {
 	if degree < 0 {

@@ -31,41 +31,95 @@ func FitSurface(x, y, z []float64, knots []float64) (Surface, error) {
 	if len(x) != len(y) || len(x) != len(z) {
 		return Surface{}, fmt.Errorf("regress: surface sample lengths differ: %d/%d/%d", len(x), len(y), len(z))
 	}
+	d, err := NewSurfaceDesign(x, y, knots)
+	if err != nil {
+		return Surface{}, err
+	}
+	return d.Fit(z), nil
+}
+
+// SurfaceDesign is the piecewise design of a Surface over fixed sample
+// points (x[i], y[i]): each segment's rows, in sample order, form one Design.
+// Fitting a surface to another target over the same points then costs one
+// pass over the samples. It is read-only and safe for concurrent use.
+type SurfaceDesign struct {
+	knots   []float64
+	samples [][]int   // per segment, the indexes of its samples, ascending
+	designs []*Design // per segment; nil when the segment cannot be fitted
+}
+
+// NewSurfaceDesign segments the sample points by knots and eliminates each
+// segment's design. A segment with fewer than 8 samples (4 parameters,
+// demanding 2× samples for stability) or a singular design is unfitted; it
+// fails with ErrInsufficientData when no segment can be fitted. It copies
+// knots once, and every Surface it fits shares the copy.
+func NewSurfaceDesign(x, y, knots []float64) (*SurfaceDesign, error) {
+	if len(x) != len(y) {
+		return nil, fmt.Errorf("regress: surface sample lengths differ: %d/%d", len(x), len(y))
+	}
 	if !sort.Float64sAreSorted(knots) {
-		return Surface{}, fmt.Errorf("regress: knots must be ascending")
+		return nil, fmt.Errorf("regress: knots must be ascending")
 	}
 	nseg := len(knots) + 1
-	segF := make([][][]float64, nseg)
-	segZ := make([][]float64, nseg)
+	d := &SurfaceDesign{
+		knots:   append([]float64(nil), knots...),
+		samples: make([][]int, nseg),
+		designs: make([]*Design, nseg),
+	}
+	rows := make([][][]float64, nseg)
 	for i, xi := range x {
 		s := sort.SearchFloat64s(knots, xi)
-		segF[s] = append(segF[s], []float64{1, xi, xi * xi, y[i]})
-		segZ[s] = append(segZ[s], z[i])
+		rows[s] = append(rows[s], []float64{1, xi, xi * xi, y[i]})
+		d.samples[s] = append(d.samples[s], i)
 	}
-	pieces := make([]Linear, nseg)
-	fitted := make([]bool, nseg)
 	anyFit := false
-	for s := 0; s < nseg; s++ {
-		if len(segF[s]) >= 8 { // 4 params, demand 2× samples for stability
-			m, err := FitLinear(segF[s], segZ[s])
-			if err == nil {
-				pieces[s], fitted[s] = m, true
-				anyFit = true
+	for s := range rows {
+		if len(rows[s]) >= 8 {
+			if des, err := NewDesign(rows[s]); err == nil {
+				d.designs[s], anyFit = des, true
 			}
 		}
 	}
 	if !anyFit {
-		return Surface{}, ErrInsufficientData
+		return nil, ErrInsufficientData
 	}
+	return d, nil
+}
+
+// Fit fits the surface to z, one target per sample point of the design.
+// Unfitted segments inherit the nearest fitted segment's piece, the one
+// below first.
+func (d *SurfaceDesign) Fit(z []float64) Surface {
+	nseg := len(d.designs)
+	pieces := make([]Linear, nseg)
+	weights := make([]float64, 4*nseg)
+	rows := 0
+	for _, idx := range d.samples {
+		rows = max(rows, len(idx))
+	}
+	targets := make([]float64, 0, rows)
+	for s, des := range d.designs {
+		if des == nil {
+			continue
+		}
+		targets = targets[:0]
+		for _, i := range d.samples[s] {
+			targets = append(targets, z[i])
+		}
+		w := weights[4*s : 4*s+4 : 4*s+4]
+		des.Solve(w, targets)
+		pieces[s] = Linear{Weights: w}
+	}
+	// A piece with weights is fitted or has already inherited.
 	for s := 1; s < nseg; s++ {
-		if !fitted[s] && fitted[s-1] {
-			pieces[s], fitted[s] = pieces[s-1], true
+		if pieces[s].Weights == nil && pieces[s-1].Weights != nil {
+			pieces[s] = pieces[s-1]
 		}
 	}
 	for s := nseg - 2; s >= 0; s-- {
-		if !fitted[s] && fitted[s+1] {
-			pieces[s], fitted[s] = pieces[s+1], true
+		if pieces[s].Weights == nil && pieces[s+1].Weights != nil {
+			pieces[s] = pieces[s+1]
 		}
 	}
-	return Surface{Knots: append([]float64(nil), knots...), Pieces: pieces}, nil
+	return Surface{Knots: d.knots, Pieces: pieces}
 }

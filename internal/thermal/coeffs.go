@@ -7,14 +7,16 @@ import (
 
 // Coeffs holds the ground-truth thermal response of a fleet flattened into
 // contiguous per-(server,GPU) coefficient tables. The simulator's tick kernel
-// evaluates GPUTemp/MaxPowerFrac for every GPU of every server on every tick;
-// with the coefficients laid out flat (stride GPUsPerServer) those become
-// multiply-adds over sequential memory instead of pointer chases through
-// *layout.Server. Compile once per datacenter; the tables are immutable and
-// safe to share across concurrent runs.
+// evaluates GPUTemp (inlined over BiasC and GainC) and MaxPowerFrac for every
+// GPU of every server on every tick; with the coefficients laid out flat
+// (stride GPUsPerServer) those become multiply-adds over sequential memory
+// instead of pointer chases through *layout.Server. Compile once per
+// datacenter; the tables are immutable and safe to share across concurrent
+// runs.
 //
-// The arithmetic matches GPUTemp and MaxPowerFrac operation for operation, so
-// results are bit-identical to evaluating the physics through the layout.
+// The tables hold the layout's values unchanged, and MaxPowerFrac matches
+// the package-level MaxPowerFrac operation for operation, so results are
+// bit-identical to evaluating the physics through the layout.
 type Coeffs struct {
 	GPUsPerServer int
 	// BiasC and GainC are indexed server*GPUsPerServer + gpu.
@@ -39,12 +41,6 @@ func CompileCoeffs(servers []*layout.Server, gpusPerServer int) *Coeffs {
 		copy(c.GainC[i*gpusPerServer:], s.GPUTempGainC)
 	}
 	return c
-}
-
-// GPUTemp mirrors the package-level GPUTemp for the flat index
-// server*GPUsPerServer + gpu.
-func (c *Coeffs) GPUTemp(idx int, inletC, powerFrac float64) float64 {
-	return inletC + c.BiasC[idx] + c.GainC[idx]*units.Clamp01(powerFrac)
 }
 
 // MaxPowerFrac mirrors the package-level MaxPowerFrac for the flat index.

@@ -22,41 +22,37 @@ func (m *InletModel) Predict(serverID int, outsideC, dcLoadFrac float64) float64
 	return m.PerServer[serverID].Eval(outsideC, dcLoadFrac)
 }
 
-// InletSample is one 10-minute sensor aggregate used to fit inlet models.
-type InletSample struct {
-	OutsideC   float64
-	DCLoadFrac float64
-	// InletC holds the observed inlet temperature per server.
-	InletC []float64
-}
-
-// FitInletModel fits a piecewise-polynomial surface per server from sensor
-// history, the regression family the paper selects for its < 1 °C MAE and
-// sane extrapolation.
-func FitInletModel(samples []InletSample, nServers int) (*InletModel, error) {
-	if len(samples) == 0 {
-		return nil, regress.ErrInsufficientData
-	}
-	xs := make([]float64, len(samples))
-	ys := make([]float64, len(samples))
-	for i, s := range samples {
-		if len(s.InletC) != nServers {
-			return nil, fmt.Errorf("thermal: sample %d has %d servers, want %d", i, len(s.InletC), nServers)
+// FitInletModel fits a piecewise-polynomial surface per server, the
+// regression family the paper selects for its < 1 °C MAE and sane
+// extrapolation, over the profiling grid outsides × loads: inletC(server,
+// outside, load) is the inlet temperature observed on one server of
+// nServers. Every server shares the grid, so the segment designs over
+// DefaultKnots are eliminated once and each server's fit costs one pass
+// over its observations, in grid order (outside temperature outer).
+func FitInletModel(outsides, loads []float64, nServers int, inletC func(server int, outsideC, dcLoadFrac float64) float64) (*InletModel, error) {
+	n := len(outsides) * len(loads)
+	xs := make([]float64, 0, n)
+	ys := make([]float64, 0, n)
+	for _, o := range outsides {
+		for _, l := range loads {
+			xs, ys = append(xs, o), append(ys, l)
 		}
-		xs[i] = s.OutsideC
-		ys[i] = s.DCLoadFrac
+	}
+	design, err := regress.NewSurfaceDesign(xs, ys, DefaultKnots)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: fitting inlet model over %d grid points: %w", n, err)
 	}
 	m := &InletModel{PerServer: make([]regress.Surface, nServers)}
-	zs := make([]float64, len(samples))
-	for sv := 0; sv < nServers; sv++ {
-		for i, s := range samples {
-			zs[i] = s.InletC[sv]
+	zs := make([]float64, n)
+	for sv := range m.PerServer {
+		k := 0
+		for _, o := range outsides {
+			for _, l := range loads {
+				zs[k] = inletC(sv, o, l)
+				k++
+			}
 		}
-		surf, err := regress.FitSurface(xs, ys, zs, DefaultKnots)
-		if err != nil {
-			return nil, fmt.Errorf("thermal: fitting inlet model for server %d: %w", sv, err)
-		}
-		m.PerServer[sv] = surf
+		m.PerServer[sv] = design.Fit(zs)
 	}
 	return m, nil
 }
@@ -120,40 +116,39 @@ func (m *GPUTempModel) HeadroomPowerFrac(serverID, gpu int, inletC, limitC float
 	return v
 }
 
-// GPUSample is one observation of a single GPU used to fit Eq. 2.
-type GPUSample struct {
-	Server    int
-	GPU       int
-	InletC    float64
-	PowerFrac float64
-	TempC     float64
-}
-
-// FitGPUTempModel fits a linear model per (server, GPU) pair.
-func FitGPUTempModel(samples []GPUSample, nServers, gpusPerServer int) (*GPUTempModel, error) {
-	feats := make([][][]float64, nServers*gpusPerServer)
-	targets := make([][]float64, nServers*gpusPerServer)
-	for _, s := range samples {
-		if s.Server < 0 || s.Server >= nServers || s.GPU < 0 || s.GPU >= gpusPerServer {
-			return nil, fmt.Errorf("thermal: GPU sample out of range: server %d gpu %d", s.Server, s.GPU)
-		}
-		idx := s.Server*gpusPerServer + s.GPU
-		feats[idx] = append(feats[idx], []float64{1, s.InletC, s.PowerFrac})
-		targets[idx] = append(targets[idx], s.TempC)
+// FitGPUTempModel fits a linear model per (server, GPU) pair over the
+// profiling grid inlets × fracs: tempC(server, gpu, inlet, powerFrac) is the
+// temperature observed on one GPU. Every GPU shares the grid, so the design
+// over [1, inletC, powerFrac] is eliminated once and each GPU's fit costs
+// one pass over its observations, in grid order (inlet outer). The grid
+// must hold at least 6 points, twice the parameter count.
+func FitGPUTempModel(inlets, fracs []float64, nServers, gpusPerServer int, tempC func(server, gpu int, inletC, powerFrac float64) float64) (*GPUTempModel, error) {
+	n := len(inlets) * len(fracs)
+	if n < 6 {
+		return nil, fmt.Errorf("thermal: only %d samples per GPU: %w", n, regress.ErrInsufficientData)
 	}
-	m := &GPUTempModel{Weights: make([]float64, 0, nServers*gpusPerServer*3), GPUsPerServer: gpusPerServer}
+	rows := make([][]float64, 0, n)
+	for _, in := range inlets {
+		for _, f := range fracs {
+			rows = append(rows, []float64{1, in, f})
+		}
+	}
+	design, err := regress.NewDesign(rows)
+	if err != nil {
+		return nil, fmt.Errorf("thermal: fitting gpu temp model: %w", err)
+	}
+	m := &GPUTempModel{Weights: make([]float64, nServers*gpusPerServer*3), GPUsPerServer: gpusPerServer}
+	ys := make([]float64, n)
 	for sv := 0; sv < nServers; sv++ {
 		for g := 0; g < gpusPerServer; g++ {
-			idx := sv*gpusPerServer + g
-			if len(feats[idx]) < 6 {
-				return nil, fmt.Errorf("thermal: only %d samples for server %d gpu %d: %w",
-					len(feats[idx]), sv, g, regress.ErrInsufficientData)
+			k := 0
+			for _, in := range inlets {
+				for _, f := range fracs {
+					ys[k] = tempC(sv, g, in, f)
+					k++
+				}
 			}
-			lin, err := regress.FitLinear(feats[idx], targets[idx])
-			if err != nil {
-				return nil, fmt.Errorf("thermal: fitting gpu temp model server %d gpu %d: %w", sv, g, err)
-			}
-			m.Weights = append(m.Weights, lin.Weights...)
+			design.Solve(m.weights(sv, g), ys)
 		}
 	}
 	return m, nil

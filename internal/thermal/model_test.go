@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -9,20 +10,13 @@ import (
 	"github.com/tapas-sim/tapas/internal/regress"
 )
 
-// genInletSamples produces synthetic sensor history by running the physics
-// over random operating conditions — the same pipeline the profiler uses.
-func genInletSamples(dc *layout.Datacenter, n int, rng *rand.Rand) []InletSample {
-	samples := make([]InletSample, n)
-	for i := range samples {
-		outside := rng.Float64()*38 - 2
-		load := rng.Float64()
-		inlets := make([]float64, len(dc.Servers))
-		for j, s := range dc.Servers {
-			inlets[j] = InletTemp(s, outside, load, 0) + rng.NormFloat64()*0.2
-		}
-		samples[i] = InletSample{OutsideC: outside, DCLoadFrac: load, InletC: inlets}
+// grid returns n evenly spaced points from lo to hi inclusive.
+func grid(lo, hi float64, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = lo + (hi-lo)*float64(i)/float64(n-1)
 	}
-	return samples
+	return xs
 }
 
 func TestFitInletModelMAEUnderOneDegree(t *testing.T) {
@@ -31,7 +25,11 @@ func TestFitInletModelMAEUnderOneDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
-	model, err := FitInletModel(genInletSamples(dc, 2000, rng), len(dc.Servers))
+	// Noisy sensor readings of the physics over the profiling grid.
+	model, err := FitInletModel(grid(-2, 36, 39), grid(0, 1, 11), len(dc.Servers),
+		func(sv int, outside, load float64) float64 {
+			return InletTemp(dc.Servers[sv], outside, load, 0) + rng.NormFloat64()*0.2
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +49,65 @@ func TestFitInletModelMAEUnderOneDegree(t *testing.T) {
 	}
 }
 
-func TestFitInletModelErrors(t *testing.T) {
-	if _, err := FitInletModel(nil, 3); err == nil {
-		t.Error("expected error for no samples")
+// TestFitInletModelMatchesFitSurface pins the grid fit to regress.FitSurface
+// over the same observations in grid order (outside outer, load inner), bit
+// for bit, including a segment that inherits its neighbour's piece. The
+// servers share one copy of the knots, which is not DefaultKnots itself.
+func TestFitInletModelMatchesFitSurface(t *testing.T) {
+	dc, err := layout.New(layout.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := []InletSample{{OutsideC: 20, DCLoadFrac: 0.5, InletC: []float64{20}}}
-	if _, err := FitInletModel(bad, 3); err == nil {
-		t.Error("expected error for server-count mismatch")
+	// No outside temperature above 25 °C: the top segment has no rows.
+	outsides, loads := []float64{0, 7, 12, 15, 17, 21, 25}, grid(0, 1, 4)
+	nSrv := 5
+	// Deterministic sensor noise, so FitSurface sees the same observations.
+	obs := func(sv int, outside, load float64) float64 {
+		return InletTemp(dc.Servers[sv], outside, load, 0) + 0.2*math.Sin(float64(sv)*7.3+outside*1.7+load*11.1)
+	}
+	model, err := FitInletModel(outsides, loads, nSrv, obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sv := 0; sv < nSrv; sv++ {
+		var xs, ys, zs []float64
+		for _, o := range outsides {
+			for _, l := range loads {
+				xs, ys, zs = append(xs, o), append(ys, l), append(zs, obs(sv, o, l))
+			}
+		}
+		want, err := regress.FitSurface(xs, ys, zs, DefaultKnots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := model.PerServer[sv]
+		if len(got.Pieces) != len(want.Pieces) || len(got.Knots) != len(want.Knots) {
+			t.Fatalf("server %d: %d pieces over %v, want %d over %v", sv, len(got.Pieces), got.Knots, len(want.Pieces), want.Knots)
+		}
+		for s := range want.Pieces {
+			for k, w := range want.Pieces[s].Weights {
+				if math.Float64bits(got.Pieces[s].Weights[k]) != math.Float64bits(w) {
+					t.Fatalf("server %d segment %d weight %d = %v, FitSurface = %v", sv, s, k, got.Pieces[s].Weights[k], w)
+				}
+			}
+		}
+		if &got.Knots[0] == &DefaultKnots[0] || &got.Knots[0] != &model.PerServer[0].Knots[0] {
+			t.Errorf("server %d: knots must be one copy of DefaultKnots shared by the model", sv)
+		}
+	}
+}
+
+func TestFitInletModelErrors(t *testing.T) {
+	fit := func(outsides, loads []float64) error {
+		_, err := FitInletModel(outsides, loads, 3, func(int, float64, float64) float64 { return 20 })
+		return err
+	}
+	if err := fit(nil, nil); !errors.Is(err, regress.ErrInsufficientData) {
+		t.Errorf("empty grid: err = %v, want ErrInsufficientData", err)
+	}
+	// Seven points: no segment reaches the 8 rows a piece needs.
+	if err := fit([]float64{10, 20, 30}, []float64{0, 1}); !errors.Is(err, regress.ErrInsufficientData) {
+		t.Errorf("sparse grid: err = %v, want ErrInsufficientData", err)
 	}
 }
 
@@ -69,20 +119,10 @@ func TestFitGPUTempModelRecoversPhysics(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	nSrv := 4 // model a subset to keep the test quick
 	gpus := dc.Servers[0].GPU.GPUsPerServer
-	var samples []GPUSample
-	for i := 0; i < 400; i++ {
-		inlet := 18 + rng.Float64()*10
-		for sv := 0; sv < nSrv; sv++ {
-			for g := 0; g < gpus; g++ {
-				pf := rng.Float64()
-				samples = append(samples, GPUSample{
-					Server: sv, GPU: g, InletC: inlet, PowerFrac: pf,
-					TempC: GPUTemp(dc.Servers[sv], g, inlet, pf) + rng.NormFloat64()*0.3,
-				})
-			}
-		}
-	}
-	model, err := FitGPUTempModel(samples, nSrv, gpus)
+	model, err := FitGPUTempModel(grid(18, 28, 20), grid(0, 1, 20), nSrv, gpus,
+		func(sv, g int, inlet, pf float64) float64 {
+			return GPUTemp(dc.Servers[sv], g, inlet, pf) + rng.NormFloat64()*0.3
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +141,8 @@ func TestFitGPUTempModelRecoversPhysics(t *testing.T) {
 }
 
 // TestGPUTempSplitMatchesLinear pins the flat weight table to the fitted
-// regress.Linear models: each GPU's weights are its own fit, and Predict, as
+// regress.Linear models: each GPU's weights are regress.FitLinear over its
+// own observations in grid order (inlet outer, power inner), and Predict, as
 // well as InletPartial finished by AddPower, equal Linear.Eval over
 // [1, inlet, powerFrac] bit for bit.
 func TestGPUTempSplitMatchesLinear(t *testing.T) {
@@ -111,19 +152,13 @@ func TestGPUTempSplitMatchesLinear(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(4, 4))
 	nSrv, gpus := 3, dc.Servers[0].GPU.GPUsPerServer
-	var samples []GPUSample
-	for i := 0; i < 50; i++ {
-		inlet, pf := 18+rng.Float64()*12, rng.Float64()
-		for sv := 0; sv < nSrv; sv++ {
-			for g := 0; g < gpus; g++ {
-				samples = append(samples, GPUSample{
-					Server: sv, GPU: g, InletC: inlet, PowerFrac: pf,
-					TempC: GPUTemp(dc.Servers[sv], g, inlet, pf) + rng.NormFloat64()*0.3,
-				})
-			}
-		}
+	inlets := []float64{18 + rng.Float64()*4, 23 + rng.Float64()*3, 27 + rng.Float64()*3}
+	fracs := []float64{rng.Float64() * 0.3, 0.3 + rng.Float64()*0.4, 0.7 + rng.Float64()*0.3}
+	// Deterministic sensor noise, so FitLinear sees the same observations.
+	obs := func(sv, g int, inlet, pf float64) float64 {
+		return GPUTemp(dc.Servers[sv], g, inlet, pf) + 0.3*math.Sin(float64(sv*gpus+g)*5.1+inlet*0.9+pf*13.7)
 	}
-	model, err := FitGPUTempModel(samples, nSrv, gpus)
+	model, err := FitGPUTempModel(inlets, fracs, nSrv, gpus, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +166,10 @@ func TestGPUTempSplitMatchesLinear(t *testing.T) {
 		for g := 0; g < gpus; g++ {
 			var feats [][]float64
 			var temps []float64
-			for _, s := range samples {
-				if s.Server == sv && s.GPU == g {
-					feats = append(feats, []float64{1, s.InletC, s.PowerFrac})
-					temps = append(temps, s.TempC)
+			for _, inlet := range inlets {
+				for _, pf := range fracs {
+					feats = append(feats, []float64{1, inlet, pf})
+					temps = append(temps, obs(sv, g, inlet, pf))
 				}
 			}
 			lin, err := regress.FitLinear(feats, temps)
@@ -157,20 +192,9 @@ func TestGPUTempSplitMatchesLinear(t *testing.T) {
 
 func TestGPUTempModelHeadroom(t *testing.T) {
 	dc, _ := layout.New(layout.SmallConfig())
-	rng := rand.New(rand.NewPCG(3, 3))
 	gpus := dc.Servers[0].GPU.GPUsPerServer
-	var samples []GPUSample
-	for i := 0; i < 300; i++ {
-		inlet := 18 + rng.Float64()*12
-		pf := rng.Float64()
-		for g := 0; g < gpus; g++ {
-			samples = append(samples, GPUSample{
-				Server: 0, GPU: g, InletC: inlet, PowerFrac: pf,
-				TempC: GPUTemp(dc.Servers[0], g, inlet, pf),
-			})
-		}
-	}
-	model, err := FitGPUTempModel(samples, 1, gpus)
+	model, err := FitGPUTempModel(grid(18, 30, 15), grid(0, 1, 20), 1, gpus,
+		func(sv, g int, inlet, pf float64) float64 { return GPUTemp(dc.Servers[sv], g, inlet, pf) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +221,19 @@ func TestGPUTempModelHeadroom(t *testing.T) {
 }
 
 func TestFitGPUTempModelErrors(t *testing.T) {
-	if _, err := FitGPUTempModel([]GPUSample{{Server: 5, GPU: 0}}, 2, 8); err == nil {
-		t.Error("expected out-of-range error")
+	fit := func(inlets, fracs []float64) error {
+		_, err := FitGPUTempModel(inlets, fracs, 1, 1, func(int, int, float64, float64) float64 { return 50 })
+		return err
 	}
-	if _, err := FitGPUTempModel(nil, 1, 1); err == nil {
-		t.Error("expected insufficient-data error")
+	if err := fit(nil, nil); !errors.Is(err, regress.ErrInsufficientData) {
+		t.Errorf("empty grid: err = %v, want ErrInsufficientData", err)
 	}
-	few := []GPUSample{{Server: 0, GPU: 0, InletC: 20, PowerFrac: 0.5, TempC: 50}}
-	if _, err := FitGPUTempModel(few, 1, 1); err == nil {
-		t.Error("expected insufficient-data error for single sample")
+	// Five points, below the 6 (2× parameters) a GPU needs.
+	if err := fit([]float64{20}, []float64{0, 0.25, 0.5, 0.75, 1}); !errors.Is(err, regress.ErrInsufficientData) {
+		t.Errorf("five-point grid: err = %v, want ErrInsufficientData", err)
+	}
+	if err := fit([]float64{20, 30}, []float64{0, 0.5, 1}); err != nil {
+		t.Errorf("six-point grid: %v", err)
 	}
 }
 
