@@ -70,8 +70,8 @@ func eliminate(a [][]float64) (*elimination, error) {
 
 // solve replays the recorded swaps and row operations on b, in the order
 // eliminate applied them to a, skipping zero factors as eliminate does, and
-// back-substitutes, leaving the solution in b. Every operation on b is the
-// one solving the unreduced system would make, so the bits match.
+// back-substitutes, leaving the solution in b. b sees the operations that
+// eliminating a together with b makes, in the same order, so the bits match.
 func (e *elimination) solve(b []float64) {
 	n := len(e.a)
 	for col := 0; col < n; col++ {
