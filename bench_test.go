@@ -115,9 +115,9 @@ func BenchmarkInstanceStep(b *testing.B) {
 	}
 }
 
-// BenchmarkOfflineProfiling fits every profile of the small preset (80
-// servers) and of the 5x fleet (5,200 servers) that the fleet-day workload
-// fits in its set-up.
+// BenchmarkOfflineProfiling runs the offline profiling phase on the small
+// preset (80 servers) and on the 5x fleet (5,200 servers), the layout the
+// fleet-day workload profiles in its set-up.
 func BenchmarkOfflineProfiling(b *testing.B) {
 	fleet := layout.DefaultConfig()
 	fleet.FleetScale = 5

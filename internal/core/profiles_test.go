@@ -92,8 +92,7 @@ func TestProfilesDistinguishServers(t *testing.T) {
 // TestBuildProfilesAllocs pins the fit's cost: the shared designs and the
 // airflow and power fits take a constant number of allocations per layout,
 // and each server adds three for its inlet surface (pieces, weights and the
-// gathered segment targets), never one per sample. The per-sample fit made
-// 29,825 on the small preset and 385,996 on the large one.
+// gathered segment targets), never one per sample.
 func TestBuildProfilesAllocs(t *testing.T) {
 	const perLayout, perServer = 256, 3
 	for _, cfg := range []layout.Config{layout.SmallConfig(), layout.DefaultConfig()} {
