@@ -50,6 +50,10 @@ func TestParseAndValidateErrors(t *testing.T) {
 		{"bad report format", `{"name":"x","report":{"format":"xml"}}`, "unknown report format"},
 		{"bad metric", `{"name":"x","report":{"metrics":["latency"]}}`, "unknown metric"},
 		{"negative scale", `{"name":"x","scale":-1}`, "negative scale"},
+		{"negative start offset", `{"name":"x","start_offset":"-5h","duration":"10m"}`, "start_offset -5h0m0s must not be negative"},
+		{"zero racks per row", `{"name":"x","layout":{"racks_per_row":0}}`, "layout.racks_per_row 0 must be at least 1"},
+		{"negative aisles", `{"name":"x","layout":{"aisles":-3}}`, "layout.aisles -3 must be at least 1"},
+		{"zero servers per rack", `{"name":"x","layout":{"preset":"small","servers_per_rack":0}}`, "layout.servers_per_rack 0 must be at least 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,6 +301,39 @@ func TestPowerGovAxes(t *testing.T) {
 		if _, err := s.Campaign(0); err == nil {
 			t.Errorf("out-of-range axis accepted: %s", bad)
 		}
+	}
+}
+
+// TestAxesRejectWhatTheirFieldsReject checks that a sweep axis refuses, when
+// the campaign expands, each value its typed spec field cannot hold: a
+// fraction of an endpoint or of a seed, a negative seed and a negative start
+// offset. Whole values still sweep.
+func TestAxesRejectWhatTheirFieldsReject(t *testing.T) {
+	for _, tc := range []struct{ axis, want string }{
+		{`{"param":"workload.endpoints","values":[1.5,2.9]}`, "workload.endpoints 1.5 must be a whole number"},
+		{`{"param":"seed","values":[7.9]}`, "seed 7.9 must be a whole number"},
+		{`{"param":"seed","values":[-1]}`, "seed -1 must not be negative"},
+		{`{"param":"start_offset","values":["13h","-5h"]}`, "start_offset -5h0m0s must not be negative"},
+	} {
+		s, err := Parse([]byte(`{"name":"x","layout":{"preset":"small"},"duration":"10m","axes":[` + tc.axis + `]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Campaign(0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("axis %s: err = %v, want %q", tc.axis, err, tc.want)
+		}
+	}
+	s, err := Parse([]byte(`{"name":"x","layout":{"preset":"small"},"duration":"10m","axes":[
+		{"param":"workload.endpoints","values":[1,2]},{"param":"seed","values":[0,7]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Campaign(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Points[3].Scenario; got.Workload.Endpoints != 2 || got.Workload.Seed != 7 || got.Layout.Seed != 7 {
+		t.Errorf("point 3 = %d endpoints, seeds %d/%d; want 2, 7/7", got.Workload.Endpoints, got.Workload.Seed, got.Layout.Seed)
 	}
 }
 

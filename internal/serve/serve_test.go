@@ -376,6 +376,22 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("scenario shorter than one tick = %d, want 400", resp.StatusCode)
 	}
 
+	// A negative start offset, as a field or as an axis value, sizes the
+	// weather series negative; the daemon must refuse it before any job runs.
+	for _, body := range []string{
+		`{"name":"x","layout":{"preset":"small"},"start_offset":"-5h","duration":"10m"}`,
+		`{"name":"x","layout":{"preset":"small"},"duration":"10m","axes":[{"param":"start_offset","values":["-5h"]}]}`,
+	} {
+		resp, err = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("negative start offset %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+
 	for _, path := range []string{"/campaigns/nope", "/campaigns/nope/events", "/campaigns/nope/report"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

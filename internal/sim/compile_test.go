@@ -192,3 +192,37 @@ func TestRunRejectsScenarioShorterThanOneTick(t *testing.T) {
 		t.Errorf("one-tick variant ran %d ticks (%d samples), want 1", res.Ticks, len(res.MaxTempC))
 	}
 }
+
+// TestCompileRejectsBadWeatherWindow pins the guard in front of the weather
+// series: it covers [0, StartOffset+Duration], so a negative start offset,
+// or one whose window end overflows, would size it negative and panic.
+// Compile, CompileCache.Compile and Run return an error instead.
+func TestCompileRejectsBadWeatherWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		offset time.Duration
+		ok     bool
+	}{
+		{"negative offset", -5 * time.Hour, false},
+		{"overflowing window end", time.Duration(1<<63 - 1), false},
+		{"positive offset", 10 * time.Minute, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := SmallScenario()
+			sc.Duration = 20 * time.Minute
+			sc.Workload.Duration = sc.Duration
+			sc.StartOffset = tc.offset
+			_, err := Compile(sc)
+			_, cacheErr := NewCompileCache(0).Compile(sc)
+			_, runErr := Run(sc, naivePolicy{})
+			for _, e := range []error{err, cacheErr, runErr} {
+				if tc.ok && e != nil {
+					t.Errorf("offset %v: %v", tc.offset, e)
+				}
+				if !tc.ok && (e == nil || !strings.Contains(e.Error(), "start offset")) {
+					t.Errorf("offset %v: err = %v, want a start-offset error", tc.offset, e)
+				}
+			}
+		})
+	}
+}
