@@ -221,20 +221,6 @@ func (v AxisValue) Label() string {
 	return v.Str
 }
 
-func (v AxisValue) number(param string) (float64, error) {
-	if !v.IsNum {
-		return 0, fmt.Errorf("axis %q needs numeric values, got %q", param, v.Str)
-	}
-	return v.Num, nil
-}
-
-func (v AxisValue) str(param string) (string, error) {
-	if v.IsNum {
-		return "", fmt.Errorf("axis %q needs string values, got %v", param, v.Num)
-	}
-	return v.Str, nil
-}
-
 // ReportSpec selects the output format and metric columns.
 type ReportSpec struct {
 	// Format is "text" (grid over a single axis, flat table otherwise),
@@ -344,21 +330,14 @@ func (s *Spec) Validate() error {
 	default:
 		return fail("unknown layout preset %q (known: large, small)", s.Layout.Preset)
 	}
-	if s.Layout.GPU != "" {
-		if _, err := layout.ParseGPUModel(s.Layout.GPU); err != nil {
-			return fail("%v", err)
-		}
+	var scratch sim.Scenario
+	if err := s.applyFields(&scratch); err != nil {
+		return fail("%v", err)
 	}
 	if s.Layout.MixGPU != "" {
 		if _, err := layout.ParseGPUModel(s.Layout.MixGPU); err != nil {
 			return fail("%v", err)
 		}
-	}
-	if f := s.Layout.MixFraction; f != nil && (*f < 0 || *f > 1) {
-		return fail("layout.mix_fraction %v out of [0,1]", *f)
-	}
-	if f := s.Layout.FleetScale; f != nil && *f <= 0 {
-		return fail("layout.fleet_scale %v must be positive", *f)
 	}
 	// A mix fraction without a distinct second generation would silently
 	// produce a uniform fleet; require an explicit, different mix_gpu.
@@ -400,8 +379,8 @@ func (s *Spec) Validate() error {
 	}
 	sweptOps := map[string]string{}
 	for _, ax := range s.Axes {
-		op, ok := transformAxisOps[ax.Param]
-		if !ok {
+		op := params[ax.Param].op
+		if op == "" {
 			continue
 		}
 		if prev, dup := sweptOps[op]; dup {
@@ -423,20 +402,16 @@ func (s *Spec) Validate() error {
 	// ignored, so the combinations are rejected outright.
 	if s.Workload.Trace != "" {
 		synthetic := ""
-		switch {
-		case s.Workload.SaaSFraction != nil:
-			synthetic = "saas_fraction"
-		case s.Workload.Endpoints != nil:
-			synthetic = "endpoints"
-		case s.Workload.Occupancy != nil:
-			synthetic = "occupancy"
-		case s.Workload.DemandScale != nil:
-			synthetic = "demand_scale"
-		case s.Workload.Seed != nil:
-			synthetic = "seed"
+		for _, f := range s.paramFields() {
+			if synthetic == "" && strings.HasPrefix(f.name, "workload.") {
+				synthetic = f.name
+			}
+		}
+		if synthetic == "" && s.Workload.Seed != nil {
+			synthetic = "workload.seed"
 		}
 		if synthetic != "" {
-			return fail("workload.trace replays a recorded workload; synthetic field workload.%s cannot be set alongside it", synthetic)
+			return fail("workload.trace replays a recorded workload; synthetic field %s cannot be set alongside it", synthetic)
 		}
 		for _, ax := range s.Axes {
 			if strings.HasPrefix(ax.Param, "workload.") || ax.Param == "seed" {
@@ -444,29 +419,11 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	if f := s.Workload.SaaSFraction; f != nil && (*f < 0 || *f > 1) {
-		return fail("workload.saas_fraction %v out of [0,1]", *f)
-	}
-	// The trace generator treats zero occupancy/demand/endpoints as "use
-	// the default", so an explicit zero would silently simulate something
-	// else entirely; reject non-positive values outright.
-	if f := s.Workload.Occupancy; f != nil && (*f <= 0 || *f > 1) {
-		return fail("workload.occupancy %v out of (0,1]", *f)
-	}
-	if f := s.Workload.DemandScale; f != nil && *f <= 0 {
-		return fail("workload.demand_scale %v must be positive", *f)
-	}
-	if n := s.Workload.Endpoints; n != nil && *n < 1 {
-		return fail("workload.endpoints %d must be at least 1", *n)
-	}
 	if s.Duration != nil && *s.Duration <= 0 {
 		return fail("non-positive duration %v", time.Duration(*s.Duration))
 	}
 	if s.Tick != nil && *s.Tick <= 0 {
 		return fail("non-positive tick %v", time.Duration(*s.Tick))
-	}
-	if o := s.Oversubscribe; o != nil && *o < 0 {
-		return fail("negative oversubscription %v", *o)
 	}
 	for _, f := range s.Failures {
 		if _, err := f.event(); err != nil {
@@ -480,7 +437,7 @@ func (s *Spec) Validate() error {
 	}
 	seen := map[string]bool{}
 	for _, ax := range s.Axes {
-		if _, ok := axisSetters[ax.Param]; !ok {
+		if p, ok := params[ax.Param]; !ok || p.fieldOnly {
 			return fail("unknown axis param %q (known: %s)", ax.Param, strings.Join(AxisParams(), ", "))
 		}
 		if seen[ax.Param] {
@@ -552,59 +509,22 @@ func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 	sc.Layout.Seed = seed
 	sc.Workload.Seed = seed
 
-	// Layout overrides.
-	lo := s.Layout
-	if lo.Aisles != nil {
-		sc.Layout.Aisles = *lo.Aisles
+	if s.Layout.Seed != nil {
+		sc.Layout.Seed = *s.Layout.Seed
 	}
-	if lo.RacksPerRow != nil {
-		sc.Layout.RacksPerRow = *lo.RacksPerRow
+	if s.Workload.Seed != nil {
+		sc.Workload.Seed = *s.Workload.Seed
 	}
-	if lo.ServersPerRack != nil {
-		sc.Layout.ServersPerRack = *lo.ServersPerRack
+	if err := s.applyFields(&sc); err != nil {
+		return sim.Scenario{}, err
 	}
-	if lo.GPU != "" {
-		m, err := layout.ParseGPUModel(lo.GPU)
-		if err != nil {
-			return sim.Scenario{}, err
-		}
-		sc.Layout.GPU = m
-	}
-	if lo.MixGPU != "" {
-		m, err := layout.ParseGPUModel(lo.MixGPU)
+	if s.Layout.MixGPU != "" {
+		m, err := layout.ParseGPUModel(s.Layout.MixGPU)
 		if err != nil {
 			return sim.Scenario{}, err
 		}
 		sc.Layout.MixGPU = m
 	}
-	if lo.MixFraction != nil {
-		sc.Layout.MixFraction = *lo.MixFraction
-	}
-	if lo.FleetScale != nil {
-		sc.Layout.FleetScale = *lo.FleetScale
-	}
-	if lo.Seed != nil {
-		sc.Layout.Seed = *lo.Seed
-	}
-
-	// Workload overrides.
-	wo := s.Workload
-	if wo.SaaSFraction != nil {
-		sc.Workload.SaaSFraction = *wo.SaaSFraction
-	}
-	if wo.Endpoints != nil {
-		sc.Workload.Endpoints = *wo.Endpoints
-	}
-	if wo.Occupancy != nil {
-		sc.Workload.Occupancy = *wo.Occupancy
-	}
-	if wo.DemandScale != nil {
-		sc.Workload.DemandScale = *wo.DemandScale
-	}
-	if wo.Seed != nil {
-		sc.Workload.Seed = *wo.Seed
-	}
-
 	if s.Region.set {
 		sc.Region = s.Region.region
 	}
@@ -613,12 +533,6 @@ func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 	}
 	if s.Tick != nil {
 		sc.Tick = time.Duration(*s.Tick)
-	}
-	if s.StartOffset != nil {
-		sc.StartOffset = time.Duration(*s.StartOffset)
-	}
-	if s.Oversubscribe != nil {
-		sc.Oversubscribe = *s.Oversubscribe
 	}
 	for _, f := range s.Failures {
 		ev, err := f.event()

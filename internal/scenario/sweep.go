@@ -2,306 +2,9 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
-	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/sim"
-	"github.com/tapas-sim/tapas/internal/trace/transform"
 )
-
-// transformAxisOps maps the transform sweep axes to the chain op each one
-// varies. Spec validation requires exactly one step of that op in
-// workload.transforms (and at most one axis per op), so the sweep has an
-// unambiguous target.
-var transformAxisOps = map[string]string{
-	"transform.demand_scale":      "demand_scale",
-	"transform.demand_scale.saas": "demand_scale",
-	"transform.demand_scale.iaas": "demand_scale",
-	"transform.time_warp":         "time_warp",
-}
-
-// setTransformFactor clones the point's chain (grid points share the base
-// scenario's slice) and applies set to the single step with the given op.
-func setTransformFactor(sc *sim.Scenario, op string, set func(transform.Step) error) error {
-	chain := sc.TraceTransforms.Clone()
-	n := 0
-	for _, s := range chain {
-		if s.Op() != op {
-			continue
-		}
-		n++
-		if err := set(s); err != nil {
-			return err
-		}
-	}
-	if n != 1 {
-		// Validate enforces this for spec-driven campaigns; programmatic
-		// sweeps get the same loud failure.
-		return fmt.Errorf("chain needs exactly one %s step to sweep (found %d)", op, n)
-	}
-	if err := chain.Validate(); err != nil {
-		return err
-	}
-	sc.TraceTransforms = chain
-	return nil
-}
-
-// axisSetters maps a sweepable parameter name to the mutation it applies to
-// a grid point's scenario. Axes apply to the fully built (overridden and
-// scaled) base scenario, in spec order.
-var axisSetters = map[string]func(*sim.Scenario, AxisValue) error{
-	"workload.saas_fraction": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("workload.saas_fraction")
-		if err != nil {
-			return err
-		}
-		if f < 0 || f > 1 {
-			return fmt.Errorf("workload.saas_fraction %v out of [0,1]", f)
-		}
-		sc.Workload.SaaSFraction = f
-		return nil
-	},
-	"workload.demand_scale": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("workload.demand_scale")
-		if err != nil {
-			return err
-		}
-		if f <= 0 {
-			return fmt.Errorf("workload.demand_scale %v must be positive", f)
-		}
-		sc.Workload.DemandScale = f
-		return nil
-	},
-	"slo.affinity_weight": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("slo.affinity_weight")
-		if err != nil {
-			return err
-		}
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("slo.affinity_weight %v out of (0,1]", f)
-		}
-		sc.SLOSched.AffinityWeight = f
-		return nil
-	},
-	"slo.admission_slack": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("slo.admission_slack")
-		if err != nil {
-			return err
-		}
-		if f <= 0 {
-			return fmt.Errorf("slo.admission_slack %v must be positive", f)
-		}
-		sc.SLOSched.AdmissionSlack = f
-		return nil
-	},
-	"powergov.budget_frac": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("powergov.budget_frac")
-		if err != nil {
-			return err
-		}
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("powergov.budget_frac %v out of (0,1]", f)
-		}
-		sc.PowerGov.BudgetFrac = f
-		return nil
-	},
-	"powergov.gain": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("powergov.gain")
-		if err != nil {
-			return err
-		}
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("powergov.gain %v out of (0,1]", f)
-		}
-		sc.PowerGov.Gain = f
-		return nil
-	},
-	"workload.occupancy": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("workload.occupancy")
-		if err != nil {
-			return err
-		}
-		if f <= 0 || f > 1 {
-			return fmt.Errorf("workload.occupancy %v out of (0,1]", f)
-		}
-		sc.Workload.Occupancy = f
-		return nil
-	},
-	"workload.endpoints": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("workload.endpoints")
-		if err != nil {
-			return err
-		}
-		if f < 1 {
-			return fmt.Errorf("workload.endpoints %v must be at least 1", f)
-		}
-		sc.Workload.Endpoints = int(f)
-		return nil
-	},
-	"oversubscribe": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("oversubscribe")
-		if err != nil {
-			return err
-		}
-		if f < 0 {
-			return fmt.Errorf("oversubscribe %v negative", f)
-		}
-		sc.Oversubscribe = f
-		return nil
-	},
-	"region": func(sc *sim.Scenario, v AxisValue) error {
-		name, err := v.str("region")
-		if err != nil {
-			return err
-		}
-		reg, err := regionByName(name)
-		if err != nil {
-			return err
-		}
-		sc.Region = reg
-		return nil
-	},
-	"region.mean_c": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("region.mean_c")
-		sc.Region.MeanC = f
-		return err
-	},
-	"layout.gpu": func(sc *sim.Scenario, v AxisValue) error {
-		name, err := v.str("layout.gpu")
-		if err != nil {
-			return err
-		}
-		m, err := layout.ParseGPUModel(name)
-		if err != nil {
-			return err
-		}
-		sc.Layout.GPU = m
-		return nil
-	},
-	// The hyperscale axis: one campaign sweeps the same scenario over 1×,
-	// 10×, 100× fleets. Applied at layout generation, so the setter simply
-	// overwrites the factor — no compounding across grid points.
-	"layout.fleet_scale": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("layout.fleet_scale")
-		if err != nil {
-			return err
-		}
-		if f <= 0 {
-			return fmt.Errorf("layout.fleet_scale %v must be positive", f)
-		}
-		sc.Layout.FleetScale = f
-		return nil
-	},
-	"layout.mix_fraction": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("layout.mix_fraction")
-		if err != nil {
-			return err
-		}
-		if f < 0 || f > 1 {
-			return fmt.Errorf("layout.mix_fraction %v out of [0,1]", f)
-		}
-		sc.Layout.MixFraction = f
-		return nil
-	},
-	"transform.demand_scale": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("transform.demand_scale")
-		if err != nil {
-			return err
-		}
-		if f <= 0 {
-			return fmt.Errorf("transform.demand_scale %v must be positive", f)
-		}
-		return setTransformFactor(sc, "demand_scale", func(s transform.Step) error {
-			ds := s.(*transform.DemandScale)
-			// The axis sweeps the uniform factor; per-kind multipliers in
-			// the spec's step are overridden per grid point.
-			ds.Factor, ds.IaaS, ds.SaaS = f, 0, 0
-			return nil
-		})
-	},
-	// The per-kind axes sweep one side of the demand — the SaaS axis is the
-	// paper's "demand intensity" knob (hotter requests on the same fleet),
-	// the IaaS axis the arrival-pressure knob (thinned/replicated VM
-	// population) — leaving the other side at the step's configured value.
-	"transform.demand_scale.saas": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("transform.demand_scale.saas")
-		if err != nil {
-			return err
-		}
-		if f <= 0 {
-			// DemandScale treats 0 as "unset = 1"; a swept 0 would silently
-			// simulate unscaled demand under a "0" column label.
-			return fmt.Errorf("transform.demand_scale.saas %v must be positive", f)
-		}
-		return setTransformFactor(sc, "demand_scale", func(s transform.Step) error {
-			ds := s.(*transform.DemandScale)
-			if ds.Factor != 0 {
-				ds.IaaS, ds.Factor = ds.Factor, 0
-			}
-			ds.SaaS = f
-			return nil
-		})
-	},
-	"transform.demand_scale.iaas": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("transform.demand_scale.iaas")
-		if err != nil {
-			return err
-		}
-		if f <= 0 {
-			return fmt.Errorf("transform.demand_scale.iaas %v must be positive", f)
-		}
-		return setTransformFactor(sc, "demand_scale", func(s transform.Step) error {
-			ds := s.(*transform.DemandScale)
-			if ds.Factor != 0 {
-				ds.SaaS, ds.Factor = ds.Factor, 0
-			}
-			ds.IaaS = f
-			return nil
-		})
-	},
-	"transform.time_warp": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("transform.time_warp")
-		if err != nil {
-			return err
-		}
-		return setTransformFactor(sc, "time_warp", func(s transform.Step) error {
-			s.(*transform.TimeWarp).Factor = f
-			return nil
-		})
-	},
-	"seed": func(sc *sim.Scenario, v AxisValue) error {
-		f, err := v.number("seed")
-		if err != nil {
-			return err
-		}
-		sc.Layout.Seed = uint64(f)
-		sc.Workload.Seed = uint64(f)
-		return nil
-	},
-	"start_offset": func(sc *sim.Scenario, v AxisValue) error {
-		s, err := v.str("start_offset")
-		if err != nil {
-			return err
-		}
-		d, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("start_offset axis: %w", err)
-		}
-		sc.StartOffset = d
-		return nil
-	},
-}
-
-// AxisParams lists the sweepable parameter names in sorted order.
-func AxisParams() []string {
-	out := make([]string, 0, len(axisSetters))
-	for p := range axisSetters {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Point is one cell of the campaign grid: the scenario with every axis value
 // applied, plus the per-axis display labels.
@@ -318,7 +21,7 @@ func (s *Spec) expand(base sim.Scenario) ([]Point, error) {
 	points := []Point{{Scenario: base}}
 	for _, ax := range s.Axes {
 		next := make([]Point, 0, len(points)*len(ax.Values))
-		set := axisSetters[ax.Param]
+		axis := params[ax.Param]
 		for _, p := range points {
 			for vi, v := range ax.Values {
 				label := v.Label()
@@ -332,7 +35,7 @@ func (s *Spec) expand(base sim.Scenario) ([]Point, error) {
 				}
 				// Failure schedules are shared slices on the copied
 				// scenario; axes never mutate them, so sharing is safe.
-				if err := set(&np.Scenario, v); err != nil {
+				if err := axis.apply(&np.Scenario, ax.Param, v); err != nil {
 					return nil, fmt.Errorf("scenario: spec %q: axis %q: %w", s.Name, ax.Param, err)
 				}
 				next = append(next, np)

@@ -128,6 +128,9 @@ func (c *CompileCache) Compiles() uint64 { return c.compiles.Load() }
 // caches: layout tables, workload (plus seeded history), and weather are
 // reused when their content keys match a previous compile.
 func (c *CompileCache) compileCold(sc Scenario) (*CompiledScenario, error) {
+	if err := checkWindow(sc); err != nil {
+		return nil, err
+	}
 	c.compiles.Add(1)
 	lk := layoutKey(sc.Layout, sc.Oversubscribe)
 	la, ok := c.layouts.get(lk)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/layout"
@@ -53,6 +54,9 @@ type CompiledScenario struct {
 // skip it entirely go through a CompileCache, which memoizes both whole
 // compilations (by ScenarioKey) and the sub-artifacts below.
 func Compile(sc Scenario) (*CompiledScenario, error) {
+	if err := checkWindow(sc); err != nil {
+		return nil, err
+	}
 	la, err := buildLayoutArtifacts(sc.Layout, sc.Oversubscribe)
 	if err != nil {
 		return nil, err
@@ -254,6 +258,19 @@ func buildWorkloadArtifacts(sc Scenario, servers int) (*workloadArtifacts, error
 	}
 	wa.customerPeak, wa.endpointPeak = compileHistory(w)
 	return wa, nil
+}
+
+// checkWindow rejects a start offset the weather series cannot cover: the
+// series spans [0, StartOffset+Duration], so a negative offset, or one
+// whose window end overflows, would size it negative.
+func checkWindow(sc Scenario) error {
+	if sc.StartOffset < 0 {
+		return fmt.Errorf("sim: negative start offset %v", sc.StartOffset)
+	}
+	if sc.StartOffset > math.MaxInt64-max(sc.Duration, 0) {
+		return fmt.Errorf("sim: start offset %v plus duration %v overflows", sc.StartOffset, sc.Duration)
+	}
+	return nil
 }
 
 // buildOutside precomputes the outside-temperature series for the
