@@ -30,17 +30,20 @@ type Config struct {
 	// validated against — the datacenter just has more aisles. 0 (the
 	// default) means 1× (the preset's size).
 	FleetScale float64
+}
+
+const (
 	// AirflowMargin and PowerMargin are the provisioning headroom over the
 	// nominal aggregate peak (airflow per aisle, power per row). Operators
 	// provision for peak load (§2.1, §2.2), so margins are small.
-	AirflowMargin float64
-	PowerMargin   float64
+	AirflowMargin = 0.03
+	PowerMargin   = 0.03
 	// AirflowDesignLoad is the server load fraction whose aggregate airflow
-	// the AHUs are provisioned to sustain (default 0.85). AHUs are sized
-	// for the realistic simultaneous peak, not for every fan at 100% —
-	// which never occurs fleet-wide.
-	AirflowDesignLoad float64
-}
+	// the AHUs are provisioned to sustain. AHUs are sized for the realistic
+	// simultaneous peak, not for every fan at 100% — which never occurs
+	// fleet-wide.
+	AirflowDesignLoad = 0.85
+)
 
 // DefaultConfig returns the cluster used by the paper's large-scale
 // experiments: ~1000 A100 servers (13 aisles × 2 rows × 10 racks × 4
@@ -53,8 +56,6 @@ func DefaultConfig() Config {
 		ServersPerRack: 4,
 		GPU:            A100,
 		Seed:           42,
-		AirflowMargin:  0.03,
-		PowerMargin:    0.03,
 	}
 }
 
@@ -68,8 +69,6 @@ func SmallConfig() Config {
 		ServersPerRack: 4,
 		GPU:            A100,
 		Seed:           42,
-		AirflowMargin:  0.03,
-		PowerMargin:    0.03,
 	}
 }
 
@@ -208,9 +207,6 @@ func New(cfg Config) (*Datacenter, error) {
 			cfg.Aisles = 1
 		}
 	}
-	if cfg.AirflowDesignLoad == 0 {
-		cfg.AirflowDesignLoad = 0.85
-	}
 	if cfg.MixFraction < 0 || cfg.MixFraction > 1 {
 		return nil, fmt.Errorf("layout: mix fraction %v out of [0,1]", cfg.MixFraction)
 	}
@@ -259,14 +255,14 @@ func New(cfg Config) (*Datacenter, error) {
 				row.Racks = append(row.Racks, rack)
 				dc.Racks = append(dc.Racks, rack)
 			}
-			row.ProvPowerW = float64(len(row.Servers)) * spec.ServerTDPW * (1 + cfg.PowerMargin)
+			row.ProvPowerW = float64(len(row.Servers)) * spec.ServerTDPW * (1 + PowerMargin)
 			aisle.Rows[r] = row
 			dc.Rows = append(dc.Rows, row)
 			dc.UPSes[row.UPS].Rows = append(dc.UPSes[row.UPS].Rows, rowID)
 		}
 		nServers := float64(len(aisle.Rows[0].Servers) + len(aisle.Rows[1].Servers))
-		designCFM := spec.AirflowIdleCFM + (spec.AirflowMaxCFM-spec.AirflowIdleCFM)*cfg.AirflowDesignLoad
-		aisle.ProvAirflowCFM = nServers * designCFM * (1 + cfg.AirflowMargin)
+		designCFM := spec.AirflowIdleCFM + (spec.AirflowMaxCFM-spec.AirflowIdleCFM)*AirflowDesignLoad
+		aisle.ProvAirflowCFM = nServers * designCFM * (1 + AirflowMargin)
 		dc.Aisles = append(dc.Aisles, aisle)
 	}
 	return dc, nil

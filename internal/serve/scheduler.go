@@ -25,11 +25,6 @@ type SchedulerConfig struct {
 	// QueueDepth bounds the number of campaigns waiting to run; Submit
 	// fails with ErrQueueFull beyond it. Default 16.
 	QueueDepth int
-	// Concurrency is the number of campaigns executing at once (each one
-	// internally parallel across Parallel workers). Default 1: campaigns
-	// queue behind each other and the worker pool stays fully owned by the
-	// running campaign.
-	Concurrency int
 	// Parallel is each campaign's worker-pool bound (≤ 0 = GOMAXPROCS).
 	Parallel int
 	// CacheSize bounds the shared compile cache (entries per level;
@@ -38,7 +33,7 @@ type SchedulerConfig struct {
 }
 
 // Scheduler owns a bounded campaign queue, a shared compile cache, and the
-// dispatcher goroutines that execute campaigns. Safe for concurrent use.
+// dispatcher goroutine that executes campaigns. Safe for concurrent use.
 type Scheduler struct {
 	cfg    SchedulerConfig
 	cache  *sim.CompileCache
@@ -54,14 +49,12 @@ type Scheduler struct {
 	draining bool
 }
 
-// NewScheduler starts a scheduler with Concurrency dispatcher goroutines.
-// Call Shutdown to stop it.
+// NewScheduler starts a scheduler with one dispatcher goroutine: campaigns
+// queue behind each other and the worker pool stays fully owned by the
+// running campaign. Call Shutdown to stop it.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 16
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
@@ -72,10 +65,8 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 		queue:  make(chan *Job, cfg.QueueDepth),
 		jobs:   make(map[string]*Job),
 	}
-	s.wg.Add(cfg.Concurrency)
-	for i := 0; i < cfg.Concurrency; i++ {
-		go s.dispatch()
-	}
+	s.wg.Add(1)
+	go s.dispatch()
 	return s
 }
 
@@ -152,14 +143,14 @@ func (s *Scheduler) Cache() *sim.CompileCache { return s.cache }
 
 // Shutdown stops admission, cancels the running campaigns cooperatively (at
 // run granularity), marks still-queued campaigns canceled, and waits for the
-// dispatchers — or for ctx, whichever ends first.
+// dispatcher — or for ctx, whichever ends first.
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.cancel()
-	// Dispatchers exit on the canceled context; whatever is still in the
-	// queue will never run.
+	// The dispatcher exits on the canceled context; whatever is still in
+	// the queue will never run.
 	for {
 		select {
 		case j := <-s.queue:

@@ -122,12 +122,12 @@ func TestSchedulerSharesCacheAcrossJobs(t *testing.T) {
 }
 
 // TestSchedulerQueueFull pins admission control deterministically: with the
-// dispatchers stopped (white-box cancel) nothing drains the queue, so
+// dispatcher stopped (white-box cancel) nothing drains the queue, so
 // submissions beyond QueueDepth fail with ErrQueueFull and are not retained.
 func TestSchedulerQueueFull(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{QueueDepth: 2})
 	s.cancel()
-	s.wg.Wait() // dispatchers gone; the queue can only fill
+	s.wg.Wait() // dispatcher gone; the queue can only fill
 	for i := 0; i < 2; i++ {
 		if _, err := s.Submit(parseSpec(t, smokeSpec), 0); err != nil {
 			t.Fatal(err)

@@ -139,9 +139,6 @@ func (k *keyHasher) hashLayout(lc layout.Config) {
 	k.i64(int64(lc.MixGPU))
 	k.f64(lc.MixFraction)
 	k.f64(lc.FleetScale)
-	k.f64(lc.AirflowMargin)
-	k.f64(lc.PowerMargin)
-	k.f64(lc.AirflowDesignLoad)
 }
 
 func (k *keyHasher) hashRegion(r trace.Region) {
