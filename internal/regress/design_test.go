@@ -211,10 +211,11 @@ func cloneMatrix(a [][]float64) [][]float64 {
 	return out
 }
 
-// TestSolveLinearMatchesOracle compares SolveLinear with the pre-Design
-// solver by float bits on random systems with exact zeros (zero factors),
-// pivot ties in magnitude, singular columns, and right-hand sides holding
-// signed zeros, infinities and NaN.
+// TestSolveLinearMatchesOracle compares eliminate and solve with the
+// pre-Design solver by float bits on random systems with exact zeros (zero
+// factors), pivot ties in magnitude, singular columns, and right-hand sides
+// holding signed zeros, infinities and NaN. It is the only test whose
+// systems reach the tie-breaking rule and the singular-pivot check.
 func TestSolveLinearMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	for trial := 0; trial < 3000; trial++ {
@@ -245,7 +246,7 @@ func TestSolveLinearMatchesOracle(t *testing.T) {
 		}
 		wantA, wantB := cloneMatrix(a), append([]float64(nil), b...)
 		want, wantErr := oracleSolveLinear(wantA, wantB)
-		got, err := SolveLinear(a, b)
+		got, err := solveLinear(a, b)
 		if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
 			t.Fatalf("trial %d: err = %v, oracle %v", trial, err, wantErr)
 		}

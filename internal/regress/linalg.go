@@ -17,7 +17,7 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when a linear system has no unique solution.
+// ErrSingular is returned when elimination finds no usable pivot.
 var ErrSingular = errors.New("regress: singular system")
 
 // ErrInsufficientData is returned when a fit has fewer samples than
@@ -92,27 +92,6 @@ func (e *elimination) solve(b []float64) {
 	}
 }
 
-// SolveLinear solves A·x = b using Gaussian elimination with partial
-// pivoting. A must be square; A is clobbered and the solution overwrites b,
-// which SolveLinear returns.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, fmt.Errorf("regress: bad system dimensions %dx%d", len(a), len(b))
-	}
-	for _, row := range a {
-		if len(row) != n {
-			return nil, fmt.Errorf("regress: non-square matrix row len %d != %d", len(row), n)
-		}
-	}
-	e, err := eliminate(a)
-	if err != nil {
-		return nil, err
-	}
-	e.solve(b)
-	return b, nil
-}
-
 // Design is a least-squares design matrix X (one row per sample) whose
 // normal equations are formed and eliminated once, for fitting many targets
 // over the same samples: offline profiling fits one target per server or
@@ -126,8 +105,11 @@ type Design struct {
 
 // NewDesign forms XᵀX with a small ridge term, which keeps near-collinear
 // designs solvable (profiling data can cover a narrow operating range), and
-// eliminates it. It fails when X is empty or ragged, has fewer rows than
-// columns (ErrInsufficientData), or is singular (ErrSingular).
+// eliminates it. It fails when X is empty or ragged, or has fewer rows than
+// columns (ErrInsufficientData). A zero or repeated column does not fail:
+// the ridge of 1e-9·(1+diagonal) keeps every pivot far above eliminate's
+// threshold, so such a column fits with ridge weights (a zero column gets
+// weight 0, and repeated columns share one weight equally).
 func NewDesign(x [][]float64) (*Design, error) {
 	m := len(x)
 	if m == 0 || len(x[0]) == 0 {

@@ -50,8 +50,10 @@ type SurfaceDesign struct {
 
 // NewSurfaceDesign segments the sample points by knots and eliminates each
 // segment's design. A segment with fewer than 8 samples (4 parameters,
-// demanding 2× samples for stability) or a singular design is unfitted; it
-// fails with ErrInsufficientData when no segment can be fitted. It copies
+// demanding 2× samples for stability) is unfitted; it fails with
+// ErrInsufficientData when no segment can be fitted. Any other segment
+// fits, even when its samples repeat one point or hold a load constant:
+// NewDesign's ridge gives the degenerate columns ridge weights. It copies
 // knots once, and every Surface it fits shares the copy.
 func NewSurfaceDesign(x, y, knots []float64) (*SurfaceDesign, error) {
 	if len(x) != len(y) {
