@@ -1,7 +1,8 @@
-// Command tapas-trace records, transforms, imports, inspects, and replays
-// workload traces — the record/replay pipeline that turns a synthetic (or
-// captured) workload into a pinned CSV artifact campaigns can sweep
-// policies, climates, and failure schedules over.
+// Command tapas-trace records, transforms, imports and inspects workload
+// traces — the record/replay pipeline that turns a synthetic (or captured)
+// workload into a pinned CSV artifact campaigns can sweep policies,
+// climates, and failure schedules over. A spec whose workload.trace pins
+// such a file replays it through tapas-campaign.
 //
 // Usage:
 //
@@ -14,7 +15,6 @@
 //	tapas-trace -import-azure azure-llm.csv -out trace.csv -servers 80
 //	tapas-trace -import-azure azure-llm.csv -out trace.csv -requests-out trace.requests.csv
 //	tapas-trace -stats examples/scenarios/pinned-small.trace.csv
-//	tapas-trace -replay examples/scenarios/replay-pinned.json
 //
 // -export materializes the workload a spec or preset would simulate and
 // writes the versioned workload CSV (with -vms, also the flat per-VM table
@@ -30,9 +30,7 @@
 // instead of being binned away. -export -requests-out generates the synthetic
 // request stream of the recorded workload (optionally rate-thinned by
 // -requests-scale) for the same purpose. -stats summarizes a recorded trace:
-// fleet, kind mix, endpoints, demand percentiles. -replay runs a spec whose
-// workload.trace pins a recorded file and prints its campaign report to
-// stdout.
+// fleet, kind mix, endpoints, demand percentiles.
 package main
 
 import (
@@ -76,21 +74,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reqsOut  = fs.String("requests-out", "", "with -export / -import-azure: also write the per-request log CSV (workload.requests replay input) to this path")
 		reqScale = fs.Float64("requests-scale", 1, "with -export -requests-out: scale the generated request rate (thin the log so committed artifacts stay small)")
 		stats    = fs.String("stats", "", "inspect: summarize a recorded workload CSV")
-		replay   = fs.String("replay", "", "replay: run a scenario spec whose workload.trace pins a recorded CSV")
-		parallel = fs.Int("parallel", 0, "with -replay: worker pool size (0 selects GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	modes := 0
-	for _, m := range []string{*export, *transf, *azure, *stats, *replay} {
+	for _, m := range []string{*export, *transf, *azure, *stats} {
 		if m != "" {
 			modes++
 		}
 	}
 	if modes != 1 {
-		fmt.Fprintln(stderr, "tapas-trace: exactly one of -export, -transform, -import-azure, -stats, -replay is required (see -h)")
+		fmt.Fprintln(stderr, "tapas-trace: exactly one of -export, -transform, -import-azure, -stats is required (see -h)")
 		return 2
 	}
 
@@ -105,10 +101,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mode, ok = "-transform", map[string]bool{"transform": true, "in": true, "out": true}
 	case *azure != "":
 		mode, ok = "-import-azure", map[string]bool{"import-azure": true, "out": true, "servers": true, "bin": true, "seed": true, "requests-out": true}
-	case *stats != "":
-		mode, ok = "-stats", map[string]bool{"stats": true}
 	default:
-		mode, ok = "-replay", map[string]bool{"replay": true, "parallel": true}
+		mode, ok = "-stats", map[string]bool{"stats": true}
 	}
 	conflict := false
 	fs.Visit(func(f *flag.Flag) {
@@ -134,10 +128,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runTransform(*transf, *in, *out, stderr)
 	case *azure != "":
 		return runImportAzure(*azure, *out, *servers, *bin, *seed, *reqsOut, stderr)
-	case *stats != "":
-		return runStats(*stats, stdout, stderr)
 	default:
-		return runReplay(*replay, *parallel, stdout, stderr)
+		return runStats(*stats, stdout, stderr)
 	}
 }
 
@@ -447,35 +439,4 @@ func percentile(vals []float64, q float64) float64 {
 		rank = len(s) - 1
 	}
 	return s[rank]
-}
-
-// runReplay runs a replay spec — one whose workload.trace pins a recorded
-// CSV — and prints its campaign report to stdout.
-func runReplay(path string, parallel int, stdout, stderr io.Writer) int {
-	spec, err := scenario.Load(path)
-	if err != nil {
-		fmt.Fprintln(stderr, "tapas-trace:", err)
-		return 1
-	}
-	if spec.Workload.Trace == "" {
-		fmt.Fprintf(stderr, "tapas-trace: spec %q does not set workload.trace; -replay needs a recorded trace (synthetic specs run with tapas-campaign)\n", spec.Name)
-		return 2
-	}
-	c, err := spec.Campaign(0)
-	if err != nil {
-		fmt.Fprintln(stderr, "tapas-trace:", err)
-		return 1
-	}
-	start := time.Now()
-	res, err := c.Run(scenario.RunOptions{Parallel: parallel})
-	if err != nil {
-		fmt.Fprintln(stderr, "tapas-trace:", err)
-		return 1
-	}
-	if _, err := res.WriteTo(stdout); err != nil {
-		fmt.Fprintln(stderr, "tapas-trace:", err)
-		return 1
-	}
-	fmt.Fprintf(stderr, "%-24s %3d runs in %v\n", spec.Name, c.Runs(), time.Since(start).Round(time.Millisecond))
-	return 0
 }

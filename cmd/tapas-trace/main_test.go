@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/tapas-sim/tapas/internal/scenario"
 )
 
 func TestRunModeErrors(t *testing.T) {
@@ -13,17 +15,14 @@ func TestRunModeErrors(t *testing.T) {
 		wantCode int
 		wantErr  string
 	}{
-		"no mode":          {nil, 2, "exactly one of -export, -transform, -import-azure, -stats, -replay"},
+		"no mode":          {nil, 2, "exactly one of -export, -transform, -import-azure, -stats is required"},
 		"two modes":        {[]string{"-export", "a.csv", "-stats", "b.csv"}, 2, "exactly one of"},
 		"unknown flag":     {[]string{"-bogus"}, 2, "flag provided but not defined"},
 		"unknown preset":   {[]string{"-export", "a.csv", "-preset", "galactic"}, 2, `unknown preset "galactic"`},
 		"spec plus preset": {[]string{"-export", "a.csv", "-spec", "s.json", "-preset", "quick"}, 2, "mutually exclusive"},
 		"seed with spec":   {[]string{"-export", "a.csv", "-spec", "s.json", "-seed", "7"}, 2, "-seed conflicts with -spec"},
 		"vms with stats":   {[]string{"-stats", "a.csv", "-vms", "b.csv"}, 2, "-vms does not apply to -stats"},
-		"seed with replay": {[]string{"-replay", "a.json", "-seed", "7"}, 2, "-seed does not apply to -replay"},
-		"parallel export":  {[]string{"-export", "a.csv", "-parallel", "4"}, 2, "-parallel does not apply to -export"},
 		"missing stats":    {[]string{"-stats", "definitely-missing.csv"}, 1, "definitely-missing.csv"},
-		"missing replay":   {[]string{"-replay", "definitely-missing.json"}, 1, "definitely-missing.json"},
 		"transform no in":  {[]string{"-transform", "[]", "-out", "b.csv"}, 2, "-transform needs both -in"},
 		"transform no out": {[]string{"-transform", "[]", "-in", "a.csv"}, 2, "-transform needs both -in"},
 		"transform empty":  {[]string{"-transform", "[]", "-in", "a.csv", "-out", "b.csv"}, 2, "chain is empty"},
@@ -31,7 +30,6 @@ func TestRunModeErrors(t *testing.T) {
 		"transform bad op": {[]string{"-transform", `[{"op":"warp"}]`, "-in", "a.csv", "-out", "b.csv"}, 1, `unknown op "warp"`},
 		"azure no out":     {[]string{"-import-azure", "a.csv"}, 2, "-import-azure needs -out"},
 		"azure missing":    {[]string{"-import-azure", "definitely-missing.csv", "-out", "b.csv"}, 1, "definitely-missing.csv"},
-		"azure parallel":   {[]string{"-import-azure", "a.csv", "-out", "b.csv", "-parallel", "2"}, 2, "-parallel does not apply to -import-azure"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -47,9 +45,32 @@ func TestRunModeErrors(t *testing.T) {
 	}
 }
 
-// TestExportStatsReplayPipeline drives the full CLI pipeline: record a quick
-// preset workload (with the flat VM table pair), inspect it, then replay it
-// through a spec that pins the recorded file.
+// campaignReport runs a spec file's campaign as tapas-campaign does and
+// returns its report.
+func campaignReport(t *testing.T, path string) string {
+	t.Helper()
+	spec, err := scenario.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Campaign(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(scenario.RunOptions{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if _, err := res.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
+// TestExportStatsReplayPipeline drives the record/replay pipeline: record a
+// quick preset workload (with the flat VM table pair), inspect it, then
+// replay it through a spec that pins the recorded file.
 func TestExportStatsReplayPipeline(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.csv")
@@ -92,13 +113,8 @@ func TestExportStatsReplayPipeline(t *testing.T) {
 	if err := os.WriteFile(specPath, []byte(replaySpec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-replay", specPath, "-parallel", "2"}, &out, &errOut); code != 0 {
-		t.Fatalf("replay: exit code %d, stderr: %s", code, errOut.String())
-	}
-	if !strings.HasPrefix(out.String(), "spec,policy,") {
-		t.Errorf("replay report missing CSV header:\n%s", out.String())
+	if report := campaignReport(t, specPath); !strings.HasPrefix(report, "spec,policy,") {
+		t.Errorf("replay report missing CSV header:\n%s", report)
 	}
 }
 
@@ -143,14 +159,7 @@ func TestTransformReexportMatchesInSpecChain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replayOut := func(spec string) string {
-		var so, se strings.Builder
-		if code := run([]string{"-replay", spec, "-parallel", "2"}, &so, &se); code != 0 {
-			t.Fatalf("replay %s: %s", spec, se.String())
-		}
-		return so.String()
-	}
-	pre, in := replayOut(preSpec), replayOut(inSpec)
+	pre, in := campaignReport(t, preSpec), campaignReport(t, inSpec)
 	if pre != in {
 		t.Errorf("re-exported trace and in-spec chain reports differ:\n--- re-exported ---\n%s--- in-spec ---\n%s", pre, in)
 	}
@@ -179,21 +188,6 @@ func TestImportAzurePipeline(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stats output missing %q:\n%s", want, out.String())
 		}
-	}
-}
-
-func TestReplayRejectsSyntheticSpec(t *testing.T) {
-	specPath := filepath.Join(t.TempDir(), "synthetic.json")
-	spec := `{"name": "synthetic", "layout": {"preset": "small"}, "duration": "5m"}`
-	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errOut strings.Builder
-	if code := run([]string{"-replay", specPath}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code %d, want 2 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "does not set workload.trace") {
-		t.Errorf("stderr %q does not explain the missing trace", errOut.String())
 	}
 }
 

@@ -132,45 +132,6 @@ func FuzzReadAzureLLMCSV(f *testing.F) {
 	})
 }
 
-func FuzzReadVMsCSV(f *testing.F) {
-	w, err := Generate(WorkloadConfig{
-		Servers: 30, SaaSFraction: 0.5, Duration: time.Hour, Endpoints: 2, Seed: 4,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteVMsCSV(&buf, w.VMs); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.String()
-	f.Add([]byte(valid))
-	f.Add([]byte(strings.ReplaceAll(valid, "\n", "\r\n")))
-	f.Add([]byte("id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,weekend_dip,noise,seed\n"))
-	f.Add([]byte("id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,weekend_dip,noise,seed\n1,9,0,0,0,0,0,0,0,0,0,0\n"))
-	f.Add([]byte("id,kind\n1,0\n"))
-	f.Add([]byte("\"unclosed\n"))
-	f.Add([]byte(""))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vms, err := ReadVMsCSV(bytes.NewReader(data))
-		if err != nil {
-			checkFuzzErr(t, err)
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteVMsCSV(&buf, vms); err != nil {
-			t.Fatalf("re-serializing accepted VMs: %v", err)
-		}
-		again, err := ReadVMsCSV(&buf)
-		if err != nil {
-			t.Fatalf("re-parsing re-serialized VMs: %v", err)
-		}
-		if !reflect.DeepEqual(again, vms) {
-			t.Error("accepted VMs changed across a write→read round trip")
-		}
-	})
-}
-
 func FuzzReadRequestsCSV(f *testing.F) {
 	w, err := Generate(WorkloadConfig{
 		Servers: 30, SaaSFraction: 1, Duration: time.Hour, Endpoints: 1, Seed: 2,

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"time"
@@ -12,9 +11,11 @@ import (
 	"github.com/tapas-sim/tapas/internal/llm"
 )
 
-// WriteVMsCSV serializes a workload's VM arrival trace in a stable CSV
-// layout, so generated traces can be archived and replayed byte-identically
-// (the role the paper's production traces play).
+// WriteVMsCSV writes a workload's VM arrival trace as a flat CSV table, one
+// row per VM, for spreadsheet tools (tapas-trace -export -vms). The table is
+// write-only: it drops each load pattern's time_scale, so it cannot replay
+// a time-warped workload; the versioned workload CSV (WriteWorkloadCSV) is
+// the replayable record.
 //
 // Columns: id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,
 // weekend_dip,noise,seed.
@@ -46,95 +47,6 @@ func WriteVMsCSV(w io.Writer, vms []VMSpec) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadVMsCSV parses a trace written by WriteVMsCSV. The reader streams —
-// every row is validated as it arrives — and each error names the 1-based
-// CSV row it occurred on (the header is row 1, the first VM row is row 2).
-// Duplicate VM IDs are rejected: two VMs with one ID would silently collapse
-// into one server assignment when replayed.
-func ReadVMsCSV(r io.Reader) ([]VMSpec, error) {
-	cr := csv.NewReader(r)
-	const wantCols = 12
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("trace: empty VMs CSV")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("trace: VMs CSV row 1: %w", err)
-	}
-	if len(header) != wantCols {
-		return nil, fmt.Errorf("trace: VMs CSV row 1: header has %d columns, want %d", len(header), wantCols)
-	}
-	var out []VMSpec
-	seen := map[int]bool{}
-	row := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		row++
-		if err != nil {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: %w", row, err)
-		}
-		id, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: id: %w", row, err)
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: duplicate VM id %d", row, id)
-		}
-		kind, err := strconv.Atoi(rec[1])
-		if err != nil || (kind != int(IaaS) && kind != int(SaaS)) {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: invalid kind %q", row, rec[1])
-		}
-		customer, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: customer: %w", row, err)
-		}
-		endpoint, err := strconv.Atoi(rec[3])
-		if err != nil {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: endpoint: %w", row, err)
-		}
-		arrival, err := strconv.ParseInt(rec[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: arrival: %w", row, err)
-		}
-		lifetime, err := strconv.ParseInt(rec[5], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: lifetime: %w", row, err)
-		}
-		var fields [5]float64
-		names := [5]string{"base", "amp", "phase", "weekend_dip", "noise"}
-		for k := 0; k < 5; k++ {
-			fields[k], err = strconv.ParseFloat(rec[6+k], 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: VMs CSV row %d: %s: %w", row, names[k], err)
-			}
-			if math.IsNaN(fields[k]) || math.IsInf(fields[k], 0) {
-				return nil, fmt.Errorf("trace: VMs CSV row %d: %s: non-finite value %q", row, names[k], rec[6+k])
-			}
-		}
-		seed, err := strconv.ParseUint(rec[11], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: VMs CSV row %d: seed: %w", row, err)
-		}
-		seen[id] = true
-		out = append(out, VMSpec{
-			ID:       id,
-			Kind:     VMKind(kind),
-			Customer: customer,
-			Endpoint: endpoint,
-			Arrival:  time.Duration(arrival),
-			Lifetime: time.Duration(lifetime),
-			Load: LoadPattern{
-				Base: fields[0], DiurnalAmp: fields[1], PhaseHours: fields[2],
-				WeekendDip: fields[3], NoiseAmp: fields[4], Seed: seed,
-			},
-		})
-	}
-	return out, nil
 }
 
 // validateRequest checks one request against the invariants fine-grained
@@ -194,11 +106,11 @@ func WriteRequestsCSV(w io.Writer, reqs []llm.Request) error {
 	return nil
 }
 
-// ReadRequestsCSV parses a stream written by WriteRequestsCSV. Like
-// ReadVMsCSV it streams — every row is validated as it arrives (header
-// names, field parses, duplicate IDs, non-negative counts, sorted arrivals)
-// rather than after materializing the slice — and errors carry the 1-based
-// CSV row (the header is row 1). Both the current 6-column layout and the
+// ReadRequestsCSV parses a stream written by WriteRequestsCSV. It streams —
+// every row is validated as it arrives (header names, field parses,
+// duplicate IDs, non-negative counts, sorted arrivals) rather than after
+// materializing the slice — and errors carry the 1-based CSV row (the header
+// is row 1). Both the current 6-column layout and the
 // legacy 5-column form without the endpoint column (every request targets
 // endpoint 0) are accepted; the writer always emits 6 columns.
 func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {

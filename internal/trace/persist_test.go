@@ -9,54 +9,6 @@ import (
 	"github.com/tapas-sim/tapas/internal/llm"
 )
 
-func TestVMsCSVRoundTrip(t *testing.T) {
-	w, err := Generate(WorkloadConfig{
-		Servers: 100, SaaSFraction: 0.5, Duration: 24 * time.Hour,
-		Endpoints: 3, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteVMsCSV(&buf, w.VMs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadVMsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(w.VMs) {
-		t.Fatalf("round trip lost VMs: %d vs %d", len(got), len(w.VMs))
-	}
-	for i := range got {
-		if got[i] != w.VMs[i] {
-			t.Fatalf("VM %d differs after round trip:\n%+v\n%+v", i, got[i], w.VMs[i])
-		}
-	}
-	// Load patterns must evaluate identically after the round trip.
-	for i := 0; i < 10; i++ {
-		at := time.Duration(i) * 7 * time.Hour
-		if got[i].Load.At(at) != w.VMs[i].Load.At(at) {
-			t.Fatalf("VM %d load pattern diverged after round trip", i)
-		}
-	}
-}
-
-func TestReadVMsCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":       "",
-		"bad header":  "a,b\n",
-		"bad kind":    "id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,weekend_dip,noise,seed\n1,9,0,0,0,0,0,0,0,0,0,0\n",
-		"bad number":  "id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,weekend_dip,noise,seed\nx,0,0,0,0,0,0,0,0,0,0,0\n",
-		"bad arrival": "id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,weekend_dip,noise,seed\n1,0,0,0,z,0,0,0,0,0,0,0\n",
-	}
-	for name, csv := range cases {
-		if _, err := ReadVMsCSV(strings.NewReader(csv)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
 func TestRequestsCSVRoundTrip(t *testing.T) {
 	w, err := Generate(WorkloadConfig{
 		Servers: 100, SaaSFraction: 0.5, Duration: 24 * time.Hour,

@@ -174,32 +174,6 @@ func TestReadWorkloadCSVErrors(t *testing.T) {
 	}
 }
 
-// TestReadVMsCSVRowNumbersAndDuplicates pins the uniform row-number contract
-// of the flat VM reader (header is row 1) and duplicate-ID rejection.
-func TestReadVMsCSVRowNumbersAndDuplicates(t *testing.T) {
-	header := "id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,weekend_dip,noise,seed\n"
-	vm := func(id int) string {
-		return fmt.Sprintf("%d,0,0,-1,0,1000,0.5,0.5,0,0,0,9\n", id)
-	}
-	// A bad field on the second data row must be reported as row 3.
-	bad := header + vm(1) + "x,0,0,-1,0,1000,0.5,0.5,0,0,0,9\n"
-	if _, err := ReadVMsCSV(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "row 3") {
-		t.Errorf("bad id on second data row: got %v, want row 3", err)
-	}
-	dup := header + vm(5) + vm(5)
-	if _, err := ReadVMsCSV(strings.NewReader(dup)); err == nil || !strings.Contains(err.Error(), "duplicate VM id 5") {
-		t.Errorf("duplicate VM id: got %v", err)
-	}
-	short := header + "1,0,0\n"
-	if _, err := ReadVMsCSV(strings.NewReader(short)); err == nil || !strings.Contains(err.Error(), "row 2") {
-		t.Errorf("short row: got %v, want row 2", err)
-	}
-	reqBad := "id,customer,prompt,output,arrival_ns\n1,2,3,4,5\nx,2,3,4,5\n"
-	if _, err := ReadRequestsCSV(strings.NewReader(reqBad)); err == nil || !strings.Contains(err.Error(), "row 3") {
-		t.Errorf("bad request id: got %v, want row 3", err)
-	}
-}
-
 // TestWorkloadCSVReadsV1 pins backward compatibility with v1 files (recorded
 // before time_warp existed): the v1 layout — no trailing time_scale column —
 // still parses, with every pattern unscaled (TimeScale 0), and re-exports in
