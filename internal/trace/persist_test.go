@@ -9,6 +9,27 @@ import (
 	"github.com/tapas-sim/tapas/internal/llm"
 )
 
+// TestWriteVMsCSV pins the flat VM table byte for byte: one row per VM with
+// its load pattern's floats in shortest round-trip form, and no time_scale
+// column, so a time-warped pattern's scale is not written.
+func TestWriteVMsCSV(t *testing.T) {
+	vms := []VMSpec{
+		{ID: 0, Kind: IaaS, Customer: 3, Endpoint: -1, Arrival: 0, Lifetime: time.Hour,
+			Load: LoadPattern{Base: 0.3, DiurnalAmp: 0.4, PhaseHours: 1.5, WeekendDip: 0.1, NoiseAmp: 0.05, Seed: 9, TimeScale: 2}},
+		{ID: 1, Kind: SaaS, Customer: 0, Endpoint: 2, Arrival: 10 * time.Minute, Lifetime: 20 * time.Minute},
+	}
+	var buf bytes.Buffer
+	if err := WriteVMsCSV(&buf, vms); err != nil {
+		t.Fatal(err)
+	}
+	want := "id,kind,customer,endpoint,arrival_ns,lifetime_ns,base,amp,phase,weekend_dip,noise,seed\n" +
+		"0,0,3,-1,0,3600000000000,0.3,0.4,1.5,0.1,0.05,9\n" +
+		"1,1,0,2,600000000000,1200000000000,0,0,0,0,0,0\n"
+	if got := buf.String(); got != want {
+		t.Errorf("flat VM table:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestRequestsCSVRoundTrip(t *testing.T) {
 	w, err := Generate(WorkloadConfig{
 		Servers: 100, SaaSFraction: 0.5, Duration: 24 * time.Hour,
@@ -87,6 +108,7 @@ func TestReadRequestsCSVErrors(t *testing.T) {
 		"negative arrival":  {header + "1,2,0,3,4,-5\n", "row 2: negative arrival"},
 		"unsorted arrival":  {header + "1,2,0,3,4,900\n2,2,0,3,4,100\n", "row 3: arrival 100ns before the previous request's 900ns"},
 		"legacy bad prompt": {legacy + "1,2,x,4,5\n", "row 2: prompt"},
+		"legacy bad id":     {legacy + "1,2,3,4,5\nx,2,3,4,5\n", "row 3: id"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
