@@ -7,6 +7,13 @@
 // text/CSV/JSON reports. It owns the presets' quick-run scaling rules
 // (Spec.Scale).
 //
+// Every parameter a sweep axis sets is declared once, in the params table
+// (params.go): its value kind (number, whole number, string or duration
+// string), its valid range and the sim.Scenario field it writes. Spec fields
+// of the same name go through the same entries before scaling, and Validate
+// checks them by applying them to a scratch scenario; axes apply them to
+// each grid point after scaling and are checked when the campaign expands.
+//
 // Specs make every "what-if" campaign a committed file instead of new code:
 // heterogeneous A100+H100 fleets, weather sweeps, rolling emergencies. The
 // paper's evaluation figures (internal/experiments) run as spec campaigns

@@ -55,11 +55,12 @@ type param struct {
 	tune   func(s transform.Step, f float64)
 }
 
-// params declares every scenario parameter a sweep axis or a spec field of
-// the same name sets, so a parameter's kind, range and target are written
-// once. Spec fields apply before preset scaling (baseScenario), and Validate
-// checks them by applying them to a scratch scenario; axes apply to each
-// grid point after scaling, in spec order (expand).
+// params declares each parameter a sweep axis sets, with its kind, range and
+// target written once. A spec field of the same name, and each fieldOnly
+// layout dimension, goes through the same entry before preset scaling
+// (baseScenario), and Validate checks the fields by applying them to a
+// scratch scenario. Axes apply their entries to each grid point after
+// scaling, in spec order, and are checked there (expand).
 var params = map[string]param{
 	"layout.aisles":               {kind: whole, valid: atLeastOne, fieldOnly: true, set: func(sc *sim.Scenario, f float64) { sc.Layout.Aisles = int(f) }},
 	"layout.racks_per_row":        {kind: whole, valid: atLeastOne, fieldOnly: true, set: func(sc *sim.Scenario, f float64) { sc.Layout.RacksPerRow = int(f) }},
