@@ -33,16 +33,16 @@ type Config struct {
 }
 
 const (
-	// AirflowMargin and PowerMargin are the provisioning headroom over the
+	// airflowMargin and powerMargin are the provisioning headroom over the
 	// nominal aggregate peak (airflow per aisle, power per row). Operators
 	// provision for peak load (§2.1, §2.2), so margins are small.
-	AirflowMargin = 0.03
-	PowerMargin   = 0.03
-	// AirflowDesignLoad is the server load fraction whose aggregate airflow
+	airflowMargin = 0.03
+	powerMargin   = 0.03
+	// airflowDesignLoad is the server load fraction whose aggregate airflow
 	// the AHUs are provisioned to sustain. AHUs are sized for the realistic
 	// simultaneous peak, not for every fan at 100% — which never occurs
 	// fleet-wide.
-	AirflowDesignLoad = 0.85
+	airflowDesignLoad = 0.85
 )
 
 // DefaultConfig returns the cluster used by the paper's large-scale
@@ -255,14 +255,14 @@ func New(cfg Config) (*Datacenter, error) {
 				row.Racks = append(row.Racks, rack)
 				dc.Racks = append(dc.Racks, rack)
 			}
-			row.ProvPowerW = float64(len(row.Servers)) * spec.ServerTDPW * (1 + PowerMargin)
+			row.ProvPowerW = float64(len(row.Servers)) * spec.ServerTDPW * (1 + powerMargin)
 			aisle.Rows[r] = row
 			dc.Rows = append(dc.Rows, row)
 			dc.UPSes[row.UPS].Rows = append(dc.UPSes[row.UPS].Rows, rowID)
 		}
 		nServers := float64(len(aisle.Rows[0].Servers) + len(aisle.Rows[1].Servers))
-		designCFM := spec.AirflowIdleCFM + (spec.AirflowMaxCFM-spec.AirflowIdleCFM)*AirflowDesignLoad
-		aisle.ProvAirflowCFM = nServers * designCFM * (1 + AirflowMargin)
+		designCFM := spec.AirflowIdleCFM + (spec.AirflowMaxCFM-spec.AirflowIdleCFM)*airflowDesignLoad
+		aisle.ProvAirflowCFM = nServers * designCFM * (1 + airflowMargin)
 		dc.Aisles = append(dc.Aisles, aisle)
 	}
 	return dc, nil

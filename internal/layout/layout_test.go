@@ -151,7 +151,7 @@ func TestRowPowerProvisioning(t *testing.T) {
 	dc, _ := New(DefaultConfig())
 	spec := Spec(dc.Config.GPU)
 	for _, row := range dc.Rows {
-		want := float64(len(row.Servers)) * spec.ServerTDPW * (1 + PowerMargin)
+		want := float64(len(row.Servers)) * spec.ServerTDPW * (1 + powerMargin)
 		if math.Abs(row.ProvPowerW-want) > 1 {
 			t.Errorf("row %d provisioned power = %v, want %v", row.ID, row.ProvPowerW, want)
 		}
@@ -164,7 +164,7 @@ func TestAisleAirflowProvisioning(t *testing.T) {
 	design := spec.AirflowIdleCFM + (spec.AirflowMaxCFM-spec.AirflowIdleCFM)*0.85
 	for _, aisle := range dc.Aisles {
 		n := float64(len(aisle.Servers()))
-		want := n * design * (1 + AirflowMargin)
+		want := n * design * (1 + airflowMargin)
 		if math.Abs(aisle.ProvAirflowCFM-want) > 1 {
 			t.Errorf("aisle %d airflow = %v, want %v", aisle.ID, aisle.ProvAirflowCFM, want)
 		}

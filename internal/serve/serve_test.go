@@ -166,7 +166,7 @@ func TestSchedulerJobsUnderConcurrentSubmit(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := NewScheduler(SchedulerConfig{QueueDepth: 1})
 		s.cancel()
-		s.wg.Wait() // dispatchers gone; the drain below empties the queue instead
+		s.wg.Wait() // dispatcher gone; the drain below empties the queue instead
 		stop := make(chan struct{})
 		drained := make(chan struct{})
 		go func() {
@@ -445,7 +445,7 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 // TestHTTPQueueFull429 maps ErrQueueFull to HTTP 429 against a scheduler
-// whose dispatchers are stopped, so the outcome is deterministic.
+// whose dispatcher is stopped, so the outcome is deterministic.
 func TestHTTPQueueFull429(t *testing.T) {
 	s := NewScheduler(SchedulerConfig{QueueDepth: 1})
 	s.cancel()
