@@ -186,7 +186,8 @@ type Scenario struct {
 	Tick     time.Duration
 	// StartOffset shifts the time-of-day phase of all load and weather
 	// patterns, letting short scenarios run at the diurnal peak. VM
-	// arrivals and lifetimes stay on the simulation clock.
+	// arrivals and lifetimes stay on the simulation clock. Compile rejects
+	// a negative offset.
 	StartOffset   time.Duration
 	Oversubscribe float64 // extra rack ratio added at fixed envelopes
 	Failures      []FailureEvent
