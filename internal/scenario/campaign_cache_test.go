@@ -88,6 +88,84 @@ func TestPolicyAxesShareCompilations(t *testing.T) {
 	}
 }
 
+// TestClimateAxesShareCompilations pins that weather is a run input:
+// heatwave-sweep's four region.mean_c points and replay-pinned's three region
+// points differ only in the outside-temperature series, so each campaign
+// compiles one scenario, and the shared compilation still renders the
+// committed golden.
+func TestClimateAxesShareCompilations(t *testing.T) {
+	for _, name := range []string{"heatwave-sweep", "replay-pinned"} {
+		t.Run(name, func(t *testing.T) {
+			c, err := loadExample(t, name+".json").Campaign(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run(RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Compiles != 1 {
+				t.Errorf("%d grid points compile %d scenarios, want 1", len(c.Points), res.Compiles)
+			}
+			var sb strings.Builder
+			if _, err := res.WriteTo(&sb); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sb.String() != string(want) {
+				t.Errorf("report deviates from golden:\n--- got ---\n%s--- want ---\n%s", sb.String(), want)
+			}
+		})
+	}
+}
+
+// TestExampleCompileCounts pins how many distinct scenarios each committed
+// campaign compiles, the count tapas-campaign prints: a change to the key's
+// fields shows up here before it shows up as a slower sweep.
+func TestExampleCompileCounts(t *testing.T) {
+	for _, tc := range []struct {
+		path     string
+		compiles int
+	}{
+		{"examples/scenarios/fig20-ablation.json", 5},
+		{"examples/scenarios/heatwave-sweep.json", 1},
+		{"examples/scenarios/hetero-fleet.json", 3},
+		{"examples/scenarios/hyperscale-smoke.json", 2},
+		{"examples/scenarios/power-loop.json", 3},
+		{"examples/scenarios/replay-pinned.json", 1},
+		{"examples/scenarios/replay-scaled.json", 4},
+		{"examples/scenarios/rolling-emergencies.json", 1},
+		{"examples/scenarios/slo-policies.json", 3},
+		{"examples/scenarios/slo-replay.json", 3},
+		{"benchmark/workloads/fleet-day.json", 1},
+	} {
+		t.Run(filepath.Base(tc.path), func(t *testing.T) {
+			s, err := Load(filepath.Join("..", "..", filepath.FromSlash(tc.path)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := s.Campaign(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make(map[sim.CacheKey]bool)
+			for _, pt := range c.Points {
+				k, err := sim.ScenarioKey(pt.Scenario)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys[k] = true
+			}
+			if len(keys) != tc.compiles {
+				t.Errorf("%d grid points compile %d scenarios, want %d", len(c.Points), len(keys), tc.compiles)
+			}
+		})
+	}
+}
+
 // TestCampaignWarmRerunSkipsAllCompiles is the warm-rerun acceptance check:
 // a second run of the same campaign through the same cache performs zero
 // compile work (cold-compile counter flat, no new scenario misses) and its
