@@ -43,13 +43,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tapas-campaign", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for compiles and runs (1 = sequential)")
-		scale     = fs.Float64("scale", 0, "override the spec's scale (0 keeps it; 1.0 = paper scale)")
-		format    = fs.String("format", "", "override the spec's report format: text | csv | json")
-		progress  = fs.Bool("progress", false, "stream per-run progress to stderr while campaigns execute")
-		cacheSize = fs.Int("cache-size", 0, "compile-cache entries per level (0 = default); the cache is shared across all spec files")
-		validate  = fs.Bool("validate", false, "parse and validate specs without running anything")
-		list      = fs.Bool("list", false, "list sweepable axis params and report metrics")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for compiles and runs (1 = sequential)")
+		scale    = fs.Float64("scale", 0, "override the spec's scale (0 keeps it; 1.0 = paper scale)")
+		format   = fs.String("format", "", "override the spec's report format: text | csv | json")
+		progress = fs.Bool("progress", false, "stream per-run progress to stderr while campaigns execute")
+		validate = fs.Bool("validate", false, "parse and validate specs without running anything")
+		list     = fs.Bool("list", false, "list sweepable axis params and report metrics")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,7 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		QueueDepth: fs.NArg() + 1,
 		Parallel:   *parallel,
-		CacheSize:  *cacheSize,
 	})
 	defer sched.Shutdown(context.Background())
 

@@ -119,7 +119,7 @@ func TestRunProgressAndCacheFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
-	if code := run([]string{"-progress", "-cache-size", "8", path, path}, &out, &errOut); code != 0 {
+	if code := run([]string{"-progress", path, path}, &out, &errOut); code != 0 {
 		t.Fatalf("exit code %d, stderr: %s", code, errOut.String())
 	}
 	if got := strings.Count(out.String(), "spec,policy,"); got != 2 {

@@ -49,12 +49,11 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	fs := flag.NewFlagSet("tapas-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr      = fs.String("addr", ":8080", "HTTP listen address")
-		parallel  = fs.Int("parallel", 0, "worker pool size per campaign (0 = GOMAXPROCS)")
-		queue     = fs.Int("queue", 16, "admission-control queue depth; submissions beyond it get HTTP 429")
-		cacheSize = fs.Int("cache-size", 0, "compile-cache entries per level (0 = default)")
-		baseDir   = fs.String("base-dir", "", "directory relative trace paths in POSTed specs resolve against (\"\" = working directory)")
-		grace     = fs.Duration("grace", 30*time.Second, "graceful-shutdown budget before the daemon exits anyway")
+		addr     = fs.String("addr", ":8080", "HTTP listen address")
+		parallel = fs.Int("parallel", 0, "worker pool size per campaign (0 = GOMAXPROCS)")
+		queue    = fs.Int("queue", 16, "admission-control queue depth; submissions beyond it get HTTP 429")
+		baseDir  = fs.String("base-dir", "", "directory relative trace paths in POSTed specs resolve against (\"\" = working directory)")
+		grace    = fs.Duration("grace", 30*time.Second, "graceful-shutdown budget before the daemon exits anyway")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -67,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		QueueDepth: *queue,
 		Parallel:   *parallel,
-		CacheSize:  *cacheSize,
 	})
 	srv := &http.Server{Handler: serve.NewServer(sched, *baseDir).Handler()}
 

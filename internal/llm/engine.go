@@ -10,9 +10,9 @@ import (
 
 // EngineSim is an iteration-level simulator of a single serving instance
 // with continuous batching: prefill admits one waiting request at a time,
-// decode steps advance every running sequence by one token. It provides the
-// fine-grained execution model for the paper's real-cluster experiment and
-// the per-request latency distributions the fluid model approximates.
+// decode steps advance every running sequence by one token. No experiment
+// runs it; it is the self-clocked reference the tick-driven RequestQueue is
+// checked against (TestQueueMatchesEngineSim).
 type EngineSim struct {
 	Spec   layout.GPUSpec
 	Config Config

@@ -72,8 +72,9 @@ type RunOptions struct {
 	Parallel int
 	// Cache, when non-nil, serves compilations from (and fills) a
 	// content-addressed compile cache, so identical scenarios across
-	// back-to-back or concurrent campaigns compile once. Reports from cache
-	// hits are byte-identical to cold compiles.
+	// back-to-back or concurrent campaigns compile once. Nil compiles
+	// through a cache private to the run. Reports from cache hits are
+	// byte-identical to cold compiles.
 	Cache *sim.CompileCache
 	// Context cancels the campaign cooperatively at run granularity: once
 	// done, queued compiles and runs are skipped and Run returns the
@@ -140,8 +141,9 @@ type Result struct {
 	Prov []Prov
 	// Compiles is the number of unique scenario compilations the grid
 	// required after content-key deduplication — axes that collapse to
-	// identical compile-relevant scenarios share one compilation, so this
-	// can be smaller than len(Campaign.Points). With RunOptions.Cache some
+	// identical compile-relevant scenarios, or that vary only runtime
+	// fields such as the climate, share one compilation, so this can be
+	// smaller than len(Campaign.Points). With a shared RunOptions.Cache some
 	// of these may additionally have been served from the cache without any
 	// compile work (see sim.CompileCache.Stats).
 	Compiles int
@@ -149,8 +151,8 @@ type Result struct {
 
 // Run executes the campaign: grid points are deduplicated by content key
 // (sim.ScenarioKey) so identical compile-relevant scenarios compile once,
-// each unique scenario compiles once (through RunOptions.Cache when set,
-// sim.Compile otherwise), and all policies share the compiled artifacts
+// each unique scenario compiles once through RunOptions.Cache (or a cache
+// private to the run), and all policies share the compiled artifacts
 // read-only across the worker pool (sim.RunParallelCtx). The result is
 // deterministic and independent of the worker count, the cache state, and
 // the deduplication.
@@ -159,24 +161,21 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	cache := opt.Cache
+	if cache == nil {
+		cache = sim.NewCompileCache(0)
+	}
 	nPts := len(c.Points)
 	// Deduplicate identical grid points before the compile fan-out: axes
 	// whose values collapse to the same compile-relevant scenario (or that
-	// only vary runtime fields) hash to one key and compile once. Keying
-	// can only fail on un-serializable replay traces; compiling surfaces
-	// the real error, so a key failure just disables deduplication.
+	// only vary runtime fields) hash to one key and compile once.
 	group := make([]int, nPts) // point -> index into uniq
 	var uniq []int             // unique index -> representative point
 	byKey := make(map[sim.CacheKey]int, nPts)
 	for pi := range c.Points {
-		key, err := c.pointKey(opt, pi)
+		key, err := cache.Key(c.Points[pi].Scenario)
 		if err != nil {
-			uniq = uniq[:0]
-			for i := range group {
-				group[i] = i
-				uniq = append(uniq, i)
-			}
-			break
+			return nil, fmt.Errorf("scenario: spec %q: keying point %d: %w", c.Spec.Name, pi, err)
 		}
 		ui, ok := byKey[key]
 		if !ok {
@@ -188,14 +187,7 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	}
 	compiledUniq, err := sim.RunParallelCtx(ctx, len(uniq), opt.Parallel, func(_, ui int) (*sim.CompiledScenario, error) {
 		pi := uniq[ui]
-		scn := c.Points[pi].Scenario
-		var cs *sim.CompiledScenario
-		var err error
-		if opt.Cache != nil {
-			cs, err = opt.Cache.Compile(scn)
-		} else {
-			cs, err = sim.Compile(scn)
-		}
+		cs, err := cache.Compile(c.Points[pi].Scenario)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: spec %q: compiling point %d: %w", c.Spec.Name, pi, err)
 		}
@@ -251,13 +243,4 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 		out.Runs[pi] = runs[pi*nPts : (pi+1)*nPts]
 	}
 	return out, nil
-}
-
-// pointKey computes a grid point's content key, through the cache's
-// trace-fingerprint memo when one is configured.
-func (c *Campaign) pointKey(opt RunOptions, pi int) (sim.CacheKey, error) {
-	if opt.Cache != nil {
-		return opt.Cache.Key(c.Points[pi].Scenario)
-	}
-	return sim.ScenarioKey(c.Points[pi].Scenario)
 }

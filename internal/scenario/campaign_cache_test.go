@@ -7,8 +7,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tapas-sim/tapas/internal/sim"
+	"github.com/tapas-sim/tapas/internal/trace"
+	"github.com/tapas-sim/tapas/internal/trace/transform"
 )
 
 // collapsingSpec sweeps an axis whose first two values are identical, so two
@@ -282,5 +285,33 @@ func TestCampaignProgressAndContext(t *testing.T) {
 		t.Error("canceled context did not fail the campaign")
 	} else if !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Errorf("error %v does not surface the cancellation", err)
+	}
+}
+
+// TestCampaignReturnsKeyingError pins that a point the cache cannot key fails
+// the campaign with that error. Spec-built campaigns load every splice
+// overlay, so the point here is edited to replay a trace through a splice
+// that was never loaded.
+func TestCampaignReturnsKeyingError(t *testing.T) {
+	spec, err := Parse([]byte(collapsingSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Campaign(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.Generate(trace.WorkloadConfig{Servers: 8, SaaSFraction: 0.5, Duration: 10 * time.Minute, Endpoints: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := transform.Parse([]byte(`[{"op":"splice","trace":"overlay.csv"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Points[1].Scenario.Trace = w
+	c.Points[1].Scenario.TraceTransforms = chain
+	if _, err := c.Run(RunOptions{}); err == nil || !strings.Contains(err.Error(), "not loaded") {
+		t.Errorf("err = %v, want the splice's not-loaded error", err)
 	}
 }

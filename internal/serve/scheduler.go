@@ -27,9 +27,6 @@ type SchedulerConfig struct {
 	QueueDepth int
 	// Parallel is each campaign's worker-pool bound (≤ 0 = GOMAXPROCS).
 	Parallel int
-	// CacheSize bounds the shared compile cache (entries per level;
-	// ≤ 0 = sim.DefaultCacheEntries).
-	CacheSize int
 }
 
 // Scheduler owns a bounded campaign queue, a shared compile cache, and the
@@ -59,7 +56,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
 		cfg:    cfg,
-		cache:  sim.NewCompileCache(cfg.CacheSize),
+		cache:  sim.NewCompileCache(sim.DefaultCacheEntries),
 		ctx:    ctx,
 		cancel: cancel,
 		queue:  make(chan *Job, cfg.QueueDepth),

@@ -209,8 +209,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleCachez snapshots the shared compile cache: per-level hit/miss/
-// eviction counters plus the number of cold compilations performed.
+// handleCachez snapshots the shared compile cache: the number of cold
+// compilations performed (compiles) and hit/miss/eviction counters for its
+// two levels, compiled scenarios (scenarios) and layouts (layouts).
 func (s *Server) handleCachez(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.sched.CacheStats())
 }

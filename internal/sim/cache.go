@@ -15,28 +15,25 @@ import (
 // hash of the compile-relevant Scenario fields — so identical grid points
 // across sweeps, reruns, and concurrent campaigns compile once. Hits return
 // a CompiledScenario variant adopting the caller's runtime-only fields
-// (Tick, Failures, Observer, and the policy parameters SLOSched and
-// PowerGov), which is exactly the set a compiled
-// scenario can vary per run; reports from a cache hit are byte-identical to
-// a cold compile.
+// (Tick, Failures, Observer, the climate Region and StartOffset, and the
+// policy parameters SLOSched and PowerGov), which is exactly the set a
+// compiled scenario can vary per run; reports from a cache hit are
+// byte-identical to a cold compile.
 //
-// Level 2 memoizes the sub-artifacts Compile builds — the generated layout
-// (plus every table derived from it), the workload (generated or
-// trace-replayed, plus seeded history), and the outside-temperature series —
-// under independent content keys. A climate sweep therefore reuses its
-// layout and workload across all grid points, and a demand sweep reuses its
-// layout and weather, even though every point's level-1 key differs.
+// Level 2 memoizes the layout artifacts Compile builds — the generated
+// datacenter plus every table derived from it — under their own content
+// key, so the points of a workload sweep share one datacenter even though
+// every point's level-1 key differs, and a caller that fits offline
+// profiles per distinct datacenter fits them once.
 //
 // Each level is an LRU bounded by entry count. Concurrent compiles of the
 // same level-1 key are deduplicated (the losers wait for the winner's
-// result); concurrent compiles of different scenarios that share a
-// sub-artifact may build it redundantly, which wastes work but never
-// changes results — every build of the same key is byte-identical.
+// result); concurrent compiles of different scenarios that share a layout
+// may build it redundantly, which wastes work but never changes results —
+// every build of the same key is byte-identical.
 type CompileCache struct {
 	scenarios *lruCache[*CompiledScenario]
 	layouts   *lruCache[*layoutArtifacts]
-	workloads *lruCache[*workloadArtifacts]
-	weather   *lruCache[*trace.OutsideTemp]
 	fp        *fingerprintMemo
 	compiles  atomic.Uint64
 
@@ -49,7 +46,7 @@ type CompileCache struct {
 const DefaultCacheEntries = 64
 
 // NewCompileCache returns a cache bounded to maxEntries compiled scenarios
-// (level 1); each level-2 sub-artifact cache is bounded to the same count.
+// (level 1); the layout level is bounded to the same count.
 // maxEntries <= 0 selects DefaultCacheEntries.
 func NewCompileCache(maxEntries int) *CompileCache {
 	if maxEntries <= 0 {
@@ -58,8 +55,6 @@ func NewCompileCache(maxEntries int) *CompileCache {
 	return &CompileCache{
 		scenarios: newLRUCache[*CompiledScenario](maxEntries),
 		layouts:   newLRUCache[*layoutArtifacts](maxEntries),
-		workloads: newLRUCache[*workloadArtifacts](maxEntries),
-		weather:   newLRUCache[*trace.OutsideTemp](maxEntries),
 		fp:        newFingerprintMemo(4 * maxEntries),
 		flight:    make(map[CacheKey]*flightCall),
 	}
@@ -68,12 +63,17 @@ func NewCompileCache(maxEntries int) *CompileCache {
 // Compile returns the compiled scenario for sc, from cache when its content
 // key is present and compiling (then caching) it otherwise. The returned
 // value adopts sc's runtime-only fields and is safe for any number of
-// concurrent Run calls, like a fresh Compile result.
+// concurrent Run calls, like a fresh Compile result. A start offset the
+// weather window cannot cover is rejected before the lookup, so a hit never
+// hands one out.
 //
 // Traces attached to sc (Scenario.Trace, splice overlays) must not be
 // mutated after first use — the same read-only contract Compile itself
 // imposes — because their content fingerprints are memoized by pointer.
 func (c *CompileCache) Compile(sc Scenario) (*CompiledScenario, error) {
+	if err := checkWindow(sc); err != nil {
+		return nil, err
+	}
 	key, err := scenarioKey(sc, c.fp)
 	if err != nil {
 		return nil, err
@@ -124,13 +124,9 @@ func (c *CompileCache) Key(sc Scenario) (CacheKey, error) {
 // the work every other Compile call skipped.
 func (c *CompileCache) Compiles() uint64 { return c.compiles.Load() }
 
-// compileCold builds a compiled scenario through the level-2 sub-artifact
-// caches: layout tables, workload (plus seeded history), and weather are
-// reused when their content keys match a previous compile.
+// compileCold compiles a scenario on the cached layout artifacts when a
+// previous compile built the same layout.
 func (c *CompileCache) compileCold(sc Scenario) (*CompiledScenario, error) {
-	if err := checkWindow(sc); err != nil {
-		return nil, err
-	}
 	c.compiles.Add(1)
 	lk := layoutKey(sc.Layout, sc.Oversubscribe)
 	la, ok := c.layouts.get(lk)
@@ -142,25 +138,7 @@ func (c *CompileCache) compileCold(sc Scenario) (*CompiledScenario, error) {
 		}
 		c.layouts.add(lk, la)
 	}
-	wk, err := workloadKey(sc, len(la.dc.Servers), c.fp)
-	if err != nil {
-		return nil, err
-	}
-	wa, ok := c.workloads.get(wk)
-	if !ok {
-		wa, err = buildWorkloadArtifacts(sc, len(la.dc.Servers))
-		if err != nil {
-			return nil, err
-		}
-		c.workloads.add(wk, wa)
-	}
-	wkey := weatherKey(sc.Region, sc.StartOffset+sc.Duration, wa.w.Config.Seed^outsideSeedXor)
-	out, ok2 := c.weather.get(wkey)
-	if !ok2 {
-		out = buildOutside(sc, wa.w)
-		c.weather.add(wkey, out)
-	}
-	return assemble(sc, la, wa, out), nil
+	return compileOn(sc, la)
 }
 
 // Stats returns a consistent-enough snapshot of per-level counters (each
@@ -170,8 +148,6 @@ func (c *CompileCache) Stats() CacheStats {
 		Compiles:  c.compiles.Load(),
 		Scenarios: c.scenarios.stats(),
 		Layouts:   c.layouts.stats(),
-		Workloads: c.workloads.stats(),
-		Weather:   c.weather.stats(),
 	}
 }
 
@@ -181,8 +157,6 @@ type CacheStats struct {
 	Compiles  uint64     `json:"compiles"`
 	Scenarios LevelStats `json:"scenarios"`
 	Layouts   LevelStats `json:"layouts"`
-	Workloads LevelStats `json:"workloads"`
-	Weather   LevelStats `json:"weather"`
 }
 
 // LevelStats counts one cache level's traffic.
@@ -238,9 +212,9 @@ func (c *lruCache[V]) add(k CacheKey, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[k]; ok {
-		// A concurrent compile of the same sub-artifact key finished first;
-		// keep the incumbent (values for one key are interchangeable) and
-		// refresh its recency.
+		// A concurrent compile of the same key finished first; keep the
+		// incumbent (values for one key are interchangeable) and refresh
+		// its recency.
 		c.ll.MoveToFront(el)
 		return
 	}

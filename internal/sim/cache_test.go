@@ -91,9 +91,9 @@ func TestCompileCacheServesRuntimeVariants(t *testing.T) {
 	}
 }
 
-// TestCompileCacheLevel2Reuse pins the sub-artifact memoization: a climate
-// change recompiles the scenario but reuses the layout and workload; a
-// workload-seed change still reuses the layout.
+// TestCompileCacheLevel2Reuse pins what each level serves: a climate change
+// is runtime-only, so it is a level-1 hit that compiles nothing; a
+// workload-seed change recompiles the scenario but reuses the layout.
 func TestCompileCacheLevel2Reuse(t *testing.T) {
 	cache := NewCompileCache(0)
 	sc := quickScenario()
@@ -104,19 +104,17 @@ func TestCompileCacheLevel2Reuse(t *testing.T) {
 	climate := sc
 	climate.Region.Name = "cooler"
 	climate.Region.MeanC -= 10
-	if _, err := cache.Compile(climate); err != nil {
+	climate.StartOffset += time.Hour
+	cs, err := cache.Compile(climate)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
-	if st.Compiles != 2 {
-		t.Fatalf("compiles = %d, want 2", st.Compiles)
+	if st.Compiles != 1 || st.Scenarios.Hits != 1 {
+		t.Errorf("climate change: compiles=%d scenario hits=%d, want 1/1 (a hit)", st.Compiles, st.Scenarios.Hits)
 	}
-	if st.Layouts.Hits != 1 || st.Workloads.Hits != 1 {
-		t.Errorf("climate change: layout hits=%d workload hits=%d, want 1/1 (both reusable)",
-			st.Layouts.Hits, st.Workloads.Hits)
-	}
-	if st.Weather.Hits != 0 {
-		t.Errorf("climate change reused weather (hits=%d), but the region changed", st.Weather.Hits)
+	if cs.Scenario.Region != climate.Region || cs.Scenario.StartOffset != climate.StartOffset {
+		t.Error("climate hit did not adopt the caller's region and start offset")
 	}
 
 	demand := sc
@@ -125,11 +123,11 @@ func TestCompileCacheLevel2Reuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = cache.Stats()
-	if st.Layouts.Hits != 2 {
-		t.Errorf("workload change: layout hits=%d, want 2 (layout unchanged)", st.Layouts.Hits)
+	if st.Compiles != 2 {
+		t.Errorf("workload change: compiles=%d, want 2", st.Compiles)
 	}
-	if st.Workloads.Hits != 1 {
-		t.Errorf("workload change reused the workload (hits=%d) despite a new seed", st.Workloads.Hits)
+	if st.Layouts.Hits != 1 || st.Layouts.Misses != 1 {
+		t.Errorf("workload change: layout hits=%d misses=%d, want 1/1 (layout unchanged)", st.Layouts.Hits, st.Layouts.Misses)
 	}
 }
 
@@ -139,7 +137,7 @@ func TestCompileCacheBound(t *testing.T) {
 	scenarios := make([]Scenario, 3)
 	for i := range scenarios {
 		sc := quickScenario()
-		sc.StartOffset += time.Duration(i) * time.Hour
+		sc.Workload.Seed += uint64(i)
 		scenarios[i] = sc
 		if _, err := cache.Compile(sc); err != nil {
 			t.Fatal(err)
@@ -268,7 +266,7 @@ func TestCompileCacheWaitsForInFlightCompile(t *testing.T) {
 func TestCompileCacheConcurrent(t *testing.T) {
 	scA := quickScenario()
 	scB := quickScenario()
-	scB.StartOffset += time.Hour
+	scB.Workload.Seed++
 
 	cache := NewCompileCache(0)
 	const workers = 16

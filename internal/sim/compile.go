@@ -16,25 +16,25 @@ import (
 // CompiledScenario holds every run-invariant artifact of a Scenario, built
 // once by Compile and shared — strictly read-only — by any number of
 // subsequent (including concurrent) runs: the generated datacenter layout,
-// the workload trace, the outside-temperature series, the LLM configuration
-// profile, flattened per-(server,GPU) thermal coefficient tables, and the
-// seeded "previous week" demand history. Each Run gets its own fresh
-// cluster.State, so runs never observe each other.
+// the workload trace, the LLM configuration profile, flattened
+// per-(server,GPU) thermal coefficient tables, and the seeded "previous
+// week" demand history. Each Run gets its own fresh cluster.State and builds
+// its own outside-temperature series from its Region and StartOffset, so runs
+// never observe each other.
 //
-// Experiment grids that evaluate many policies (or many failure schedules)
-// over the same scenario compile once and run many times; reports are
-// byte-identical to compiling per run.
+// Experiment grids that evaluate many policies, failure schedules or
+// climates over the same fleet and workload compile once and run many times;
+// reports are byte-identical to compiling per run.
 type CompiledScenario struct {
 	// Scenario is the descriptor the artifacts were compiled from. The
-	// compile-relevant fields (Layout, Workload, Region, Duration,
-	// StartOffset, Oversubscribe) must not be changed after compilation;
-	// runtime-only fields (Tick, Failures, Observer, SLOSched, PowerGov)
-	// may be varied per run via Variant.
+	// compile-relevant fields (Layout, Workload, Duration, Oversubscribe)
+	// must not be changed after compilation; runtime-only fields (Tick,
+	// Failures, Observer, Region, StartOffset, SLOSched, PowerGov) may be
+	// varied per run via Variant.
 	Scenario Scenario
 
 	DC       *layout.Datacenter
 	Workload *trace.Workload
-	Outside  *trace.OutsideTemp
 	Profile  *llm.Profile
 	Coeffs   *thermal.Coeffs
 
@@ -51,8 +51,8 @@ type CompiledScenario struct {
 // Compile builds the run-invariant artifacts of a scenario. The returned
 // object is immutable; call Run on it any number of times, from any number
 // of goroutines. Compile itself is pure — repeated what-ifs that want to
-// skip it entirely go through a CompileCache, which memoizes both whole
-// compilations (by ScenarioKey) and the sub-artifacts below.
+// skip it entirely go through a CompileCache, which memoizes whole
+// compilations (by ScenarioKey) and the layout artifacts below.
 func Compile(sc Scenario) (*CompiledScenario, error) {
 	if err := checkWindow(sc); err != nil {
 		return nil, err
@@ -61,22 +61,14 @@ func Compile(sc Scenario) (*CompiledScenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	wa, err := buildWorkloadArtifacts(sc, len(la.dc.Servers))
-	if err != nil {
-		return nil, err
-	}
-	return assemble(sc, la, wa, buildOutside(sc, wa.w)), nil
+	return compileOn(sc, la)
 }
-
-// outsideSeedXor decorrelates the weather series from the workload streams
-// derived from the same seed.
-const outsideSeedXor = 0xd00d
 
 // layoutArtifacts groups every compiled artifact derived solely from the
 // layout config (plus oversubscription): the generated datacenter, its base
 // generation's serving profile and thermal coefficients, and the tables the
 // tick kernel reads. One instance is shared read-only by every compiled
-// scenario with the same layout — a climate or demand sweep builds it once.
+// scenario with the same layout — a workload sweep builds it once.
 type layoutArtifacts struct {
 	dc      *layout.Datacenter
 	profile *llm.Profile
@@ -118,13 +110,6 @@ type layoutTables struct {
 	// limit the kernel runs the branch-free loop variant.
 	srvMaxBias []float64
 	srvMaxGain []float64
-}
-
-// workloadArtifacts groups every compiled artifact derived solely from the
-// materialized workload: the trace itself and the tables derived from it.
-type workloadArtifacts struct {
-	w *trace.Workload
-	workloadTables
 }
 
 // workloadTables are the run-invariant tables derived from the workload.
@@ -226,22 +211,34 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 	return la, nil
 }
 
-// buildWorkloadArtifacts materializes the workload and the artifacts derived
-// from it (seeded history, shared-phase index).
-func buildWorkloadArtifacts(sc Scenario, servers int) (*workloadArtifacts, error) {
-	w, err := workloadFor(sc, servers)
+// compileOn materializes the scenario's workload over a built layout, derives
+// the workload tables (request log, seeded history, shared-phase index) and
+// assembles the compiled scenario. The layout artifacts may come from a fresh
+// build or a CompileCache — every build of the same layout key is
+// byte-identical, so the result never depends on provenance.
+func compileOn(sc Scenario, la *layoutArtifacts) (*CompiledScenario, error) {
+	w, err := workloadFor(sc, len(la.dc.Servers))
 	if err != nil {
 		return nil, err
 	}
-	wa := &workloadArtifacts{w: w}
-	wa.requests, err = requestsFor(sc, w)
+	cs := &CompiledScenario{
+		Scenario:     sc,
+		compiledFrom: sc,
+		DC:           la.dc,
+		Workload:     w,
+		Profile:      la.profile,
+		Coeffs:       la.coeffs,
+		layoutTables: la.layoutTables,
+	}
+	wt := &cs.workloadTables
+	wt.requests, err = requestsFor(sc, w)
 	if err != nil {
 		return nil, err
 	}
-	wa.vmPhase = make([]int32, len(w.VMs))
+	wt.vmPhase = make([]int32, len(w.VMs))
 	phaseIdx := make(map[float64]int32)
 	for i, vm := range w.VMs {
-		wa.vmPhase[i] = -1
+		wt.vmPhase[i] = -1
 		if vm.Kind != trace.IaaS {
 			continue
 		}
@@ -250,19 +247,21 @@ func buildWorkloadArtifacts(sc Scenario, servers int) (*workloadArtifacts, error
 		}
 		idx, ok := phaseIdx[vm.Load.PhaseHours]
 		if !ok {
-			idx = int32(len(wa.phaseBy))
-			wa.phaseBy = append(wa.phaseBy, vm.Load.PhaseHours)
+			idx = int32(len(wt.phaseBy))
+			wt.phaseBy = append(wt.phaseBy, vm.Load.PhaseHours)
 			phaseIdx[vm.Load.PhaseHours] = idx
 		}
-		wa.vmPhase[i] = idx
+		wt.vmPhase[i] = idx
 	}
-	wa.customerPeak, wa.endpointPeak = compileHistory(w)
-	return wa, nil
+	wt.customerPeak, wt.endpointPeak = compileHistory(w)
+	return cs, nil
 }
 
-// checkWindow rejects a start offset the weather series cannot cover: the
-// series spans [0, StartOffset+Duration], so a negative offset, or one
-// whose window end overflows, would size it negative.
+// checkWindow rejects a start offset the weather series cannot cover: a run
+// builds it over [0, StartOffset+Duration], so a negative offset, or one
+// whose window end overflows, would size it negative. Compile, the cache and
+// Run all check it, because a variant or a cache hit carries the offset to
+// Run without compiling.
 func checkWindow(sc Scenario) error {
 	if sc.StartOffset < 0 {
 		return fmt.Errorf("sim: negative start offset %v", sc.StartOffset)
@@ -271,29 +270,6 @@ func checkWindow(sc Scenario) error {
 		return fmt.Errorf("sim: start offset %v plus duration %v overflows", sc.StartOffset, sc.Duration)
 	}
 	return nil
-}
-
-// buildOutside precomputes the outside-temperature series for the
-// scenario's window, seeded from the workload it runs against.
-func buildOutside(sc Scenario, w *trace.Workload) *trace.OutsideTemp {
-	return trace.NewOutsideTemp(sc.Region, sc.StartOffset+sc.Duration, 10*time.Minute, w.Config.Seed^outsideSeedXor)
-}
-
-// assemble wires pre-built artifacts into a CompiledScenario. The artifacts
-// may come from a fresh build or a CompileCache — every build of the same
-// content key is byte-identical, so assembly never depends on provenance.
-func assemble(sc Scenario, la *layoutArtifacts, wa *workloadArtifacts, outside *trace.OutsideTemp) *CompiledScenario {
-	return &CompiledScenario{
-		Scenario:       sc,
-		compiledFrom:   sc,
-		DC:             la.dc,
-		Workload:       wa.w,
-		Outside:        outside,
-		Profile:        la.profile,
-		Coeffs:         la.coeffs,
-		layoutTables:   la.layoutTables,
-		workloadTables: wa.workloadTables,
-	}
 }
 
 // workloadFor materializes the workload a scenario simulates over a fleet of
@@ -390,12 +366,11 @@ func GenerateWorkload(sc Scenario) (*trace.Workload, error) {
 
 // Variant returns a shallow copy sharing every compiled artifact, with
 // mutate applied to the scenario. Only runtime-only fields may be changed:
-// Tick, Failures, Observer, the policy parameters SLOSched and PowerGov
-// (and shortening Duration).
+// Tick, Failures, Observer, the climate (Region, StartOffset), the policy
+// parameters SLOSched and PowerGov (and shortening Duration).
 // Changing compile-relevant fields (Layout, Workload, Trace, TraceTransforms,
-// Requests, Region, StartOffset, Oversubscribe, lengthening Duration) requires a fresh
-// Compile; Run rejects such variants rather than simulate against stale
-// artifacts.
+// Requests, Oversubscribe, lengthening Duration) requires a fresh Compile;
+// Run rejects such variants rather than simulate against stale artifacts.
 func (cs *CompiledScenario) Variant(mutate func(*Scenario)) *CompiledScenario {
 	copy := *cs
 	if mutate != nil {
@@ -405,7 +380,8 @@ func (cs *CompiledScenario) Variant(mutate func(*Scenario)) *CompiledScenario {
 }
 
 // ForScenario returns a variant of the compilation adopting sc's
-// runtime-only fields (Tick, Failures, Observer, SLOSched, PowerGov).
+// runtime-only fields (Tick, Failures, Observer, Region, StartOffset,
+// SLOSched, PowerGov).
 // The caller must ensure sc's compile-relevant fields are content-equal to
 // the compiled scenario's (ScenarioKey equality guarantees it); pointer-typed
 // sources (the replay trace, transform-chain steps) and the
@@ -437,14 +413,10 @@ func (cs *CompiledScenario) checkRuntimeOnly() error {
 		return fmt.Errorf("sim: variant changed TraceTransforms; recompile the scenario")
 	case !sameRequests(cur.Requests, base.Requests):
 		return fmt.Errorf("sim: variant changed Requests; recompile the scenario")
-	case cur.Region != base.Region:
-		return fmt.Errorf("sim: variant changed Region; recompile the scenario")
-	case cur.StartOffset != base.StartOffset:
-		return fmt.Errorf("sim: variant changed StartOffset; recompile the scenario")
 	case cur.Oversubscribe != base.Oversubscribe:
 		return fmt.Errorf("sim: variant changed Oversubscribe; recompile the scenario")
 	case cur.Duration > base.Duration:
-		return fmt.Errorf("sim: variant lengthened Duration beyond the compiled weather/workload window (%v > %v); recompile the scenario", cur.Duration, base.Duration)
+		return fmt.Errorf("sim: variant lengthened Duration beyond the compiled workload window (%v > %v); recompile the scenario", cur.Duration, base.Duration)
 	}
 	return nil
 }
@@ -465,6 +437,9 @@ func sameRequests(a, b []llm.Request) bool {
 // shared read-only artifacts.
 func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
 	if err := checkTicks(cs.Scenario); err != nil {
+		return nil, err
+	}
+	if err := checkWindow(cs.Scenario); err != nil {
 		return nil, err
 	}
 	if err := cs.checkRuntimeOnly(); err != nil {

@@ -73,9 +73,9 @@ func TestCompiledRunsConcurrently(t *testing.T) {
 	}
 }
 
-// TestCompiledVariant verifies runtime-only variations (tick, failures)
-// reuse the compiled artifacts yet match a fresh compile of the varied
-// scenario.
+// TestCompiledVariant verifies runtime-only variations (tick, failures and
+// the climate: region and start offset) reuse the compiled artifacts yet
+// match a fresh compile of the varied scenario.
 func TestCompiledVariant(t *testing.T) {
 	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
@@ -84,38 +84,40 @@ func TestCompiledVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	fineSc := sc
-	fineSc.Tick = 15 * time.Second
-	freshFine, err := Run(fineSc, naivePolicy{})
+	base, err := cs.Run(naivePolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	variantFine, err := cs.Variant(func(s *Scenario) { s.Tick = 15 * time.Second }).Run(naivePolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(freshFine, variantFine) {
-		t.Error("tick variant differs from fresh compile at that tick")
-	}
-
-	failSc := sc
-	failSc.Failures = []FailureEvent{{Kind: PowerFailure, At: 5 * time.Minute, Duration: 10 * time.Minute}}
-	freshFail, err := Run(failSc, naivePolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	variantFail, err := cs.Variant(func(s *Scenario) {
-		s.Failures = []FailureEvent{{Kind: PowerFailure, At: 5 * time.Minute, Duration: 10 * time.Minute}}
-	}).Run(naivePolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(freshFail, variantFail) {
-		t.Error("failure variant differs from fresh compile with that schedule")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Scenario)
+	}{
+		{"tick", func(s *Scenario) { s.Tick = 15 * time.Second }},
+		{"failures", func(s *Scenario) {
+			s.Failures = []FailureEvent{{Kind: PowerFailure, At: 5 * time.Minute, Duration: 10 * time.Minute}}
+		}},
+		{"region", func(s *Scenario) { s.Region.MeanC += 5 }},
+		{"start offset", func(s *Scenario) { s.StartOffset += time.Hour }},
+	} {
+		varied := sc
+		tc.mutate(&varied)
+		fresh, err := Run(varied, naivePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cs.Variant(tc.mutate).Run(naivePolicy{})
+		if err != nil {
+			t.Fatalf("%s variant: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(fresh, got) {
+			t.Errorf("%s variant differs from a fresh compile of the varied scenario", tc.name)
+		}
+		if reflect.DeepEqual(base, got) {
+			t.Errorf("%s variant ran like the base scenario", tc.name)
+		}
 	}
 	// The base compilation must be untouched by variants.
-	if cs.Scenario.Tick != sc.Tick || len(cs.Scenario.Failures) != 0 {
+	if !reflect.DeepEqual(cs.Scenario, sc) {
 		t.Error("Variant mutated the base compiled scenario")
 	}
 }
@@ -145,9 +147,7 @@ func TestCompiledRunRejectsStaleArtifacts(t *testing.T) {
 		mutate func(*Scenario)
 	}{
 		{"workload", func(s *Scenario) { s.Workload.SaaSFraction = 0.25 }},
-		{"region", func(s *Scenario) { s.Region.MeanC += 5 }},
 		{"oversubscribe", func(s *Scenario) { s.Oversubscribe = 0.3 }},
-		{"start offset", func(s *Scenario) { s.StartOffset += time.Hour }},
 		{"longer duration", func(s *Scenario) { s.Duration *= 2 }},
 	}
 	for _, tc := range bad {
@@ -194,10 +194,20 @@ func TestRunRejectsScenarioShorterThanOneTick(t *testing.T) {
 }
 
 // TestCompileRejectsBadWeatherWindow pins the guard in front of the weather
-// series: it covers [0, StartOffset+Duration], so a negative start offset,
-// or one whose window end overflows, would size it negative and panic.
-// Compile, CompileCache.Compile and Run return an error instead.
+// series: a run builds it over [0, StartOffset+Duration], so a negative
+// start offset, or one whose window end overflows, would size it negative
+// and panic. StartOffset is runtime-only, so besides Compile, a cold cache
+// and Run, a warm cache hit and a Variant of a good compilation carry it to
+// a run without compiling; every path returns an error instead.
 func TestCompileRejectsBadWeatherWindow(t *testing.T) {
+	good := SmallScenario()
+	good.Duration = 20 * time.Minute
+	good.Workload.Duration = good.Duration
+	warm := NewCompileCache(0)
+	cs, err := warm.Compile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		offset time.Duration
@@ -208,19 +218,28 @@ func TestCompileRejectsBadWeatherWindow(t *testing.T) {
 		{"positive offset", 10 * time.Minute, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := SmallScenario()
-			sc.Duration = 20 * time.Minute
-			sc.Workload.Duration = sc.Duration
+			sc := good
 			sc.StartOffset = tc.offset
-			_, err := Compile(sc)
-			_, cacheErr := NewCompileCache(0).Compile(sc)
+			_, compileErr := Compile(sc)
+			_, coldErr := NewCompileCache(0).Compile(sc)
+			_, warmErr := warm.Compile(sc)
 			_, runErr := Run(sc, naivePolicy{})
-			for _, e := range []error{err, cacheErr, runErr} {
-				if tc.ok && e != nil {
-					t.Errorf("offset %v: %v", tc.offset, e)
+			_, variantErr := cs.Variant(func(s *Scenario) { s.StartOffset = tc.offset }).Run(naivePolicy{})
+			for _, e := range []struct {
+				path string
+				err  error
+			}{
+				{"Compile", compileErr},
+				{"cold cache", coldErr},
+				{"warm cache", warmErr},
+				{"Run", runErr},
+				{"Variant", variantErr},
+			} {
+				if tc.ok && e.err != nil {
+					t.Errorf("%s, offset %v: %v", e.path, tc.offset, e.err)
 				}
-				if !tc.ok && (e == nil || !strings.Contains(e.Error(), "start offset")) {
-					t.Errorf("offset %v: err = %v, want a start-offset error", tc.offset, e)
+				if !tc.ok && (e.err == nil || !strings.Contains(e.err.Error(), "start offset")) {
+					t.Errorf("%s, offset %v: err = %v, want a start-offset error", e.path, tc.offset, e.err)
 				}
 			}
 		})

@@ -25,11 +25,13 @@
 // # Compilation and caching
 //
 // Compile splits scenario construction into immutable artifacts (layout,
-// workload, weather, request log) shared read-only across runs; CompileCache
-// memoizes them under content-hash keys (ScenarioKey), so campaign grids and
-// repeated what-ifs skip redundant work. Runtime-only fields (Tick,
-// Failures, Observer, and the policy parameters SLOSched and PowerGov) stay
-// out of the key and are adjustable per run via CompiledScenario.Variant.
+// workload, request log) shared read-only across runs; CompileCache memoizes
+// whole compilations under content-hash keys (ScenarioKey) and layouts under
+// their own, so campaign grids and repeated what-ifs skip redundant work.
+// Runtime-only fields (Tick, Failures, Observer, the climate Region and
+// StartOffset, and the policy parameters SLOSched and PowerGov) stay out of
+// the key and are adjustable per run via CompiledScenario.Variant; each run
+// builds its own outside-temperature series from its climate.
 //
 // # Determinism
 //

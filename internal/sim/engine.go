@@ -159,10 +159,15 @@ func (r *runner) popExpiry() {
 	}
 }
 
+// outsideSeedXor decorrelates the weather series from the workload streams
+// derived from the same seed.
+const outsideSeedXor = 0xd00d
+
 // newRunner builds a run of the compiled scenario under a policy: a private
 // cluster.State around the shared read-only artifacts, seeded with the
-// compiled history and initialized by the policy, plus the runner's
-// per-server working state.
+// compiled history and initialized by the policy, the outside-temperature
+// series of the run's own climate and window, plus the runner's per-server
+// working state.
 func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
 	sc := cs.Scenario
 	st := cluster.NewStateFrom(cs.DC, cs.Workload, cs.Profile)
@@ -178,7 +183,8 @@ func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
 			return nil, fmt.Errorf("sim: policy init: %w", err)
 		}
 	}
-	r := &runner{sc: sc, cs: cs, pol: pol, st: st, outside: cs.Outside}
+	outside := trace.NewOutsideTemp(sc.Region, sc.StartOffset+sc.Duration, 10*time.Minute, cs.Workload.Config.Seed^outsideSeedXor)
+	r := &runner{sc: sc, cs: cs, pol: pol, st: st, outside: outside}
 	ticks := int(r.sc.Duration / r.sc.Tick)
 	r.res = &Result{Policy: r.pol.Name(), Tick: r.sc.Tick, Ticks: ticks}
 	r.res.MaxTempC = make([]float64, 0, ticks)

@@ -16,7 +16,7 @@ import (
 )
 
 // CacheKey is a content hash over the compile-relevant fields of a Scenario
-// (or one of its sub-artifacts). Two scenarios with equal keys compile to
+// (or of its layout). Two scenarios with equal keys compile to
 // byte-identical artifacts, so a compiled scenario cached under the key can
 // serve both — see CompileCache.
 type CacheKey [sha256.Size]byte
@@ -26,12 +26,12 @@ func (k CacheKey) String() string { return hex.EncodeToString(k[:]) }
 
 // ScenarioKey hashes the compile-relevant fields of a scenario: layout
 // config, workload spec (or trace content + transform chain), the
-// request-level replay log when present, region, duration, start offset,
-// and oversubscription. Runtime-only fields — Tick, Failures, Observer and
-// the policy parameters SLOSched and PowerGov — are excluded, exactly
-// mirroring what CompiledScenario.Variant
-// allows a run to change without recompiling; Workload.Servers is excluded
-// too because Compile overwrites it from the layout. Replayed traces (and
+// request-level replay log when present, duration, and oversubscription.
+// Runtime-only fields — Tick, Failures, Observer, the climate Region and
+// StartOffset, and the policy parameters SLOSched and PowerGov — are
+// excluded, exactly mirroring what CompiledScenario.Variant allows a run to
+// change without recompiling; Workload.Servers is excluded too because
+// Compile overwrites it from the layout. Replayed traces (and
 // splice overlays) are hashed by content via their canonical workload CSV,
 // so the key is stable across loads of the same file and across processes.
 func ScenarioKey(sc Scenario) (CacheKey, error) {
@@ -42,15 +42,13 @@ func ScenarioKey(sc Scenario) (CacheKey, error) {
 // CompileCache threads its bounded memo through so repeated lookups against
 // a shared in-memory trace do not re-serialize it).
 func scenarioKey(sc Scenario, memo *fingerprintMemo) (CacheKey, error) {
-	h := newKeyHasher("tapas-scenario-key/v1")
+	h := newKeyHasher("tapas-scenario-key/v2")
 	h.hashLayout(sc.Layout)
 	h.f64(sc.Oversubscribe)
 	if err := h.hashWorkloadSource(sc, memo); err != nil {
 		return CacheKey{}, err
 	}
-	h.hashRegion(sc.Region)
 	h.dur(sc.Duration)
-	h.dur(sc.StartOffset)
 	return h.sum(), nil
 }
 
@@ -60,37 +58,6 @@ func layoutKey(lc layout.Config, oversubscribe float64) CacheKey {
 	h := newKeyHasher("tapas-layout-key/v1")
 	h.hashLayout(lc)
 	h.f64(oversubscribe)
-	return h.sum()
-}
-
-// workloadKey hashes what workloadFor consumes: the synthetic generation
-// config plus fleet size, or the replayed trace content plus its transform
-// chain and the validation window. Scenarios that differ only in region or
-// start offset share it — a climate sweep generates (or transforms) its
-// workload once.
-func workloadKey(sc Scenario, servers int, memo *fingerprintMemo) (CacheKey, error) {
-	h := newKeyHasher("tapas-workload-key/v1")
-	h.i64(int64(servers))
-	if err := h.hashWorkloadSource(sc, memo); err != nil {
-		return CacheKey{}, err
-	}
-	// Replay validation depends on the scenario window (duration beyond the
-	// recorded window is rejected), so replayed artifacts are keyed per
-	// duration; synthetic generation reads Workload.Duration, hashed by
-	// hashWorkloadSource already.
-	if sc.Trace != nil {
-		h.dur(sc.Duration)
-	}
-	return h.sum(), nil
-}
-
-// weatherKey hashes what the outside-temperature series is built from: the
-// region, the simulated window, and the workload seed it is derived from.
-func weatherKey(region trace.Region, window time.Duration, seed uint64) CacheKey {
-	h := newKeyHasher("tapas-weather-key/v1")
-	h.hashRegion(region)
-	h.dur(window)
-	h.u64(seed)
 	return h.sum()
 }
 
@@ -139,14 +106,6 @@ func (k *keyHasher) hashLayout(lc layout.Config) {
 	k.i64(int64(lc.MixGPU))
 	k.f64(lc.MixFraction)
 	k.f64(lc.FleetScale)
-}
-
-func (k *keyHasher) hashRegion(r trace.Region) {
-	k.str(r.Name)
-	k.f64(r.MeanC)
-	k.f64(r.SeasonalAmpC)
-	k.f64(r.DiurnalAmpC)
-	k.f64(r.NoiseC)
 }
 
 // hashWorkloadSource hashes where the workload comes from: the synthetic

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +25,7 @@ func mustKey(t *testing.T, sc Scenario) CacheKey {
 
 // TestScenarioKeyIgnoresRuntimeOnly pins the key's canonicalization contract:
 // every field a compiled scenario can vary per run (the Variant set — Tick,
-// Failures, Observer, SLOSched, PowerGov — plus
+// Failures, Observer, Region, StartOffset, SLOSched, PowerGov — plus
 // Workload.Servers, which Compile overwrites from the layout) must not move
 // the key, so cache hits serve all runtime variants of one compilation.
 func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
@@ -39,6 +40,9 @@ func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
 		"workload_servers": func(sc *Scenario) { sc.Workload.Servers = 9999 },
 		"slo_sched":        func(sc *Scenario) { sc.SLOSched = SLOSched{AffinityWeight: 0.25, AdmissionSlack: 1.5} },
 		"power_gov":        func(sc *Scenario) { sc.PowerGov = PowerGov{BudgetFrac: 0.7, Gain: 0.5} },
+		"region.name":      func(sc *Scenario) { sc.Region.Name = "elsewhere" },
+		"region.mean_c":    func(sc *Scenario) { sc.Region.MeanC += 1 },
+		"start_offset":     func(sc *Scenario) { sc.StartOffset += time.Hour },
 	}
 	for name, mutate := range mutations {
 		sc := base
@@ -63,10 +67,7 @@ func TestScenarioKeySensitivity(t *testing.T) {
 		"workload.seed":          func(sc *Scenario) { sc.Workload.Seed++ },
 		"workload.saas_fraction": func(sc *Scenario) { sc.Workload.SaaSFraction = 0.7 },
 		"workload.duration":      func(sc *Scenario) { sc.Workload.Duration += time.Minute },
-		"region.name":            func(sc *Scenario) { sc.Region.Name = "elsewhere" },
-		"region.mean_c":          func(sc *Scenario) { sc.Region.MeanC += 1 },
 		"duration":               func(sc *Scenario) { sc.Duration += time.Minute },
-		"start_offset":           func(sc *Scenario) { sc.StartOffset += time.Hour },
 	}
 	seen := map[CacheKey]string{want: "base"}
 	for name, mutate := range mutations {
@@ -147,5 +148,80 @@ func TestScenarioKeyReplayByContent(t *testing.T) {
 	transformed.TraceTransforms = chain
 	if mustKey(t, transformed) == first {
 		t.Error("transform chain does not move the key")
+	}
+}
+
+// smallTrace generates a small recorded-style workload for keying tests.
+func smallTrace(t *testing.T, seed uint64) *trace.Workload {
+	t.Helper()
+	wl, err := trace.Generate(trace.WorkloadConfig{
+		Servers: 8, SaaSFraction: 0.5, Duration: 10 * time.Minute, Endpoints: 2, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
+}
+
+// TestScenarioKeySpliceOverlay covers the key's splice branch: the chain's
+// canonical JSON names only the overlay's path, so the overlay keys by its
+// content, and an overlay that was never loaded is an error, not a key.
+func TestScenarioKeySpliceOverlay(t *testing.T) {
+	base := smallTrace(t, 1)
+	spliced := func(overlay *trace.Workload) Scenario {
+		t.Helper()
+		chain, err := transform.Parse([]byte(`[{"op":"splice","trace":"overlay.csv"}]`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if overlay != nil {
+			chain[0].(*transform.Splice).SetWorkload(overlay)
+		}
+		sc := SmallScenario()
+		sc.Trace = base
+		sc.TraceTransforms = chain
+		return sc
+	}
+	first := mustKey(t, spliced(smallTrace(t, 2)))
+	if again := mustKey(t, spliced(smallTrace(t, 2))); again != first {
+		t.Error("two overlays with the same content key differently")
+	}
+	if other := mustKey(t, spliced(smallTrace(t, 3))); other == first {
+		t.Error("overlay content does not move the key")
+	}
+	if _, err := ScenarioKey(spliced(nil)); err == nil || !strings.Contains(err.Error(), "not loaded") {
+		t.Errorf("unloaded overlay: err = %v, want a not-loaded error", err)
+	}
+}
+
+// TestFingerprintMemo pins the memo a CompileCache keys traces through: a
+// repeated fingerprint of one trace is served from the memo, and a full memo
+// is dropped wholesale rather than grown past its bound.
+func TestFingerprintMemo(t *testing.T) {
+	w1, w2 := smallTrace(t, 1), smallTrace(t, 2)
+	var direct *fingerprintMemo // nil: no memo
+	want, err := direct.fingerprint(w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newFingerprintMemo(1)
+	if got, err := m.fingerprint(w1); err != nil || got != want {
+		t.Fatalf("memoized fingerprint = %v, %v; want %v", got, err, want)
+	}
+	if fp, ok := m.get(w1); !ok || fp != want {
+		t.Fatalf("memo holds %v, %v after a fingerprint; want %v", fp, ok, want)
+	}
+	// A planted entry proves the next lookup reads the memo instead of
+	// re-serializing the trace.
+	planted := CacheKey{1}
+	m.put(w1, planted)
+	if got, err := m.fingerprint(w1); err != nil || got != planted {
+		t.Errorf("repeated fingerprint = %v, %v; want the memoized %v", got, err, planted)
+	}
+	if _, err := m.fingerprint(w2); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.get(w1); ok || len(m.fps) != 1 {
+		t.Errorf("full memo kept %d entries (w1 present: %v), want only w2", len(m.fps), ok)
 	}
 }

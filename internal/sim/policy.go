@@ -181,13 +181,15 @@ type Scenario struct {
 	// the zero value keeps policy defaults. Swept via the
 	// powergov.budget_frac and powergov.gain campaign axes. Runtime-only.
 	PowerGov PowerGov
+	// Region is the climate each run builds its outside-temperature series
+	// from. Runtime-only.
 	Region   trace.Region
 	Duration time.Duration
 	Tick     time.Duration
 	// StartOffset shifts the time-of-day phase of all load and weather
 	// patterns, letting short scenarios run at the diurnal peak. VM
-	// arrivals and lifetimes stay on the simulation clock. Compile rejects
-	// a negative offset.
+	// arrivals and lifetimes stay on the simulation clock. Runtime-only;
+	// Compile, CompileCache.Compile and Run reject a negative offset.
 	StartOffset   time.Duration
 	Oversubscribe float64 // extra rack ratio added at fixed envelopes
 	Failures      []FailureEvent

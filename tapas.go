@@ -87,14 +87,16 @@ func NewVariant(place, route, config bool) Policy {
 }
 
 // CompiledScenario holds a scenario's run-invariant artifacts (layout,
-// workload, weather, profiles, thermal tables, seeded history), built once by
-// Compile and shared read-only by any number of concurrent Runs.
+// workload, profiles, thermal tables, seeded history), built once by Compile
+// and shared read-only by any number of concurrent Runs. The weather is a
+// run input: each run builds its outside temperature from its own Region and
+// StartOffset.
 type CompiledScenario = sim.CompiledScenario
 
 // Compile builds a scenario's run-invariant artifacts once. Evaluating
-// several policies (or failure schedules, via Variant) over the same
-// scenario through the compiled object skips the per-run regeneration that
-// Run performs, with byte-identical results.
+// several policies (or failure schedules or climates, via Variant) over the
+// same scenario through the compiled object skips the per-run regeneration
+// that Run performs, with byte-identical results.
 func Compile(sc Scenario) (*CompiledScenario, error) { return sim.Compile(sc) }
 
 // Run executes a scenario under a policy, compiling it first; use Compile
