@@ -16,9 +16,9 @@ import (
 )
 
 // CacheKey is a content hash over the compile-relevant fields of a Scenario
-// (or of its layout). Two scenarios with equal keys compile to
-// byte-identical artifacts, so a compiled scenario cached under the key can
-// serve both — see CompileCache.
+// (or of its layout). Two scenarios with equal keys compile to byte-identical
+// artifacts, so a compiled scenario cached under the key can serve both — see
+// CompileCache.
 type CacheKey [sha256.Size]byte
 
 // String returns the key as lowercase hex.
@@ -31,9 +31,9 @@ func (k CacheKey) String() string { return hex.EncodeToString(k[:]) }
 // StartOffset, and the policy parameters SLOSched and PowerGov — are
 // excluded, exactly mirroring what CompiledScenario.Variant allows a run to
 // change without recompiling; Workload.Servers is excluded too because
-// Compile overwrites it from the layout. Replayed traces (and
-// splice overlays) are hashed by content via their canonical workload CSV,
-// so the key is stable across loads of the same file and across processes.
+// Compile overwrites it from the layout. Replayed traces (and splice
+// overlays) are hashed by content via their canonical workload CSV, so the
+// key is stable across loads of the same file and across processes.
 func ScenarioKey(sc Scenario) (CacheKey, error) {
 	return scenarioKey(sc, nil)
 }

@@ -99,18 +99,12 @@ func TestScenarioKeyReplayByContent(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, seed uint64) string {
 		t.Helper()
-		wl, err := trace.Generate(trace.WorkloadConfig{
-			Servers: 8, SaaSFraction: 0.5, Duration: 10 * time.Minute, Endpoints: 2, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		path := filepath.Join(dir, name)
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteWorkloadCSV(f, wl); err != nil {
+		if err := trace.WriteWorkloadCSV(f, smallTrace(t, seed)); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
