@@ -121,9 +121,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "tapas-campaign:", err)
 			return 1
 		}
-		_, total, compiles := job.Progress()
-		fmt.Fprintf(stderr, "%-24s %3d runs (%d compiles) in %v\n",
-			strings.TrimSuffix(spec.Name, "\n"), total, compiles,
+		_, total, scenarios := job.Progress()
+		fmt.Fprintf(stderr, "%-24s %3d runs (%d scenarios) in %v\n",
+			strings.TrimSuffix(spec.Name, "\n"), total, scenarios,
 			time.Since(start).Round(time.Millisecond))
 	}
 	return 0

@@ -98,7 +98,7 @@ func TestRunQuickCampaign(t *testing.T) {
 	if !strings.HasPrefix(out.String(), "spec,policy,") {
 		t.Errorf("CSV report missing header:\n%s", out.String())
 	}
-	if !strings.Contains(errOut.String(), "1 runs (1 compiles) in") {
+	if !strings.Contains(errOut.String(), "1 runs (1 scenarios) in") {
 		t.Errorf("stderr missing timing line: %q", errOut.String())
 	}
 }

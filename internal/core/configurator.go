@@ -6,7 +6,6 @@ import (
 
 	"github.com/tapas-sim/tapas/internal/cluster"
 	"github.com/tapas-sim/tapas/internal/llm"
-	"github.com/tapas-sim/tapas/internal/trace"
 )
 
 // configurator implements the TAPAS Instance Configurator (§4.3): per
@@ -51,6 +50,11 @@ func newConfigurator(prof *Profiles) *configurator {
 	return &configurator{prof: prof, lastReload: make(map[int]time.Duration)}
 }
 
+// configure re-decides the configuration of every placed SaaS instance that
+// is not mid-reload. It walks the endpoint lists cluster.State keeps, which
+// hold exactly the placed SaaS VMs, so departed, unarrived and IaaS VMs cost
+// nothing; absent pressure or backlog, each instance is re-evaluated on a
+// staggered cadence. pick does the scan.
 func (c *configurator) configure(st *cluster.State) {
 	emergency := st.Budget.Multiplier() < 1 || st.AirflowLimitFrac < 1
 	qualityFloor := 1.0
@@ -104,80 +108,82 @@ func (c *configurator) configure(st *cluster.State) {
 
 	tickSecs := st.Tick.Seconds()
 	tickNo := int(st.Now / st.Tick)
-	for _, vm := range st.VMs {
-		if vm.Spec.Kind != trace.SaaS || vm.Server < 0 || vm.Instance == nil {
-			continue
-		}
-		in := vm.Instance
-		if in.Reloading() {
-			continue
-		}
-		srv := st.DC.Servers[vm.Server]
-		scale := rowScale[srv.Row]
-		if s := aisleScale[srv.Aisle]; s < scale {
-			scale = s
-		}
-		// The per-iteration controller caches its decisions (§4.5); absent
-		// pressure or backlog, each instance is re-evaluated on a staggered
-		// cadence.
-		if scale >= 1 && !emergency && in.BacklogSecs <= 3 && (tickNo+vm.Spec.ID)%5 != 0 {
-			continue
-		}
+	// The endpoint lists hold exactly the placed SaaS VMs. Each VM's
+	// decision reads only its own instance and the telemetry above, so the
+	// endpoint-major visiting order changes no result.
+	for ep := range st.Work.Endpoints {
+		for _, vm := range st.EndpointInstances(ep) {
+			in := vm.Instance
+			if in.Reloading() {
+				continue
+			}
+			srv := st.DC.Servers[vm.Server]
+			scale := rowScale[srv.Row]
+			if s := aisleScale[srv.Aisle]; s < scale {
+				scale = s
+			}
+			// The per-iteration controller caches its decisions (§4.5); absent
+			// pressure or backlog, each instance is re-evaluated on a staggered
+			// cadence.
+			if scale >= 1 && !emergency && in.BacklogSecs <= 3 && (tickNo+vm.Spec.ID)%5 != 0 {
+				continue
+			}
 
-		// Server power ceiling: unconstrained while the row/aisle have
-		// slack; proportional squeeze otherwise — but never below the
-		// server's fair share of the row target, or already-frugal
-		// instances would ratchet down and never recover.
-		maxServerW := srv.GPU.ServerTDPW
-		if scale < 1 {
-			maxServerW = st.ServerPowerW[vm.Server] * scale
-			fairShare := st.Budget.RowLimitW(srv.Row) * budgetTarget / float64(len(st.DC.Rows[srv.Row].Servers))
-			if af := aisleFairW[srv.Aisle]; af < fairShare {
-				fairShare = af
+			// Server power ceiling: unconstrained while the row/aisle have
+			// slack; proportional squeeze otherwise — but never below the
+			// server's fair share of the row target, or already-frugal
+			// instances would ratchet down and never recover.
+			maxServerW := srv.GPU.ServerTDPW
+			if scale < 1 {
+				maxServerW = st.ServerPowerW[vm.Server] * scale
+				fairShare := st.Budget.RowLimitW(srv.Row) * budgetTarget / float64(len(st.DC.Rows[srv.Row].Servers))
+				if af := aisleFairW[srv.Aisle]; af < fairShare {
+					fairShare = af
+				}
+				if maxServerW < fairShare {
+					maxServerW = fairShare
+				}
 			}
-			if maxServerW < fairShare {
-				maxServerW = fairShare
-			}
-		}
 
-		// Thermal ceiling: hottest GPU of the server binds the allowable
-		// power fraction at the current inlet (learned model inversion).
-		inlet := st.ServerInletC[vm.Server]
-		maxFrac := 1.0
-		for g := 0; g < st.GPUsPerServer; g++ {
-			h := c.prof.GPUTemp.HeadroomPowerFrac(vm.Server, g, inlet, st.Spec.ThrottleTempC-configTempMargin)
-			if h < maxFrac {
-				maxFrac = h
+			// Thermal ceiling: hottest GPU of the server binds the allowable
+			// power fraction at the current inlet (learned model inversion).
+			inlet := st.ServerInletC[vm.Server]
+			maxFrac := 1.0
+			for g := 0; g < st.GPUsPerServer; g++ {
+				h := c.prof.GPUTemp.HeadroomPowerFrac(vm.Server, g, inlet, st.Spec.ThrottleTempC-configTempMargin)
+				if h < maxFrac {
+					maxFrac = h
+				}
 			}
-		}
 
-		required := in.TickEnqueued() / tickSecs * demandMargin
-		// TickEnqueued measures granted demand, which shrinks when the
-		// instance is downsized — a circular signal. Backlog is the
-		// corrective: while the queue is not draining, demand goodput no
-		// entry can satisfy, which makes pick fall through to the highest
-		// goodput available within limits.
-		if in.BacklogSecs > 3 {
-			required = math.Inf(1)
-		}
-		// Reload-class changes (TP, model size, quantization) are the last
-		// resort: only under persistent pressure or an emergency, and
-		// rate-limited per instance. Otherwise the search is restricted to
-		// free changes (frequency, batch).
-		reloadOK := emergency || c.rowPressure[srv.Row] >= 2
-		if reloadOK {
-			if last, seen := c.lastReload[vm.Spec.ID]; seen && st.Now-last < reloadCooldown {
-				reloadOK = false
+			required := in.TickEnqueued() / tickSecs * demandMargin
+			// TickEnqueued measures granted demand, which shrinks when the
+			// instance is downsized — a circular signal. Backlog is the
+			// corrective: while the queue is not draining, demand goodput no
+			// entry can satisfy, which makes pick fall through to the highest
+			// goodput available within limits.
+			if in.BacklogSecs > 3 {
+				required = math.Inf(1)
 			}
+			// Reload-class changes (TP, model size, quantization) are the last
+			// resort: only under persistent pressure or an emergency, and
+			// rate-limited per instance. Otherwise the search is restricted to
+			// free changes (frequency, batch).
+			reloadOK := emergency || c.rowPressure[srv.Row] >= 2
+			if reloadOK {
+				if last, seen := c.lastReload[vm.Spec.ID]; seen && st.Now-last < reloadCooldown {
+					reloadOK = false
+				}
+			}
+			entry, ok := c.pick(st.ProfileFor(vm.Server), in.Config, maxFrac, maxServerW, qualityFloor, required, reloadOK)
+			if !ok || entry.Config == in.Config {
+				continue
+			}
+			if llm.ReconfigTime(in.Config, entry.Config) > 0 {
+				c.lastReload[vm.Spec.ID] = st.Now
+			}
+			in.Reconfigure(entry.Config)
 		}
-		entry, ok := c.pick(st.ProfileFor(vm.Server), in.Config, maxFrac, maxServerW, qualityFloor, required, reloadOK)
-		if !ok || entry.Config == in.Config {
-			continue
-		}
-		if llm.ReconfigTime(in.Config, entry.Config) > 0 {
-			c.lastReload[vm.Spec.ID] = st.Now
-		}
-		in.Reconfigure(entry.Config)
 	}
 }
 
@@ -187,19 +193,18 @@ func (c *configurator) configure(st *cluster.State) {
 // required demand; when none covers it, the highest-goodput entry.
 // Entries are visited through pointers: ProfileEntry is large enough that
 // copying it per iteration dominated the configurator's profile.
+//
+// Both scans visit llm.Profile.Candidates: the full-quality entries under a
+// quality floor of 1 (the non-emergency case), and, when reloads are gated,
+// only cur's reload class — at most 20 entries, every one reachable without
+// a reload, so a gated pick never calls llm.ReconfigTime and its
+// cheapest-reconfiguration tie-break (0 against 0) never decides.
 func (c *configurator) pick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW, qualityFloor, required float64, reloadOK bool) (llm.ProfileEntry, bool) {
 	feasible := func(e *llm.ProfileEntry) bool {
 		return e.Goodput > 0 && e.Quality >= qualityFloor &&
-			e.PeakGPUPowerFrac <= maxFrac && e.PeakServerPowerW <= maxServerW &&
-			(reloadOK || llm.ReconfigTime(cur, e.Config) == 0)
+			e.PeakGPUPowerFrac <= maxFrac && e.PeakServerPowerW <= maxServerW
 	}
-	// A quality floor of 1 (the non-emergency case) can only be met by the
-	// precomputed full-quality subset; scanning just it preserves the
-	// goodput ordering while skipping the reduced-quality majority.
-	idx := p.AnyQuality
-	if qualityFloor >= 1 {
-		idx = p.FullQuality
-	}
+	idx := p.Candidates(cur, qualityFloor, !reloadOK)
 	var best *llm.ProfileEntry
 	for _, i := range idx { // sorted by goodput descending
 		e := &p.Entries[i]
@@ -214,7 +219,7 @@ func (c *configurator) pick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW,
 		// average power, then the cheapest reconfiguration.
 		if best == nil || e.Quality > best.Quality ||
 			(e.Quality == best.Quality && (e.AvgServerPowerW < best.AvgServerPowerW ||
-				(e.AvgServerPowerW == best.AvgServerPowerW && llm.ReconfigTime(cur, e.Config) < llm.ReconfigTime(cur, best.Config)))) {
+				(reloadOK && e.AvgServerPowerW == best.AvgServerPowerW && llm.ReconfigTime(cur, e.Config) < llm.ReconfigTime(cur, best.Config)))) {
 			best = e
 		}
 	}

@@ -139,7 +139,7 @@ func (g *PowerGov) RouteRequest(st *cluster.State, insts []*cluster.VM, req llm.
 	}
 	minJ := math.Inf(1)
 	for _, vm := range insts {
-		if j := energyPerTokenEst(st, vm); j < minJ {
+		if j := energyPerTokenEst(vm); j < minJ {
 			minJ = j
 		}
 	}
@@ -154,12 +154,12 @@ func (g *PowerGov) RouteRequest(st *cluster.State, insts []*cluster.VM, req llm.
 // power over full-batch decode throughput. It only needs to rank GPU
 // generations against each other, so the crude full-tilt operating point is
 // enough — and it is exact where it matters, favoring generations that buy
-// more tokens per joule.
-func energyPerTokenEst(st *cluster.State, vm *cluster.VM) float64 {
+// more tokens per joule. Both operands are cached on the instance.
+func energyPerTokenEst(vm *cluster.VM) float64 {
 	in := vm.Instance
 	rate := in.DecodeRate()
 	if rate <= 0 {
 		return math.Inf(1)
 	}
-	return power.ServerPowerAtUniformLoad(&in.Spec, 1) / rate
+	return in.FullLoadPowerW() / rate
 }

@@ -105,7 +105,7 @@ func TestEnergyRoutingPrefersEfficientGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	vms := setupEndpoint(t, st, 2) // servers 0 (A100) and rowSize (H100)
-	j0, j1 := energyPerTokenEst(st, vms[0]), energyPerTokenEst(st, vms[1])
+	j0, j1 := energyPerTokenEst(vms[0]), energyPerTokenEst(vms[1])
 	if j0 == j1 {
 		t.Fatalf("generations estimate identical energy per token (%.3f J); test fleet not heterogeneous", j0)
 	}
@@ -117,7 +117,7 @@ func TestEnergyRoutingPrefersEfficientGeneration(t *testing.T) {
 	idx, ok := pol.RouteRequest(st, vms, req)
 	if !ok || idx != cheap {
 		t.Errorf("idle instances: routed to %d, want efficient candidate %d (%.3f vs %.3f J/token)",
-			idx, cheap, energyPerTokenEst(st, vms[cheap]), energyPerTokenEst(st, vms[costly]))
+			idx, cheap, energyPerTokenEst(vms[cheap]), energyPerTokenEst(vms[costly]))
 	}
 	// Pile an hour of work onto the efficient instance: backlog must win.
 	vms[cheap].Instance.EnqueueBulk(4e6, 1e6)

@@ -212,8 +212,11 @@ func serverHeadroom(st *cluster.State, id int) float64 {
 // minJ > 0 it is (work + 1 s) × energy per token / minJ instead, where the
 // +1 s keeps the efficiency preference decisive between idle instances.
 // Instances already holding the customer's KV-cache state have the score
-// scaled by affinity, and instances without thermal/power headroom pay
-// unsafePenaltySecs.
+// scaled by affinity, in (0, 1], and instances without thermal/power
+// headroom pay unsafePenaltySecs. Both only matter to a candidate that can
+// still win, so they are read lazily: the affinity map only when the
+// candidate's lower bound (its score scaled by affinity) beats the best so
+// far, and the server's headroom only when its scaled score still does.
 //
 // A slack > 0 also admits only instances whose projected time-to-first-token
 // fits slack × TTFT SLO: the wait the request has already accrued since
@@ -242,10 +245,25 @@ func scoreRequest(st *cluster.State, insts []*cluster.VM, req llm.Request, affin
 		}
 		score := backlog
 		if minJ > 0 {
-			score = (backlog + 1) * energyPerTokenEst(st, vm) / minJ
+			score = (backlog + 1) * energyPerTokenEst(vm) / minJ
+		}
+		// The affinity factor, in (0, 1], and the penalty, ≥ 0, leave the
+		// score at least score × affinity, or at least score when a backlog
+		// a few ulps below zero makes the product the larger. A candidate
+		// whose bound cannot beat the best skips the affinity lookup and
+		// the headroom reads.
+		bound := score * affinity
+		if score < bound {
+			bound = score
+		}
+		if !(bound < bestScore) {
+			continue
 		}
 		if in.HasAffinity(req.Customer) {
 			score *= affinity
+		}
+		if !(score < bestScore) {
+			continue // the penalty only adds
 		}
 		if serverHeadroom(st, vm.Server) <= 0 {
 			score += unsafePenaltySecs

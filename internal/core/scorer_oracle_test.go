@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"github.com/tapas-sim/tapas/internal/cluster"
 	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/llm"
+	"github.com/tapas-sim/tapas/internal/power"
 	"github.com/tapas-sim/tapas/internal/trace"
 )
 
@@ -37,6 +39,17 @@ func oracleHeadroom(st *cluster.State, id int, throttleC float64) float64 {
 		}
 	}
 	return head
+}
+
+// oracleEnergyPerToken is energyPerTokenEst before the instance cached its
+// full-load server power: the power is derived from the spec per call.
+func oracleEnergyPerToken(vm *cluster.VM) float64 {
+	in := vm.Instance
+	rate := in.DecodeRate()
+	if rate <= 0 {
+		return math.Inf(1)
+	}
+	return power.ServerPowerAtUniformLoad(&in.Spec, 1) / rate
 }
 
 func oracleTAPASRoute(t *TAPAS, st *cluster.State, insts []*cluster.VM, req llm.Request) (int, bool) {
@@ -111,7 +124,7 @@ func oraclePowerGovRoute(g *PowerGov, st *cluster.State, insts []*cluster.VM, re
 	}
 	minJ := math.Inf(1)
 	for _, vm := range insts {
-		if j := energyPerTokenEst(st, vm); j < minJ {
+		if j := oracleEnergyPerToken(vm); j < minJ {
 			minJ = j
 		}
 	}
@@ -134,7 +147,7 @@ func oraclePowerGovRoute(g *PowerGov, st *cluster.State, insts []*cluster.VM, re
 		if waited+backlog+float64(req.PromptTokens)/pr > in.SLOs.TTFT.Seconds() {
 			continue
 		}
-		score := (backlog + 1) * energyPerTokenEst(st, vm) / minJ
+		score := (backlog + 1) * oracleEnergyPerToken(vm) / minJ
 		if in.HasAffinity(req.Customer) {
 			score *= affinityDiscount
 		}
@@ -265,11 +278,26 @@ func (f oracleFleet) round(t *testing.T, rng *rand.Rand, n int) (*cluster.State,
 	}
 	ttft := st.SLOs.TTFT.Seconds()
 	insts := make([]*cluster.VM, 0, n)
+	spare := servers[n:] // free servers a migration can move to
 	for k := 0; k < n; k++ {
 		if err := st.Place(saas[k], servers[k]); err != nil {
 			t.Fatal(err)
 		}
 		vm := st.VMs[saas[k]]
+		if rng.IntN(6) == 0 {
+			// Migrate to the other GPU generation: the instance keeps its
+			// configuration and re-derives its cached rates and power.
+			gen := f.dc.Servers[vm.Server].GPU.Model
+			for i, id := range spare {
+				if f.dc.Servers[id].GPU.Model != gen {
+					if err := st.Move(saas[k], id); err != nil {
+						t.Fatal(err)
+					}
+					spare = append(spare[:i:i], spare[i+1:]...)
+					break
+				}
+			}
+		}
 		in := vm.Instance
 		cfg := in.Config
 		switch r := rng.IntN(10); {
@@ -360,11 +388,53 @@ func oracleRequest(rng *rand.Rand, st *cluster.State) llm.Request {
 	return req
 }
 
+// pruneCounts walks a TAPAS request decision as the oracle does and counts
+// the candidates the scorer's lower bound rules out before reading their
+// affinity and headroom, how many of those hold the customer's affinity, and
+// how many affinity holders win although their unscaled score does not beat
+// the best so far: the candidates a bound without the affinity factor would
+// wrongly rule out.
+func pruneCounts(st *cluster.State, insts []*cluster.VM, req llm.Request) (pruned, prunedAffine, rescued int) {
+	best := math.Inf(1)
+	for _, vm := range insts {
+		in := vm.Instance
+		if in.Reloading() {
+			continue
+		}
+		score := in.DemandSeconds()
+		affine := in.HasAffinity(req.Customer)
+		if !(math.Min(score, score*affinityDiscount) < best) {
+			pruned++
+			if affine {
+				prunedAffine++
+			}
+			continue
+		}
+		unscaled := score
+		if affine {
+			score *= affinityDiscount
+		}
+		if oracleHeadroom(st, vm.Server, st.Spec.ThrottleTempC) <= 0 {
+			score += unsafePenaltySecs
+		}
+		if score < best {
+			if affine && !(unscaled < best) {
+				rescued++
+			}
+			best = score
+		}
+	}
+	return pruned, prunedAffine, rescued
+}
+
 // TestRequestScorerMatchesOracle pins the shared request scorer against the
-// three loops it replaced: on random mixed-generation fleets every TAPAS,
-// SLO (slack 0.5, 1, 2 × affinity 0.25, 0.5, 1), PowerGov and
-// PowerGov-Energy decision must equal the oracle's (idx, ok). Counters
-// check that the random cases reach every branch the merge touched.
+// three loops it replaced: on random mixed-generation fleets, some
+// instances migrated across generations, every TAPAS, SLO (slack 0.5, 1,
+// 2 × affinity 0.25, 0.5, 1), PowerGov and PowerGov-Energy decision must
+// equal the oracle's (idx, ok). Counters check that the random cases reach
+// every branch the merge touched and the lazy scoring's bound: candidates it
+// rules out, with and without affinity, and affinity holders only the
+// affinity factor keeps in the race.
 func TestRequestScorerMatchesOracle(t *testing.T) {
 	f := newOracleFleet(t)
 	rng := rand.New(rand.NewPCG(17, 29))
@@ -397,6 +467,10 @@ func TestRequestScorerMatchesOracle(t *testing.T) {
 			}
 			idx, ok := check("TAPAS", func() (int, bool) { return tapas.RouteRequest(st, insts, req) },
 				func() (int, bool) { return oracleTAPASRoute(tapas, st, insts, req) })
+			pruned, prunedAffine, rescued := pruneCounts(st, insts, req)
+			seen["pruned candidate"] += pruned
+			seen["pruned candidate holding affinity"] += prunedAffine
+			seen["affinity beats the unscaled bound"] += rescued
 			if !ok {
 				seen["TAPAS defers"]++
 			} else {
@@ -433,7 +507,8 @@ func TestRequestScorerMatchesOracle(t *testing.T) {
 		}
 	}
 	for _, k := range []string{"late arrival", "TAPAS defers", "TAPAS routes", "TAPAS picks a zero-rate instance",
-		"TAPAS picks an unsafe server", "PowerGov-Energy scores", "PowerGov-Energy falls back", "SLO admits", "SLO sheds"} {
+		"TAPAS picks an unsafe server", "PowerGov-Energy scores", "PowerGov-Energy falls back", "SLO admits", "SLO sheds",
+		"pruned candidate", "pruned candidate holding affinity", "affinity beats the unscaled bound"} {
 		if seen[k] == 0 {
 			t.Errorf("no random case reached %q", k)
 		}
@@ -441,16 +516,50 @@ func TestRequestScorerMatchesOracle(t *testing.T) {
 	t.Logf("branch counts: %v", seen)
 }
 
+// TestRequestScorerBoundsNegativeBacklog pins the scorer's lower bound on
+// backlogs below zero, which fluid steps leave by a few ulps (for example
+// -2.3e-13 decode tokens after a draining tick). There the affinity factor
+// raises a score instead of lowering it, so the bound must fall back to the
+// unscaled score or the best candidate would be ruled out.
+func TestRequestScorerBoundsNegativeBacklog(t *testing.T) {
+	f := newOracleFleet(t)
+	st := cluster.NewState(f.dc, f.w)
+	st.Tick = time.Minute
+	st.Now = 10 * st.Tick
+	var insts []*cluster.VM
+	for id, vm := range st.VMs {
+		if vm.Spec.Kind == trace.SaaS && len(insts) < 2 {
+			if err := st.Place(id, len(insts)); err != nil {
+				t.Fatal(err)
+			}
+			insts = append(insts, vm)
+		}
+	}
+	insts[0].Instance.EnqueueBulk(-6e-11, 0)
+	insts[1].Instance.EnqueueBulk(-1e-10, 0)
+	tapas := NewFull()
+	req := llm.Request{Customer: 1, PromptTokens: 100, OutputTokens: 10, Arrival: st.Now - st.Tick}
+	got, ok := tapas.RouteRequest(st, insts, req)
+	want, wok := oracleTAPASRoute(tapas, st, insts, req)
+	if got != want || ok != wok || want != 1 {
+		t.Fatalf("routed to (%d, %v), oracle (%d, %v); want the lower backlog, instance 1", got, ok, want, wok)
+	}
+}
+
 // TestPickMatchesOracle pins the single configurator scan against the two
 // scans it replaced, on both generations' profiles: quality floors 1 and
 // 0.6, gated and ungated reloads, required demand from 0 through exact
 // entry goodputs to +Inf, and limits drawn around (and exactly at) the
 // entries' peak power. A tied copy of each profile rounds average power to
-// 250 W steps, so the cheapest-reconfiguration tie-break decides too.
+// 250 W steps, so the cheapest-reconfiguration tie-break decides too. Gated
+// picks, which scan only the current reload class, start from every class
+// of both generations, from classes without a full-quality entry at floor 1
+// and from a TP off the knob grid.
 func TestPickMatchesOracle(t *testing.T) {
 	c := newConfigurator(nil)
 	rng := rand.New(rand.NewPCG(31, 37))
 	seen := map[string]int{}
+	classes := map[string]int{} // gated picks by generation and cur's class
 	var profiles []*llm.Profile
 	for _, m := range []layout.GPUModel{layout.A100, layout.H100} {
 		p := llm.BuildProfile(layout.Spec(m), llm.DefaultWorkload())
@@ -465,6 +574,9 @@ func TestPickMatchesOracle(t *testing.T) {
 		n := len(p.Entries)
 		for k := 0; k < 20000; k++ {
 			cur := p.Entries[rng.IntN(n)].Config
+			if rng.IntN(100) == 0 {
+				cur.TP = 3 // off the knob grid: no entry shares its class
+			}
 			e := &p.Entries[rng.IntN(n)]
 			maxFrac, maxServerW := e.PeakGPUPowerFrac, e.PeakServerPowerW
 			if rng.IntN(3) > 0 {
@@ -474,6 +586,12 @@ func TestPickMatchesOracle(t *testing.T) {
 			qualityFloor := []float64{1, emergencyQualityFloor}[rng.IntN(2)]
 			required := []float64{math.Inf(1), 0, p.Entries[rng.IntN(n)].Goodput, rng.Float64() * 1.1 * p.Entries[0].Goodput}[rng.IntN(4)]
 			reloadOK := rng.IntN(2) == 0
+			if !reloadOK {
+				classes[fmt.Sprintf("%v from %v/%v/TP%d", p.Spec.Model, cur.Model, cur.Quant, cur.TP)]++
+				if qualityFloor == 1 && (cur.Model != llm.Llama70B || cur.Quant != llm.FP16) {
+					seen["gated at floor 1 from a class without full quality"]++
+				}
+			}
 			got, gok := c.pick(p, cur, maxFrac, maxServerW, qualityFloor, required, reloadOK)
 			want, wok := oraclePick(p, cur, maxFrac, maxServerW, qualityFloor, required, reloadOK)
 			if got != want || gok != wok {
@@ -490,6 +608,20 @@ func TestPickMatchesOracle(t *testing.T) {
 			seen[outcome+" at floor "+map[bool]string{true: "1", false: "0.6"}[qualityFloor == 1]+map[bool]string{true: "", false: ", gated"}[reloadOK]]++
 		}
 	}
+	for _, m := range []layout.GPUModel{layout.A100, layout.H100} {
+		for _, model := range []llm.ModelSize{llm.Llama7B, llm.Llama13B, llm.Llama70B} {
+			for _, quant := range []llm.Quant{llm.FP16, llm.FP8} {
+				for _, tp := range []int{2, 3, 4, 8} {
+					if k := fmt.Sprintf("%v from %v/%v/TP%d", m, model, quant, tp); classes[k] == 0 {
+						t.Errorf("no gated pick started %s", k)
+					}
+				}
+			}
+		}
+	}
+	if seen["gated at floor 1 from a class without full quality"] == 0 {
+		t.Error("no gated pick at floor 1 started from a class without full-quality entries")
+	}
 	for _, floor := range []string{"1", "0.6"} {
 		for _, gate := range []string{"", ", gated"} {
 			for _, outcome := range []string{"covers demand", "falls back", "none"} {
@@ -502,8 +634,10 @@ func TestPickMatchesOracle(t *testing.T) {
 	t.Logf("outcome counts: %v", seen)
 }
 
-// TestRequestDecisionsAllocFree pins that every policy's request decision
-// and the configurator scan stay off the heap.
+// TestRequestDecisionsAllocFree pins that every policy's request decision,
+// the configurator scan, a steady-state configure pass over a placed fleet
+// and a request-queue Step that only advances a running decode batch stay
+// off the heap.
 func TestRequestDecisionsAllocFree(t *testing.T) {
 	f := newOracleFleet(t)
 	rng := rand.New(rand.NewPCG(41, 43))
@@ -512,15 +646,61 @@ func TestRequestDecisionsAllocFree(t *testing.T) {
 	tapas, slo, pg, pge := NewFull(), NewSLO(true), NewPowerGov(false), NewPowerGov(true)
 	c := newConfigurator(nil)
 	p := llm.BuildProfile(layout.Spec(layout.A100), llm.DefaultWorkload())
+
+	// A configure pass over the placed fleet: rows and aisles under target
+	// keep reloads gated, and a backlog past 3 s makes every instance
+	// re-decide on every pass. The first passes grow the scratch and settle
+	// the configurations.
+	prof, err := ProfilesFor(f.dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cst, _ := f.round(t, rng, 16)
+	for row := range cst.RowPowerW {
+		cst.RowPowerW[row] = cst.Budget.RowLimitW(row) / 2
+	}
+	for a := range cst.AisleDemandCFM {
+		cst.AisleDemandCFM[a] = cst.AisleLimitCFM(a) / 2
+	}
+	for _, vm := range cst.VMs {
+		if vm.Instance != nil {
+			vm.Instance.BacklogSecs = 4
+		}
+	}
+	cfg := newConfigurator(prof)
+	for pass := 0; pass < 3; pass++ {
+		cfg.configure(cst)
+	}
+
+	// A request-queue instance with a running batch that neither admits
+	// (nothing waits) nor completes (outputs far longer than the steps run).
+	spec := layout.Spec(layout.A100)
+	qin := llm.NewInstance(spec, llm.DefaultConfig(), llm.DefaultWorkload(), llm.ComputeSLOs(spec, llm.DefaultConfig(), llm.DefaultWorkload()))
+	qin.AttachQueue(0)
+	for r := 0; r < 8; r++ {
+		qin.EnqueueRequest(llm.Request{ID: int64(r), Customer: r, PromptTokens: 512, OutputTokens: 1 << 30})
+	}
+	qin.Step(time.Minute)
+	if q := qin.Queue(); q.WaitingLen() != 0 || q.ActiveLen() != 8 {
+		t.Fatalf("queue holds %d waiting and %d running requests, want 0 and 8", q.WaitingLen(), q.ActiveLen())
+	}
+	served := qin.ServedTokens
+
 	for name, decide := range map[string]func(){
 		"TAPAS":           func() { tapas.RouteRequest(st, insts, req) },
 		"SLO":             func() { slo.AdmitRequest(st, insts, req) },
 		"PowerGov":        func() { pg.RouteRequest(st, insts, req) },
 		"PowerGov-Energy": func() { pge.RouteRequest(st, insts, req) },
 		"pick":            func() { c.pick(p, llm.DefaultConfig(), 0.8, 5000, 1, math.Inf(1), false) },
+		"configure":       func() { cfg.configure(cst) },
+		"decode step":     func() { qin.Step(time.Second) },
 	} {
 		if allocs := testing.AllocsPerRun(100, decide); allocs != 0 {
 			t.Errorf("%s allocates %.1f times per decision, want 0", name, allocs)
 		}
+	}
+	if q := qin.Queue(); q.WaitingLen() != 0 || q.ActiveLen() != 8 || qin.CompletedRequests != 0 || qin.ServedTokens <= served {
+		t.Errorf("decode steps admitted, completed or served nothing: %d waiting, %d running, %v completed",
+			q.WaitingLen(), q.ActiveLen(), qin.CompletedRequests)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/layout"
+	"github.com/tapas-sim/tapas/internal/power"
 	"github.com/tapas-sim/tapas/internal/units"
 )
 
@@ -16,8 +17,9 @@ type Instance struct {
 	// The fields a binned tick's Step, StepDrained, GPUPowerFrac and
 	// DemandSeconds read come first, from here through Work, so a
 	// server-tick reads the instance's leading cache lines. Spec, SLOs, the
-	// affinity map and the goodput memo, read on reconfiguration, routing,
-	// capped SLO slack and request-level decode steps, come after.
+	// cached decode term and full-load power, the affinity map and the
+	// goodput memo, read on reconfiguration, routing, capped SLO slack and
+	// request-level decode steps, come after.
 
 	// queue, when non-nil, switches the instance into request-level replay
 	// mode: Step runs the discrete-event continuous-batching queue instead
@@ -74,6 +76,13 @@ type Instance struct {
 	Spec layout.GPUSpec
 	SLOs SLOs
 
+	// decodeW is decodeWeightSecs(Spec.Model, Config), refreshed by
+	// refreshRates and read per request-level decode step. fullLoadW is
+	// power.ServerPowerAtUniformLoad(&Spec, 1), read per routed request; it
+	// depends on Spec alone, so NewInstance and Rehost refresh it.
+	decodeW   float64
+	fullLoadW float64
+
 	// affinity holds recently served customers for KV-cache reuse routing.
 	affinity map[int]time.Duration
 
@@ -104,14 +113,16 @@ func NewInstance(spec layout.GPUSpec, c Config, w Workload, slos SLOs) *Instance
 		outputRatio: w.AvgOutputTokens / w.AvgPromptTokens,
 		affinity:    make(map[int]time.Duration),
 	}
+	in.fullLoadW = power.ServerPowerAtUniformLoad(&in.Spec, 1)
 	in.refreshRates()
 	return in
 }
 
 // refreshRates recomputes the cached configuration-derived rates.
 func (in *Instance) refreshRates() {
+	in.decodeW = decodeWeightSecs(in.Spec.Model, in.Config)
 	in.prefillRate = PrefillRate(in.Spec, in.Config)
-	in.decodeRate = DecodeTokenRate(in.Spec, in.Config, in.Config.MaxBatch)
+	in.decodeRate = tokenRate(in.decodeW, in.Config.MaxBatch)
 	in.prefillFrac = GPUPowerFrac(in.Spec, in.Config, Prefill)
 	in.decodeFrac = GPUPowerFrac(in.Spec, in.Config, Decode)
 	in.gpuIdleFrac = in.Spec.GPUIdleW / in.Spec.GPUTDPW
@@ -123,6 +134,7 @@ func (in *Instance) refreshRates() {
 // counters, and re-derives the cached rates from the new spec.
 func (in *Instance) Rehost(spec layout.GPUSpec) {
 	in.Spec = spec
+	in.fullLoadW = power.ServerPowerAtUniformLoad(&in.Spec, 1)
 	in.refreshRates()
 }
 
@@ -133,6 +145,11 @@ func (in *Instance) PrefillRate() float64 { return in.prefillRate }
 // DecodeRate returns DecodeTokenRate(in.Spec, in.Config, in.Config.MaxBatch),
 // cached by refreshRates.
 func (in *Instance) DecodeRate() float64 { return in.decodeRate }
+
+// FullLoadPowerW returns the server power of the instance's hardware at full
+// uniform load, power.ServerPowerAtUniformLoad(&in.Spec, 1), cached at
+// NewInstance and Rehost.
+func (in *Instance) FullLoadPowerW() float64 { return in.fullLoadW }
 
 // EnqueueBulk adds aggregate token demand directly (used when the trace
 // provides per-tick totals rather than individual requests).

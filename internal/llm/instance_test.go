@@ -176,7 +176,8 @@ func TestRehostRederivesRates(t *testing.T) {
 	fresh := NewInstance(h100, in.Config, in.Work, in.SLOs)
 	if in.PrefillRate() != fresh.PrefillRate() || in.DecodeRate() != fresh.DecodeRate() ||
 		in.prefillFrac != fresh.prefillFrac || in.decodeFrac != fresh.decodeFrac ||
-		in.gpuIdleFrac != fresh.gpuIdleFrac || in.slackFull != fresh.slackFull {
+		in.gpuIdleFrac != fresh.gpuIdleFrac || in.slackFull != fresh.slackFull ||
+		in.decodeW != fresh.decodeW || in.FullLoadPowerW() != fresh.FullLoadPowerW() {
 		t.Error("rehosted instance keeps rates of its old hardware")
 	}
 	if in.QueueTokens() != queued || !in.HasAffinity(7) || in.Config != DefaultConfig() {

@@ -42,15 +42,15 @@ const (
 	decodeFreqWeight = 0.3
 )
 
-func gpuFLOPs(spec layout.GPUSpec) float64 {
-	if spec.Model == layout.H100 {
+func gpuFLOPs(m layout.GPUModel) float64 {
+	if m == layout.H100 {
 		return h100TFLOPs
 	}
 	return a100TFLOPs
 }
 
-func gpuMemBW(spec layout.GPUSpec) float64 {
-	if spec.Model == layout.H100 {
+func gpuMemBW(m layout.GPUModel) float64 {
+	if m == layout.H100 {
 		return h100MemBW
 	}
 	return a100MemBW
@@ -77,7 +77,7 @@ func prefillBatchEff(batch int) float64 {
 // PrefillRate returns prompt tokens/s for a configuration on the given
 // hardware: compute-bound, linear in TP, frequency, and FP8 boost.
 func PrefillRate(spec layout.GPUSpec, c Config) float64 {
-	flops := gpuFLOPs(spec) * float64(c.TP) * computeMFU
+	flops := gpuFLOPs(spec.Model) * float64(c.TP) * computeMFU
 	perToken := 2 * c.Model.Params() // FLOPs per token ≈ 2 × params
 	return flops / perToken * c.FreqFrac * quantComputeBoost(c.Quant) * prefillBatchEff(c.MaxBatch)
 }
@@ -86,19 +86,37 @@ func PrefillRate(spec layout.GPUSpec, c Config) float64 {
 // running batch size: every step streams the full weights once, plus a KV
 // overhead per batch slot. Frequency enters with a small weight only.
 func DecodeStepTime(spec layout.GPUSpec, c Config, batch int) time.Duration {
+	return decodeStep(decodeWeightSecs(spec.Model, c), batch)
+}
+
+// decodeWeightSecs is the weight-streaming term of a decode step, the part
+// that depends only on the GPU generation and the configuration. Instances
+// cache it (refreshRates) so request-level decode steps skip recomputing it.
+func decodeWeightSecs(m layout.GPUModel, c Config) float64 {
+	weightBytes := c.Model.Params() * c.Quant.BytesPerParam()
+	bw := gpuMemBW(m) * float64(c.TP) * memMBU
+	freqFactor := (1 - decodeFreqWeight) + decodeFreqWeight*c.FreqFrac
+	return weightBytes / bw / freqFactor
+}
+
+// decodeStep adds the KV overhead of a running batch (at least one slot) to
+// the weight-streaming term and rounds the step to a Duration.
+func decodeStep(weightSecs float64, batch int) time.Duration {
 	if batch < 1 {
 		batch = 1
 	}
-	weightBytes := c.Model.Params() * c.Quant.BytesPerParam()
-	bw := gpuMemBW(spec) * float64(c.TP) * memMBU
-	freqFactor := (1 - decodeFreqWeight) + decodeFreqWeight*c.FreqFrac
-	secs := weightBytes/bw/freqFactor + kvStepOverhead*float64(batch)
+	secs := weightSecs + kvStepOverhead*float64(batch)
 	return time.Duration(secs * float64(time.Second))
 }
 
 // DecodeTokenRate returns aggregate output tokens/s at a running batch size.
 func DecodeTokenRate(spec layout.GPUSpec, c Config, batch int) float64 {
-	step := DecodeStepTime(spec, c, batch).Seconds()
+	return tokenRate(decodeWeightSecs(spec.Model, c), batch)
+}
+
+// tokenRate is DecodeTokenRate from a decode step's weight-streaming term.
+func tokenRate(weightSecs float64, batch int) float64 {
+	step := decodeStep(weightSecs, batch).Seconds()
 	return float64(batch) / step
 }
 

@@ -33,7 +33,8 @@ type Profile struct {
 
 	// index maps a configuration to its position in Entries. Entry is called
 	// per instance per tick by the router, so the lookup must not scan (and
-	// copy) the whole entry table.
+	// copy) the whole entry table. Every Profile comes from BuildProfile,
+	// which fills index and the lists below in one pass over Entries.
 	index map[Config]int
 
 	// FullQuality lists the positions in Entries (preserving the goodput
@@ -44,6 +45,61 @@ type Profile struct {
 	// position in goodput order, the list scanned under a lower floor.
 	FullQuality []int
 	AnyQuality  []int
+
+	// classFull and classAny split FullQuality and AnyQuality by reload
+	// class (reloadClass), each keeping goodput order: the lists a search
+	// restricted to the current model, quantization and TP visits.
+	classFull [reloadClasses][]int
+	classAny  [reloadClasses][]int
+}
+
+// reloadClasses counts the reload classes of the knob grid: one per
+// (model, quantization, TP) triple.
+const reloadClasses = 3 * 2 * 3
+
+// reloadClass numbers c's reload class in [0, reloadClasses): configurations
+// of one class switch among each other without a reload (ReconfigTime 0).
+// It returns -1 when c's model, quantization or TP lies off the knob grid,
+// a class no profile entry belongs to.
+func reloadClass(c Config) int {
+	var tp int
+	switch c.TP {
+	case 2:
+		tp = 0
+	case 4:
+		tp = 1
+	case 8:
+		tp = 2
+	default:
+		return -1
+	}
+	if c.Model < Llama7B || c.Model > Llama70B || c.Quant < FP16 || c.Quant > FP8 {
+		return -1
+	}
+	return (int(c.Model)*2+int(c.Quant))*3 + tp
+}
+
+// Candidates returns the positions in Entries, in goodput order, that a
+// search under qualityFloor has to visit: FullQuality when the floor is 1 or
+// more (no other entry meets it), AnyQuality below. With sameClass it keeps
+// only the entries of cur's reload class, the only ones reachable without a
+// reload. The slice is shared by every caller and must not be modified.
+func (p *Profile) Candidates(cur Config, qualityFloor float64, sameClass bool) []int {
+	full := qualityFloor >= 1
+	if !sameClass {
+		if full {
+			return p.FullQuality
+		}
+		return p.AnyQuality
+	}
+	k := reloadClass(cur)
+	if k < 0 {
+		return nil
+	}
+	if full {
+		return p.classFull[k]
+	}
+	return p.classAny[k]
 }
 
 // BuildProfile characterizes every valid configuration, computing the data
@@ -66,8 +122,11 @@ func BuildProfile(spec layout.GPUSpec, w Workload) *Profile {
 	for i, e := range p.Entries {
 		p.index[e.Config] = i
 		p.AnyQuality[i] = i
+		k := reloadClass(e.Config)
+		p.classAny[k] = append(p.classAny[k], i)
 		if e.Quality >= 1 {
 			p.FullQuality = append(p.FullQuality, i)
+			p.classFull[k] = append(p.classFull[k], i)
 		}
 	}
 	return p
@@ -104,17 +163,8 @@ func phaseTimeShare(spec layout.GPUSpec, c Config, w Workload) float64 {
 
 // Entry returns the profile entry for an exact configuration.
 func (p *Profile) Entry(c Config) (ProfileEntry, bool) {
-	if p.index != nil {
-		if i, ok := p.index[c]; ok {
-			return p.Entries[i], true
-		}
-		return ProfileEntry{}, false
-	}
-	// Profiles assembled by hand (tests) have no index; fall back to a scan.
-	for _, e := range p.Entries {
-		if e.Config == c {
-			return e, true
-		}
+	if i, ok := p.index[c]; ok {
+		return p.Entries[i], true
 	}
 	return ProfileEntry{}, false
 }

@@ -67,6 +67,53 @@ func TestFullQualityIsLlama70BFP16(t *testing.T) {
 	}
 }
 
+// TestCandidatesAreClassFilters pins the lists a configuration search
+// visits: for every configuration of both generations' grids, and for
+// configurations off the grid, under quality floors 1 and 0.6, Candidates
+// must hold exactly the entries that can meet the floor (full quality at
+// floor 1) and, restricted to the same class, only those a switch reaches
+// without a reload, in goodput order. The grid has 18 reload classes of at
+// most 20 entries, and only the 70B FP16 classes hold full-quality entries.
+func TestCandidatesAreClassFilters(t *testing.T) {
+	for _, m := range []layout.GPUModel{layout.A100, layout.H100} {
+		p := BuildProfile(layout.Spec(m), DefaultWorkload())
+		curs := append(ConfigSpace(p.Spec),
+			Config{Model: Llama70B, Quant: FP16, TP: 3, MaxBatch: 64, FreqFrac: 1},
+			Config{Model: ModelSize(3), Quant: FP16, TP: 8, MaxBatch: 64, FreqFrac: 1},
+			Config{Model: Llama7B, Quant: Quant(2), TP: 2, MaxBatch: 1, FreqFrac: 1})
+		for _, cur := range curs {
+			for _, floor := range []float64{1, 0.6} {
+				for _, sameClass := range []bool{false, true} {
+					var want []int
+					for i, e := range p.Entries {
+						if (floor < 1 || e.Quality >= 1) && (!sameClass || ReconfigTime(cur, e.Config) == 0) {
+							want = append(want, i)
+						}
+					}
+					if got := p.Candidates(cur, floor, sameClass); !slices.Equal(got, want) {
+						t.Fatalf("%v: Candidates(%v, floor %v, same class %v) = %v, want %v", m, cur, floor, sameClass, got, want)
+					}
+				}
+			}
+		}
+		sizes := map[int]int{}
+		for _, e := range p.Entries {
+			sizes[reloadClass(e.Config)]++
+		}
+		if len(sizes) != reloadClasses {
+			t.Errorf("%v: entries fall in %d reload classes, want %d", m, len(sizes), reloadClasses)
+		}
+		for k, n := range sizes {
+			if k < 0 || k >= reloadClasses || n > 20 {
+				t.Errorf("%v: reload class %d holds %d entries, want a class in [0, %d) of at most 20", m, k, n, reloadClasses)
+			}
+		}
+		if got := p.Candidates(Config{Model: Llama13B, Quant: FP16, TP: 8, MaxBatch: 64, FreqFrac: 1}, 1, true); len(got) != 0 {
+			t.Errorf("%v: a 13B class lists full-quality entries %v", m, got)
+		}
+	}
+}
+
 func TestParetoFrontier(t *testing.T) {
 	p := buildTestProfile(t)
 	for _, m := range []ModelSize{Llama70B, Llama13B, Llama7B} {

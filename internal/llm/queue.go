@@ -80,6 +80,12 @@ type RequestQueue struct {
 	opUnitLeft float64 // full-speed seconds of work remaining in the op
 	opStart    float64 // wall clock when the op began
 
+	// decodeUnit's memo: the step length of the last (weight term, batch)
+	// it computed. The batch changes only when a sequence joins or leaves.
+	unitW     float64
+	unitBatch int
+	unitSecs  float64
+
 	// O(1) backlog bookkeeping (token sums over waiting/active).
 	waitingPrompt float64
 	waitingOutput float64
@@ -112,7 +118,7 @@ func (q *RequestQueue) ActiveLen() int { return len(q.active) }
 // queue's wall clock starts at `at` (the simulation time the instance begins
 // serving), so latencies of requests admitted later are measured correctly.
 func (in *Instance) AttachQueue(at time.Duration) {
-	in.queue = &RequestQueue{now: at.Seconds()}
+	in.queue = &RequestQueue{now: at.Seconds(), unitBatch: -1}
 }
 
 // Queue returns the attached request queue, nil in fluid mode.
@@ -253,9 +259,15 @@ func (q *RequestQueue) canPrefill(in *Instance) bool {
 }
 
 // decodeUnit is the full-speed seconds of one decode iteration over the
-// running batch.
+// running batch: DecodeStepTime(in.Spec, in.Config, len(q.active)).Seconds()
+// from the instance's cached weight-streaming term, memoized on that term
+// and the batch size.
 func (q *RequestQueue) decodeUnit(in *Instance) float64 {
-	return DecodeStepTime(in.Spec, in.Config, len(q.active)).Seconds()
+	if len(q.active) != q.unitBatch || in.decodeW != q.unitW {
+		q.unitW, q.unitBatch = in.decodeW, len(q.active)
+		q.unitSecs = decodeStep(q.unitW, q.unitBatch).Seconds()
+	}
+	return q.unitSecs
 }
 
 // decodeRun advances, in one pass, the decode iterations that follow an op

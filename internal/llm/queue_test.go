@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/layout"
+	"github.com/tapas-sim/tapas/internal/power"
 	"github.com/tapas-sim/tapas/internal/regress"
 )
 
@@ -15,6 +16,52 @@ func queueInstance(c Config) *Instance {
 	in := NewInstance(spec, c, w, ComputeSLOs(spec, DefaultConfig(), w))
 	in.AttachQueue(0)
 	return in
+}
+
+// TestDecodeUnitMatchesDecodeStepTime pins the request queue's decode step,
+// built from the instance's cached weight-streaming term, to DecodeStepTime
+// by float bits: every configuration of both generations, every running
+// batch from 0 to MaxBatch+1, after Reconfigure and after Rehost across
+// generations. The cached decode rate and full-load power must follow too.
+func TestDecodeUnitMatchesDecodeStepTime(t *testing.T) {
+	specs := []layout.GPUSpec{layout.Spec(layout.A100), layout.Spec(layout.H100)}
+	w := DefaultWorkload()
+	active := make([]*queuedReq, 66)
+	check := func(in *Instance, after string) {
+		t.Helper()
+		// The batch the last check left comes first, so a change of the
+		// weight term alone must refresh decodeUnit's memo.
+		batches := []int{len(in.queue.active)}
+		for n := 0; n <= in.Config.MaxBatch+1; n++ {
+			batches = append(batches, n)
+		}
+		for _, n := range batches {
+			in.queue.active = active[:n]
+			got, want := in.queue.decodeUnit(in), DecodeStepTime(in.Spec, in.Config, n).Seconds()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v on %v after %s, batch %d: decodeUnit = %v, DecodeStepTime = %v", in.Config, in.Spec.Model, after, n, got, want)
+			}
+		}
+		if got, want := in.DecodeRate(), DecodeTokenRate(in.Spec, in.Config, in.Config.MaxBatch); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v on %v after %s: decode rate %v, DecodeTokenRate %v", in.Config, in.Spec.Model, after, got, want)
+		}
+		if got, want := in.FullLoadPowerW(), power.ServerPowerAtUniformLoad(&in.Spec, 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%v after %s: full-load power %v W, want %v W", in.Spec.Model, after, got, want)
+		}
+	}
+	for i, spec := range specs {
+		in := NewInstance(spec, DefaultConfig(), w, ComputeSLOs(spec, DefaultConfig(), w))
+		in.AttachQueue(0)
+		check(in, "NewInstance")
+		for _, c := range ConfigSpace(spec) {
+			in.Reconfigure(c)
+			check(in, "Reconfigure")
+			in.Rehost(specs[1-i])
+			check(in, "Rehost")
+			in.Rehost(spec)
+			check(in, "Rehost back")
+		}
+	}
 }
 
 // TestQueueSingleRequestLatencies pins the analytic latencies of one request

@@ -139,13 +139,13 @@ type Result struct {
 	// point to point, so norm_* metrics always divide by the envelopes of
 	// the layout they ran against.
 	Prov []Prov
-	// Compiles is the number of unique scenario compilations the grid
-	// required after content-key deduplication — axes that collapse to
-	// identical compile-relevant scenarios, or that vary only runtime
-	// fields such as the climate, share one compilation, so this can be
-	// smaller than len(Campaign.Points). With a shared RunOptions.Cache some
-	// of these may additionally have been served from the cache without any
-	// compile work (see sim.CompileCache.Stats).
+	// Compiles is the number of distinct scenario keys (sim.ScenarioKey)
+	// in the grid — axes that collapse to identical compile-relevant
+	// scenarios, or that vary only runtime fields such as the climate,
+	// share one key, so this can be smaller than len(Campaign.Points). It
+	// is not a count of cold compiles: with a shared RunOptions.Cache any
+	// of these keys may be served without compile work (see
+	// sim.CompileCache.Stats).
 	Compiles int
 }
 

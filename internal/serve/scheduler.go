@@ -184,7 +184,7 @@ const (
 
 // Event is one JSON-lines record of a campaign's event stream. Fields are
 // populated per type: queued/start carry the campaign shape, progress the
-// run counters, result the compile and run counts, done the terminal status
+// run counters, result the scenario and run counts, done the terminal status
 // (and error, if any). The rendered report is not an event field: fetch it
 // with Job.Report or GET /campaigns/{id}/report once the job is done.
 type Event struct {
@@ -196,7 +196,7 @@ type Event struct {
 	Runs     int    `json:"runs,omitempty"`
 	Done     int    `json:"done,omitempty"`
 	Total    int    `json:"total,omitempty"`
-	Compiles int    `json:"compiles,omitempty"`
+	Compiles int    `json:"compiles,omitempty"` // distinct scenario keys (scenario.Result.Compiles), not cold compiles
 	Status   Status `json:"status,omitempty"`
 	Error    string `json:"error,omitempty"`
 }
@@ -356,9 +356,9 @@ func (j *Job) Report() []byte {
 	return j.report
 }
 
-// Progress returns completed runs, total runs, and the compile count (the
-// latter 0 until the result event).
-func (j *Job) Progress() (done, total, compiles int) {
+// Progress returns completed runs, total runs, and the number of distinct
+// scenario keys (0 until the result event).
+func (j *Job) Progress() (done, total, scenarios int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.progress, j.Campaign.Runs(), j.compiles

@@ -49,7 +49,7 @@ type jobJSON struct {
 	Status   Status `json:"status"`
 	Runs     int    `json:"runs"`
 	Done     int    `json:"done"`
-	Compiles int    `json:"compiles,omitempty"`
+	Compiles int    `json:"compiles,omitempty"` // distinct scenario keys, as in Event
 	Error    string `json:"error,omitempty"`
 }
 
