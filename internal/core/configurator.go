@@ -53,8 +53,7 @@ func newConfigurator(prof *Profiles) *configurator {
 // configure re-decides the configuration of every placed SaaS instance that
 // is not mid-reload. It walks the endpoint lists cluster.State keeps, which
 // hold exactly the placed SaaS VMs, so departed, unarrived and IaaS VMs cost
-// nothing; absent pressure or backlog, each instance is re-evaluated on a
-// staggered cadence. pick does the scan.
+// nothing; pick does the scan.
 func (c *configurator) configure(st *cluster.State) {
 	emergency := st.Budget.Multiplier() < 1 || st.AirflowLimitFrac < 1
 	qualityFloor := 1.0
@@ -108,9 +107,8 @@ func (c *configurator) configure(st *cluster.State) {
 
 	tickSecs := st.Tick.Seconds()
 	tickNo := int(st.Now / st.Tick)
-	// The endpoint lists hold exactly the placed SaaS VMs. Each VM's
-	// decision reads only its own instance and the telemetry above, so the
-	// endpoint-major visiting order changes no result.
+	// Each VM's decision reads only its own instance and the telemetry
+	// above, so the endpoint-major visiting order changes no result.
 	for ep := range st.Work.Endpoints {
 		for _, vm := range st.EndpointInstances(ep) {
 			in := vm.Instance

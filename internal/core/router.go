@@ -249,9 +249,7 @@ func scoreRequest(st *cluster.State, insts []*cluster.VM, req llm.Request, affin
 		}
 		// The affinity factor, in (0, 1], and the penalty, ≥ 0, leave the
 		// score at least score × affinity, or at least score when a backlog
-		// a few ulps below zero makes the product the larger. A candidate
-		// whose bound cannot beat the best skips the affinity lookup and
-		// the headroom reads.
+		// a few ulps below zero makes the product the larger.
 		bound := score * affinity
 		if score < bound {
 			bound = score
