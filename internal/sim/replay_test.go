@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tapas-sim/tapas/internal/core"
 	"github.com/tapas-sim/tapas/internal/trace"
 	"github.com/tapas-sim/tapas/internal/trace/transform"
 )
@@ -77,6 +78,58 @@ func TestReplayReproducesGeneratedRun(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCustomerIDsAreLabels: a customer ID only groups IaaS VMs, so
+// relabeling every IaaS customer c of a replayed trace to c+2^50 must replay
+// to the same result bits under TAPAS (which places by per-customer peaks)
+// and the baseline. A table sized by the largest ID would exceed Go's
+// allocation limit at 2^50 and panic before allocating; the panic is
+// recovered so it fails this test instead of the test binary.
+func TestCustomerIDsAreLabels(t *testing.T) {
+	sc := quickReplayScenario()
+	wl, err := GenerateWorkload(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := *wl
+	huge.VMs = append([]trace.VMSpec(nil), wl.VMs...)
+	for i := range huge.VMs {
+		if huge.VMs[i].Kind == trace.IaaS {
+			huge.VMs[i].Customer += 1 << 50
+		}
+	}
+	for _, pol := range []struct {
+		name string
+		new  func() Policy
+	}{
+		{"tapas", func() Policy { return core.NewFull() }},
+		{"baseline", func() Policy { return core.New(core.Options{}) }},
+	} {
+		t.Run(pol.name, func(t *testing.T) {
+			run := func(w *trace.Workload) (res *Result, err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("run panicked: %v", p)
+					}
+				}()
+				rsc := sc
+				rsc.Trace = w
+				return Run(rsc, pol.new())
+			}
+			want, err := run(wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := run(&huge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := fingerprintResult(got), fingerprintResult(want); g != w {
+				t.Errorf("relabeled customers changed the result:\ngot:\n%s\nwant:\n%s", g, w)
+			}
+		})
 	}
 }
 
@@ -169,6 +222,19 @@ func TestReplayValidation(t *testing.T) {
 		_, err := Compile(bad)
 		if err == nil || !strings.Contains(err.Error(), "endpoint ids must be dense") {
 			t.Errorf("got %v, want dense-endpoint-id rejection", err)
+		}
+	})
+	t.Run("zero avg prompt tokens", func(t *testing.T) {
+		// Instances divide by the endpoint's mean prompt length; at 0 the
+		// division poisons every SaaS metric with NaN.
+		zero := *wl
+		zero.Endpoints = append([]trace.EndpointSpec(nil), wl.Endpoints...)
+		zero.Endpoints[0].Work.AvgPromptTokens = 0
+		bad := sc
+		bad.Trace = &zero
+		_, err := Compile(bad)
+		if err == nil || !strings.Contains(err.Error(), "non-positive avg_prompt_tokens 0") {
+			t.Errorf("got %v, want avg_prompt_tokens rejection", err)
 		}
 	})
 	t.Run("unsorted arrivals", func(t *testing.T) {

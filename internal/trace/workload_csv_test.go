@@ -145,6 +145,8 @@ func TestReadWorkloadCSVErrors(t *testing.T) {
 		"endpoint bad id":      {withLine(2, "endpoint,x"+strings.TrimPrefix(lines[2], "endpoint,0")), "field 2 (id)"},
 		"duplicate endpoint":   {withLine(3, lines[2]), "endpoint ids must be dense"},
 		"endpoint shifted id":  {withLine(2, "endpoint,7"+strings.TrimPrefix(lines[2], "endpoint,0")), "endpoint id 7, want 0"},
+		"endpoint zero prompt": {withLine(2, "endpoint,0,5,0,256,0.25,0.65,1,0.25,0.05,42,2.5,100,7,0"), "row 3: non-positive avg_prompt_tokens 0"},
+		"endpoint neg prompt":  {withLine(2, "endpoint,0,5,-1024,256,0.25,0.65,1,0.25,0.05,42,2.5,100,7,0"), "row 3: non-positive avg_prompt_tokens -1024"},
 		"vm field count":       {withLine(firstVM, "vm,1,2"), "vm record has 3 fields"},
 		"vm bad kind":          {withLine(firstVM, "vm,0,7,0,-1,0,3600000000000,0,0,0,0,0,0,0"), "invalid VM kind 7"},
 		"vm duplicate id":      {withLine(firstVM+1, lines[firstVM]), "VM ids must be dense"},
