@@ -108,11 +108,12 @@ type State struct {
 	// PeakEpoch counts changes to the two peak maps above, so a consumer
 	// that caches EstimateVMPeakLoad results can tell when they went stale.
 	PeakEpoch uint64
-	// customerPeak mirrors CustomerPeakLoad densely for the customer IDs
-	// present in the workload: ObserveCustomerLoad runs per IaaS server per
+	// customerPeak mirrors CustomerPeakLoad densely for the IaaS customer
+	// IDs below the VM count: ObserveCustomerLoad runs per IaaS server per
 	// tick and the map lookup dominated it. The map stays the source
 	// external readers see; the mirror only short-circuits the no-new-peak
-	// common case.
+	// common case. IDs are labels from the trace, so the VM count bounds
+	// the mirror and larger IDs take the map path.
 	customerPeak []float64
 
 	histAccum time.Duration
@@ -187,7 +188,7 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		maxCustomer := -1
 		for i := range w.VMs {
 			st.VMs[i] = &VM{Spec: w.VMs[i], Server: -1}
-			if c := w.VMs[i].Customer; c > maxCustomer {
+			if c := w.VMs[i].Customer; w.VMs[i].Kind == trace.IaaS && c > maxCustomer && c < len(w.VMs) {
 				maxCustomer = c
 			}
 		}
