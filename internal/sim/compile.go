@@ -299,10 +299,9 @@ func workloadFor(sc Scenario, servers int) (*trace.Workload, error) {
 // admits: the scenario's log transformed by its chain (time_warp rescales
 // arrivals, demand_scale thins or replicates — the ops that reshape endpoint
 // sets are rejected, see transform.Chain.ApplyRequests), then validated
-// against the workload the engine will serve it with: arrivals sorted (the
-// engine admits through a monotone cursor), token counts non-negative, and
-// every endpoint reference within the workload's endpoint set (queues are
-// indexed positionally).
+// against the workload the engine will serve it with by
+// trace.ValidateRequests, the per-request check the request CSV reader and
+// writer apply.
 func requestsFor(sc Scenario, w *trace.Workload) ([]llm.Request, error) {
 	if len(sc.Requests) == 0 {
 		return nil, nil
@@ -311,19 +310,8 @@ func requestsFor(sc Scenario, w *trace.Workload) ([]llm.Request, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: applying transforms to the request log: %w", err)
 	}
-	var prev time.Duration
-	for i := range reqs {
-		rq := &reqs[i]
-		if rq.Endpoint < 0 || rq.Endpoint >= len(w.Endpoints) {
-			return nil, fmt.Errorf("sim: request log invalid: request %d targets endpoint %d, but the workload has %d endpoints", rq.ID, rq.Endpoint, len(w.Endpoints))
-		}
-		if rq.PromptTokens < 0 || rq.OutputTokens < 0 {
-			return nil, fmt.Errorf("sim: request log invalid: request %d has negative token counts", rq.ID)
-		}
-		if rq.Arrival < prev {
-			return nil, fmt.Errorf("sim: request log invalid: request %d arrives at %v, before the previous request's %v; the log must be sorted by arrival", rq.ID, rq.Arrival, prev)
-		}
-		prev = rq.Arrival
+	if err := trace.ValidateRequests(reqs, len(w.Endpoints)); err != nil {
+		return nil, fmt.Errorf("sim: request log invalid: %w", err)
 	}
 	return reqs, nil
 }
@@ -331,11 +319,9 @@ func requestsFor(sc Scenario, w *trace.Workload) ([]llm.Request, error) {
 // validateReplay checks that a recorded (and possibly transformed) workload
 // fits the scenario it is replayed under, so a stale trace fails loudly
 // instead of silently simulating a different cluster. The structural checks
-// (dense IDs, sorted arrivals, valid endpoint references —
-// trace.Workload.Validate) mirror trace.ReadWorkloadCSV for traces built
-// programmatically: the engine indexes VM and endpoint state positionally
-// and admits arrivals through a monotone cursor, so a shifted ID or
-// out-of-order arrival would corrupt the run instead of erroring.
+// are trace.Workload.Validate, the per-record checks trace.ReadWorkloadCSV
+// applies to each row, so a trace built programmatically meets the same
+// rules as a loaded one.
 func validateReplay(w *trace.Workload, servers int, duration time.Duration) error {
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("sim: replay trace invalid: %w", err)

@@ -224,6 +224,17 @@ func TestReplayValidation(t *testing.T) {
 			t.Errorf("got %v, want dense-endpoint-id rejection", err)
 		}
 	})
+	t.Run("saas fraction out of range", func(t *testing.T) {
+		// A programmatic trace meets the CSV reader's config check.
+		mix := *wl
+		mix.Config.SaaSFraction = 1.5
+		bad := sc
+		bad.Trace = &mix
+		_, err := Compile(bad)
+		if err == nil || !strings.Contains(err.Error(), "saas_fraction 1.5 out of [0,1]") {
+			t.Errorf("got %v, want saas_fraction rejection", err)
+		}
+	})
 	t.Run("zero avg prompt tokens", func(t *testing.T) {
 		// Instances divide by the endpoint's mean prompt length; at 0 the
 		// division poisons every SaaS metric with NaN.

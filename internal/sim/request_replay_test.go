@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +86,31 @@ func TestRequestReplayPopulatesSLOAccounting(t *testing.T) {
 	}
 	if res.SaaSServedTokens <= 0 {
 		t.Error("request replay served no tokens")
+	}
+}
+
+// TestRequestLogValidation: Compile admits a request log only through
+// trace.ValidateRequests, bounded by the workload's endpoint set (the small
+// scenario has 3 endpoints).
+func TestRequestLogValidation(t *testing.T) {
+	cases := map[string]struct {
+		edit    func(reqs []llm.Request)
+		wantSub string
+	}{
+		"endpoint beyond the workload": {func(r []llm.Request) { r[3].Endpoint = 3 }, "request 3: endpoint 3, but the workload has 3 endpoints"},
+		"negative endpoint":            {func(r []llm.Request) { r[3].Endpoint = -1 }, "request 3: negative endpoint -1"},
+		"negative tokens":              {func(r []llm.Request) { r[4].OutputTokens = -1 }, "request 4: negative token count"},
+		"unsorted":                     {func(r []llm.Request) { r[5].Arrival = r[4].Arrival - 1 }, "request 5: arrival"},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			reqs := syntheticRequests(20, 3, time.Minute)
+			tc.edit(reqs)
+			_, err := Compile(requestScenario(reqs))
+			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Errorf("got %v, want an error containing %q", err, tc.wantSub)
+			}
+		})
 	}
 }
 

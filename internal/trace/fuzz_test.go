@@ -11,8 +11,9 @@ import (
 // The fuzzers pin two contracts on every CSV reader: no input may panic, and
 // every rejection must surface as a wrapped, descriptive error (the "trace:"
 // prefix carries the package and, for row-level problems, the 1-based row).
-// Accepted inputs must additionally survive a write→read round trip, so the
-// readers and writers cannot drift apart.
+// Accepted inputs must additionally pass the shared in-memory checks
+// (Workload.Validate, ValidateRequests) and survive a write→read round trip,
+// so the readers, the writers and the checks cannot drift apart.
 
 func seedWorkloadCSV(f *testing.F) {
 	w, err := Generate(WorkloadConfig{
@@ -67,6 +68,9 @@ func FuzzReadWorkloadCSV(f *testing.F) {
 		if err != nil {
 			checkFuzzErr(t, err)
 			return
+		}
+		if err := wl.Validate(); err != nil {
+			t.Fatalf("accepted workload fails Validate: %v", err)
 		}
 		// Accepted input must re-serialize and re-parse to the exact same
 		// workload (sound because non-finite floats are rejected above).
@@ -147,15 +151,23 @@ func FuzzReadRequestsCSV(f *testing.F) {
 	valid := buf.String()
 	f.Add([]byte(valid))
 	f.Add([]byte(strings.TrimRight(valid, "\n")))
-	f.Add([]byte("id,customer,prompt,output,arrival_ns\n1,2,3\n"))
-	f.Add([]byte("id,customer,prompt,output,arrival_ns\nx,2,3,4,5\n"))
-	f.Add([]byte("\xef\xbb\xbfid,customer,prompt,output,arrival_ns\n"))
+	f.Add([]byte("id,customer,endpoint,prompt,output,arrival_ns\n0,2,3\n"))
+	f.Add([]byte("id,customer,endpoint,prompt,output,arrival_ns\nx,2,0,3,4,5\n"))
+	f.Add([]byte("\xef\xbb\xbfid,customer,endpoint,prompt,output,arrival_ns\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reqs, err := ReadRequestsCSV(bytes.NewReader(data))
 		if err != nil {
 			checkFuzzErr(t, err)
 			return
+		}
+		// The smallest endpoint set the log could replay against.
+		endpoints := 0
+		for _, r := range reqs {
+			endpoints = max(endpoints, r.Endpoint+1)
+		}
+		if err := ValidateRequests(reqs, endpoints); err != nil {
+			t.Fatalf("accepted log fails ValidateRequests: %v", err)
 		}
 		var buf bytes.Buffer
 		if err := WriteRequestsCSV(&buf, reqs); err != nil {

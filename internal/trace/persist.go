@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"time"
@@ -49,12 +50,15 @@ func WriteVMsCSV(w io.Writer, vms []VMSpec) error {
 	return cw.Error()
 }
 
-// validateRequest checks one request against the invariants fine-grained
-// replay relies on: non-negative token counts and arrival, and arrivals
-// non-decreasing (replay engines consume the stream through a monotone
-// cursor, like VM arrivals). Shared by the writer and the reader so the two
-// cannot drift: anything the writer archives, the reader accepts.
-func validateRequest(r llm.Request, prev time.Duration) error {
+// validateRequest checks one request of a log against the invariants
+// request-level replay relies on: non-negative token counts and arrival,
+// arrivals non-decreasing after prev, the previous request's (the engine
+// admits through a monotone cursor, like VM arrivals), and an endpoint in
+// [0, endpoints) (queues are indexed positionally). The CSV writer and
+// reader apply it row by row, where the endpoint set is not known
+// (endpoints = math.MaxInt), so anything the writer archives the reader
+// accepts; ValidateRequests applies it against a workload's endpoint set.
+func validateRequest(r *llm.Request, prev time.Duration, endpoints int) error {
 	if r.PromptTokens < 0 || r.OutputTokens < 0 {
 		return fmt.Errorf("negative token count (%d, %d)", r.PromptTokens, r.OutputTokens)
 	}
@@ -64,28 +68,58 @@ func validateRequest(r llm.Request, prev time.Duration) error {
 	if r.Arrival < prev {
 		return fmt.Errorf("arrival %v before the previous request's %v (requests must be sorted by arrival)", r.Arrival, prev)
 	}
+	if r.Endpoint < 0 {
+		return fmt.Errorf("negative endpoint %d", r.Endpoint)
+	}
+	if r.Endpoint >= endpoints {
+		return fmt.Errorf("endpoint %d, but the workload has %d endpoints", r.Endpoint, endpoints)
+	}
+	return nil
+}
+
+// ValidateRequests checks a request log against the workload it is replayed
+// with, which has the given number of endpoints, through the same
+// per-request check the CSV reader and writer apply to each row.
+func ValidateRequests(reqs []llm.Request, endpoints int) error {
+	var prev time.Duration
+	for i := range reqs {
+		if err := validateRequest(&reqs[i], prev, endpoints); err != nil {
+			return fmt.Errorf("trace: request %d: %w", i, err)
+		}
+		prev = reqs[i].Arrival
+	}
+	return nil
+}
+
+// validateRequestID enforces the request CSV's ID rule: the request on data row
+// i (0-based) has ID i, so IDs are dense, ascending and unique. Every
+// producer numbers its log this way; the engine never reads request IDs, so
+// the rule belongs to the file format, not to ValidateRequests.
+func validateRequestID(id int64, i int) error {
+	if id != int64(i) {
+		return fmt.Errorf("request id %d, want %d (request ids must be dense 0..n-1 in row order)", id, i)
+	}
 	return nil
 }
 
 // WriteRequestsCSV serializes a request stream (id,customer,endpoint,prompt,
 // output,arrival_ns) for request-level replay. Requests are validated as
-// they are written — negative counts or out-of-order arrivals would archive
-// a stream the reader (rightly) refuses to load back.
+// they are written, so the writer never archives a stream the reader
+// (rightly) refuses to load back.
 func WriteRequestsCSV(w io.Writer, reqs []llm.Request) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"id", "customer", "endpoint", "prompt", "output", "arrival_ns"}); err != nil {
 		return fmt.Errorf("trace: writing requests header: %w", err)
 	}
 	var prev time.Duration
-	seen := make(map[int64]bool, len(reqs))
-	for i, r := range reqs {
-		if err := validateRequest(r, prev); err != nil {
-			return fmt.Errorf("trace: writing request %d (id %d): %w", i, r.ID, err)
+	for i := range reqs {
+		r := &reqs[i]
+		if err := validateRequestID(r.ID, i); err != nil {
+			return fmt.Errorf("trace: writing request %d: %w", i, err)
 		}
-		if seen[r.ID] {
-			return fmt.Errorf("trace: writing request %d: duplicate request id %d", i, r.ID)
+		if err := validateRequest(r, prev, math.MaxInt); err != nil {
+			return fmt.Errorf("trace: writing request %d: %w", i, err)
 		}
-		seen[r.ID] = true
 		prev = r.Arrival
 		rec := []string{
 			strconv.FormatInt(r.ID, 10),
@@ -107,12 +141,9 @@ func WriteRequestsCSV(w io.Writer, reqs []llm.Request) error {
 }
 
 // ReadRequestsCSV parses a stream written by WriteRequestsCSV. It streams —
-// every row is validated as it arrives (header names, field parses,
-// duplicate IDs, non-negative counts, sorted arrivals) rather than after
-// materializing the slice — and errors carry the 1-based CSV row (the header
-// is row 1). Both the current 6-column layout and the
-// legacy 5-column form without the endpoint column (every request targets
-// endpoint 0) are accepted; the writer always emits 6 columns.
+// every row is validated as it arrives (header names, field parses, the ID
+// rule and the per-request check) rather than after materializing the
+// slice — and errors carry the 1-based CSV row (the header is row 1).
 func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -123,13 +154,8 @@ func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 		return nil, fmt.Errorf("trace: requests CSV row 1: %w", err)
 	}
 	want := []string{"id", "customer", "endpoint", "prompt", "output", "arrival_ns"}
-	hasEndpoint := true
-	if len(header) == len(want)-1 {
-		// Legacy 5-column stream: no endpoint column.
-		want = []string{"id", "customer", "prompt", "output", "arrival_ns"}
-		hasEndpoint = false
-	} else if len(header) != len(want) {
-		return nil, fmt.Errorf("trace: requests CSV row 1: header has %d columns, want %d (or the legacy %d without endpoint)", len(header), len(want), len(want)-1)
+	if len(header) != len(want) {
+		return nil, fmt.Errorf("trace: requests CSV row 1: header has %d columns, want %d", len(header), len(want))
 	}
 	for i, name := range want {
 		if header[i] != name {
@@ -137,7 +163,6 @@ func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 		}
 	}
 	var out []llm.Request
-	seen := map[int64]bool{}
 	var prev time.Duration
 	row := 1
 	for {
@@ -153,33 +178,26 @@ func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: id: %w", row, err)
 		}
-		if seen[id] {
-			return nil, fmt.Errorf("trace: requests CSV row %d: duplicate request id %d", row, id)
+		if err := validateRequestID(id, len(out)); err != nil {
+			return nil, fmt.Errorf("trace: requests CSV row %d: %w", row, err)
 		}
 		customer, err := strconv.Atoi(rec[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: customer: %w", row, err)
 		}
-		endpoint, col := 0, 2
-		if hasEndpoint {
-			endpoint, err = strconv.Atoi(rec[2])
-			if err != nil {
-				return nil, fmt.Errorf("trace: requests CSV row %d: endpoint: %w", row, err)
-			}
-			if endpoint < 0 {
-				return nil, fmt.Errorf("trace: requests CSV row %d: negative endpoint %d", row, endpoint)
-			}
-			col = 3
+		endpoint, err := strconv.Atoi(rec[2])
+		if err != nil {
+			return nil, fmt.Errorf("trace: requests CSV row %d: endpoint: %w", row, err)
 		}
-		prompt, err := strconv.Atoi(rec[col])
+		prompt, err := strconv.Atoi(rec[3])
 		if err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: prompt: %w", row, err)
 		}
-		output, err := strconv.Atoi(rec[col+1])
+		output, err := strconv.Atoi(rec[4])
 		if err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: output: %w", row, err)
 		}
-		arrival, err := strconv.ParseInt(rec[col+2], 10, 64)
+		arrival, err := strconv.ParseInt(rec[5], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: arrival: %w", row, err)
 		}
@@ -188,10 +206,9 @@ func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 			PromptTokens: prompt, OutputTokens: output,
 			Arrival: time.Duration(arrival),
 		}
-		if err := validateRequest(req, prev); err != nil {
+		if err := validateRequest(&req, prev, math.MaxInt); err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: %w", row, err)
 		}
-		seen[id] = true
 		prev = req.Arrival
 		out = append(out, req)
 	}

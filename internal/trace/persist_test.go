@@ -60,55 +60,31 @@ func TestRequestsCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRequestsCSVLegacyFiveColumns pins backward compatibility: streams
-// archived before the endpoint column existed load with every request on
-// endpoint 0.
-func TestReadRequestsCSVLegacyFiveColumns(t *testing.T) {
-	in := "id,customer,prompt,output,arrival_ns\n7,3,100,20,5000\n8,4,50,10,6000\n"
-	got, err := ReadRequestsCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []llm.Request{
-		{ID: 7, Customer: 3, PromptTokens: 100, OutputTokens: 20, Arrival: 5000},
-		{ID: 8, Customer: 4, PromptTokens: 50, OutputTokens: 10, Arrival: 6000},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d requests, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("request %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestReadRequestsCSVErrors(t *testing.T) {
 	const header = "id,customer,endpoint,prompt,output,arrival_ns\n"
-	const legacy = "id,customer,prompt,output,arrival_ns\n"
 	cases := map[string]struct {
 		in      string
 		wantSub string
 	}{
 		"empty":             {"", "empty requests CSV"},
-		"short row":         {header + "1,2,3\n", "row 2"},
+		"short row":         {header + "0,2,3\n", "row 2"},
 		"bad id":            {header + "x,2,0,3,4,5\n", "row 2: id"},
-		"bad customer":      {header + "1,x,0,3,4,5\n", "row 2: customer"},
-		"bad endpoint":      {header + "1,2,x,3,4,5\n", "row 2: endpoint"},
-		"negative endpoint": {header + "1,2,-1,3,4,5\n", "row 2: negative endpoint"},
-		"bad prompt":        {header + "1,2,0,x,4,5\n", "row 2: prompt"},
-		"bad output":        {header + "1,2,0,3,x,5\n", "row 2: output"},
-		"bad arrival":       {header + "1,2,0,3,4,x\n", "row 2: arrival"},
+		"bad customer":      {header + "0,x,0,3,4,5\n", "row 2: customer"},
+		"bad endpoint":      {header + "0,2,x,3,4,5\n", "row 2: endpoint"},
+		"negative endpoint": {header + "0,2,-1,3,4,5\n", "row 2: negative endpoint"},
+		"bad prompt":        {header + "0,2,0,x,4,5\n", "row 2: prompt"},
+		"bad output":        {header + "0,2,0,3,x,5\n", "row 2: output"},
+		"bad arrival":       {header + "0,2,0,3,4,x\n", "row 2: arrival"},
 		"wrong header":      {"a,b,c,d,e,f\n", `column 1 is "a", want "id"`},
-		"legacy bad column": {"id,customer,prompt,endpoint,arrival_ns\n", `column 4 is "endpoint", want "output"`},
 		"header count":      {"id,customer\n", "header has 2 columns, want 6"},
-		"duplicate id":      {header + "1,2,0,3,4,5\n1,2,0,3,4,6\n", "row 3: duplicate request id 1"},
-		"negative prompt":   {header + "1,2,0,-3,4,5\n", "row 2: negative token count"},
-		"negative output":   {header + "1,2,0,3,-4,5\n", "row 2: negative token count"},
-		"negative arrival":  {header + "1,2,0,3,4,-5\n", "row 2: negative arrival"},
-		"unsorted arrival":  {header + "1,2,0,3,4,900\n2,2,0,3,4,100\n", "row 3: arrival 100ns before the previous request's 900ns"},
-		"legacy bad prompt": {legacy + "1,2,x,4,5\n", "row 2: prompt"},
-		"legacy bad id":     {legacy + "1,2,3,4,5\nx,2,3,4,5\n", "row 3: id"},
+		"legacy header":     {"id,customer,prompt,output,arrival_ns\n0,2,3,4,5\n", "header has 5 columns, want 6"},
+		"first id":          {header + "1,2,0,3,4,5\n", "row 2: request id 1, want 0"},
+		"duplicate id":      {header + "0,2,0,3,4,5\n0,2,0,3,4,6\n", "row 3: request id 0, want 1"},
+		"skipped id":        {header + "0,2,0,3,4,5\n2,2,0,3,4,6\n", "row 3: request id 2, want 1"},
+		"negative prompt":   {header + "0,2,0,-3,4,5\n", "row 2: negative token count"},
+		"negative output":   {header + "0,2,0,3,-4,5\n", "row 2: negative token count"},
+		"negative arrival":  {header + "0,2,0,3,4,-5\n", "row 2: negative arrival"},
+		"unsorted arrival":  {header + "0,2,0,3,4,900\n1,2,0,3,4,100\n", "row 3: arrival 100ns before the previous request's 900ns"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -130,24 +106,36 @@ func TestReadRequestsCSVErrors(t *testing.T) {
 // validation: a stream the reader would refuse is rejected at write time
 // instead of being archived.
 func TestWriteRequestsCSVRejectsInvalid(t *testing.T) {
-	cases := map[string][]llm.Request{
-		"negative prompt":  {{ID: 1, PromptTokens: -1, OutputTokens: 1}},
-		"negative arrival": {{ID: 1, PromptTokens: 1, OutputTokens: 1, Arrival: -time.Second}},
-		"unsorted": {
-			{ID: 1, PromptTokens: 1, OutputTokens: 1, Arrival: time.Minute},
-			{ID: 2, PromptTokens: 1, OutputTokens: 1, Arrival: time.Second},
-		},
-		"duplicate id": {
+	one := func(r llm.Request) []llm.Request { return []llm.Request{r} }
+	cases := map[string]struct {
+		reqs    []llm.Request
+		wantSub string
+	}{
+		"negative prompt":  {one(llm.Request{PromptTokens: -1, OutputTokens: 1}), "request 0: negative token count"},
+		"negative arrival": {one(llm.Request{PromptTokens: 1, OutputTokens: 1, Arrival: -time.Second}), "request 0: negative arrival"},
+		"unsorted": {[]llm.Request{
+			{ID: 0, PromptTokens: 1, OutputTokens: 1, Arrival: time.Minute},
 			{ID: 1, PromptTokens: 1, OutputTokens: 1, Arrival: time.Second},
-			{ID: 1, PromptTokens: 1, OutputTokens: 1, Arrival: time.Minute},
-		},
+		}, "request 1: arrival 1s before the previous request's 1m0s"},
+		"duplicate id": {[]llm.Request{
+			{ID: 0, PromptTokens: 1, OutputTokens: 1, Arrival: time.Second},
+			{ID: 0, PromptTokens: 1, OutputTokens: 1, Arrival: time.Minute},
+		}, "request 1: request id 0, want 1"},
+		"sparse ids": {[]llm.Request{
+			{ID: 0, PromptTokens: 1, OutputTokens: 1, Arrival: time.Second},
+			{ID: 5, PromptTokens: 1, OutputTokens: 1, Arrival: time.Minute},
+		}, "request 1: request id 5, want 1"},
+		"negative endpoint": {one(llm.Request{Endpoint: -1, PromptTokens: 1, OutputTokens: 1}), "request 0: negative endpoint -1"},
 	}
-	for name, reqs := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			err := WriteRequestsCSV(&buf, reqs)
+			err := WriteRequestsCSV(&buf, tc.reqs)
 			if err == nil {
 				t.Fatal("expected error")
+			}
+			if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Errorf("error %q does not contain %q", err, tc.wantSub)
 			}
 			if !strings.Contains(err.Error(), "trace:") {
 				t.Errorf("error %q is not wrapped with the trace: prefix", err)

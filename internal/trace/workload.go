@@ -171,65 +171,94 @@ type Workload struct {
 	Endpoints []EndpointSpec
 }
 
-// Validate checks the structural invariants every consumer of a workload
-// relies on: the engine indexes VM and endpoint state positionally
-// (State.VMs[id], Workload.Endpoints[id]) and admits arrivals through a
-// monotone cursor, so IDs must be dense in order and arrivals sorted — a
-// shifted ID would remove the wrong VM at expiry, an out-of-order arrival
-// would be admitted late. ReadWorkloadCSV enforces the same invariants row by
-// row; Validate covers workloads built programmatically (imports, transforms,
-// replay of in-memory traces).
+// Validate checks the invariants every consumer of a workload relies on,
+// through the same per-record checks ReadWorkloadCSV applies to each row
+// (validateConfig, validateEndpoint, validateVM): a workload built in memory
+// (an import, a transform's output, a programmatic Scenario.Trace) is held
+// to exactly the rules of the archived format.
 func (w *Workload) Validate() error {
-	if w.Config.Servers <= 0 {
-		return fmt.Errorf("trace: workload has non-positive server count %d", w.Config.Servers)
+	if err := validateConfig(&w.Config); err != nil {
+		return fmt.Errorf("trace: workload config: %w", err)
 	}
-	if w.Config.Duration < 0 {
-		return fmt.Errorf("trace: workload has negative duration %v", w.Config.Duration)
+	for i := range w.Endpoints {
+		if err := validateEndpoint(&w.Endpoints[i], i); err != nil {
+			return fmt.Errorf("trace: endpoint %d: %w", i, err)
+		}
 	}
 	if len(w.VMs) == 0 {
 		return fmt.Errorf("trace: workload has no VMs")
 	}
-	for i, ep := range w.Endpoints {
-		if ep.ID != i {
-			return fmt.Errorf("trace: endpoint %d has id %d; endpoint ids must be dense 0..n-1 in order", i, ep.ID)
-		}
-		if ep.NumVMs < 0 {
-			return fmt.Errorf("trace: endpoint %d has negative num_vms %d", i, ep.NumVMs)
+	for i := range w.VMs {
+		if err := w.validateVM(i, &w.VMs[i]); err != nil {
+			return fmt.Errorf("trace: VM %d: %w", i, err)
 		}
 	}
-	for i, vm := range w.VMs {
-		if vm.ID != i {
-			return fmt.Errorf("trace: VM %d has id %d; VM ids must be dense 0..n-1 in order", i, vm.ID)
-		}
-		if vm.Kind != IaaS && vm.Kind != SaaS {
-			return fmt.Errorf("trace: VM %d has invalid kind %d", i, int(vm.Kind))
-		}
-		if i > 0 && vm.Arrival < w.VMs[i-1].Arrival {
-			return fmt.Errorf("trace: VM %d arrives at %v, before VM %d at %v; VMs must be sorted by arrival", i, vm.Arrival, i-1, w.VMs[i-1].Arrival)
-		}
-		if vm.Arrival < 0 {
-			return fmt.Errorf("trace: VM %d has negative arrival %v", i, vm.Arrival)
-		}
-		if vm.Lifetime <= 0 {
-			return fmt.Errorf("trace: VM %d has non-positive lifetime %v", i, vm.Lifetime)
-		}
-		if vm.Kind == SaaS && (vm.Endpoint < 0 || vm.Endpoint >= len(w.Endpoints)) {
-			return fmt.Errorf("trace: SaaS VM %d references undeclared endpoint %d", i, vm.Endpoint)
-		}
-		if vm.Kind == IaaS && vm.Endpoint != -1 {
-			return fmt.Errorf("trace: IaaS VM %d has endpoint %d, want -1", i, vm.Endpoint)
-		}
+	return nil
+}
+
+// validateConfig checks a workload's generation config: a fleet to place
+// on, a SaaS share that is a fraction, and a window that does not run
+// backwards.
+func validateConfig(c *WorkloadConfig) error {
+	if c.Servers <= 0 {
+		return fmt.Errorf("non-positive server count %d", c.Servers)
+	}
+	if !(c.SaaSFraction >= 0 && c.SaaSFraction <= 1) {
+		return fmt.Errorf("saas_fraction %v out of [0,1]", c.SaaSFraction)
+	}
+	if c.Duration < 0 {
+		return fmt.Errorf("negative duration %v", c.Duration)
+	}
+	return nil
+}
+
+// validateEndpoint checks ep as endpoint id of a workload. The engine
+// indexes endpoint state by ID (Workload.Endpoints[id]), so IDs must be dense
+// and in order, which also rules out duplicates.
+func validateEndpoint(ep *EndpointSpec, id int) error {
+	if ep.ID != id {
+		return fmt.Errorf("endpoint id %d, want %d (endpoint ids must be dense 0..n-1 in order)", ep.ID, id)
+	}
+	if ep.NumVMs < 0 {
+		return fmt.Errorf("negative endpoint num_vms %d", ep.NumVMs)
+	}
+	return nil
+}
+
+// validateVM checks vm as VM id of w, whose endpoints and VMs before id are
+// already checked. The engine indexes VM state positionally (State.VMs[id])
+// and admits arrivals through a monotone cursor, so IDs must be dense in
+// order and arrivals non-decreasing: a shifted ID would remove the wrong VM
+// at expiry, an out-of-order arrival would be admitted late.
+func (w *Workload) validateVM(id int, vm *VMSpec) error {
+	if vm.ID != id {
+		return fmt.Errorf("VM id %d, want %d (VM ids must be dense 0..n-1 in order)", vm.ID, id)
+	}
+	if vm.Kind != IaaS && vm.Kind != SaaS {
+		return fmt.Errorf("invalid VM kind %d", int(vm.Kind))
+	}
+	if id > 0 && vm.Arrival < w.VMs[id-1].Arrival {
+		return fmt.Errorf("VM arrival %v before the previous VM's %v (VMs must be sorted by arrival)", vm.Arrival, w.VMs[id-1].Arrival)
+	}
+	if vm.Arrival < 0 {
+		return fmt.Errorf("negative VM arrival %v", vm.Arrival)
+	}
+	if vm.Lifetime <= 0 {
+		return fmt.Errorf("non-positive VM lifetime %v", vm.Lifetime)
+	}
+	if vm.Kind == SaaS && (vm.Endpoint < 0 || vm.Endpoint >= len(w.Endpoints)) {
+		return fmt.Errorf("SaaS VM references undeclared endpoint %d", vm.Endpoint)
+	}
+	if vm.Kind == IaaS && vm.Endpoint != -1 {
+		return fmt.Errorf("IaaS VM has endpoint %d, want -1", vm.Endpoint)
 	}
 	return nil
 }
 
 // Generate builds the full VM arrival trace and endpoint set.
 func Generate(cfg WorkloadConfig) (*Workload, error) {
-	if cfg.Servers <= 0 {
-		return nil, fmt.Errorf("trace: non-positive server count %d", cfg.Servers)
-	}
-	if cfg.SaaSFraction < 0 || cfg.SaaSFraction > 1 {
-		return nil, fmt.Errorf("trace: SaaS fraction %v out of [0,1]", cfg.SaaSFraction)
+	if err := validateConfig(&cfg); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if cfg.Occupancy == 0 {
 		cfg.Occupancy = 0.92

@@ -121,8 +121,8 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 
 // ReadWorkloadCSV parses a workload written by WriteWorkloadCSV. The reader
 // streams: each record is validated as it arrives (section order, field
-// counts, duplicate endpoint/VM IDs, SaaS VMs referencing undeclared
-// endpoints), so a malformed row is reported with its 1-based row number —
+// counts, finite floats, then the per-record checks Workload.Validate
+// applies), so a malformed row is reported with its 1-based row number —
 // the version line is row 1 — without reading the rest of the file.
 func ReadWorkloadCSV(r io.Reader) (*Workload, error) {
 	cr := csv.NewReader(r)
@@ -150,10 +150,9 @@ func ReadWorkloadCSV(r io.Reader) (*Workload, error) {
 
 	wl := &Workload{}
 	var (
-		row         = 1
-		haveConfig  bool
-		sawVM       bool
-		lastArrival time.Duration
+		row        = 1
+		haveConfig bool
+		sawVM      bool
 	)
 	for {
 		rec, err := cr.Read()
@@ -185,14 +184,8 @@ func ReadWorkloadCSV(r io.Reader) (*Workload, error) {
 			if p.err != nil {
 				return nil, p.err
 			}
-			if cfg.Servers <= 0 {
-				return nil, fmt.Errorf("trace: workload row %d: non-positive server count %d", row, cfg.Servers)
-			}
-			if cfg.SaaSFraction < 0 || cfg.SaaSFraction > 1 {
-				return nil, fmt.Errorf("trace: workload row %d: saas_fraction %v out of [0,1]", row, cfg.SaaSFraction)
-			}
-			if cfg.Duration < 0 {
-				return nil, fmt.Errorf("trace: workload row %d: negative duration %v", row, cfg.Duration)
+			if err := validateConfig(&cfg); err != nil {
+				return nil, fmt.Errorf("trace: workload row %d: %w", row, err)
 			}
 			wl.Config = cfg
 			haveConfig = true
@@ -232,14 +225,8 @@ func ReadWorkloadCSV(r io.Reader) (*Workload, error) {
 			if p.err != nil {
 				return nil, p.err
 			}
-			// The engine indexes endpoint sets by ID (Workload.Endpoints[id]),
-			// so IDs must be dense and in row order — this also catches
-			// duplicates.
-			if ep.ID != len(wl.Endpoints) {
-				return nil, fmt.Errorf("trace: workload row %d: endpoint id %d, want %d (endpoint ids must be dense 0..n-1 in row order)", row, ep.ID, len(wl.Endpoints))
-			}
-			if ep.NumVMs < 0 {
-				return nil, fmt.Errorf("trace: workload row %d: negative endpoint num_vms %d", row, ep.NumVMs)
+			if err := validateEndpoint(&ep, len(wl.Endpoints)); err != nil {
+				return nil, fmt.Errorf("trace: workload row %d: %w", row, err)
 			}
 			wl.Endpoints = append(wl.Endpoints, ep)
 
@@ -273,33 +260,9 @@ func ReadWorkloadCSV(r io.Reader) (*Workload, error) {
 			if p.err != nil {
 				return nil, p.err
 			}
-			if vm.Kind != IaaS && vm.Kind != SaaS {
-				return nil, fmt.Errorf("trace: workload row %d: invalid VM kind %d", row, int(vm.Kind))
+			if err := wl.validateVM(len(wl.VMs), &vm); err != nil {
+				return nil, fmt.Errorf("trace: workload row %d: %w", row, err)
 			}
-			// The engine indexes VM state positionally (State.VMs[id]) and
-			// admits arrivals through a monotone cursor, so IDs must be
-			// dense in row order (catching duplicates) and arrivals
-			// non-decreasing — a shifted ID would remove the wrong VM at
-			// expiry, an out-of-order arrival would be admitted late.
-			if vm.ID != len(wl.VMs) {
-				return nil, fmt.Errorf("trace: workload row %d: VM id %d, want %d (VM ids must be dense 0..n-1 in row order)", row, vm.ID, len(wl.VMs))
-			}
-			if vm.Arrival < 0 {
-				return nil, fmt.Errorf("trace: workload row %d: negative VM arrival %v", row, vm.Arrival)
-			}
-			if vm.Arrival < lastArrival {
-				return nil, fmt.Errorf("trace: workload row %d: VM arrival %v before the previous row's %v (VM rows must be sorted by arrival)", row, vm.Arrival, lastArrival)
-			}
-			if vm.Lifetime <= 0 {
-				return nil, fmt.Errorf("trace: workload row %d: non-positive VM lifetime %v", row, vm.Lifetime)
-			}
-			if vm.Kind == SaaS && (vm.Endpoint < 0 || vm.Endpoint >= len(wl.Endpoints)) {
-				return nil, fmt.Errorf("trace: workload row %d: SaaS VM %d references undeclared endpoint %d", row, vm.ID, vm.Endpoint)
-			}
-			if vm.Kind == IaaS && vm.Endpoint != -1 {
-				return nil, fmt.Errorf("trace: workload row %d: IaaS VM %d has endpoint %d, want -1", row, vm.ID, vm.Endpoint)
-			}
-			lastArrival = vm.Arrival
 			wl.VMs = append(wl.VMs, vm)
 
 		default:

@@ -155,7 +155,7 @@ func TestReadWorkloadCSVErrors(t *testing.T) {
 		"vm out of order":      {withLine(firstVM, "vm,0,0,0,-1,500,3600000000000,0,0,0,0,0,0,0"), "must be sorted by arrival"},
 		"vm bad lifetime":      {withLine(firstVM, "vm,0,0,0,-1,0,0,0,0,0,0,0,0,0"), "non-positive VM lifetime"},
 		"vm unknown endpoint":  {withLine(firstVM, "vm,0,1,-1,99,0,3600000000000,0,0,0,0,0,0,0"), "undeclared endpoint 99"},
-		"iaas vm endpoint":     {withLine(firstVM, "vm,0,0,3,2,0,3600000000000,0,0,0,0,0,0,0"), "IaaS VM 0 has endpoint 2, want -1"},
+		"iaas vm endpoint":     {withLine(firstVM, "vm,0,0,3,2,0,3600000000000,0,0,0,0,0,0,0"), "IaaS VM has endpoint 2, want -1"},
 		"nan load field":       {withLine(firstVM, "vm,0,0,0,-1,0,3600000000000,NaN,0,0,0,0,0,0"), "non-finite value"},
 		"inf rate field":       {withLine(2, "endpoint,0,5,1024,256,+Inf,0,0,0,0,1,2.5,100,3,0"), "non-finite value"},
 		"v1 row with v2 count": {withLine(firstVM, strings.Join(strings.Split(lines[firstVM], ",")[:vmColsV1], ",")), "vm record has 13 fields, want 14"},
