@@ -214,13 +214,17 @@ func validateConfig(c *WorkloadConfig) error {
 
 // validateEndpoint checks ep as endpoint id of a workload. The engine
 // indexes endpoint state by ID (Workload.Endpoints[id]), so IDs must be dense
-// and in order, which also rules out duplicates.
+// and in order, which also rules out duplicates; instances divide by the
+// mean prompt length, so it must be positive.
 func validateEndpoint(ep *EndpointSpec, id int) error {
 	if ep.ID != id {
 		return fmt.Errorf("endpoint id %d, want %d (endpoint ids must be dense 0..n-1 in order)", ep.ID, id)
 	}
 	if ep.NumVMs < 0 {
 		return fmt.Errorf("negative endpoint num_vms %d", ep.NumVMs)
+	}
+	if !(ep.Work.AvgPromptTokens > 0) {
+		return fmt.Errorf("non-positive avg_prompt_tokens %v", ep.Work.AvgPromptTokens)
 	}
 	return nil
 }
