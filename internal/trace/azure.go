@@ -89,7 +89,7 @@ type azureEndpoint struct {
 // reader streams and validates every row as it arrives; errors carry the
 // 1-based CSV row (the header is row 1) and the trace: prefix.
 func ReadAzureLLMCSV(r io.Reader, cfg AzureImportConfig) (*Workload, error) {
-	w, _, err := readAzureLLMCSV(r, cfg, false)
+	w, _, err := readAzureLLMCSV(r, cfg, 0)
 	return w, err
 }
 
@@ -101,10 +101,12 @@ func ReadAzureLLMCSV(r io.Reader, cfg AzureImportConfig) (*Workload, error) {
 // (sim.Scenario.Requests): the workload sizes the fleet, the log drives the
 // per-request queues.
 func ReadAzureLLMCSVRequests(r io.Reader, cfg AzureImportConfig) (*Workload, []llm.Request, error) {
-	return readAzureLLMCSV(r, cfg, true)
+	return readAzureLLMCSV(r, cfg, azureMaxRequests)
 }
 
-func readAzureLLMCSV(r io.Reader, cfg AzureImportConfig, collect bool) (*Workload, []llm.Request, error) {
+// readAzureLLMCSV is the shared import; it collects the request log, up to
+// maxRequests requests, when maxRequests > 0.
+func readAzureLLMCSV(r io.Reader, cfg AzureImportConfig, maxRequests int) (*Workload, []llm.Request, error) {
 	if cfg.Servers <= 0 {
 		return nil, nil, fmt.Errorf("trace: azure import: non-positive server count %d", cfg.Servers)
 	}
@@ -150,7 +152,7 @@ func readAzureLLMCSV(r io.Reader, cfg AzureImportConfig, collect bool) (*Workloa
 		absolute bool
 		epoch    time.Time
 		lastRel  time.Duration = -1
-		// request-log passthrough (collect mode only)
+		// request-log passthrough (maxRequests > 0 only)
 		reqs    []llm.Request
 		custRNG = rand.New(rand.NewPCG(cfg.Seed, azureCustomerSalt))
 	)
@@ -223,9 +225,9 @@ func readAzureLLMCSV(r io.Reader, cfg AzureImportConfig, collect bool) (*Workloa
 		}
 		ep.binCount[bin]++
 
-		if collect {
-			if len(reqs) >= azureMaxRequests {
-				return nil, nil, fmt.Errorf("trace: azure CSV row %d: more than %d requests", row, azureMaxRequests)
+		if maxRequests > 0 {
+			if len(reqs) >= maxRequests {
+				return nil, nil, fmt.Errorf("trace: azure CSV row %d: more than %d requests", row, maxRequests)
 			}
 			reqs = append(reqs, llm.Request{
 				ID:           int64(len(reqs)),

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/tapas-sim/tapas/internal/llm"
 )
 
 const azureHeader = "timestamp,endpoint,prompt_tokens,output_tokens\n"
@@ -192,5 +195,122 @@ func TestAzureImportFixture(t *testing.T) {
 	}
 	if wl.Config.Duration < time.Hour {
 		t.Errorf("fixture window %v, want at least an hour", wl.Config.Duration)
+	}
+}
+
+// TestReadAzureLLMCSVRequests pins the import's request-log passthrough: one
+// request per source row, and a log that request-level replay accepts
+// against the reconstructed workload.
+func TestReadAzureLLMCSVRequests(t *testing.T) {
+	// Absolute timestamps: the first row anchors trace start.
+	const small = azureHeader +
+		"2024-01-01T00:00:10Z,chat,512,128\n" +
+		"2024-01-01T00:00:40Z,code,900,40\n" +
+		"2024-01-01T00:01:00Z,chat,256,64\n" +
+		"2024-01-01T00:05:00Z,search,100,10\n"
+	cfg := AzureImportConfig{Servers: 40, Seed: 7}
+	cases := []struct {
+		name        string
+		in          string
+		maxRequests int
+		check       func(t *testing.T, wl *Workload, reqs []llm.Request, err error)
+	}{
+		{"one request per row", small, azureMaxRequests, func(t *testing.T, wl *Workload, reqs []llm.Request, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []llm.Request{
+				{ID: 0, Endpoint: 0, PromptTokens: 512, OutputTokens: 128, Arrival: 0},
+				{ID: 1, Endpoint: 1, PromptTokens: 900, OutputTokens: 40, Arrival: 30 * time.Second},
+				{ID: 2, Endpoint: 0, PromptTokens: 256, OutputTokens: 64, Arrival: 50 * time.Second},
+				{ID: 3, Endpoint: 2, PromptTokens: 100, OutputTokens: 10, Arrival: 290 * time.Second},
+			}
+			if len(reqs) != len(want) {
+				t.Fatalf("got %d requests, want %d", len(reqs), len(want))
+			}
+			for i, r := range reqs {
+				if r.Customer < 0 || r.Customer >= azureCustomerCount {
+					t.Errorf("request %d: customer %d outside [0, %d)", i, r.Customer, azureCustomerCount)
+				}
+				r.Customer = 0
+				if r != want[i] {
+					t.Errorf("request %d: got %+v, want %+v", i, r, want[i])
+				}
+			}
+		}},
+		{"customers repeat for a seed", synthAzureCSV(6), azureMaxRequests, func(t *testing.T, wl *Workload, reqs []llm.Request, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, again, err := readAzureLLMCSV(strings.NewReader(synthAzureCSV(6)), cfg, azureMaxRequests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again, reqs) {
+				t.Error("the same file and seed gave a different request log")
+			}
+			other := cfg
+			other.Seed++
+			_, reseeded, err := readAzureLLMCSV(strings.NewReader(synthAzureCSV(6)), other, azureMaxRequests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reflect.DeepEqual(reseeded, reqs) {
+				t.Error("another seed gave the same customers")
+			}
+		}},
+		{"cap", small, 3, func(t *testing.T, wl *Workload, reqs []llm.Request, err error) {
+			if err == nil || !strings.Contains(err.Error(), "row 5: more than 3 requests") {
+				t.Errorf("got %v, want the request cap at row 5", err)
+			}
+		}},
+		{"replayable log", synthAzureCSV(6), azureMaxRequests, func(t *testing.T, wl *Workload, reqs []llm.Request, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ValidateRequests(reqs, len(wl.Endpoints)); err != nil {
+				t.Errorf("imported log fails the shared request check: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := WriteRequestsCSV(&buf, reqs); err != nil {
+				t.Fatalf("imported log does not archive: %v", err)
+			}
+			got, err := ReadRequestsCSV(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, reqs) {
+				t.Error("imported log changed across a requests CSV round trip")
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wl, reqs, err := readAzureLLMCSV(strings.NewReader(tc.in), cfg, tc.maxRequests)
+			tc.check(t, wl, reqs, err)
+		})
+	}
+}
+
+// TestLoadAzureLLMCSVRequests covers the exported file and reader wrappers on
+// the committed fixture: every data row becomes one request.
+func TestLoadAzureLLMCSVRequests(t *testing.T) {
+	const path = "../../examples/traces/azure-llm-sample.csv"
+	wl, reqs, err := LoadAzureLLMCSVRequests(path, AzureImportConfig{Servers: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(string(data), "\n") - 1; len(reqs) != rows {
+		t.Errorf("got %d requests, want one per data row (%d)", len(reqs), rows)
+	}
+	if err := ValidateRequests(reqs, len(wl.Endpoints)); err != nil {
+		t.Errorf("fixture log fails the shared request check: %v", err)
+	}
+	if _, _, err := LoadAzureLLMCSVRequests(path+".missing", AzureImportConfig{Servers: 40}); err == nil {
+		t.Error("missing file must error")
 	}
 }
