@@ -234,3 +234,23 @@ func TestSaveLoadWorkloadCSV(t *testing.T) {
 		t.Error("missing file must error")
 	}
 }
+
+// TestSharedChecksAllocFree pins the shared per-record checks at zero
+// allocations on valid input: the readers call them for every row of every
+// trace and request log a campaign loads.
+func TestSharedChecksAllocFree(t *testing.T) {
+	w := genWorkload(t, WorkloadConfig{
+		Servers: 40, SaaSFraction: 0.5, Duration: time.Hour, Endpoints: 2, Seed: 3,
+	})
+	reqs := w.Endpoints[0].Requests(0, time.Minute, 1)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := w.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateRequests(reqs, len(w.Endpoints)); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate and ValidateRequests allocate %v times per call, want 0", allocs)
+	}
+}
