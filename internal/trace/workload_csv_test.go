@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -253,4 +254,56 @@ func TestSharedChecksAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Validate and ValidateRequests allocate %v times per call, want 0", allocs)
 	}
+}
+
+// TestReaderAndValidateAgree: ReadWorkloadCSV and Workload.Validate reject a
+// malformed record through the same check, so for each fault the error each
+// wraps around its location (row, or record index) is the same.
+func TestReaderAndValidateAgree(t *testing.T) {
+	faults := map[string]func(w *Workload){
+		"servers":               func(w *Workload) { w.Config.Servers = 0 },
+		"saas fraction":         func(w *Workload) { w.Config.SaaSFraction = -0.5 },
+		"duration":              func(w *Workload) { w.Config.Duration = -time.Second },
+		"endpoint id":           func(w *Workload) { w.Endpoints[1].ID = 0 },
+		"num_vms":               func(w *Workload) { w.Endpoints[1].NumVMs = -1 },
+		"prompt tokens":         func(w *Workload) { w.Endpoints[0].Work.AvgPromptTokens = 0 },
+		"vm id":                 func(w *Workload) { w.VMs[2].ID = 9 },
+		"vm kind":               func(w *Workload) { w.VMs[2].Kind = 7 },
+		"first arrival":         func(w *Workload) { w.VMs[0].Arrival = -time.Second },
+		"unsorted":              func(w *Workload) { w.VMs[len(w.VMs)-2].Arrival = w.VMs[len(w.VMs)-1].Arrival + 1 },
+		"lifetime":              func(w *Workload) { w.VMs[3].Lifetime = 0 },
+		"saas endpoint":         func(w *Workload) { w.VMs[firstOf(w, SaaS)].Endpoint = len(w.Endpoints) },
+		"iaas endpoint":         func(w *Workload) { w.VMs[firstOf(w, IaaS)].Endpoint = 0 },
+		"negative and unsorted": func(w *Workload) { w.VMs[len(w.VMs)-1].Arrival = w.VMs[len(w.VMs)-2].Arrival - 1 },
+	}
+	for name, fault := range faults {
+		t.Run(name, func(t *testing.T) {
+			w := genWorkload(t, WorkloadConfig{
+				Servers: 40, SaaSFraction: 0.5, Duration: time.Hour, Endpoints: 2, Seed: 3,
+			})
+			fault(w)
+			verr := w.Validate()
+			var buf bytes.Buffer
+			if err := WriteWorkloadCSV(&buf, w); err != nil {
+				t.Fatal(err)
+			}
+			_, rerr := ReadWorkloadCSV(&buf)
+			if verr == nil || rerr == nil {
+				t.Fatalf("Validate: %v; ReadWorkloadCSV: %v; want both to reject", verr, rerr)
+			}
+			if v, r := errors.Unwrap(verr), errors.Unwrap(rerr); v == nil || r == nil || v.Error() != r.Error() {
+				t.Errorf("different checks fired:\nValidate:       %v\nReadWorkloadCSV: %v", verr, rerr)
+			}
+		})
+	}
+}
+
+// firstOf returns the index of w's first VM of the given kind.
+func firstOf(w *Workload, kind VMKind) int {
+	for i := range w.VMs {
+		if w.VMs[i].Kind == kind {
+			return i
+		}
+	}
+	panic("no VM of kind " + kind.String())
 }
