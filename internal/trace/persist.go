@@ -58,7 +58,7 @@ func WriteVMsCSV(w io.Writer, vms []VMSpec) error {
 // reader apply it row by row, where the endpoint set is not known
 // (endpoints = math.MaxInt), so anything the writer archives the reader
 // accepts; ValidateRequests applies it against a workload's endpoint set.
-func validateRequest(r *llm.Request, prev time.Duration, endpoints int) error {
+func validateRequest(r llm.Request, prev time.Duration, endpoints int) error {
 	if r.PromptTokens < 0 || r.OutputTokens < 0 {
 		return fmt.Errorf("negative token count (%d, %d)", r.PromptTokens, r.OutputTokens)
 	}
@@ -82,17 +82,17 @@ func validateRequest(r *llm.Request, prev time.Duration, endpoints int) error {
 // per-request check the CSV reader and writer apply to each row.
 func ValidateRequests(reqs []llm.Request, endpoints int) error {
 	var prev time.Duration
-	for i := range reqs {
-		if err := validateRequest(&reqs[i], prev, endpoints); err != nil {
+	for i, r := range reqs {
+		if err := validateRequest(r, prev, endpoints); err != nil {
 			return fmt.Errorf("trace: request %d: %w", i, err)
 		}
-		prev = reqs[i].Arrival
+		prev = r.Arrival
 	}
 	return nil
 }
 
-// validateRequestID enforces the request CSV's ID rule: the request on data row
-// i (0-based) has ID i, so IDs are dense, ascending and unique. Every
+// validateRequestID enforces the request CSV's ID rule: the request on data
+// row i (0-based) has ID i, so IDs are dense, ascending and unique. Every
 // producer numbers its log this way; the engine never reads request IDs, so
 // the rule belongs to the file format, not to ValidateRequests.
 func validateRequestID(id int64, i int) error {
@@ -112,8 +112,7 @@ func WriteRequestsCSV(w io.Writer, reqs []llm.Request) error {
 		return fmt.Errorf("trace: writing requests header: %w", err)
 	}
 	var prev time.Duration
-	for i := range reqs {
-		r := &reqs[i]
+	for i, r := range reqs {
 		if err := validateRequestID(r.ID, i); err != nil {
 			return fmt.Errorf("trace: writing request %d: %w", i, err)
 		}
@@ -206,7 +205,7 @@ func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 			PromptTokens: prompt, OutputTokens: output,
 			Arrival: time.Duration(arrival),
 		}
-		if err := validateRequest(&req, prev, math.MaxInt); err != nil {
+		if err := validateRequest(req, prev, math.MaxInt); err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: %w", row, err)
 		}
 		prev = req.Arrival
