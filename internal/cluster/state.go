@@ -108,12 +108,11 @@ type State struct {
 	// PeakEpoch counts changes to the two peak maps above, so a consumer
 	// that caches EstimateVMPeakLoad results can tell when they went stale.
 	PeakEpoch uint64
-	// customerPeak mirrors CustomerPeakLoad densely for the IaaS customer
-	// IDs below the VM count: ObserveCustomerLoad runs per IaaS server per
-	// tick and the map lookup dominated it. The map stays the source
-	// external readers see; the mirror only short-circuits the no-new-peak
-	// common case. IDs are labels from the trace, so the VM count bounds
-	// the mirror and larger IDs take the map path.
+	// customerPeak mirrors CustomerPeakLoad densely for IaaS customer IDs
+	// below the VM count (IDs are trace labels; larger ones take the map
+	// path): ObserveCustomerLoad runs per IaaS server per tick and the map
+	// lookup dominated it. The map stays the source external readers see;
+	// the mirror only short-circuits the no-new-peak common case.
 	customerPeak []float64
 
 	histAccum time.Duration

@@ -54,10 +54,7 @@ func WriteVMsCSV(w io.Writer, vms []VMSpec) error {
 // request-level replay relies on: non-negative token counts and arrival,
 // arrivals non-decreasing after prev, the previous request's (the engine
 // admits through a monotone cursor, like VM arrivals), and an endpoint in
-// [0, endpoints) (queues are indexed positionally). The CSV writer and
-// reader apply it row by row, where the endpoint set is not known
-// (endpoints = math.MaxInt), so anything the writer archives the reader
-// accepts; ValidateRequests applies it against a workload's endpoint set.
+// [0, endpoints) (queues are indexed positionally).
 func validateRequest(r llm.Request, prev time.Duration, endpoints int) error {
 	if r.PromptTokens < 0 || r.OutputTokens < 0 {
 		return fmt.Errorf("negative token count (%d, %d)", r.PromptTokens, r.OutputTokens)
@@ -91,15 +88,17 @@ func ValidateRequests(reqs []llm.Request, endpoints int) error {
 	return nil
 }
 
-// validateRequestID enforces the request CSV's ID rule: the request on data
-// row i (0-based) has ID i, so IDs are dense, ascending and unique. Every
-// producer numbers its log this way; the engine never reads request IDs, so
-// the rule belongs to the file format, not to ValidateRequests.
-func validateRequestID(id int64, i int) error {
-	if id != int64(i) {
-		return fmt.Errorf("request id %d, want %d (request ids must be dense 0..n-1 in row order)", id, i)
+// validateRequestRow checks r as data row i (0-based) of a requests CSV,
+// shared by the writer and the reader so that anything the writer archives
+// the reader accepts. The file's ID rule comes first: id = i, so IDs are
+// dense, ascending and unique (the engine never reads IDs, so
+// ValidateRequests leaves them out). The per-request check follows, with
+// every endpoint admitted, because a file does not know its workload.
+func validateRequestRow(r llm.Request, i int, prev time.Duration) error {
+	if r.ID != int64(i) {
+		return fmt.Errorf("request id %d, want %d (request ids must be dense 0..n-1 in row order)", r.ID, i)
 	}
-	return nil
+	return validateRequest(r, prev, math.MaxInt)
 }
 
 // WriteRequestsCSV serializes a request stream (id,customer,endpoint,prompt,
@@ -113,10 +112,7 @@ func WriteRequestsCSV(w io.Writer, reqs []llm.Request) error {
 	}
 	var prev time.Duration
 	for i, r := range reqs {
-		if err := validateRequestID(r.ID, i); err != nil {
-			return fmt.Errorf("trace: writing request %d: %w", i, err)
-		}
-		if err := validateRequest(r, prev, math.MaxInt); err != nil {
+		if err := validateRequestRow(r, i, prev); err != nil {
 			return fmt.Errorf("trace: writing request %d: %w", i, err)
 		}
 		prev = r.Arrival
@@ -140,9 +136,9 @@ func WriteRequestsCSV(w io.Writer, reqs []llm.Request) error {
 }
 
 // ReadRequestsCSV parses a stream written by WriteRequestsCSV. It streams —
-// every row is validated as it arrives (header names, field parses, the ID
-// rule and the per-request check) rather than after materializing the
-// slice — and errors carry the 1-based CSV row (the header is row 1).
+// every row is validated as it arrives (header names, field parses, then
+// validateRequestRow) rather than after materializing the slice — and errors
+// carry the 1-based CSV row (the header is row 1).
 func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -177,9 +173,6 @@ func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: id: %w", row, err)
 		}
-		if err := validateRequestID(id, len(out)); err != nil {
-			return nil, fmt.Errorf("trace: requests CSV row %d: %w", row, err)
-		}
 		customer, err := strconv.Atoi(rec[1])
 		if err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: customer: %w", row, err)
@@ -205,7 +198,7 @@ func ReadRequestsCSV(r io.Reader) ([]llm.Request, error) {
 			PromptTokens: prompt, OutputTokens: output,
 			Arrival: time.Duration(arrival),
 		}
-		if err := validateRequest(req, prev, math.MaxInt); err != nil {
+		if err := validateRequestRow(req, len(out), prev); err != nil {
 			return nil, fmt.Errorf("trace: requests CSV row %d: %w", row, err)
 		}
 		prev = req.Arrival

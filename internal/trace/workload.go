@@ -196,9 +196,7 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// validateConfig checks a workload's generation config: a fleet to place
-// on, a SaaS share that is a fraction, and a window that does not run
-// backwards.
+// validateConfig checks a workload's generation config.
 func validateConfig(c *WorkloadConfig) error {
 	if c.Servers <= 0 {
 		return fmt.Errorf("non-positive server count %d", c.Servers)
