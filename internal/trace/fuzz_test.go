@@ -161,7 +161,8 @@ func FuzzReadRequestsCSV(f *testing.F) {
 			checkFuzzErr(t, err)
 			return
 		}
-		// The smallest endpoint set the log could replay against.
+		// The smallest endpoint set the log could replay against (the reader
+		// refuses endpoint math.MaxInt, so the +1 cannot overflow).
 		endpoints := 0
 		for _, r := range reqs {
 			endpoints = max(endpoints, r.Endpoint+1)
