@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -146,6 +147,11 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Generate(WorkloadConfig{Servers: 10, SaaSFraction: 1.5}); err == nil {
 		t.Error("expected error for SaaS fraction > 1")
+	}
+	// A negative demand scale would give every endpoint a negative request
+	// rate, so no SaaS demand would arrive.
+	if _, err := Generate(WorkloadConfig{Servers: 10, SaaSFraction: 0.5, DemandScale: -1}); err == nil || !strings.Contains(err.Error(), "negative demand_scale") {
+		t.Errorf("demand scale -1: err = %v, want a negative demand_scale error", err)
 	}
 }
 

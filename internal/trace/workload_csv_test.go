@@ -148,6 +148,9 @@ func TestReadWorkloadCSVErrors(t *testing.T) {
 		"endpoint shifted id":  {withLine(2, "endpoint,7"+strings.TrimPrefix(lines[2], "endpoint,0")), "endpoint id 7, want 0"},
 		"endpoint zero prompt": {withLine(2, "endpoint,0,5,0,256,0.25,0.65,1,0.25,0.05,42,2.5,100,7,0"), "row 3: non-positive avg_prompt_tokens 0"},
 		"endpoint neg prompt":  {withLine(2, "endpoint,0,5,-1024,256,0.25,0.65,1,0.25,0.05,42,2.5,100,7,0"), "row 3: non-positive avg_prompt_tokens -1024"},
+		"endpoint neg output":  {withLine(2, "endpoint,0,5,1024,-256,0.25,0.65,1,0.25,0.05,42,2.5,100,7,0"), "row 3: negative avg_output_tokens -256"},
+		"endpoint neg rps":     {withLine(2, "endpoint,0,5,1024,256,0.25,0.65,1,0.25,0.05,42,-2.56,100,7,0"), "row 3: negative peak_rps_per_vm -2.56"},
+		"config neg demand":    {withLine(1, "config,40,0.5,0,2,3,0.92,-1"), "row 2: negative demand_scale -1"},
 		"vm field count":       {withLine(firstVM, "vm,1,2"), "vm record has 3 fields"},
 		"vm bad kind":          {withLine(firstVM, "vm,0,7,0,-1,0,3600000000000,0,0,0,0,0,0,0"), "invalid VM kind 7"},
 		"vm duplicate id":      {withLine(firstVM+1, lines[firstVM]), "VM ids must be dense"},
@@ -267,6 +270,9 @@ func TestReaderAndValidateAgree(t *testing.T) {
 		"endpoint id":           func(w *Workload) { w.Endpoints[1].ID = 0 },
 		"num_vms":               func(w *Workload) { w.Endpoints[1].NumVMs = -1 },
 		"prompt tokens":         func(w *Workload) { w.Endpoints[0].Work.AvgPromptTokens = 0 },
+		"output tokens":         func(w *Workload) { w.Endpoints[0].Work.AvgOutputTokens = -256 },
+		"peak rps":              func(w *Workload) { w.Endpoints[0].PeakRPSPerVM = -2.56 },
+		"demand scale":          func(w *Workload) { w.Config.DemandScale = -1 },
 		"vm id":                 func(w *Workload) { w.VMs[2].ID = 9 },
 		"vm kind":               func(w *Workload) { w.VMs[2].Kind = 7 },
 		"first arrival":         func(w *Workload) { w.VMs[0].Arrival = -time.Second },
