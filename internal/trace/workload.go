@@ -159,8 +159,9 @@ type WorkloadConfig struct {
 	// Occupancy is the target fraction of servers hosting a VM (default 0.92).
 	Occupancy float64
 	// DemandScale scales SaaS request rates relative to fleet serving
-	// capacity (default 0.8: loaded endpoints whose diurnal peaks approach
-	// instance saturation, as production endpoints are sized to do).
+	// capacity (0 selects the default 0.8: loaded endpoints whose diurnal
+	// peaks approach instance saturation, as production endpoints are sized
+	// to do). Negative values are refused.
 	DemandScale float64
 }
 
@@ -207,13 +208,18 @@ func validateConfig(c *WorkloadConfig) error {
 	if c.Duration < 0 {
 		return fmt.Errorf("negative duration %v", c.Duration)
 	}
+	if !(c.DemandScale >= 0) {
+		return fmt.Errorf("negative demand_scale %v", c.DemandScale)
+	}
 	return nil
 }
 
 // validateEndpoint checks ep as endpoint id of a workload. The engine
 // indexes endpoint state by ID (Workload.Endpoints[id]), so IDs must be dense
 // and in order, which also rules out duplicates; instances divide by the
-// mean prompt length, so it must be positive.
+// mean prompt length, so it must be positive. The endpoint's demand is the
+// product of its request rate and token counts (DemandTokens), so a negative
+// output length or rate would silently unload the fleet.
 func validateEndpoint(ep *EndpointSpec, id int) error {
 	if ep.ID != id {
 		return fmt.Errorf("endpoint id %d, want %d (endpoint ids must be dense 0..n-1 in order)", ep.ID, id)
@@ -223,6 +229,12 @@ func validateEndpoint(ep *EndpointSpec, id int) error {
 	}
 	if !(ep.Work.AvgPromptTokens > 0) {
 		return fmt.Errorf("non-positive avg_prompt_tokens %v", ep.Work.AvgPromptTokens)
+	}
+	if !(ep.Work.AvgOutputTokens >= 0) {
+		return fmt.Errorf("negative avg_output_tokens %v", ep.Work.AvgOutputTokens)
+	}
+	if !(ep.PeakRPSPerVM >= 0) {
+		return fmt.Errorf("negative peak_rps_per_vm %v", ep.PeakRPSPerVM)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -301,6 +302,25 @@ func TestReaderAndValidateAgree(t *testing.T) {
 				t.Errorf("different checks fired:\nValidate:       %v\nReadWorkloadCSV: %v", verr, rerr)
 			}
 		})
+	}
+}
+
+// TestValidateRejectsNaNDemand: the CSV reader refuses non-finite fields
+// before the record checks run, so a NaN demand factor reaches the checks
+// only from a workload built in memory; Validate must refuse it there.
+func TestValidateRejectsNaNDemand(t *testing.T) {
+	for name, fault := range map[string]func(w *Workload){
+		"output tokens": func(w *Workload) { w.Endpoints[0].Work.AvgOutputTokens = math.NaN() },
+		"peak rps":      func(w *Workload) { w.Endpoints[0].PeakRPSPerVM = math.NaN() },
+		"demand scale":  func(w *Workload) { w.Config.DemandScale = math.NaN() },
+	} {
+		w := genWorkload(t, WorkloadConfig{
+			Servers: 40, SaaSFraction: 0.5, Duration: time.Hour, Endpoints: 2, Seed: 3,
+		})
+		fault(w)
+		if err := w.Validate(); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s NaN: err = %v, want an error naming the NaN", name, err)
+		}
 	}
 }
 
