@@ -201,6 +201,8 @@ func TestLRUCacheOrderAndEviction(t *testing.T) {
 // Compile without relying on goroutine timing: with a compile of the key
 // registered in flight, a caller waits for it and adopts its result with its
 // own runtime-only fields, or returns its error, and never compiles itself.
+// The waiter counts as neither a hit nor a miss, so the scenario level's
+// misses stay equal to the cold compiles.
 func TestCompileCacheWaitsForInFlightCompile(t *testing.T) {
 	sc := quickScenario()
 	compiled, err := Compile(sc)
@@ -217,7 +219,7 @@ func TestCompileCacheWaitsForInFlightCompile(t *testing.T) {
 	}{{"result", compiled, nil}, {"error", nil, boom}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cache := NewCompileCache(0)
-			key, err := cache.Key(sc)
+			key, err := ScenarioKey(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,6 +241,9 @@ func TestCompileCacheWaitsForInFlightCompile(t *testing.T) {
 			call.cs, call.err = tc.cs, tc.err
 			close(call.done)
 			res := <-got
+			if st := cache.Stats().Scenarios; st.Hits != 0 || st.Misses != 0 {
+				t.Errorf("waiter recorded %d hits and %d misses, want neither", st.Hits, st.Misses)
+			}
 			if tc.err != nil {
 				if !errors.Is(res.err, tc.err) {
 					t.Fatalf("err = %v, want the in-flight compile's error", res.err)
