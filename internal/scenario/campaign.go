@@ -139,8 +139,8 @@ type Result struct {
 	// point to point, so norm_* metrics always divide by the envelopes of
 	// the layout they ran against.
 	Prov []Prov
-	// Compiles is the number of distinct scenario keys (sim.ScenarioKey)
-	// in the grid — axes that collapse to identical compile-relevant
+	// Compiles is the number of distinct scenario keys (sim.ScenarioKey,
+	// read from each point's sim.CompiledScenario.Key) in the grid — axes that collapse to identical compile-relevant
 	// scenarios, or that vary only runtime fields such as the climate,
 	// share one key, so this can be smaller than len(Campaign.Points). It
 	// is not a count of cold compiles: with a shared RunOptions.Cache any
@@ -149,13 +149,13 @@ type Result struct {
 	Compiles int
 }
 
-// Run executes the campaign: grid points are deduplicated by content key
-// (sim.ScenarioKey) so identical compile-relevant scenarios compile once,
-// each unique scenario compiles once through RunOptions.Cache (or a cache
-// private to the run), and all policies share the compiled artifacts
-// read-only across the worker pool (sim.RunParallelCtx). The result is
-// deterministic and independent of the worker count, the cache state, and
-// the deduplication.
+// Run executes the campaign: every grid point compiles through
+// RunOptions.Cache (or a cache private to the run), which deduplicates points
+// with equal content keys (sim.ScenarioKey) and hands each its compilation
+// with the point's own runtime-only fields, and all policies share the
+// compiled artifacts read-only across the worker pool (sim.RunParallelCtx).
+// The result is deterministic and independent of the worker count and the
+// cache state.
 func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	ctx := opt.Context
 	if ctx == nil {
@@ -166,27 +166,7 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 		cache = sim.NewCompileCache(0)
 	}
 	nPts := len(c.Points)
-	// Deduplicate identical grid points before the compile fan-out: axes
-	// whose values collapse to the same compile-relevant scenario (or that
-	// only vary runtime fields) hash to one key and compile once.
-	group := make([]int, nPts) // point -> index into uniq
-	var uniq []int             // unique index -> representative point
-	byKey := make(map[sim.CacheKey]int, nPts)
-	for pi := range c.Points {
-		key, err := cache.Key(c.Points[pi].Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: spec %q: keying point %d: %w", c.Spec.Name, pi, err)
-		}
-		ui, ok := byKey[key]
-		if !ok {
-			ui = len(uniq)
-			byKey[key] = ui
-			uniq = append(uniq, pi)
-		}
-		group[pi] = ui
-	}
-	compiledUniq, err := sim.RunParallelCtx(ctx, len(uniq), opt.Parallel, func(_, ui int) (*sim.CompiledScenario, error) {
-		pi := uniq[ui]
+	compiled, err := sim.RunParallelCtx(ctx, nPts, opt.Parallel, func(_, pi int) (*sim.CompiledScenario, error) {
 		cs, err := cache.Compile(c.Points[pi].Scenario)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: spec %q: compiling point %d: %w", c.Spec.Name, pi, err)
@@ -195,13 +175,6 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	// Each point adopts the shared compilation with its own runtime-only
-	// fields, so deduplicated points that differ in Tick, Failures or policy
-	// parameters still run their own schedule and policy settings.
-	compiled := make([]*sim.CompiledScenario, nPts)
-	for pi := range c.Points {
-		compiled[pi] = compiledUniq[group[pi]].ForScenario(c.Points[pi].Scenario)
 	}
 	total := len(c.Policies) * nPts
 	var done atomic.Int64
@@ -223,9 +196,10 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 		Campaign: c,
 		Runs:     make([][]*sim.Result, len(c.Policies)),
 		Prov:     make([]Prov, nPts),
-		Compiles: len(uniq),
 	}
+	keys := make(map[sim.CacheKey]bool, nPts)
 	for pi, cs := range compiled {
+		keys[cs.Key()] = true
 		p := Prov{}
 		for _, row := range cs.DC.Rows {
 			if row.ProvPowerW > p.PowerW {
@@ -239,6 +213,7 @@ func (c *Campaign) Run(opt RunOptions) (*Result, error) {
 		}
 		out.Prov[pi] = p
 	}
+	out.Compiles = len(keys)
 	for pi := range c.Policies {
 		out.Runs[pi] = runs[pi*nPts : (pi+1)*nPts]
 	}

@@ -9,16 +9,19 @@ import (
 )
 
 // CompileCache is a two-level, content-addressed, size-bounded cache of
-// compiled scenarios, safe for concurrent use.
+// compiled scenarios, safe for concurrent use. It is the one path from a
+// scenario to a compilation: Compile goes through a private one, and
+// campaigns compile every grid point through a shared one, which is what
+// deduplicates their points.
 //
 // Level 1 keys whole *CompiledScenario values by ScenarioKey — a canonical
 // hash of the compile-relevant Scenario fields — so identical grid points
-// across sweeps, reruns, and concurrent campaigns compile once. Hits return
-// a CompiledScenario variant adopting the caller's runtime-only fields
-// (Tick, Failures, Observer, the climate Region and StartOffset, and the
-// policy parameters SLOSched and PowerGov), which is exactly the set a
-// compiled scenario can vary per run; reports from a cache hit are
-// byte-identical to a cold compile.
+// within a campaign, across sweeps, reruns, and concurrent campaigns compile
+// once. Every result comes through CompiledScenario.ForScenario, adopting
+// the caller's runtime-only fields (Tick, Failures, Observer, the climate
+// Region and StartOffset, and the policy parameters SLOSched and PowerGov),
+// which is exactly the set ScenarioKey leaves out; reports from a cache hit
+// are byte-identical to a cold compile.
 //
 // Level 2 memoizes the layout artifacts Compile builds — the generated
 // datacenter plus every table derived from it — under their own content
@@ -28,7 +31,8 @@ import (
 //
 // Each level is an LRU bounded by entry count. Concurrent compiles of the
 // same level-1 key are deduplicated (the losers wait for the winner's
-// result); concurrent compiles of different scenarios that share a layout
+// result and count as neither hits nor misses, so level-1 misses equal cold
+// compiles); concurrent compiles of different scenarios that share a layout
 // may build it redundantly, which wastes work but never changes results —
 // every build of the same key is byte-identical.
 type CompileCache struct {
@@ -61,14 +65,14 @@ func NewCompileCache(maxEntries int) *CompileCache {
 }
 
 // Compile returns the compiled scenario for sc, from cache when its content
-// key is present and compiling (then caching) it otherwise. The returned
-// value adopts sc's runtime-only fields and is safe for any number of
-// concurrent Run calls, like a fresh Compile result. A start offset the
-// weather window cannot cover is rejected before the lookup, so a hit never
-// hands one out.
+// key is present, waiting for a compile of the key already in flight, and
+// compiling (then caching) it otherwise. The returned value adopts sc's
+// runtime-only fields and is safe for any number of concurrent Run calls. A
+// start offset the weather window cannot cover is rejected before the
+// lookup, so a hit never hands one out.
 //
 // Traces attached to sc (Scenario.Trace, splice overlays) must not be
-// mutated after first use — the same read-only contract Compile itself
+// mutated after first use — the read-only contract every compilation
 // imposes — because their content fingerprints are memoized by pointer.
 func (c *CompileCache) Compile(sc Scenario) (*CompiledScenario, error) {
 	if err := checkWindow(sc); err != nil {
@@ -79,14 +83,11 @@ func (c *CompileCache) Compile(sc Scenario) (*CompiledScenario, error) {
 		return nil, err
 	}
 	// Deduplicate concurrent compiles of the same key: the first caller
-	// compiles, later ones wait and adopt its result. The lookup shares the
-	// flight lock because a compile is cached before its flight ends, so a
-	// caller missing both has no compile to wait for.
+	// compiles, later ones wait and adopt its result. A waiter counts as
+	// neither a hit nor a miss, so misses equal cold compiles. The lookups
+	// share the flight lock because a compile is cached before its flight
+	// ends, so a caller missing both has no compile to wait for.
 	c.mu.Lock()
-	if cs, ok := c.scenarios.get(key); ok {
-		c.mu.Unlock()
-		return cs.ForScenario(sc), nil
-	}
 	if call, ok := c.flight[key]; ok {
 		c.mu.Unlock()
 		<-call.done
@@ -95,11 +96,15 @@ func (c *CompileCache) Compile(sc Scenario) (*CompiledScenario, error) {
 		}
 		return call.cs.ForScenario(sc), nil
 	}
+	if cs, ok := c.scenarios.get(key); ok {
+		c.mu.Unlock()
+		return cs.ForScenario(sc), nil
+	}
 	call := &flightCall{done: make(chan struct{})}
 	c.flight[key] = call
 	c.mu.Unlock()
 
-	call.cs, call.err = c.compileCold(sc)
+	call.cs, call.err = c.compileCold(sc, key)
 	if call.err == nil {
 		c.scenarios.add(key, call.cs)
 	}
@@ -113,20 +118,13 @@ func (c *CompileCache) Compile(sc Scenario) (*CompiledScenario, error) {
 	return call.cs, nil
 }
 
-// Key exposes the level-1 content key of a scenario, computed with the
-// cache's trace-fingerprint memo (campaigns use it to deduplicate grid
-// points before the compile fan-out).
-func (c *CompileCache) Key(sc Scenario) (CacheKey, error) {
-	return scenarioKey(sc, c.fp)
-}
-
 // Compiles returns the number of cold compiles the cache has performed —
 // the work every other Compile call skipped.
 func (c *CompileCache) Compiles() uint64 { return c.compiles.Load() }
 
-// compileCold compiles a scenario on the cached layout artifacts when a
-// previous compile built the same layout.
-func (c *CompileCache) compileCold(sc Scenario) (*CompiledScenario, error) {
+// compileCold compiles a scenario under its key, on the cached layout
+// artifacts when a previous compile built the same layout.
+func (c *CompileCache) compileCold(sc Scenario, key CacheKey) (*CompiledScenario, error) {
 	c.compiles.Add(1)
 	lk := layoutKey(sc.Layout, sc.Oversubscribe)
 	la, ok := c.layouts.get(lk)
@@ -138,7 +136,7 @@ func (c *CompileCache) compileCold(sc Scenario) (*CompiledScenario, error) {
 		}
 		c.layouts.add(lk, la)
 	}
-	return compileOn(sc, la)
+	return compileOn(sc, key, la)
 }
 
 // Stats returns a consistent-enough snapshot of per-level counters (each

@@ -14,23 +14,22 @@ import (
 )
 
 // CompiledScenario holds every run-invariant artifact of a Scenario, built
-// once by Compile and shared — strictly read-only — by any number of
-// subsequent (including concurrent) runs: the generated datacenter layout,
-// the workload trace, the LLM configuration profile, flattened
-// per-(server,GPU) thermal coefficient tables, and the seeded "previous
-// week" demand history. Each Run gets its own fresh cluster.State and builds
-// its own outside-temperature series from its Region and StartOffset, so runs
-// never observe each other.
+// once by a CompileCache (Compile uses a private one) and shared — strictly
+// read-only — by any number of subsequent (including concurrent) runs: the
+// generated datacenter layout, the workload trace, the LLM configuration
+// profile, flattened per-(server,GPU) thermal coefficient tables, and the
+// seeded "previous week" demand history. Each Run gets its own fresh
+// cluster.State and builds its own outside-temperature series from its
+// Region and StartOffset, so runs never observe each other.
 //
 // Experiment grids that evaluate many policies, failure schedules or
-// climates over the same fleet and workload compile once and run many times;
-// reports are byte-identical to compiling per run.
+// climates over the same fleet and workload compile once and run many times
+// through ForScenario; reports are byte-identical to compiling per run.
 type CompiledScenario struct {
-	// Scenario is the descriptor the artifacts were compiled from. The
-	// compile-relevant fields (Layout, Workload, Duration, Oversubscribe)
-	// must not be changed after compilation; runtime-only fields (Tick,
-	// Failures, Observer, Region, StartOffset, SLOSched, PowerGov) may be
-	// varied per run via Variant.
+	// Scenario is the descriptor the artifacts were compiled from, carrying
+	// the runtime-only fields of the run ForScenario adopted. Like DC and
+	// Workload it is read-only: a run varies only through ForScenario, and
+	// a different compile-relevant field needs a compile of its own.
 	Scenario Scenario
 
 	DC       *layout.Datacenter
@@ -43,25 +42,18 @@ type CompiledScenario struct {
 	layoutTables
 	workloadTables
 
-	// compiledFrom snapshots the descriptor Compile ran against, so Run can
-	// reject variants that changed compile-relevant fields.
-	compiledFrom Scenario
+	// key is Scenario's content key, stamped by the cache that compiled it.
+	key CacheKey
 }
 
-// Compile builds the run-invariant artifacts of a scenario. The returned
-// object is immutable; call Run on it any number of times, from any number
-// of goroutines. Compile itself is pure — repeated what-ifs that want to
-// skip it entirely go through a CompileCache, which memoizes whole
+// Compile builds the run-invariant artifacts of a scenario through a
+// CompileCache private to the call, so one code path keys and builds every
+// compilation. The returned object is immutable; call Run on it any number
+// of times, from any number of goroutines. Repeated what-ifs that want to
+// skip compiling go through a shared CompileCache, which memoizes whole
 // compilations (by ScenarioKey) and the layout artifacts below.
 func Compile(sc Scenario) (*CompiledScenario, error) {
-	if err := checkWindow(sc); err != nil {
-		return nil, err
-	}
-	la, err := buildLayoutArtifacts(sc.Layout, sc.Oversubscribe)
-	if err != nil {
-		return nil, err
-	}
-	return compileOn(sc, la)
+	return NewCompileCache(1).Compile(sc)
 }
 
 // layoutArtifacts groups every compiled artifact derived solely from the
@@ -213,22 +205,23 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 
 // compileOn materializes the scenario's workload over a built layout, derives
 // the workload tables (request log, seeded history, shared-phase index) and
-// assembles the compiled scenario. The layout artifacts may come from a fresh
-// build or a CompileCache — every build of the same layout key is
-// byte-identical, so the result never depends on provenance.
-func compileOn(sc Scenario, la *layoutArtifacts) (*CompiledScenario, error) {
+// assembles the compiled scenario under its content key. The layout
+// artifacts may come from a fresh build or the cache's layout level — every
+// build of the same layout key is byte-identical, so the result never
+// depends on provenance.
+func compileOn(sc Scenario, key CacheKey, la *layoutArtifacts) (*CompiledScenario, error) {
 	w, err := workloadFor(sc, len(la.dc.Servers))
 	if err != nil {
 		return nil, err
 	}
 	cs := &CompiledScenario{
 		Scenario:     sc,
-		compiledFrom: sc,
 		DC:           la.dc,
 		Workload:     w,
 		Profile:      la.profile,
 		Coeffs:       la.coeffs,
 		layoutTables: la.layoutTables,
+		key:          key,
 	}
 	wt := &cs.workloadTables
 	wt.requests, err = requestsFor(sc, w)
@@ -259,9 +252,9 @@ func compileOn(sc Scenario, la *layoutArtifacts) (*CompiledScenario, error) {
 
 // checkWindow rejects a start offset the weather series cannot cover: a run
 // builds it over [0, StartOffset+Duration], so a negative offset, or one
-// whose window end overflows, would size it negative. Compile, the cache and
-// Run all check it, because a variant or a cache hit carries the offset to
-// Run without compiling.
+// whose window end overflows, would size it negative. The cache (which
+// Compile goes through) and Run both check it, because ForScenario and a
+// cache hit carry the offset to Run without compiling.
 func checkWindow(sc Scenario) error {
 	if sc.StartOffset < 0 {
 		return fmt.Errorf("sim: negative start offset %v", sc.StartOffset)
@@ -350,73 +343,25 @@ func GenerateWorkload(sc Scenario) (*trace.Workload, error) {
 	return workloadFor(sc, len(dc.Servers))
 }
 
-// Variant returns a shallow copy sharing every compiled artifact, with
-// mutate applied to the scenario. Only runtime-only fields may be changed:
-// Tick, Failures, Observer, the climate (Region, StartOffset), the policy
-// parameters SLOSched and PowerGov (and shortening Duration).
-// Changing compile-relevant fields (Layout, Workload, Trace, TraceTransforms,
-// Requests, Oversubscribe, lengthening Duration) requires a fresh Compile;
-// Run rejects such variants rather than simulate against stale artifacts.
-func (cs *CompiledScenario) Variant(mutate func(*Scenario)) *CompiledScenario {
-	copy := *cs
-	if mutate != nil {
-		mutate(&copy.Scenario)
-	}
-	return &copy
-}
-
-// ForScenario returns a variant of the compilation adopting sc's
-// runtime-only fields (Tick, Failures, Observer, Region, StartOffset,
-// SLOSched, PowerGov).
-// The caller must ensure sc's compile-relevant fields are content-equal to
-// the compiled scenario's (ScenarioKey equality guarantees it); pointer-typed
-// sources (the replay trace, transform-chain steps) and the
-// layout-overwritten Workload.Servers are normalized to the compiled
-// scenario's own, so content-equal scenarios from different loads of the
-// same trace still pass Run's variant check.
+// ForScenario returns a copy of the compilation, sharing every artifact,
+// that runs with sc's runtime-only fields: Tick, Failures, Observer, the
+// climate (Region, StartOffset) and the policy parameters SLOSched and
+// PowerGov. The copy keeps the compilation's own value of every other
+// field — exactly the fields ScenarioKey hashes — so it always matches its
+// artifacts; a scenario that differs in one of them needs its own compile.
 func (cs *CompiledScenario) ForScenario(sc Scenario) *CompiledScenario {
 	cp := *cs
-	sc.Trace = cs.compiledFrom.Trace
-	sc.TraceTransforms = cs.compiledFrom.TraceTransforms
-	sc.Requests = cs.compiledFrom.Requests
-	sc.Workload.Servers = cs.compiledFrom.Workload.Servers
-	cp.Scenario = sc
+	s := &cp.Scenario
+	s.Tick, s.Failures, s.Observer = sc.Tick, sc.Failures, sc.Observer
+	s.Region, s.StartOffset = sc.Region, sc.StartOffset
+	s.SLOSched, s.PowerGov = sc.SLOSched, sc.PowerGov
 	return &cp
 }
 
-// checkRuntimeOnly verifies the scenario still matches the compiled
-// artifacts on every compile-relevant field.
-func (cs *CompiledScenario) checkRuntimeOnly() error {
-	base, cur := cs.compiledFrom, cs.Scenario
-	switch {
-	case cur.Layout != base.Layout:
-		return fmt.Errorf("sim: variant changed Layout; recompile the scenario")
-	case cur.Workload != base.Workload:
-		return fmt.Errorf("sim: variant changed Workload; recompile the scenario")
-	case cur.Trace != base.Trace:
-		return fmt.Errorf("sim: variant changed Trace; recompile the scenario")
-	case !cur.TraceTransforms.Equal(base.TraceTransforms):
-		return fmt.Errorf("sim: variant changed TraceTransforms; recompile the scenario")
-	case !sameRequests(cur.Requests, base.Requests):
-		return fmt.Errorf("sim: variant changed Requests; recompile the scenario")
-	case cur.Oversubscribe != base.Oversubscribe:
-		return fmt.Errorf("sim: variant changed Oversubscribe; recompile the scenario")
-	case cur.Duration > base.Duration:
-		return fmt.Errorf("sim: variant lengthened Duration beyond the compiled workload window (%v > %v); recompile the scenario", cur.Duration, base.Duration)
-	}
-	return nil
-}
-
-// sameRequests reports whether two request logs are the same slice (length
-// plus backing-array identity). ForScenario normalizes a content-equal
-// scenario's log to the compiled one's, mirroring the pointer-swap semantics
-// of the Trace check.
-func sameRequests(a, b []llm.Request) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
-}
+// Key returns the content key the scenario was compiled under (ScenarioKey
+// of its compile-relevant fields): compilations with equal keys are
+// interchangeable, so campaigns count distinct compilations by it.
+func (cs *CompiledScenario) Key() CacheKey { return cs.key }
 
 // Run executes one simulation of the compiled scenario under a policy. Safe
 // for concurrent use: every call builds a private cluster.State around the
@@ -426,9 +371,6 @@ func (cs *CompiledScenario) Run(pol Policy) (*Result, error) {
 		return nil, err
 	}
 	if err := checkWindow(cs.Scenario); err != nil {
-		return nil, err
-	}
-	if err := cs.checkRuntimeOnly(); err != nil {
 		return nil, err
 	}
 	r, err := cs.newRunner(pol)

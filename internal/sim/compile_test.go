@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tapas-sim/tapas/internal/cluster"
+	"github.com/tapas-sim/tapas/internal/trace/transform"
 )
 
 // TestCompiledRunMatchesFreshRun pins the compiled-scenario contract: running
@@ -74,8 +77,8 @@ func TestCompiledRunsConcurrently(t *testing.T) {
 }
 
 // TestCompiledVariant verifies runtime-only variations (tick, failures and
-// the climate: region and start offset) reuse the compiled artifacts yet
-// match a fresh compile of the varied scenario.
+// the climate: region and start offset), adopted through ForScenario, reuse
+// the compiled artifacts yet match a fresh compile of the varied scenario.
 func TestCompiledVariant(t *testing.T) {
 	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
@@ -105,7 +108,7 @@ func TestCompiledVariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cs.Variant(tc.mutate).Run(naivePolicy{})
+		got, err := cs.ForScenario(varied).Run(naivePolicy{})
 		if err != nil {
 			t.Fatalf("%s variant: %v", tc.name, err)
 		}
@@ -116,59 +119,142 @@ func TestCompiledVariant(t *testing.T) {
 			t.Errorf("%s variant ran like the base scenario", tc.name)
 		}
 	}
-	// The base compilation must be untouched by variants.
+	// The base compilation must be untouched by its copies.
 	if !reflect.DeepEqual(cs.Scenario, sc) {
-		t.Error("Variant mutated the base compiled scenario")
+		t.Error("ForScenario mutated the base compiled scenario")
 	}
 }
 
 // TestCompiledRunRejectsBadTick keeps the tick validation on the compiled
 // path.
 func TestCompiledRunRejectsBadTick(t *testing.T) {
-	cs, err := Compile(SmallScenario())
+	sc := SmallScenario()
+	cs, err := Compile(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.Variant(func(s *Scenario) { s.Tick = 0 }).Run(naivePolicy{}); err == nil {
+	sc.Tick = 0
+	if _, err := cs.ForScenario(sc).Run(naivePolicy{}); err == nil {
 		t.Fatal("expected error for zero tick")
 	}
 }
 
-// TestCompiledRunRejectsStaleArtifacts pins the runtime-only contract: a
-// variant that changes a compile-relevant field must fail loudly instead of
-// simulating against artifacts compiled for different inputs.
-func TestCompiledRunRejectsStaleArtifacts(t *testing.T) {
-	cs, err := Compile(SmallScenario())
+// TestForScenarioKeepsCompiledFields pins the runtime-only contract: a
+// ForScenario copy takes only the runtime-only fields, so a scenario that
+// differs in a compile-relevant field runs exactly like the compiled
+// scenario instead of against artifacts compiled for other inputs.
+func TestForScenarioKeepsCompiledFields(t *testing.T) {
+	sc := quickScenario()
+	cs, err := Compile(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []struct {
-		name   string
-		mutate func(*Scenario)
-	}{
-		{"workload", func(s *Scenario) { s.Workload.SaaSFraction = 0.25 }},
-		{"oversubscribe", func(s *Scenario) { s.Oversubscribe = 0.3 }},
-		{"longer duration", func(s *Scenario) { s.Duration *= 2 }},
+	want, err := cs.Run(naivePolicy{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range bad {
-		if _, err := cs.Variant(tc.mutate).Run(naivePolicy{}); err == nil {
-			t.Errorf("%s variant must be rejected", tc.name)
+	other, err := GenerateWorkload(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Scenario){
+		"workload":          func(s *Scenario) { s.Workload.SaaSFraction = 0.25 },
+		"oversubscribe":     func(s *Scenario) { s.Oversubscribe = 0.3 },
+		"longer duration":   func(s *Scenario) { s.Duration *= 2 },
+		"shorter duration":  func(s *Scenario) { s.Duration /= 2 },
+		"trace":             func(s *Scenario) { s.Trace = other },
+		"request-level log": func(s *Scenario) { s.Requests = syntheticRequests(50, 2, 5*time.Minute) },
+	} {
+		varied := sc
+		mutate(&varied)
+		cp := cs.ForScenario(varied)
+		if !reflect.DeepEqual(cp.Scenario, cs.Scenario) {
+			t.Errorf("%s: ForScenario adopted a compile-relevant field", name)
+		}
+		got, err := cp.Run(naivePolicy{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: the copy ran unlike the compiled scenario", name)
 		}
 	}
-	// Shortening the duration stays within the compiled window and is fine.
-	short := cs.Variant(func(s *Scenario) {
-		s.Duration = 20 * time.Minute
-	})
-	if _, err := short.Run(naivePolicy{}); err != nil {
-		t.Errorf("shortened-duration variant must run: %v", err)
+}
+
+// TestScenarioFieldsAreKeyedOrAdopted lists Scenario's fields by reflection
+// and requires each to be hashed by ScenarioKey or adopted by ForScenario,
+// never both: a field in neither would be dropped from every reused
+// compilation, and a field in both would let a run disagree with the
+// artifacts its key names. A field added to Scenario fails the test until
+// it is perturbed here.
+func TestScenarioFieldsAreKeyedOrAdopted(t *testing.T) {
+	synthetic := SmallScenario()
+	replay := synthetic
+	replay.Trace = smallTrace(t, 1)
+	perturb := map[string]func(*Scenario){
+		"Layout":          func(s *Scenario) { s.Layout.Seed++ },
+		"Workload":        func(s *Scenario) { s.Workload.Seed++ },
+		"Trace":           func(s *Scenario) { s.Trace = smallTrace(t, 2) },
+		"TraceTransforms": func(s *Scenario) { s.TraceTransforms = transform.Chain{&transform.TimeWarp{Factor: 2}} },
+		"Requests":        func(s *Scenario) { s.Requests = syntheticRequests(10, 2, time.Minute) },
+		"SLOSched":        func(s *Scenario) { s.SLOSched.AffinityWeight = 0.25 },
+		"PowerGov":        func(s *Scenario) { s.PowerGov.Gain = 0.5 },
+		"Region":          func(s *Scenario) { s.Region.MeanC++ },
+		"Duration":        func(s *Scenario) { s.Duration += time.Minute },
+		"Tick":            func(s *Scenario) { s.Tick *= 2 },
+		"StartOffset":     func(s *Scenario) { s.StartOffset += time.Hour },
+		"Oversubscribe":   func(s *Scenario) { s.Oversubscribe = 0.2 },
+		"Failures": func(s *Scenario) {
+			s.Failures = []FailureEvent{{Kind: PowerFailure, At: time.Minute, Duration: time.Minute}}
+		},
+		"Observer": func(s *Scenario) { s.Observer = func(*cluster.State) {} },
 	}
+	typ := reflect.TypeOf(Scenario{})
+	if len(perturb) != typ.NumField() {
+		t.Errorf("%d perturbations for %d Scenario fields", len(perturb), typ.NumField())
+	}
+	compiled := &CompiledScenario{Scenario: synthetic}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		mutate, ok := perturb[name]
+		if !ok {
+			t.Errorf("Scenario.%s has no perturbation: hash it in ScenarioKey or adopt it in ForScenario, then add it here", name)
+			continue
+		}
+		// Some fields count in one workload source only (Workload for a
+		// synthetic scenario, TraceTransforms for a replay), so a field is
+		// hashed when it moves the key of either.
+		keyed := false
+		for _, base := range []Scenario{synthetic, replay} {
+			sc := base
+			mutate(&sc)
+			keyed = keyed || mustKey(t, sc) != mustKey(t, base)
+		}
+		sc := synthetic
+		mutate(&sc)
+		got := reflect.ValueOf(compiled.ForScenario(sc).Scenario).Field(i)
+		adopted := !sameField(got, reflect.ValueOf(synthetic).Field(i))
+		if keyed == adopted {
+			t.Errorf("Scenario.%s: hashed by ScenarioKey %v, adopted by ForScenario %v; want exactly one", name, keyed, adopted)
+		}
+	}
+}
+
+// sameField compares two values of one Scenario field; funcs compare by
+// code pointer, which reflect.DeepEqual does not.
+func sameField(a, b reflect.Value) bool {
+	if a.Kind() == reflect.Func {
+		return a.Pointer() == b.Pointer()
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
 }
 
 // TestRunRejectsScenarioShorterThanOneTick pins the zero-tick guard: a
 // scenario shorter than one tick would run no tick at all and report empty
 // series as a 0 °C fleet with perfect service. Run refuses it, on a fresh
-// scenario and on a variant that shortens the duration below the tick; a
-// duration of exactly one tick still runs that tick.
+// scenario and on a compilation adopting a tick longer than its duration
+// (Duration is compile-relevant, Tick runtime-only); a duration of exactly
+// one tick still runs that tick.
 func TestRunRejectsScenarioShorterThanOneTick(t *testing.T) {
 	sc := SmallScenario()
 	sc.Tick = 2 * sc.Duration
@@ -179,17 +265,16 @@ func TestRunRejectsScenarioShorterThanOneTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := cs.Variant(func(s *Scenario) { s.Duration = s.Tick / 2 })
-	if _, err := short.Run(naivePolicy{}); err == nil || !strings.Contains(err.Error(), "shorter than one tick") {
-		t.Errorf("variant shortened below one tick: err = %v, want a shorter-than-one-tick error", err)
+	if _, err := cs.ForScenario(sc).Run(naivePolicy{}); err == nil || !strings.Contains(err.Error(), "shorter than one tick") {
+		t.Errorf("tick lengthened past the duration: err = %v, want a shorter-than-one-tick error", err)
 	}
-	one := cs.Variant(func(s *Scenario) { s.Duration = s.Tick })
-	res, err := one.Run(naivePolicy{})
+	sc.Tick = sc.Duration
+	res, err := cs.ForScenario(sc).Run(naivePolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Ticks != 1 || len(res.MaxTempC) != 1 {
-		t.Errorf("one-tick variant ran %d ticks (%d samples), want 1", res.Ticks, len(res.MaxTempC))
+		t.Errorf("one-tick run ran %d ticks (%d samples), want 1", res.Ticks, len(res.MaxTempC))
 	}
 }
 
@@ -197,8 +282,8 @@ func TestRunRejectsScenarioShorterThanOneTick(t *testing.T) {
 // series: a run builds it over [0, StartOffset+Duration], so a negative
 // start offset, or one whose window end overflows, would size it negative
 // and panic. StartOffset is runtime-only, so besides Compile, a cold cache
-// and Run, a warm cache hit and a Variant of a good compilation carry it to
-// a run without compiling; every path returns an error instead.
+// and Run, a warm cache hit and a ForScenario copy of a good compilation
+// carry it to a run without compiling; every path returns an error instead.
 func TestCompileRejectsBadWeatherWindow(t *testing.T) {
 	good := SmallScenario()
 	good.Duration = 20 * time.Minute
@@ -224,7 +309,7 @@ func TestCompileRejectsBadWeatherWindow(t *testing.T) {
 			_, coldErr := NewCompileCache(0).Compile(sc)
 			_, warmErr := warm.Compile(sc)
 			_, runErr := Run(sc, naivePolicy{})
-			_, variantErr := cs.Variant(func(s *Scenario) { s.StartOffset = tc.offset }).Run(naivePolicy{})
+			_, adoptErr := cs.ForScenario(sc).Run(naivePolicy{})
 			for _, e := range []struct {
 				path string
 				err  error
@@ -233,7 +318,7 @@ func TestCompileRejectsBadWeatherWindow(t *testing.T) {
 				{"cold cache", coldErr},
 				{"warm cache", warmErr},
 				{"Run", runErr},
-				{"Variant", variantErr},
+				{"ForScenario", adoptErr},
 			} {
 				if tc.ok && e.err != nil {
 					t.Errorf("%s, offset %v: %v", e.path, tc.offset, e.err)

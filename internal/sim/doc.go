@@ -24,13 +24,17 @@
 //
 // # Compilation and caching
 //
-// Compile splits scenario construction into immutable artifacts (layout,
-// workload, request log) shared read-only across runs; CompileCache memoizes
-// whole compilations under content-hash keys (ScenarioKey) and layouts under
-// their own, so campaign grids and repeated what-ifs skip redundant work.
-// Runtime-only fields (Tick, Failures, Observer, the climate Region and
+// Compilation splits scenario construction into immutable artifacts
+// (layout, workload, request log) shared read-only across runs. CompileCache
+// is the one path that builds them: it memoizes whole compilations under
+// content-hash keys (ScenarioKey) and layouts under their own, and
+// deduplicates concurrent compiles of one key, so campaign grids and
+// repeated what-ifs skip redundant work; Compile goes through a private
+// cache. Every compilation carries its key (CompiledScenario.Key). The
+// runtime-only fields (Tick, Failures, Observer, the climate Region and
 // StartOffset, and the policy parameters SLOSched and PowerGov) stay out of
-// the key and are adjustable per run via CompiledScenario.Variant; each run
+// the key, and CompiledScenario.ForScenario adopts exactly those from a
+// run's scenario, keeping the compiled value of every other field; each run
 // builds its own outside-temperature series from its climate.
 //
 // # Determinism

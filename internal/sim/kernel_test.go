@@ -181,9 +181,9 @@ func TestKernelGolden(t *testing.T) {
 		{"heatwave tapas", heat, core.NewFull()},
 	} {
 		var st *cluster.State
-		res, err := run.cs.Variant(func(s *Scenario) {
-			s.Observer = func(live *cluster.State) { st = live }
-		}).Run(run.pol)
+		sc := run.cs.Scenario
+		sc.Observer = func(live *cluster.State) { st = live }
+		res, err := run.cs.ForScenario(sc).Run(run.pol)
 		if err != nil {
 			t.Fatalf("%s: %v", run.name, err)
 		}

@@ -29,9 +29,10 @@ func (k CacheKey) String() string { return hex.EncodeToString(k[:]) }
 // request-level replay log when present, duration, and oversubscription.
 // Runtime-only fields — Tick, Failures, Observer, the climate Region and
 // StartOffset, and the policy parameters SLOSched and PowerGov — are
-// excluded, exactly mirroring what CompiledScenario.Variant allows a run to
-// change without recompiling; Workload.Servers is excluded too because
-// Compile overwrites it from the layout. Replayed traces (and splice
+// excluded: they are exactly the fields CompiledScenario.ForScenario adopts
+// from a run, and every other field is hashed here (a reflection test,
+// TestScenarioFieldsAreKeyedOrAdopted, checks the split). Workload.Servers
+// is excluded too because compiling overwrites it from the layout. Replayed traces (and splice
 // overlays) are hashed by content via their canonical workload CSV, so the
 // key is stable across loads of the same file and across processes.
 func ScenarioKey(sc Scenario) (CacheKey, error) {

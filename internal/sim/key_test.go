@@ -24,8 +24,8 @@ func mustKey(t *testing.T, sc Scenario) CacheKey {
 }
 
 // TestScenarioKeyIgnoresRuntimeOnly pins the key's canonicalization contract:
-// every field a compiled scenario can vary per run (the Variant set — Tick,
-// Failures, Observer, Region, StartOffset, SLOSched, PowerGov — plus
+// every field a compiled scenario can vary per run (the ForScenario set —
+// Tick, Failures, Observer, Region, StartOffset, SLOSched, PowerGov — plus
 // Workload.Servers, which Compile overwrites from the layout) must not move
 // the key, so cache hits serve all runtime variants of one compilation.
 func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {

@@ -154,9 +154,9 @@ type Scenario struct {
 	// Trace inside Compile (time_warp, demand_scale, endpoint_filter,
 	// jitter, splice), turning one pinned trace into a family of scenarios —
 	// "the same trace, 2x hotter". Requires Trace; the transformed workload
-	// is validated exactly like a replayed one. Compile-relevant: variants
-	// changing the chain are rejected, and the chain (including step
-	// contents) must not be mutated after Compile.
+	// is validated exactly like a replayed one. Compile-relevant: a
+	// compilation keeps its own chain (ForScenario does not adopt it), and
+	// the chain (including step contents) must not be mutated after Compile.
 	TraceTransforms transform.Chain
 	// Requests, when non-empty, switches SaaS serving into request-level
 	// replay mode: instead of routing binned per-tick token demand, the

@@ -160,8 +160,9 @@ func TestGenerateWorkloadAppliesTransforms(t *testing.T) {
 	}
 }
 
-// TestReplayValidation pins the loud-failure paths: fleet-size mismatch,
-// over-long runs, empty traces, and variant swaps.
+// TestReplayValidation pins the loud-failure paths (fleet-size mismatch,
+// over-long runs, empty traces), and that a reused compilation ignores a
+// swapped trace or chain.
 func TestReplayValidation(t *testing.T) {
 	sc := quickReplayScenario()
 	wl, err := GenerateWorkload(sc)
@@ -286,6 +287,8 @@ func TestReplayValidation(t *testing.T) {
 			t.Errorf("got %v, want window error on the warped trace", err)
 		}
 	})
+	// A ForScenario copy adopts only runtime-only fields: one given another
+	// chain or trace keeps the compiled one and runs like the compilation.
 	t.Run("variant swaps transform chain", func(t *testing.T) {
 		good := sc
 		good.Trace = wl
@@ -294,16 +297,28 @@ func TestReplayValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := cs.Variant(func(s *Scenario) {
-			s.TraceTransforms = transform.Chain{&transform.DemandScale{Factor: 2}}
-		})
-		if _, err := v.Run(naivePolicy{}); err == nil || !strings.Contains(err.Error(), "variant changed TraceTransforms") {
-			t.Errorf("got %v, want transform-variant rejection", err)
+		want, err := cs.Run(naivePolicy{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Runtime-only variants over a transformed trace stay allowed.
-		ok := cs.Variant(func(s *Scenario) { s.Tick = 2 * time.Minute })
-		if _, err := ok.Run(naivePolicy{}); err != nil {
-			t.Errorf("runtime-only variant rejected: %v", err)
+		swapped := good
+		swapped.TraceTransforms = transform.Chain{&transform.DemandScale{Factor: 2}}
+		got, err := cs.ForScenario(swapped).Run(naivePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reportString(got) != reportString(want) {
+			t.Error("a copy given another chain ran unlike the compilation")
+		}
+		// Runtime-only changes over a transformed trace still apply.
+		slower := good
+		slower.Tick = 2 * time.Minute
+		res, err := cs.ForScenario(slower).Run(naivePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tick != slower.Tick {
+			t.Errorf("copy ran at tick %v, want %v", res.Tick, slower.Tick)
 		}
 	})
 	t.Run("variant swaps trace", func(t *testing.T) {
@@ -313,10 +328,20 @@ func TestReplayValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want, err := cs.Run(naivePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		other := *wl
-		v := cs.Variant(func(s *Scenario) { s.Trace = &other })
-		if _, err := v.Run(naivePolicy{}); err == nil || !strings.Contains(err.Error(), "variant changed Trace") {
-			t.Errorf("got %v, want trace-variant rejection", err)
+		other.VMs = other.VMs[:len(other.VMs)/2]
+		swapped := good
+		swapped.Trace = &other
+		got, err := cs.ForScenario(swapped).Run(naivePolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reportString(got) != reportString(want) {
+			t.Error("a copy given another trace ran unlike the compilation")
 		}
 	})
 }

@@ -72,9 +72,6 @@ func FuzzParseChain(f *testing.F) {
 		if again.String() != canon {
 			t.Errorf("canonical encoding is not a fixed point: %q -> %q", canon, again.String())
 		}
-		if !c.Equal(again) {
-			t.Error("re-parsed chain not Equal to original")
-		}
 
 		// Apply probe: chains that apply cleanly must emit valid workloads
 		// that round-trip through the CSV archive; chains that fail must

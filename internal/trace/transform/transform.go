@@ -176,7 +176,7 @@ func (s stepJSON) MarshalJSON() ([]byte, error) {
 }
 
 // String returns the canonical JSON of the chain (used for display and for
-// Equal).
+// content keys; equal strings mean equal chains).
 func (c Chain) String() string {
 	b, err := json.Marshal(c)
 	if err != nil {
@@ -185,19 +185,6 @@ func (c Chain) String() string {
 		return fmt.Sprintf("!transform-chain-marshal: %v", err)
 	}
 	return string(b)
-}
-
-// Equal reports whether two chains have the same canonical encoding. Loaded
-// splice workloads are compared by path, mirroring the pointer-swap (not
-// deep content) semantics of sim variant checks.
-func (c Chain) Equal(other Chain) bool {
-	if len(c) != len(other) {
-		return false
-	}
-	if len(c) == 0 {
-		return true
-	}
-	return c.String() == other.String()
 }
 
 // Validate checks every step's parameters.

@@ -106,11 +106,8 @@ func TestChainCanonicalJSON(t *testing.T) {
 	if again.String() != canon {
 		t.Error("canonical encoding is not a fixed point")
 	}
-	if !c.Equal(again) {
-		t.Error("re-parsed chain not Equal to original")
-	}
-	if c.Equal(again[:3]) {
-		t.Error("prefix chain must not be Equal")
+	if again[:3].String() == canon {
+		t.Error("prefix chain encodes like the whole chain")
 	}
 }
 
@@ -125,8 +122,8 @@ func TestChainCloneIsDeep(t *testing.T) {
 	if c[0].(*DemandScale).Factor != 2 || c[1].(*EndpointFilter).Keep[0] != 1 {
 		t.Error("Clone shares state with the original chain")
 	}
-	if c.Equal(cl) {
-		t.Error("mutated clone must not be Equal")
+	if c.String() == cl.String() {
+		t.Error("mutated clone encodes like the original")
 	}
 }
 

@@ -94,9 +94,10 @@ func NewVariant(place, route, config bool) Policy {
 type CompiledScenario = sim.CompiledScenario
 
 // Compile builds a scenario's run-invariant artifacts once. Evaluating
-// several policies (or failure schedules or climates, via Variant) over the
-// same scenario through the compiled object skips the per-run regeneration
-// that Run performs, with byte-identical results.
+// several policies (or failure schedules or climates, via
+// CompiledScenario.ForScenario) over the same scenario through the compiled
+// object skips the per-run regeneration that Run performs, with
+// byte-identical results.
 func Compile(sc Scenario) (*CompiledScenario, error) { return sim.Compile(sc) }
 
 // Run executes a scenario under a policy, compiling it first; use Compile
