@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
@@ -271,26 +272,27 @@ func TestEndpointRequestsStream(t *testing.T) {
 	}
 }
 
-func TestSampleCustomersSkew(t *testing.T) {
-	w, _ := Generate(WorkloadConfig{Servers: 200, SaaSFraction: 0.5, Duration: 24 * time.Hour, Seed: 12})
-	e := w.Endpoints[0]
-	ids := e.SampleCustomers(time.Hour, 200)
-	if len(ids) != 200 {
-		t.Fatalf("sampled %d, want 200", len(ids))
-	}
+// TestZipfSampleSkew pins the skew of the customer IDs that
+// EndpointSpec.Requests and the Azure import draw: every ID is in range, and
+// the first decile of customers receives well over 10% of the samples.
+func TestZipfSampleSkew(t *testing.T) {
+	const customers = 5000
+	rng := rand.New(rand.NewPCG(12, 0))
 	low := 0
-	for _, id := range ids {
-		if id < 0 || id >= e.CustomerCount {
+	for i := 0; i < 200; i++ {
+		id := zipfSample(rng, customers)
+		if id < 0 || id >= customers {
 			t.Fatalf("customer %d out of range", id)
 		}
-		if id < e.CustomerCount/10 {
+		if id < customers/10 {
 			low++
 		}
 	}
-	// Zipf: the first decile of customers should receive well over 10% of
-	// the samples.
 	if low < 60 {
 		t.Errorf("only %d/200 samples in the first decile, want Zipf skew", low)
+	}
+	if id := zipfSample(rng, 1); id != 0 {
+		t.Errorf("one customer: sampled %d, want 0", id)
 	}
 }
 

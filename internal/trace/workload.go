@@ -66,17 +66,6 @@ func (e EndpointSpec) DemandTokens(t, tick time.Duration) (prompt, output float6
 	return n * e.Work.AvgPromptTokens, n * e.Work.AvgOutputTokens
 }
 
-// SampleCustomers returns k Zipf-distributed customer IDs active around
-// time t, used by routers that apply KV-cache affinity to fluid demand.
-func (e EndpointSpec) SampleCustomers(t time.Duration, k int) []int {
-	rng := rand.New(rand.NewPCG(e.Seed, uint64(t/(10*time.Second))))
-	out := make([]int, k)
-	for i := range out {
-		out[i] = zipfSample(rng, e.CustomerCount)
-	}
-	return out
-}
-
 // Requests generates the individual request stream in [from, to) for
 // fine-grained simulation: Poisson arrivals at the endpoint rate, lognormal
 // token counts, Zipf customers.
