@@ -18,12 +18,16 @@ func quickScenario() Scenario {
 
 // TestCompileCacheHitMatchesCold is the cache's core determinism contract:
 // a hit's run results are deeply equal to a cold sim.Compile's, so reports
-// built from either are byte-identical.
+// built from either are byte-identical. Both carry the scenario's key.
 func TestCompileCacheHitMatchesCold(t *testing.T) {
 	sc := quickScenario()
 	cold, err := Compile(sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	key := mustKey(t, sc)
+	if cold.Key() != key {
+		t.Errorf("Compile stamped key %v, want ScenarioKey %v", cold.Key(), key)
 	}
 	want, err := cold.Run(naivePolicy{})
 	if err != nil {
@@ -42,6 +46,9 @@ func TestCompileCacheHitMatchesCold(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("compile %d: cached run differs from cold run", i)
+		}
+		if cs.Key() != key {
+			t.Errorf("compile %d: key %v, want %v", i, cs.Key(), key)
 		}
 	}
 	if n := cache.Compiles(); n != 1 {
