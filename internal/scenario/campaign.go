@@ -140,12 +140,12 @@ type Result struct {
 	// the layout they ran against.
 	Prov []Prov
 	// Compiles is the number of distinct scenario keys (sim.ScenarioKey,
-	// read from each point's sim.CompiledScenario.Key) in the grid — axes that collapse to identical compile-relevant
-	// scenarios, or that vary only runtime fields such as the climate,
-	// share one key, so this can be smaller than len(Campaign.Points). It
-	// is not a count of cold compiles: with a shared RunOptions.Cache any
-	// of these keys may be served without compile work (see
-	// sim.CompileCache.Stats).
+	// read from each point's sim.CompiledScenario.Key) in the grid — axes
+	// that collapse to identical compile-relevant scenarios, or that vary
+	// only runtime fields such as the climate, share one key, so this can
+	// be smaller than len(Campaign.Points). It is not a count of cold
+	// compiles: with a shared RunOptions.Cache any of these keys may be
+	// served without compile work (see sim.CompileCache.Stats).
 	Compiles int
 }
 

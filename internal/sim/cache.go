@@ -17,11 +17,11 @@ import (
 // Level 1 keys whole *CompiledScenario values by ScenarioKey — a canonical
 // hash of the compile-relevant Scenario fields — so identical grid points
 // within a campaign, across sweeps, reruns, and concurrent campaigns compile
-// once. Every result comes through CompiledScenario.ForScenario, adopting
-// the caller's runtime-only fields (Tick, Failures, Observer, the climate
-// Region and StartOffset, and the policy parameters SLOSched and PowerGov),
-// which is exactly the set ScenarioKey leaves out; reports from a cache hit
-// are byte-identical to a cold compile.
+// once. A hit comes through CompiledScenario.ForScenario, adopting the
+// caller's runtime-only fields (Tick, Failures, Observer, the climate Region
+// and StartOffset, and the policy parameters SLOSched and PowerGov), which
+// is exactly the set ScenarioKey leaves out; reports from a cache hit are
+// byte-identical to a cold compile.
 //
 // Level 2 memoizes the layout artifacts Compile builds — the generated
 // datacenter plus every table derived from it — under their own content
