@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -49,7 +50,8 @@ func TestParseAndValidateErrors(t *testing.T) {
 		{"duplicate axis", `{"name":"x","axes":[{"param":"oversubscribe","values":[0]},{"param":"oversubscribe","values":[0.2]}]}`, "swept twice"},
 		{"bad report format", `{"name":"x","report":{"format":"xml"}}`, "unknown report format"},
 		{"bad metric", `{"name":"x","report":{"metrics":["latency"]}}`, "unknown metric"},
-		{"negative scale", `{"name":"x","scale":-1}`, "negative scale"},
+		{"negative scale", `{"name":"x","scale":-1}`, "scale -1 is outside [0, 1]"},
+		{"scale above one", `{"name":"x","scale":2}`, "scale 2 is outside [0, 1]"},
 		{"negative start offset", `{"name":"x","start_offset":"-5h","duration":"10m"}`, "start_offset -5h0m0s must not be negative"},
 		{"zero racks per row", `{"name":"x","layout":{"racks_per_row":0}}`, "layout.racks_per_row 0 must be at least 1"},
 		{"negative aisles", `{"name":"x","layout":{"aisles":-3}}`, "layout.aisles -3 must be at least 1"},
@@ -412,5 +414,34 @@ func TestCampaignRejectsScenarioShorterThanOneTick(t *testing.T) {
 	}
 	if _, err := s.Campaign(1); err != nil {
 		t.Errorf("a 30m tick in the small preset's 1h: %v", err)
+	}
+}
+
+// TestCampaignRefusesScaleOutsideUnit: scale only shrinks a preset toward
+// quick runs, so Campaign refuses a non-finite, oversized or negative scale
+// instead of letting it collapse the run to the presets' floors (a NaN or
+// overflowing aisle count rounds to the 2-aisle floor, and NaN shortens the
+// small preset to its 20-minute smoke window).
+func TestCampaignRefusesScaleOutsideUnit(t *testing.T) {
+	for _, preset := range []string{"large", "small"} {
+		s, err := Parse([]byte(`{"name":"x","layout":{"preset":"` + preset + `"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{math.NaN(), math.Inf(1), 1e300, 2, -1} {
+			c, err := s.Campaign(scale)
+			if err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+				t.Errorf("%s preset, scale %v: err = %v, want an outside-[0, 1] error", preset, scale, err)
+				if err == nil {
+					sc := c.Points[0].Scenario
+					t.Logf("  expanded to %d aisles for %v", sc.Layout.Aisles, sc.Duration)
+				}
+			}
+		}
+		for _, scale := range []float64{0, 0.12, 1} {
+			if _, err := s.Campaign(scale); err != nil {
+				t.Errorf("%s preset, scale %v: %v", preset, scale, err)
+			}
+		}
 	}
 }

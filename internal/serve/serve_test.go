@@ -366,6 +366,19 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("negative scale = %d, want 400", resp.StatusCode)
 	}
 
+	// A scale must parse whole and lie in [0, 1]: NaN and Inf would collapse
+	// the run to the presets' floors, and a trailing suffix is not a number.
+	for _, q := range []string{"NaN", "Inf", "2", "0.5junk"} {
+		resp, err = http.Post(ts.URL+"/campaigns?scale="+q, "application/json", strings.NewReader(smokeSpec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("scale=%s = %d, want 400", q, resp.StatusCode)
+		}
+	}
+
 	resp, err = http.Post(ts.URL+"/campaigns", "application/json",
 		strings.NewReader(`{"name":"x","layout":{"preset":"small"},"duration":"30m","tick":"1h"}`))
 	if err != nil {

@@ -2,6 +2,7 @@ package tapas_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -56,6 +57,18 @@ func TestRunExperimentUnknown(t *testing.T) {
 	var sb strings.Builder
 	if err := tapas.RunExperiment("bogus", 1, 1, &sb); err == nil {
 		t.Fatal("unknown experiment must error")
+	}
+}
+
+// TestRunExperimentRejectsScaleOutsideUnit: a scale outside [0, 1] is an
+// error, not a run at the presets' floors, and nothing is written.
+func TestRunExperimentRejectsScaleOutsideUnit(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), 2, -1} {
+		var sb strings.Builder
+		err := tapas.RunExperimentWith("table1", tapas.ExperimentParams{Scale: scale, Seed: 42}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 1]") || sb.Len() != 0 {
+			t.Errorf("scale %v: err = %v, wrote %d bytes; want an outside-[0, 1] error and no output", scale, err, sb.Len())
+		}
 	}
 }
 
