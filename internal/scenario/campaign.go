@@ -88,12 +88,16 @@ type RunOptions struct {
 }
 
 // Campaign expands the spec into its grid. scale overrides the spec's Scale
-// when positive (0 keeps the spec's, which itself defaults to paper scale).
+// when positive (0 keeps the spec's, which itself defaults to paper scale);
+// a scale outside [0, 1], NaN included, is an error.
 func (s *Spec) Campaign(scale float64) (*Campaign, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if scale <= 0 {
+	if !(scale >= 0 && scale <= 1) {
+		return nil, fmt.Errorf("scenario: spec %q: scale %v is outside [0, 1]", s.Name, scale)
+	}
+	if scale == 0 {
 		scale = s.Scale
 	}
 	base, err := s.baseScenario(scale)

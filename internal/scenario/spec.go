@@ -240,7 +240,8 @@ type Spec struct {
 	// Scale shrinks the preset toward quick runs, as tapas-bench's -scale
 	// does for the paper's figures: it scales aisle count and duration
 	// (large preset; floors of 2 aisles / 6 h) or shortens the run to 20
-	// minutes (small preset, scale < 0.5). 0 means 1.0 (paper scale).
+	// minutes (small preset, scale < 0.5). It lies in [0, 1]; 0 means 1.0
+	// (paper scale). Fleets grow through layout.fleet_scale instead.
 	Scale float64 `json:"scale,omitempty"`
 	// Seed drives every deterministic generator; layout/workload seeds
 	// override it individually. Default 42.
@@ -322,8 +323,8 @@ func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec has no name")
 	}
-	if s.Scale < 0 {
-		return fail("negative scale %v", s.Scale)
+	if !(s.Scale >= 0 && s.Scale <= 1) {
+		return fail("scale %v is outside [0, 1]", s.Scale)
 	}
 	switch s.Layout.Preset {
 	case "", "large", "small":

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"github.com/tapas-sim/tapas/internal/scenario"
 )
@@ -104,9 +105,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.BaseDir != "" {
 		spec.SetBaseDir(s.BaseDir)
 	}
+	// Submit refuses a scale outside [0, 1] (Spec.Campaign checks it).
 	scale := 0.0
 	if q := r.URL.Query().Get("scale"); q != "" {
-		if _, err := fmt.Sscanf(q, "%g", &scale); err != nil || scale < 0 {
+		if scale, err = strconv.ParseFloat(q, 64); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid scale %q", q))
 			return
 		}

@@ -223,7 +223,7 @@ func ExperimentTitle(id string) (string, bool) {
 // ExperimentParams configures experiment regeneration.
 type ExperimentParams struct {
 	// Scale multiplies cluster size and duration (1.0 = paper scale; 0
-	// defaults to 1.0).
+	// defaults to 1.0). A scale outside [0, 1] is an error.
 	Scale float64
 	// Seed drives all deterministic generators.
 	Seed uint64
@@ -249,7 +249,10 @@ func RunExperimentWith(id string, p ExperimentParams, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("tapas: unknown experiment %q (known: %v)", id, ExperimentIDs())
 	}
-	if p.Scale <= 0 {
+	if !(p.Scale >= 0 && p.Scale <= 1) {
+		return fmt.Errorf("tapas: experiment %s: scale %v is outside [0, 1]", id, p.Scale)
+	}
+	if p.Scale == 0 {
 		p.Scale = 1
 	}
 	rep, err := spec.Run(experiments.Params{Scale: p.Scale, Seed: p.Seed, Parallel: p.Parallel})
