@@ -12,8 +12,8 @@ import (
 )
 
 // Options selects which TAPAS levers are active; all three is the full
-// system, none degenerates to the Baseline. The six partial combinations are
-// the paper's ablation variants (Fig. 20).
+// system, and the six partial combinations are the paper's ablation variants
+// (Fig. 20). The lever-less system is the Baseline (NewBaseline).
 type Options struct {
 	Place  bool
 	Route  bool
@@ -50,7 +50,8 @@ type TAPAS struct {
 	Migrations int
 }
 
-// New builds a TAPAS policy (or ablation variant) with the given levers.
+// New builds a TAPAS policy (or ablation variant) with the given levers, at
+// least one of them; NewBaseline is the system with none.
 func New(opts Options) *TAPAS {
 	return &TAPAS{opts: opts, base: NewBaseline()}
 }
@@ -72,9 +73,6 @@ func (t *TAPAS) Name() string {
 	}
 	if t.opts.Config {
 		parts = append(parts, "Config")
-	}
-	if len(parts) == 0 {
-		return "Baseline"
 	}
 	return strings.Join(parts, "+")
 }

@@ -23,7 +23,6 @@ func runSmall(t *testing.T, pol sim.Policy, mutate func(*sim.Scenario)) *sim.Res
 
 func TestPolicyNames(t *testing.T) {
 	cases := map[string]Options{
-		"Baseline":     {},
 		"Place":        {Place: true},
 		"Route":        {Route: true},
 		"Config":       {Config: true},
@@ -72,9 +71,8 @@ func TestTAPASBeatsBaseline(t *testing.T) {
 // lever improves on the baseline, and the full system is at least as good as
 // the best single lever on peak power.
 func TestVariantOrdering(t *testing.T) {
-	results := map[string]*sim.Result{}
+	results := map[string]*sim.Result{"Baseline": runSmall(t, NewBaseline(), nil)}
 	for _, opts := range []Options{
-		{},
 		{Place: true},
 		{Route: true},
 		{Config: true},

@@ -27,6 +27,7 @@ func ParsePolicy(s string) (Policy, error) {
 	var opts core.Options
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "baseline":
+		return Policy{Name: core.NewBaseline().Name(), New: func() sim.Policy { return core.NewBaseline() }}, nil
 	case "tapas":
 		opts = core.Options{Place: true, Route: true, Config: true}
 	case "slo":

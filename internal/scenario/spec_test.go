@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/tapas-sim/tapas/internal/core"
 	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/sim"
 )
@@ -366,6 +367,19 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("place,teleport"); err == nil {
 		t.Error("bad lever accepted")
+	}
+}
+
+// TestBaselinePolicyIsCoreBaseline: the spec's "baseline" builds the
+// Baseline system itself, not a TAPAS with every lever off.
+func TestBaselinePolicyIsCoreBaseline(t *testing.T) {
+	p, err := ParsePolicy("baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := p.New()
+	if _, ok := pol.(*core.Baseline); !ok {
+		t.Errorf("baseline builds %T, want *core.Baseline", pol)
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 func TestKernelMatchesOracle(t *testing.T) {
 	policies := map[string]func() Policy{
 		"tapas":           func() Policy { return core.NewFull() },
-		"baseline":        func() Policy { return core.New(core.Options{}) },
+		"baseline":        func() Policy { return core.NewBaseline() },
 		"slo-edf":         func() Policy { return core.NewSLO(true) },
 		"powergov-energy": func() Policy { return core.NewPowerGov(true) },
 	}

@@ -71,7 +71,7 @@ func TestConcurrentRunsMatchLoneRun(t *testing.T) {
 		new  func() Policy
 	}{
 		{"tapas", func() Policy { return core.NewFull() }},
-		{"baseline", func() Policy { return core.New(core.Options{}) }},
+		{"baseline", func() Policy { return core.NewBaseline() }},
 	} {
 		pol := pol
 		t.Run(pol.name, func(t *testing.T) {
@@ -176,8 +176,8 @@ func TestKernelGolden(t *testing.T) {
 		pol  Policy
 	}{
 		{"tapas", hostile, core.NewFull()},
-		{"baseline", hostile, core.New(core.Options{})},
-		{"heatwave baseline", heat, core.New(core.Options{})},
+		{"baseline", hostile, core.NewBaseline()},
+		{"heatwave baseline", heat, core.NewBaseline()},
 		{"heatwave tapas", heat, core.NewFull()},
 	} {
 		var st *cluster.State

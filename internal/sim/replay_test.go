@@ -105,7 +105,7 @@ func TestCustomerIDsAreLabels(t *testing.T) {
 		new  func() Policy
 	}{
 		{"tapas", func() Policy { return core.NewFull() }},
-		{"baseline", func() Policy { return core.New(core.Options{}) }},
+		{"baseline", func() Policy { return core.NewBaseline() }},
 	} {
 		t.Run(pol.name, func(t *testing.T) {
 			run := func(w *trace.Workload) (res *Result, err error) {

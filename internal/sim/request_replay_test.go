@@ -51,7 +51,7 @@ func TestRequestReplayPopulatesSLOAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cs.Run(core.New(core.Options{}))
+	res, err := cs.Run(core.NewBaseline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRequestReplayAttainmentMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cs.Run(core.New(core.Options{}))
+		res, err := cs.Run(core.NewBaseline())
 		if err != nil {
 			t.Fatal(err)
 		}

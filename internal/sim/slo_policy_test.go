@@ -65,7 +65,7 @@ func TestSLOAdmissionAccounting(t *testing.T) {
 	}
 
 	// Policies without admission control shed nothing and admit everything.
-	base, err := cs.Run(core.New(core.Options{}))
+	base, err := cs.Run(core.NewBaseline())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,8 +81,11 @@ func NewTAPAS() Policy { return core.NewFull() }
 func NewBaseline() Policy { return core.NewBaseline() }
 
 // NewVariant returns an ablation variant with the selected TAPAS levers
-// (Fig. 20); all false degenerates to the Baseline, all true is TAPAS.
+// (Fig. 20); all false is the Baseline, all true is TAPAS.
 func NewVariant(place, route, config bool) Policy {
+	if !place && !route && !config {
+		return core.NewBaseline()
+	}
 	return core.New(core.Options{Place: place, Route: route, Config: config})
 }
 
