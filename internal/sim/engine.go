@@ -85,9 +85,6 @@ type runner struct {
 	// (CompiledScenario.phaseBy): one sine per distinct customer phase per
 	// tick instead of one per IaaS server.
 	phaseDaily []float64
-	// fanSeeded flips after the first airflowStep; from then on fan airflow
-	// comes from the tick kernel, not a separate fleet pass.
-	fanSeeded bool
 	// expiry is a binary min-heap of (departure time, VM ID) over placed
 	// VMs, so the per-tick departure pass pops only the VMs actually due
 	// instead of scanning every placed VM. Popped IDs are re-sorted
@@ -196,8 +193,12 @@ func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
 	for i := range r.thermalCap {
 		r.thermalCap[i] = 1
 		r.srvIaaS[i].vm = -1
-		// Seed the fan-control lag with each generation's idle draw.
-		st.ServerPowerW[i] = r.cs.idleWBy[r.cs.srvModel[i]]
+		// Seed the fan-control lag with each generation's idle draw and the
+		// fan airflow of that draw: at idle power the heat fraction is 0,
+		// so the airflow is the generation's idle airflow.
+		m := r.cs.srvModel[i]
+		st.ServerPowerW[i] = r.cs.idleWBy[m]
+		st.ServerAirflowCFM[i] = r.cs.specBy[m].AirflowIdleCFM
 	}
 	r.aisleViolated = make([]bool, len(st.DC.Aisles))
 	r.rowRecoverOK = make([]bool, len(st.DC.Rows))
@@ -445,22 +446,13 @@ func defaultRequestTarget(insts []*cluster.VM) int {
 	return best
 }
 
-// airflowStep derives per-server airflow from the previous tick's power
-// (fans chase heat, so fan control lags load by one tick), aggregates aisle
-// demand in server-ID order, and invokes the policy when an aisle out-draws
-// its AHUs.
+// airflowStep aggregates aisle demand in server-ID order from the fan
+// airflow of the previous tick's power (fans chase heat, so fan control lags
+// load by one tick; the kernel stores each server's airflow next to its
+// power, and newRunner seeds both for tick 1), and invokes the policy when
+// an aisle out-draws its AHUs.
 func (r *runner) airflowStep() {
 	st := r.st
-	if !r.fanSeeded {
-		// First tick only: ServerPowerW holds the initializer's seed rather
-		// than a kernel-written value, so derive fan airflow from it once.
-		// Every later tick reuses the airflow serverStep stored alongside
-		// the server power it is a pure function of — nothing between the
-		// kernel write and this read mutates ServerPowerW, so folding the
-		// fan pass into the kernel is exact and saves a fleet-wide sweep.
-		r.fanSeeded = true
-		r.seedAirflow()
-	}
 	for a := range st.AisleDemandCFM {
 		st.AisleDemandCFM[a] = 0
 	}
@@ -475,26 +467,6 @@ func (r *runner) airflowStep() {
 			r.pol.CapAisle(st, a, st.AisleDemandCFM[a], limit)
 		}
 		st.AisleRecircC[a] = thermal.RecirculationPenalty(st.AisleDemandCFM[a], limit)
-	}
-}
-
-// seedAirflow computes every server's fan airflow from its power draw. A
-// server drawing exactly the idle tick power reuses the precompiled idle
-// airflow instead of re-deriving it.
-func (r *runner) seedAirflow() {
-	st := r.st
-	cs := r.cs
-	for id := range st.ServerPowerW {
-		m := cs.srvModel[id]
-		p := st.ServerPowerW[id]
-		if p == cs.idleTickWBy[m] {
-			st.ServerAirflowCFM[id] = cs.idleAirflowBy[m]
-			continue
-		}
-		spec := &cs.specBy[m]
-		idleP := cs.idleWBy[m]
-		heatFrac := units.Clamp01((p - idleP) / (spec.ServerTDPW - idleP))
-		st.ServerAirflowCFM[id] = thermal.Airflow(spec, heatFrac)
 	}
 }
 
@@ -758,8 +730,7 @@ func (r *runner) serverStep(id int, wall time.Duration, inletBase float64) float
 	clf := units.Clamp01(loadFrac)
 	p := units.Lerp(spec.ServerOtherW, spec.ServerOtherMaxW, clf) + sum + power.FanPower(spec, 0.3+0.7*clf)
 	st.ServerPowerW[id] = p
-	// Next tick's fan airflow is a pure function of this power draw;
-	// computing it here retires the separate airflow fleet pass.
+	// Next tick's fan airflow is a pure function of this power draw.
 	if p == cs.idleTickWBy[m] {
 		st.ServerAirflowCFM[id] = cs.idleAirflowBy[m]
 	} else {
