@@ -193,12 +193,10 @@ func BenchmarkHyperscaleDaySerial(b *testing.B) {
 	sc := sim.DefaultScenario()
 	sc.Layout.FleetScale = 10
 	sc.Duration = 24 * time.Hour
-	sc.Workload.Duration = sc.Duration
 	dc, err := layout.New(sc.Layout)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc.Workload.Servers = len(dc.Servers)
 	// Warm the memoized offline profiles for the 10x layout so the timed
 	// runs (and their profile) leave out the one-time profile fit.
 	if _, err := core.ProfilesFor(dc); err != nil {

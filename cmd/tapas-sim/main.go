@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sc = tapas.RealClusterScenario()
 	}
 	sc.Duration = time.Duration(*hours * float64(time.Hour))
-	sc.Workload.Duration = sc.Duration
 	sc.Workload.SaaSFraction = *mix
 	sc.Workload.Seed = *seed
 	sc.Oversubscribe = *oversub

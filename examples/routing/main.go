@@ -20,7 +20,6 @@ func main() {
 		var out []sample
 		sc := tapas.RealClusterScenario()
 		sc.Duration = 30 * time.Minute
-		sc.Workload.Duration = sc.Duration
 		sc.Observer = func(st *cluster.State) {
 			var s sample
 			for _, srv := range st.DC.Servers {

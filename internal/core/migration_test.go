@@ -228,7 +228,6 @@ func TestMigrationsInFullRun(t *testing.T) {
 	pol := NewFull()
 	sc := sim.SmallScenario()
 	sc.Duration = 2 * time.Hour
-	sc.Workload.Duration = sc.Duration
 	res, err := sim.Run(sc, pol)
 	if err != nil {
 		t.Fatal(err)

@@ -197,7 +197,6 @@ func TestTransformSweepClonesChain(t *testing.T) {
 	dir := t.TempDir()
 	sc := sim.SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	wl, err := sim.GenerateWorkload(sc)
 	if err != nil {
 		t.Fatal(err)

@@ -548,7 +548,6 @@ func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 	} else {
 		scaleLarge(&sc, scale, s.StartOffset != nil, s.Duration != nil)
 	}
-	sc.Workload.Duration = sc.Duration
 
 	// Replay: load the recorded workload once; every grid point shares the
 	// parsed trace read-only, exactly like compiled synthetic workloads.
@@ -591,7 +590,7 @@ func (s *Spec) baseScenario(scale float64) (sim.Scenario, error) {
 }
 
 // scaleLarge applies the quick-run scaling rules of the large preset in
-// place (baseScenario then aligns the workload's duration): aisle count (rounded, at least 2) and duration shrink
+// place: aisle count (rounded, at least 2) and duration shrink
 // proportionally, and sub-half-scale runs shift to the 9 h diurnal-peak
 // start offset unless the spec pins an offset (explicitOffset). The 6 h
 // duration floor guards the preset's paper week; a spec-chosen duration
@@ -611,7 +610,6 @@ func scaleLarge(sc *sim.Scenario, scale float64, explicitOffset, explicitDuratio
 		dur = floor
 	}
 	sc.Duration = dur
-	sc.Workload.Servers = sc.Layout.Aisles * 2 * sc.Layout.RacksPerRow * sc.Layout.ServersPerRack
 	if scale < 0.5 && !explicitOffset {
 		sc.StartOffset = 9 * time.Hour // short runs still cover the daily peak
 	}

@@ -92,9 +92,6 @@ func TestBaseScenarioScaling(t *testing.T) {
 	if sc.StartOffset != 9*time.Hour {
 		t.Errorf("start offset = %v, want 9h", sc.StartOffset)
 	}
-	if sc.Workload.Duration != sc.Duration {
-		t.Error("workload duration not aligned")
-	}
 	if sc.Layout.Seed != 42 || sc.Workload.Seed != 42 {
 		t.Error("default seed 42 not applied")
 	}
@@ -166,9 +163,8 @@ func TestBaseScenarioScaling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sc4.Duration != tc.want || sc4.Workload.Duration != tc.want {
-			t.Errorf("explicit 2h small-preset duration at scale %v = %v (workload %v), want %v",
-				tc.scale, sc4.Duration, sc4.Workload.Duration, tc.want)
+		if sc4.Duration != tc.want {
+			t.Errorf("explicit 2h small-preset duration at scale %v = %v, want %v", tc.scale, sc4.Duration, tc.want)
 		}
 	}
 }

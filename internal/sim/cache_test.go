@@ -12,7 +12,6 @@ import (
 func quickScenario() Scenario {
 	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	return sc
 }
 

@@ -268,14 +268,15 @@ func checkWindow(sc Scenario) error {
 // workloadFor materializes the workload a scenario simulates over a fleet of
 // the given size: the replayed trace when set (transformed by the scenario's
 // chain, validated against the fleet), otherwise a synthetic trace.Generate
-// run.
+// run over that fleet and the scenario's Duration (the generator config's
+// own Servers and Duration are overwritten, so it records the run's).
 func workloadFor(sc Scenario, servers int) (*trace.Workload, error) {
 	if sc.Trace == nil {
 		if len(sc.TraceTransforms) > 0 {
 			return nil, fmt.Errorf("sim: TraceTransforms requires a replay Trace; transforms reshape recorded workloads (synthetic workloads are reshaped by their generation config)")
 		}
 		wc := sc.Workload
-		wc.Servers = servers
+		wc.Servers, wc.Duration = servers, sc.Duration
 		return trace.Generate(wc)
 	}
 	w, err := sc.TraceTransforms.Apply(sc.Trace)

@@ -40,12 +40,53 @@ func TestCompiledRunMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// TestCompileFillsWorkloadWindowAndFleet: Compile and GenerateWorkload
+// generate the synthetic workload over the scenario's own Duration and the
+// fleet its layout provides (oversubscribed racks included), whatever the
+// generator config's Duration and Servers hold.
+func TestCompileFillsWorkloadWindowAndFleet(t *testing.T) {
+	base := SmallScenario()
+	base.Duration = 20 * time.Minute
+	base.Oversubscribe = 0.25
+	var first *CompiledScenario
+	for _, tc := range []struct {
+		name     string
+		duration time.Duration
+		servers  int
+	}{
+		{"zero", 0, 0},
+		{"stale", 7 * 24 * time.Hour, 9999},
+	} {
+		sc := base
+		sc.Workload.Duration, sc.Workload.Servers = tc.duration, tc.servers
+		cs, err := Compile(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := cs.Workload.Config; got.Duration != sc.Duration || got.Servers != len(cs.DC.Servers) {
+			t.Errorf("%s: workload generated for %v on %d servers, want %v on %d",
+				tc.name, got.Duration, got.Servers, sc.Duration, len(cs.DC.Servers))
+		}
+		gen, err := GenerateWorkload(sc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(gen, cs.Workload) {
+			t.Errorf("%s: GenerateWorkload differs from the compiled workload", tc.name)
+		}
+		if first == nil {
+			first = cs
+		} else if !reflect.DeepEqual(cs.Workload, first.Workload) {
+			t.Errorf("%s: workload differs from the one generated with zero fields", tc.name)
+		}
+	}
+}
+
 // TestCompiledRunsConcurrently drives many simultaneous runs off one
 // compilation; with -race this proves the shared artifacts are read-only.
 func TestCompiledRunsConcurrently(t *testing.T) {
 	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	cs, err := Compile(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +123,6 @@ func TestCompiledRunsConcurrently(t *testing.T) {
 func TestCompiledVariant(t *testing.T) {
 	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	cs, err := Compile(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +327,6 @@ func TestRunRejectsScenarioShorterThanOneTick(t *testing.T) {
 func TestCompileRejectsBadWeatherWindow(t *testing.T) {
 	good := SmallScenario()
 	good.Duration = 20 * time.Minute
-	good.Workload.Duration = good.Duration
 	warm := NewCompileCache(0)
 	cs, err := warm.Compile(good)
 	if err != nil {

@@ -257,7 +257,6 @@ func TestMixedFleetRun(t *testing.T) {
 	sc.Layout.MixGPU = layout.H100
 	sc.Layout.MixFraction = 0.5
 	sc.Duration = 30 * time.Minute
-	sc.Workload.Duration = sc.Duration
 
 	cs, err := Compile(sc)
 	if err != nil {

@@ -39,7 +39,6 @@ func TestKernelMatchesOracle(t *testing.T) {
 	mixed.Layout.FleetScale = 5
 	mixed.Layout.MixGPU, mixed.Layout.MixFraction = layout.H100, 0.5
 	mixed.Duration = time.Hour
-	mixed.Workload.Duration = mixed.Duration
 	mixed.StartOffset = 9 * time.Hour
 	for _, c := range []struct {
 		name string

@@ -32,8 +32,6 @@ func hostileScenario() Scenario {
 	sc := DefaultScenario()
 	sc.Layout.Aisles = 2
 	sc.Duration = 2 * time.Hour
-	sc.Workload.Duration = sc.Duration
-	sc.Workload.Servers = sc.Layout.Aisles * 2 * sc.Layout.RacksPerRow * sc.Layout.ServersPerRack
 	sc.StartOffset = 9 * time.Hour // diurnal peak: active load, not an idle fleet
 	sc.Region = trace.RegionHot
 	sc.Oversubscribe = 0.2

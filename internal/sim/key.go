@@ -32,9 +32,10 @@ func (k CacheKey) String() string { return hex.EncodeToString(k[:]) }
 // excluded: they are exactly the fields CompiledScenario.ForScenario adopts
 // from a run, and every other field is hashed here (a reflection test,
 // TestScenarioFieldsAreKeyedOrAdopted, checks the split). Workload.Servers
-// is excluded too because compiling overwrites it from the layout. Replayed traces (and splice
-// overlays) are hashed by content via their canonical workload CSV, so the
-// key is stable across loads of the same file and across processes.
+// and Workload.Duration are excluded too because Compile fills them from
+// the layout and Duration. Replayed traces (and splice overlays) are hashed
+// by content via their canonical workload CSV, so the key is stable across
+// loads of the same file and across processes.
 func ScenarioKey(sc Scenario) (CacheKey, error) {
 	return scenarioKey(sc, nil)
 }
@@ -43,7 +44,7 @@ func ScenarioKey(sc Scenario) (CacheKey, error) {
 // CompileCache threads its bounded memo through so repeated lookups against
 // a shared in-memory trace do not re-serialize it).
 func scenarioKey(sc Scenario, memo *fingerprintMemo) (CacheKey, error) {
-	h := newKeyHasher("tapas-scenario-key/v2")
+	h := newKeyHasher("tapas-scenario-key/v3")
 	h.hashLayout(sc.Layout)
 	h.f64(sc.Oversubscribe)
 	if err := h.hashWorkloadSource(sc, memo); err != nil {
@@ -110,8 +111,8 @@ func (k *keyHasher) hashLayout(lc layout.Config) {
 }
 
 // hashWorkloadSource hashes where the workload comes from: the synthetic
-// generation config (Servers excluded — Compile overwrites it from the
-// layout), or the replayed trace content plus the canonical transform chain
+// generation config (Servers and Duration excluded — Compile fills them from
+// the layout and the scenario's Duration), or the replayed trace content plus the canonical transform chain
 // (splice overlays hashed by content too — the chain's canonical JSON names
 // only their path). A request-level replay log (Scenario.Requests) is hashed
 // field by field in both branches: it is workload content the engine serves,
@@ -122,7 +123,6 @@ func (k *keyHasher) hashWorkloadSource(sc Scenario, memo *fingerprintMemo) error
 		wc := sc.Workload
 		k.str("synthetic")
 		k.f64(wc.SaaSFraction)
-		k.dur(wc.Duration)
 		k.i64(int64(wc.Endpoints))
 		k.u64(wc.Seed)
 		k.f64(wc.Occupancy)

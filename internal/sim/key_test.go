@@ -26,8 +26,9 @@ func mustKey(t *testing.T, sc Scenario) CacheKey {
 // TestScenarioKeyIgnoresRuntimeOnly pins the key's canonicalization contract:
 // every field a compiled scenario can vary per run (the ForScenario set —
 // Tick, Failures, Observer, Region, StartOffset, SLOSched, PowerGov — plus
-// Workload.Servers, which Compile overwrites from the layout) must not move
-// the key, so cache hits serve all runtime variants of one compilation.
+// Workload.Servers and Workload.Duration, which Compile fills from the layout
+// and Duration) must not move the key, so cache hits serve all runtime
+// variants of one compilation.
 func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
 	base := SmallScenario()
 	want := mustKey(t, base)
@@ -36,13 +37,14 @@ func TestScenarioKeyIgnoresRuntimeOnly(t *testing.T) {
 		"failures": func(sc *Scenario) {
 			sc.Failures = []FailureEvent{{Kind: PowerFailure, At: time.Minute, Duration: time.Minute}}
 		},
-		"observer":         func(sc *Scenario) { sc.Observer = func(*cluster.State) {} },
-		"workload_servers": func(sc *Scenario) { sc.Workload.Servers = 9999 },
-		"slo_sched":        func(sc *Scenario) { sc.SLOSched = SLOSched{AffinityWeight: 0.25, AdmissionSlack: 1.5} },
-		"power_gov":        func(sc *Scenario) { sc.PowerGov = PowerGov{BudgetFrac: 0.7, Gain: 0.5} },
-		"region.name":      func(sc *Scenario) { sc.Region.Name = "elsewhere" },
-		"region.mean_c":    func(sc *Scenario) { sc.Region.MeanC += 1 },
-		"start_offset":     func(sc *Scenario) { sc.StartOffset += time.Hour },
+		"observer":          func(sc *Scenario) { sc.Observer = func(*cluster.State) {} },
+		"workload_servers":  func(sc *Scenario) { sc.Workload.Servers = 9999 },
+		"workload_duration": func(sc *Scenario) { sc.Workload.Duration = 7 * 24 * time.Hour },
+		"slo_sched":         func(sc *Scenario) { sc.SLOSched = SLOSched{AffinityWeight: 0.25, AdmissionSlack: 1.5} },
+		"power_gov":         func(sc *Scenario) { sc.PowerGov = PowerGov{BudgetFrac: 0.7, Gain: 0.5} },
+		"region.name":       func(sc *Scenario) { sc.Region.Name = "elsewhere" },
+		"region.mean_c":     func(sc *Scenario) { sc.Region.MeanC += 1 },
+		"start_offset":      func(sc *Scenario) { sc.StartOffset += time.Hour },
 	}
 	for name, mutate := range mutations {
 		sc := base
@@ -66,7 +68,6 @@ func TestScenarioKeySensitivity(t *testing.T) {
 		"oversubscribe":          func(sc *Scenario) { sc.Oversubscribe = 0.2 },
 		"workload.seed":          func(sc *Scenario) { sc.Workload.Seed++ },
 		"workload.saas_fraction": func(sc *Scenario) { sc.Workload.SaaSFraction = 0.7 },
-		"workload.duration":      func(sc *Scenario) { sc.Workload.Duration += time.Minute },
 		"duration":               func(sc *Scenario) { sc.Duration += time.Minute },
 	}
 	seen := map[CacheKey]string{want: "base"}

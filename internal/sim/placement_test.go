@@ -38,7 +38,6 @@ func TestPlacementGolden(t *testing.T) {
 		sc := DefaultScenario()
 		sc.Layout.FleetScale = 5
 		sc.Duration = time.Hour
-		sc.Workload.Duration = sc.Duration
 		sc.StartOffset = 9 * time.Hour
 		fl.mutate(&sc)
 		h := fnv.New64a()

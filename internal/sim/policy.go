@@ -139,7 +139,10 @@ type FailureEvent struct {
 
 // Scenario fully describes one simulation run.
 type Scenario struct {
-	Layout   layout.Config
+	Layout layout.Config
+	// Workload configures the synthetic workload generator. Compile fills
+	// its Servers from the layout (plus Oversubscribe) and its Duration from
+	// Duration, so callers leave both zero.
 	Workload trace.WorkloadConfig
 	// Trace, when non-nil, replays a recorded workload instead of generating
 	// one: Compile uses it verbatim (shared read-only across runs, like
@@ -207,9 +210,7 @@ func DefaultScenario() Scenario {
 	return Scenario{
 		Layout: lc,
 		Workload: trace.WorkloadConfig{
-			Servers:      lc.Aisles * 2 * lc.RacksPerRow * lc.ServersPerRack,
 			SaaSFraction: 0.5,
-			Duration:     7 * 24 * time.Hour,
 			Endpoints:    10,
 			Seed:         42,
 		},
@@ -226,9 +227,7 @@ func SmallScenario() Scenario {
 	return Scenario{
 		Layout: lc,
 		Workload: trace.WorkloadConfig{
-			Servers:      lc.Aisles * 2 * lc.RacksPerRow * lc.ServersPerRack,
 			SaaSFraction: 0.5,
-			Duration:     time.Hour,
 			Endpoints:    3,
 			Seed:         42,
 		},

@@ -16,7 +16,6 @@ import (
 func TestReplayFanOutDeterministicAcrossWorkers(t *testing.T) {
 	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	wl, err := GenerateWorkload(sc)
 	if err != nil {
 		t.Fatal(err)

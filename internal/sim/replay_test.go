@@ -18,7 +18,6 @@ import (
 func quickReplayScenario() Scenario {
 	sc := SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	return sc
 }
 

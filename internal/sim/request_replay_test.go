@@ -34,7 +34,6 @@ func syntheticRequests(n, eps int, window time.Duration) []llm.Request {
 func requestScenario(reqs []llm.Request) Scenario {
 	sc := SmallScenario()
 	sc.Duration = 10 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	sc.Tick = time.Second
 	sc.Requests = reqs
 	return sc

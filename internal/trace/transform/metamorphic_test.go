@@ -24,7 +24,6 @@ func quickScenario(t *testing.T) (sim.Scenario, *trace.Workload) {
 	t.Helper()
 	sc := sim.SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	wl, err := sim.GenerateWorkload(sc)
 	if err != nil {
 		t.Fatal(err)

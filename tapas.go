@@ -119,7 +119,6 @@ func RealClusterScenario() Scenario { return sim.SmallScenario() }
 func QuickScenario() Scenario {
 	sc := sim.SmallScenario()
 	sc.Duration = 20 * time.Minute
-	sc.Workload.Duration = sc.Duration
 	return sc
 }
 

@@ -260,7 +260,8 @@ func TestImportAzureLLMCSV(t *testing.T) {
 	}
 	defer f.Close()
 	sc := tapas.RealClusterScenario()
-	wl, err := tapas.ImportAzureLLMCSV(f, tapas.AzureImportConfig{Servers: sc.Workload.Servers, Seed: 42})
+	servers := sc.Layout.Aisles * 2 * sc.Layout.RacksPerRow * sc.Layout.ServersPerRack
+	wl, err := tapas.ImportAzureLLMCSV(f, tapas.AzureImportConfig{Servers: servers, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
