@@ -14,7 +14,6 @@ import (
 	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/power"
-	"github.com/tapas-sim/tapas/internal/ring"
 	"github.com/tapas-sim/tapas/internal/trace"
 )
 
@@ -95,9 +94,11 @@ type State struct {
 	// VMs goes through Place/Remove/Move, so the counter is exact.
 	RowOccEpoch []uint64
 
-	// Rolling history at HistoryRes for templates and placement prediction,
-	// bounded to HistoryMaxSamples without per-append copying.
-	RowPowerHist []*ring.Ring
+	// RowPowerHist is each row's rolling power history at HistoryRes,
+	// oldest sample first, holding at most the newest HistoryMaxSamples;
+	// the allocator's hour-of-week row templates (power.BuildTemplate) read
+	// it.
+	RowPowerHist [][]float64
 	// CustomerPeakLoad tracks the observed peak GPU load fraction per IaaS
 	// customer; EndpointPeakPerVM tracks peak per-VM token demand per
 	// endpoint. Placement uses these as the "same user / same endpoint"
@@ -162,7 +163,7 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		AirflowLimitFrac:  1,
 
 		RowOccEpoch:       make([]uint64, len(dc.Rows)),
-		RowPowerHist:      make([]*ring.Ring, len(dc.Rows)),
+		RowPowerHist:      make([][]float64, len(dc.Rows)),
 		CustomerPeakLoad:  make(map[int]float64),
 		EndpointPeakPerVM: make(map[int]float64),
 
@@ -179,9 +180,6 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		st.srvModel[i] = uint8(srv.GPU.Model)
 	}
 	st.modelProfiles[spec.Model] = profile
-	for r := range st.RowPowerHist {
-		st.RowPowerHist[r] = ring.New(HistoryMaxSamples)
-	}
 	if w != nil {
 		st.VMs = make([]*VM, len(w.VMs))
 		maxCustomer := -1
@@ -391,8 +389,15 @@ func (st *State) RecordHistory(dt time.Duration) {
 		return
 	}
 	st.histAccum = 0
-	for r := range st.RowPowerHist {
-		st.RowPowerHist[r].Push(st.RowPowerW[r])
+	for r, h := range st.RowPowerHist {
+		h = append(h, st.RowPowerW[r])
+		if len(h) > HistoryMaxSamples {
+			// Reslicing drops the oldest sample; append copies the window
+			// to a new array only once the stranded front has used up the
+			// spare capacity, so recording stays amortized O(1).
+			h = h[1:]
+		}
+		st.RowPowerHist[r] = h
 	}
 }
 

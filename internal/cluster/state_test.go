@@ -140,23 +140,30 @@ func TestRecordHistoryDownsamples(t *testing.T) {
 		st.RowPowerW[0] = float64(i)
 		st.RecordHistory(tick)
 	}
-	// 25 minutes at 10-minute resolution ⇒ 2 samples.
-	if st.RowPowerHist[0].Len() != 2 {
-		t.Errorf("history samples = %d, want 2", st.RowPowerHist[0].Len())
-	}
-	// The newest recorded sample is the row power at the last flush.
-	if last, ok := st.RowPowerHist[0].Last(); !ok || last != 19 {
-		t.Errorf("last history sample = %v,%v, want 19,true", last, ok)
+	// 25 minutes at 10-minute resolution ⇒ 2 samples, the row power at
+	// each flush.
+	if h := st.RowPowerHist[0]; len(h) != 2 || h[0] != 9 || h[1] != 19 {
+		t.Errorf("history = %v, want [9 19]", h)
 	}
 }
 
+// TestHistoryBounded: past HistoryMaxSamples samples a row's history holds
+// exactly the newest HistoryMaxSamples, oldest first.
 func TestHistoryBounded(t *testing.T) {
 	st := newTestState(t)
-	for i := 0; i < 5000; i++ {
+	const extra = 5000
+	for i := 0; i < HistoryMaxSamples+extra; i++ {
+		st.RowPowerW[0] = float64(i)
 		st.RecordHistory(HistoryRes)
 	}
-	if n := st.RowPowerHist[0].Len(); n > HistoryMaxSamples {
-		t.Errorf("history grew to %d, want bounded", n)
+	h := st.RowPowerHist[0]
+	if len(h) != HistoryMaxSamples {
+		t.Fatalf("history holds %d samples, want %d", len(h), HistoryMaxSamples)
+	}
+	for i, v := range h {
+		if want := float64(extra + i); v != want {
+			t.Fatalf("sample %d = %v, want %v", i, v, want)
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ type allocator struct {
 	tablesGen uint64
 
 	// rowTplPeakW is the hour-of-week template peak per row, rebuilt from
-	// the rolling row-power telemetry (power.BuildTemplateRing over
+	// the rolling row-power telemetry (power.BuildTemplate over
 	// cluster.State.RowPowerHist) on a templateRefresh cadence. −1 while a
 	// row has less than a week of history — the validator then relies on
 	// the per-VM model projections alone, exactly as it did before
@@ -92,7 +92,7 @@ func (a *allocator) refreshRowTemplates(st *cluster.State) {
 	a.rowTplInit = true
 	a.rowTplAt = st.Now
 	for row := range a.rowTplPeakW {
-		tpl, err := power.BuildTemplateRing(st.RowPowerHist[row], templateSamplesPerHour, templatePercentile)
+		tpl, err := power.BuildTemplate(st.RowPowerHist[row], templateSamplesPerHour, templatePercentile)
 		if err != nil {
 			a.rowTplPeakW[row] = -1 // under a week of history
 			continue

@@ -309,7 +309,7 @@ func TestAllocatorIncrementalMatchesSweep(t *testing.T) {
 							v = r.ProvPowerW - (delta(layout.A100)+delta(layout.H100))/2
 						}
 						for i := 0; i < week; i++ {
-							st.RowPowerHist[row].Push(v)
+							st.RowPowerHist[row] = append(st.RowPowerHist[row], v)
 						}
 					}
 					st.Now += templateRefresh

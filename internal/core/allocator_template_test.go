@@ -11,7 +11,7 @@ import (
 // TestAllocatorRowTemplateFloor pins the runtime template reader: once a
 // row's rolling power telemetry spans a full week, the allocator's validator
 // floors its projected peak with the hour-of-week template peak
-// (power.BuildTemplateRing over State.RowPowerHist), closing rows whose
+// (power.BuildTemplate over State.RowPowerHist), closing rows whose
 // observed draw already crowds the envelope.
 func TestAllocatorRowTemplateFloor(t *testing.T) {
 	st, prof := newComponentState(t)
@@ -21,8 +21,8 @@ func TestAllocatorRowTemplateFloor(t *testing.T) {
 	week := int(7 * 24 * time.Hour / cluster.HistoryRes)
 	hot := st.DC.Rows[0].ProvPowerW
 	for i := 0; i < week; i++ {
-		st.RowPowerHist[0].Push(hot)
-		st.RowPowerHist[1].Push(1000)
+		st.RowPowerHist[0] = append(st.RowPowerHist[0], hot)
+		st.RowPowerHist[1] = append(st.RowPowerHist[1], 1000)
 	}
 	st.Now = time.Minute
 	vm := findVM(st, trace.IaaS)
@@ -46,8 +46,8 @@ func TestAllocatorRowTemplateNeedsWeek(t *testing.T) {
 	alloc := &allocator{prof: prof}
 	halfWeek := int(7 * 24 * time.Hour / cluster.HistoryRes / 2)
 	for i := 0; i < halfWeek; i++ {
-		st.RowPowerHist[0].Push(st.DC.Rows[0].ProvPowerW * 2)
-		st.RowPowerHist[1].Push(st.DC.Rows[1].ProvPowerW * 2)
+		st.RowPowerHist[0] = append(st.RowPowerHist[0], st.DC.Rows[0].ProvPowerW*2)
+		st.RowPowerHist[1] = append(st.RowPowerHist[1], st.DC.Rows[1].ProvPowerW*2)
 	}
 	st.Now = time.Minute
 	if _, ok := alloc.place(st, findVM(st, trace.IaaS)); !ok {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/tapas-sim/tapas/internal/regress"
-	"github.com/tapas-sim/tapas/internal/ring"
 )
 
 // HoursPerWeek is the length of an hour-of-week template.
@@ -20,38 +19,16 @@ type Template struct {
 }
 
 // BuildTemplate constructs a template from a power history sampled
-// uniformly. samplesPerHour tells how many consecutive samples form one
+// uniformly, oldest sample first (such as a row of cluster.State's
+// RowPowerHist). samplesPerHour tells how many consecutive samples form one
 // hour; history longer than a week folds onto the hour-of-week axis.
 func BuildTemplate(history []float64, samplesPerHour int, percentile float64) (Template, error) {
-	return buildTemplate(sliceHistory(history), samplesPerHour, percentile)
-}
-
-// BuildTemplateRing constructs a template directly from a rolling telemetry
-// ring (e.g. cluster.State's RowPowerHist), reading samples oldest-to-newest
-// in place — no snapshot copy of the four-week window is made.
-func BuildTemplateRing(h *ring.Ring, samplesPerHour int, percentile float64) (Template, error) {
-	return buildTemplate(h, samplesPerHour, percentile)
-}
-
-// history is the minimal ordered view buildTemplate consumes; both plain
-// slices and ring buffers satisfy it.
-type history interface {
-	Len() int
-	At(i int) float64
-}
-
-type sliceHistory []float64
-
-func (s sliceHistory) Len() int         { return len(s) }
-func (s sliceHistory) At(i int) float64 { return s[i] }
-
-func buildTemplate(history history, samplesPerHour int, percentile float64) (Template, error) {
 	if samplesPerHour <= 0 {
 		return Template{}, fmt.Errorf("power: samplesPerHour must be positive, got %d", samplesPerHour)
 	}
-	if history.Len() < samplesPerHour*HoursPerWeek {
+	if len(history) < samplesPerHour*HoursPerWeek {
 		return Template{}, fmt.Errorf("power: need at least one week of history (%d samples), got %d",
-			samplesPerHour*HoursPerWeek, history.Len())
+			samplesPerHour*HoursPerWeek, len(history))
 	}
 	// Each sample contributes to its own hour bucket and the two adjacent
 	// ones. With only one week of history a bucket would otherwise hold a
@@ -62,9 +39,9 @@ func buildTemplate(history history, samplesPerHour int, percentile float64) (Tem
 	// Bucket sizes are known exactly up front (every sample lands in three
 	// buckets), so all 168 buckets are carved from one flat backing array —
 	// one allocation instead of ~1300 append growths per template, which
-	// matters both for the per-tick policy path (BuildTemplateRing) and the
-	// template-heavy experiments (Fig. 14).
-	n := history.Len()
+	// matters both for the allocator's row templates and the template-heavy
+	// experiments (Fig. 14).
+	n := len(history)
 	var counts [HoursPerWeek]int
 	for i := 0; i < n; i++ {
 		hour := (i / samplesPerHour) % HoursPerWeek
@@ -79,8 +56,7 @@ func buildTemplate(history history, samplesPerHour int, percentile float64) (Tem
 		buckets[h] = flat[off : off : off+c]
 		off += c
 	}
-	for i := 0; i < n; i++ {
-		v := history.At(i)
+	for i, v := range history {
 		hour := (i / samplesPerHour) % HoursPerWeek
 		for _, h := range [3]int{hour - 1, hour, hour + 1} {
 			b := (h + HoursPerWeek) % HoursPerWeek

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"github.com/tapas-sim/tapas/internal/ring"
 )
 
 // diurnalWeek synthesizes n weeks of hourly power with a diurnal sine and
@@ -28,46 +26,6 @@ func TestBuildTemplateRequiresWeek(t *testing.T) {
 	}
 	if _, err := BuildTemplate(make([]float64, HoursPerWeek*6), 0, 99); err == nil {
 		t.Error("expected error for zero samplesPerHour")
-	}
-}
-
-// TestBuildTemplateRingMatchesSlice verifies the ring-backed path produces
-// the identical template, including when the ring has wrapped (the window
-// then starts mid-buffer).
-func TestBuildTemplateRingMatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	history := diurnalWeek(1, 6, rng)
-	r := ring.New(len(history))
-	for _, v := range history {
-		r.Push(v)
-	}
-	fromSlice, err := BuildTemplate(history, 6, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromRing, err := BuildTemplateRing(r, 6, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromRing != fromSlice {
-		t.Error("ring-backed template differs from slice-backed template")
-	}
-	// Wrap the ring: push one extra week so the oldest week is evicted and
-	// the stored window starts mid-buffer.
-	more := diurnalWeek(1, 6, rng)
-	for _, v := range more {
-		r.Push(v)
-	}
-	fromSlice, err = BuildTemplate(more, 6, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromRing, err = BuildTemplateRing(r, 6, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromRing != fromSlice {
-		t.Error("wrapped ring template differs from slice-backed template")
 	}
 }
 
