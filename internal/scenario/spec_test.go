@@ -364,11 +364,8 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("place,teleport"); err == nil {
 		t.Error("bad lever accepted")
 	}
-}
-
-// TestBaselinePolicyIsCoreBaseline: the spec's "baseline" builds the
-// Baseline system itself, not a TAPAS with every lever off.
-func TestBaselinePolicyIsCoreBaseline(t *testing.T) {
+	// The spec's baseline is the Baseline system itself, not a TAPAS with
+	// every lever off.
 	p, err := ParsePolicy("baseline")
 	if err != nil {
 		t.Fatal(err)
