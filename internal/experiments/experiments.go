@@ -133,8 +133,9 @@ func smallSpec(id string, p Params) *scenario.Spec {
 		Layout: scenario.LayoutSpec{Preset: "small", Seed: &layoutSeed}}
 }
 
-// runSpec expands a figure's spec at p.Scale (a non-positive scale keeps
-// paper scale) and runs it on p's worker pool, through cache when non-nil.
+// runSpec expands a figure's spec at p.Scale (0 keeps paper scale; a scale
+// outside [0, 1] is an error) and runs it on p's worker pool, through cache
+// when non-nil.
 func runSpec(s *scenario.Spec, p Params, cache *sim.CompileCache) (*scenario.Result, error) {
 	c, err := s.Campaign(p.Scale)
 	if err != nil {
