@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -58,6 +59,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		return runSpec(*specPath, *policy, flagWasSet(fs, "policy"), stdout, stderr)
+	}
+
+	// A duration of NaN hours, or one past time.Duration's range, would
+	// convert to an arbitrary duration, and a NaN or infinite ratio to an
+	// arbitrary rack count.
+	if d := *hours * float64(time.Hour); !(d > 0 && d < math.MaxInt64) {
+		fmt.Fprintf(stderr, "tapas-sim: -hours %v is not a positive duration of at most %.0f hours\n", *hours, math.Floor(time.Duration(math.MaxInt64).Hours()))
+		return 2
+	}
+	if !(*oversub >= 0) || math.IsInf(*oversub, 1) {
+		fmt.Fprintf(stderr, "tapas-sim: -oversub %v is not a finite ratio of at least 0\n", *oversub)
+		return 2
 	}
 
 	var sc tapas.Scenario

@@ -46,6 +46,20 @@ func TestRunErrors(t *testing.T) {
 			[]string{"-spec", axesSpec}, 2, "sweeps axes"},
 		"shorter than one tick": {
 			[]string{"-hours", "0.01"}, 1, "shorter than one tick"},
+		"NaN hours": {
+			[]string{"-hours", "NaN"}, 2, "-hours NaN is not a positive duration"},
+		"hours past the duration range": {
+			[]string{"-hours", "1e300"}, 2, "-hours 1e+300 is not a positive duration"},
+		"zero hours": {
+			[]string{"-hours", "0"}, 2, "-hours 0 is not a positive duration"},
+		"negative hours": {
+			[]string{"-hours", "-2"}, 2, "-hours -2 is not a positive duration"},
+		"NaN oversubscription": {
+			[]string{"-oversub", "NaN", "-hours", "0.05"}, 2, "-oversub NaN is not a finite ratio"},
+		"infinite oversubscription": {
+			[]string{"-oversub", "+Inf", "-hours", "0.05"}, 2, "-oversub +Inf is not a finite ratio"},
+		"negative oversubscription": {
+			[]string{"-oversub", "-0.1", "-hours", "0.05"}, 2, "-oversub -0.1 is not a finite ratio"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

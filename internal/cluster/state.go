@@ -46,10 +46,11 @@ type State struct {
 	Budget  *power.Budget
 
 	// modelProfiles maps a GPU generation to its serving profile; uniform
-	// fleets point every present generation at Profile. srvModel is the
-	// per-server generation index behind ServerGPUSpec/ProfileFor.
+	// fleets point every present generation at Profile. specBy holds each
+	// generation's published spec. ServerGPUSpec and ProfileFor find a
+	// server's generation in the layout's server index (DC.ServerModel).
 	modelProfiles [layout.GPUModelCount]*llm.Profile
-	srvModel      []uint8
+	specBy        [layout.GPUModelCount]layout.GPUSpec
 
 	VMs      []*VM
 	ServerVM []int // server → VM index, or -1
@@ -175,9 +176,8 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		st.ServerVM[i] = -1
 		st.ServerFreqCap[i] = 1
 	}
-	st.srvModel = make([]uint8, n)
-	for i, srv := range dc.Servers {
-		st.srvModel[i] = uint8(srv.GPU.Model)
+	for m := range st.specBy {
+		st.specBy[m] = layout.Spec(layout.GPUModel(m))
 	}
 	st.modelProfiles[spec.Model] = profile
 	if w != nil {
@@ -214,7 +214,7 @@ func (st *State) Place(vmID, serverID int) error {
 	vm.Server = serverID
 	st.ServerVM[serverID] = vmID
 	st.freeCount--
-	row := st.DC.Servers[serverID].Row
+	row := st.DC.ServerRow[serverID]
 	st.RowOccEpoch[row]++
 	if vm.Spec.Kind == trace.SaaS {
 		st.rowSaaS[row]++
@@ -232,7 +232,7 @@ func (st *State) Place(vmID, serverID int) error {
 func (st *State) Remove(vmID int) {
 	vm := st.VMs[vmID]
 	if vm.Server >= 0 {
-		row := st.DC.Servers[vm.Server].Row
+		row := st.DC.ServerRow[vm.Server]
 		st.RowOccEpoch[row]++
 		if vm.Spec.Kind == trace.SaaS {
 			st.rowSaaS[row]--
@@ -269,7 +269,7 @@ func (st *State) Move(vmID, serverID int) error {
 		return fmt.Errorf("cluster: server %d already hosts VM %d", serverID, st.ServerVM[serverID])
 	}
 	from := vm.Server
-	fromRow, toRow := st.DC.Servers[from].Row, st.DC.Servers[serverID].Row
+	fromRow, toRow := st.DC.ServerRow[from], st.DC.ServerRow[serverID]
 	st.RowOccEpoch[fromRow]++
 	st.RowOccEpoch[toRow]++
 	st.rowSaaS[fromRow]--
@@ -335,18 +335,19 @@ func (st *State) SetModelProfile(m layout.GPUModel, p *llm.Profile) {
 // ProfileFor returns the serving profile matching a server's GPU generation;
 // uniform fleets always return Profile.
 func (st *State) ProfileFor(server int) *llm.Profile {
-	if p := st.modelProfiles[st.srvModel[server]]; p != nil {
+	if p := st.modelProfiles[st.DC.ServerModel[server]]; p != nil {
 		return p
 	}
 	return st.Profile
 }
 
 // ServerGPUSpec returns a server's published hardware specification (TDP,
-// idle power, clock range) by generation. Published specs are fair game for
+// idle power, clock range): its generation's layout.Spec, which every
+// server of that generation carries. Published specs are fair game for
 // policies — unlike the per-server thermal heterogeneity, which stays hidden
-// behind profiled sensor data.
+// behind profiled sensor data. The spec is shared and must not be modified.
 func (st *State) ServerGPUSpec(server int) *layout.GPUSpec {
-	return &st.DC.Servers[server].GPU
+	return &st.specBy[st.DC.ServerModel[server]]
 }
 
 // GPUFracs returns the per-GPU power fractions of one server as a subslice

@@ -276,12 +276,19 @@ func TestRouterAvoidsPressuredRow(t *testing.T) {
 	}
 }
 
+// reconfigureTo switches an instance to c through c's characterization on
+// the instance's own hardware, the profile entry Reconfigure takes.
+func reconfigureTo(in *llm.Instance, c llm.Config) {
+	e := llm.Characterize(in.Spec, c, in.Work, in.SLOs)
+	in.Reconfigure(&e)
+}
+
 func TestRouterSkipsReloadingInstances(t *testing.T) {
 	st, prof := newComponentState(t)
 	vms := setupEndpoint(t, st, 4)
 	cfg := vms[0].Instance.Config
 	cfg.Model = llm.Llama13B
-	vms[0].Instance.Reconfigure(cfg) // now reloading
+	reconfigureTo(vms[0].Instance, cfg) // now reloading
 	rt := &router{prof: prof}
 	rt.route(st, st.Work.Endpoints[0], 1e5, 2.5e4)
 	if vms[0].Instance.TickEnqueued() > 0 {
@@ -358,7 +365,7 @@ func TestConfiguratorUpscalesUnderBacklog(t *testing.T) {
 	in := vms[0].Instance
 	low := llm.DefaultConfig()
 	low.FreqFrac = 0.5
-	in.Reconfigure(low)
+	reconfigureTo(in, low)
 	// Saturate: enqueue far beyond capacity and step to build backlog.
 	in.EnqueueBulk(5e6, 1.25e6)
 	in.Step(time.Minute)

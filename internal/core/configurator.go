@@ -26,6 +26,11 @@ type configurator struct {
 	rowScale   []float64
 	aisleScale []float64
 	aisleFairW []float64
+
+	// fullPowerInlet is each server's thermal.GPUTempModel.FullPowerInlet
+	// under the configurator's temperature limit, filled by the run's first
+	// configure pass: at or below it the thermal ceiling is exactly 1.
+	fullPowerInlet []float64
 }
 
 const (
@@ -63,11 +68,16 @@ func (c *configurator) configure(st *cluster.State) {
 
 	// Row and aisle pressure: the power scale each server in them must
 	// apply to bring the aggregate back under target.
+	limitC := st.Spec.ThrottleTempC - configTempMargin
 	if c.rowPressure == nil {
 		c.rowPressure = make([]int, len(st.DC.Rows))
 		c.rowScale = make([]float64, len(st.DC.Rows))
 		c.aisleScale = make([]float64, len(st.DC.Aisles))
 		c.aisleFairW = make([]float64, len(st.DC.Aisles))
+		c.fullPowerInlet = make([]float64, len(st.DC.Servers))
+		for id := range c.fullPowerInlet {
+			c.fullPowerInlet[id] = c.prof.GPUTemp.FullPowerInlet(id, limitC)
+		}
 	}
 	rowScale := c.rowScale
 	for row := range rowScale {
@@ -105,6 +115,7 @@ func (c *configurator) configure(st *cluster.State) {
 		aisleFairW[a] = idleW + heatFrac*(servers[0].GPU.ServerTDPW-idleW)
 	}
 
+	dc := st.DC
 	tickSecs := st.Tick.Seconds()
 	tickNo := int(st.Now / st.Tick)
 	// Each VM's decision reads only its own instance and the telemetry
@@ -115,9 +126,10 @@ func (c *configurator) configure(st *cluster.State) {
 			if in.Reloading() {
 				continue
 			}
-			srv := st.DC.Servers[vm.Server]
-			scale := rowScale[srv.Row]
-			if s := aisleScale[srv.Aisle]; s < scale {
+			id := vm.Server
+			row, aisle := dc.ServerRow[id], dc.ServerAisle[id]
+			scale := rowScale[row]
+			if s := aisleScale[aisle]; s < scale {
 				scale = s
 			}
 			// The per-iteration controller caches its decisions (§4.5); absent
@@ -131,11 +143,11 @@ func (c *configurator) configure(st *cluster.State) {
 			// slack; proportional squeeze otherwise — but never below the
 			// server's fair share of the row target, or already-frugal
 			// instances would ratchet down and never recover.
-			maxServerW := srv.GPU.ServerTDPW
+			maxServerW := st.ServerGPUSpec(id).ServerTDPW
 			if scale < 1 {
-				maxServerW = st.ServerPowerW[vm.Server] * scale
-				fairShare := st.Budget.RowLimitW(srv.Row) * budgetTarget / float64(len(st.DC.Rows[srv.Row].Servers))
-				if af := aisleFairW[srv.Aisle]; af < fairShare {
+				maxServerW = st.ServerPowerW[id] * scale
+				fairShare := st.Budget.RowLimitW(int(row)) * budgetTarget / float64(len(dc.Rows[row].Servers))
+				if af := aisleFairW[aisle]; af < fairShare {
 					fairShare = af
 				}
 				if maxServerW < fairShare {
@@ -144,14 +156,11 @@ func (c *configurator) configure(st *cluster.State) {
 			}
 
 			// Thermal ceiling: hottest GPU of the server binds the allowable
-			// power fraction at the current inlet (learned model inversion).
-			inlet := st.ServerInletC[vm.Server]
+			// power fraction at the current inlet (learned model inversion),
+			// exactly 1 at or below the server's full-power inlet.
 			maxFrac := 1.0
-			for g := 0; g < st.GPUsPerServer; g++ {
-				h := c.prof.GPUTemp.HeadroomPowerFrac(vm.Server, g, inlet, st.Spec.ThrottleTempC-configTempMargin)
-				if h < maxFrac {
-					maxFrac = h
-				}
+			if inlet := st.ServerInletC[id]; !(inlet <= c.fullPowerInlet[id]) {
+				maxFrac = c.prof.GPUTemp.ServerHeadroomPowerFrac(id, inlet, limitC)
 			}
 
 			required := in.TickEnqueued() / tickSecs * demandMargin
@@ -167,20 +176,20 @@ func (c *configurator) configure(st *cluster.State) {
 			// resort: only under persistent pressure or an emergency, and
 			// rate-limited per instance. Otherwise the search is restricted to
 			// free changes (frequency, batch).
-			reloadOK := emergency || c.rowPressure[srv.Row] >= 2
+			reloadOK := emergency || c.rowPressure[row] >= 2
 			if reloadOK {
 				if last, seen := c.lastReload[vm.Spec.ID]; seen && st.Now-last < reloadCooldown {
 					reloadOK = false
 				}
 			}
-			entry, ok := c.pick(st.ProfileFor(vm.Server), in.Config, maxFrac, maxServerW, qualityFloor, required, reloadOK)
-			if !ok || entry.Config == in.Config {
+			entry := c.pick(st.ProfileFor(id), in.Config, maxFrac, maxServerW, qualityFloor, required, reloadOK)
+			if entry == nil || entry.Config == in.Config {
 				continue
 			}
 			if llm.ReconfigTime(in.Config, entry.Config) > 0 {
 				c.lastReload[vm.Spec.ID] = st.Now
 			}
-			in.Reconfigure(entry.Config)
+			in.Reconfigure(entry)
 		}
 	}
 }
@@ -188,16 +197,17 @@ func (c *configurator) configure(st *cluster.State) {
 // pick selects the operating point: among profile entries satisfying the
 // thermal/power limits, quality floor, and (when reloads are gated) the
 // no-reload restriction, the lowest-average-power entry whose goodput covers
-// required demand; when none covers it, the highest-goodput entry.
-// Entries are visited through pointers: ProfileEntry is large enough that
-// copying it per iteration dominated the configurator's profile.
+// required demand; when none covers it, the highest-goodput entry; nil when
+// no entry is feasible. Entries are visited and returned through pointers
+// into the shared profile: ProfileEntry is large enough that copying it per
+// iteration dominated the configurator's profile.
 //
 // Both scans visit llm.Profile.Candidates: the full-quality entries under a
 // quality floor of 1 (the non-emergency case), and, when reloads are gated,
 // only cur's reload class — at most 20 entries, every one reachable without
 // a reload, so a gated pick never calls llm.ReconfigTime and its
 // cheapest-reconfiguration tie-break (0 against 0) never decides.
-func (c *configurator) pick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW, qualityFloor, required float64, reloadOK bool) (llm.ProfileEntry, bool) {
+func (c *configurator) pick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW, qualityFloor, required float64, reloadOK bool) *llm.ProfileEntry {
 	feasible := func(e *llm.ProfileEntry) bool {
 		return e.Goodput > 0 && e.Quality >= qualityFloor &&
 			e.PeakGPUPowerFrac <= maxFrac && e.PeakServerPowerW <= maxServerW
@@ -222,14 +232,14 @@ func (c *configurator) pick(p *llm.Profile, cur llm.Config, maxFrac, maxServerW,
 		}
 	}
 	if best != nil {
-		return *best, true
+		return best
 	}
 	// Demand cannot be covered within limits: serve as much as possible
 	// with the highest-goodput feasible entry.
 	for _, i := range idx {
 		if e := &p.Entries[i]; feasible(e) {
-			return *e, true
+			return e
 		}
 	}
-	return llm.ProfileEntry{}, false
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand/v2"
@@ -17,7 +18,10 @@ import (
 
 // oracleConfigure is configurator.configure as it stood before the pass
 // walked the endpoint lists and the gated scan its reload class: it walks
-// every VM of the workload and scans with the pre-merge oraclePick.
+// every VM of the workload and scans with the pre-merge oraclePick. It also
+// predates the server index, the full-power inlet and the rates profile
+// entries carry: it reads each server's struct, inverts every GPU's thermal
+// model and re-derives the instance's rates from its spec.
 func oracleConfigure(c *configurator, st *cluster.State) {
 	emergency := st.Budget.Multiplier() < 1 || st.AirflowLimitFrac < 1
 	qualityFloor := 1.0
@@ -144,8 +148,33 @@ func oracleConfigure(c *configurator, st *cluster.State) {
 		if llm.ReconfigTime(in.Config, entry.Config) > 0 {
 			c.lastReload[vm.Spec.ID] = st.Now
 		}
-		in.Reconfigure(entry.Config)
+		oracleReconfigure(in, entry)
 	}
+}
+
+// oracleReconfigure is Reconfigure as it stood before profile entries
+// carried their rates: it re-derives every cached rate from the instance's
+// spec, which Rehost onto the instance's own spec does.
+func oracleReconfigure(in *llm.Instance, e llm.ProfileEntry) {
+	in.Reconfigure(&e)
+	in.Rehost(in.Spec)
+}
+
+// cachedRates are the names of the rates an instance caches, which the
+// package does not export.
+var cachedRates = []string{"prefillRate", "decodeRate", "prefillFrac", "decodeFrac", "gpuIdleFrac", "slackFull", "decodeW", "fullLoadW"}
+
+// rateDiff compares the cached rates of two instances by float bits and
+// names the first that differs, or returns "".
+func rateDiff(got, want *llm.Instance) string {
+	g, w := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for _, name := range cachedRates {
+		a, b := g.FieldByName(name).Float(), w.FieldByName(name).Float()
+		if math.Float64bits(a) != math.Float64bits(b) {
+			return fmt.Sprintf("%s %v, want %v", name, a, b)
+		}
+	}
+	return ""
 }
 
 // reloadLeft reads an instance's remaining reload time, which the package
@@ -232,10 +261,11 @@ func perturbFleet(rng *rand.Rand, sts []*cluster.State) {
 
 // TestConfigureMatchesOracle steps two copies of a random mixed A100/H100
 // fleet through the same ticks, one configured by configure and one by the
-// oracle, and compares every instance's configuration and remaining reload
-// time, the reload log and the row pressure after each pass. Counters check
-// that the ticks reach emergencies, row pressure, ungated reloads, free
-// changes and instances skipped mid-reload.
+// oracle, and compares every instance's configuration, remaining reload
+// time and cached rates, the reload log and the row pressure after each
+// pass. Counters check that the ticks reach emergencies, row pressure,
+// ungated reloads, free changes, instances skipped mid-reload and inlets on
+// both sides of the full-power inlet.
 func TestConfigureMatchesOracle(t *testing.T) {
 	f := newOracleFleet(t)
 	prof, err := ProfilesFor(f.dc)
@@ -285,6 +315,14 @@ func TestConfigureMatchesOracle(t *testing.T) {
 					t.Fatalf("trial %d tick %d: VM %d at %v with %v to reload, oracle %v with %v",
 						trial, tick, id, a.Config, reloadLeft(a), b.Config, reloadLeft(b))
 				}
+				if d := rateDiff(a, b); d != "" {
+					t.Fatalf("trial %d tick %d: VM %d at %v caches %s", trial, tick, id, a.Config, d)
+				}
+				if sts[0].ServerInletC[vm.Server] <= got.fullPowerInlet[vm.Server] {
+					seen["inlet at or below full-power inlet"]++
+				} else {
+					seen["inlet above full-power inlet"]++
+				}
 				switch cfg := before[id]; {
 				case a.Config == cfg:
 				case llm.ReconfigTime(cfg, a.Config) > 0:
@@ -302,7 +340,8 @@ func TestConfigureMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"emergency", "row pressure", "reload", "free change", "reloading instance", "H100 instance"} {
+	for _, k := range []string{"emergency", "row pressure", "reload", "free change", "reloading instance", "H100 instance",
+		"inlet at or below full-power inlet", "inlet above full-power inlet"} {
 		if seen[k] == 0 {
 			t.Errorf("no random tick reached %q", k)
 		}

@@ -186,23 +186,31 @@ func (r *router) route(st *cluster.State, ep trace.EndpointSpec, prompt, output 
 // serverHeadroom folds a server's three limit utilizations (its row's power,
 // its aisle's airflow and its hottest GPU's temperature) into one headroom
 // score: 0 when any limit sits beyond the risk gate, otherwise the smallest
-// normalized distance to the gate. Binned routing and the request scorer
-// both read it.
+// normalized distance to the gate, (riskGate−use)/riskGate, capped at 1.
+// Binned routing and the request scorer both read it.
+//
+// That distance never increases as the use grows, rounding included, so the
+// smallest distance is the largest use's: the score takes the largest use
+// and divides once. A NaN use fails every comparison and drops out.
 func serverHeadroom(st *cluster.State, id int) float64 {
-	srv := st.DC.Servers[id]
-	rowUse := st.RowPowerW[srv.Row] / (st.Budget.RowLimitW(srv.Row) + 1)
-	aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
-	tempUse := st.ServerHotGPUTempC[id] / (st.Spec.ThrottleTempC - 2)
-	head := 1.0
-	for _, use := range [3]float64{rowUse, aisleUse, tempUse} {
-		if use >= riskGate {
-			return 0
-		}
-		if h := (riskGate - use) / riskGate; h < head {
-			head = h
-		}
+	row, aisle := int(st.DC.ServerRow[id]), int(st.DC.ServerAisle[id])
+	use := math.Inf(-1)
+	if u := st.RowPowerW[row] / (st.Budget.RowLimitW(row) + 1); u > use {
+		use = u
 	}
-	return head
+	if u := st.AisleDemandCFM[aisle] / (st.AisleLimitCFM(aisle) + 1); u > use {
+		use = u
+	}
+	if u := st.ServerHotGPUTempC[id] / (st.Spec.ThrottleTempC - 2); u > use {
+		use = u
+	}
+	if use >= riskGate {
+		return 0
+	}
+	if h := (riskGate - use) / riskGate; h < 1 {
+		return h
+	}
+	return 1
 }
 
 // scoreRequest is the request-level scorer every policy family shares: it

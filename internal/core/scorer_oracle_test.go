@@ -309,7 +309,7 @@ func (f oracleFleet) round(t *testing.T, rng *rand.Rand, n int) (*cluster.State,
 			cfg.FreqFrac = []float64{0.9, 0.65, 0.5}[rng.IntN(3)]
 			cfg.MaxBatch = []int{64, 16, 4}[rng.IntN(3)]
 		}
-		in.Reconfigure(cfg)
+		reconfigureTo(in, cfg)
 		if rng.IntN(2) == 0 {
 			in.AttachQueue(st.Now - st.Tick)
 		}
@@ -592,7 +592,12 @@ func TestPickMatchesOracle(t *testing.T) {
 					seen["gated at floor 1 from a class without full quality"]++
 				}
 			}
-			got, gok := c.pick(p, cur, maxFrac, maxServerW, qualityFloor, required, reloadOK)
+			picked := c.pick(p, cur, maxFrac, maxServerW, qualityFloor, required, reloadOK)
+			gok := picked != nil
+			var got llm.ProfileEntry
+			if gok {
+				got = *picked
+			}
 			want, wok := oraclePick(p, cur, maxFrac, maxServerW, qualityFloor, required, reloadOK)
 			if got != want || gok != wok {
 				t.Fatalf("pick(cur %v, frac %v, server %v W, floor %v, required %v, reload %v) = %v (%v), oracle %v (%v)",
@@ -703,4 +708,119 @@ func TestRequestDecisionsAllocFree(t *testing.T) {
 		t.Errorf("decode steps admitted, completed or served nothing: %d waiting, %d running, %v completed",
 			q.WaitingLen(), q.ActiveLen(), qin.CompletedRequests)
 	}
+}
+
+// parentServerHeadroom is serverHeadroom as it stood before it read the
+// layout's server index and divided once: every use divided into its own
+// headroom, the smallest kept.
+func parentServerHeadroom(st *cluster.State, id int) float64 {
+	srv := st.DC.Servers[id]
+	rowUse := st.RowPowerW[srv.Row] / (st.Budget.RowLimitW(srv.Row) + 1)
+	aisleUse := st.AisleDemandCFM[srv.Aisle] / (st.AisleLimitCFM(srv.Aisle) + 1)
+	tempUse := st.ServerHotGPUTempC[id] / (st.Spec.ThrottleTempC - 2)
+	head := 1.0
+	for _, use := range [3]float64{rowUse, aisleUse, tempUse} {
+		if use >= riskGate {
+			return 0
+		}
+		if h := (riskGate - use) / riskGate; h < head {
+			head = h
+		}
+	}
+	return head
+}
+
+// reading returns a telemetry value x whose use x/d is exactly u when one
+// exists next to u·d, as onGate does for the risk gate.
+func reading(u, d float64) float64 {
+	x := u * d
+	for x/d < u {
+		x = math.Nextafter(x, math.Inf(1))
+	}
+	for x/d > u {
+		x = math.Nextafter(x, math.Inf(-1))
+	}
+	return x
+}
+
+// TestServerHeadroomMatchesOracle compares serverHeadroom with the parent's
+// body by float bits on random servers of a mixed fleet whose row power,
+// aisle airflow and hottest GPU give uses drawn from: random values on both
+// sides of the gate, exactly the gate, ties between two or three uses,
+// zeros of both signs, negatives, NaN and ±Inf.
+func TestServerHeadroomMatchesOracle(t *testing.T) {
+	f := newOracleFleet(t)
+	st := cluster.NewState(f.dc, f.w)
+	rng := rand.New(rand.NewPCG(24, 29))
+	seen := map[string]int{}
+	draw := func() (float64, string) {
+		switch rng.IntN(12) {
+		case 0:
+			return riskGate, "at the gate"
+		case 1:
+			return math.NaN(), "NaN"
+		case 2:
+			return math.Inf(1), "+Inf"
+		case 3:
+			return math.Inf(-1), "-Inf"
+		case 4:
+			return -rng.Float64(), "negative"
+		case 5:
+			return math.Copysign(0, -1), "zero"
+		default:
+			return 1.1 * rng.Float64(), "random"
+		}
+	}
+	for k := 0; k < 20000; k++ {
+		id := rng.IntN(len(f.dc.Servers))
+		srv := f.dc.Servers[id]
+		var uses [3]float64
+		for i := range uses {
+			var kind string
+			uses[i], kind = draw()
+			seen[kind]++
+		}
+		if rng.IntN(4) == 0 { // a tie: two or three uses equal
+			uses[1] = uses[0]
+			if rng.IntN(2) == 0 {
+				uses[2] = uses[0]
+			}
+		}
+		rowD := st.Budget.RowLimitW(srv.Row) + 1
+		aisleD := st.AisleLimitCFM(srv.Aisle) + 1
+		tempD := st.Spec.ThrottleTempC - 2
+		st.RowPowerW[srv.Row] = reading(uses[0], rowD)
+		st.AisleDemandCFM[srv.Aisle] = reading(uses[1], aisleD)
+		st.ServerHotGPUTempC[id] = reading(uses[2], tempD)
+		got, want := serverHeadroom(st, id), parentServerHeadroom(st, id)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("server %d, uses %v: headroom %v, oracle %v", id, uses, got, want)
+		}
+		computed := [3]float64{st.RowPowerW[srv.Row] / rowD, st.AisleDemandCFM[srv.Aisle] / aisleD, st.ServerHotGPUTempC[id] / tempD}
+		for i, u := range computed {
+			if u == riskGate {
+				seen["use exactly at the gate"]++
+			}
+			for _, v := range computed[i+1:] {
+				if u == v && u > 0 && u < riskGate {
+					seen["tied uses below the gate"]++
+				}
+			}
+		}
+		switch {
+		case want == 0:
+			seen["headroom 0"]++
+		case want == 1:
+			seen["headroom 1"]++
+		default:
+			seen["headroom in (0, 1)"]++
+		}
+	}
+	for _, k := range []string{"use exactly at the gate", "tied uses below the gate", "NaN", "+Inf", "-Inf", "negative", "zero",
+		"headroom 0", "headroom 1", "headroom in (0, 1)"} {
+		if seen[k] == 0 {
+			t.Errorf("no random server reached %q", k)
+		}
+	}
+	t.Logf("case counts: %v", seen)
 }

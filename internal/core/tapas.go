@@ -286,7 +286,7 @@ func (t *TAPAS) selectiveCap(st *cluster.State, ids []int, shedW float64) {
 		}
 		if st.VMs[vmID].Spec.Kind == trace.IaaS {
 			iaas = append(iaas, id)
-			if d := st.ServerPowerW[id] - idleWBy[st.DC.Servers[id].GPU.Model]; d > 0 {
+			if d := st.ServerPowerW[id] - idleWBy[st.DC.ServerModel[id]]; d > 0 {
 				iaasDynW += d
 			}
 		} else {
@@ -320,7 +320,7 @@ func (t *TAPAS) selectiveCap(st *cluster.State, ids []int, shedW float64) {
 	// Residual shed falls on SaaS servers.
 	saasDynW := 0.0
 	for _, id := range saas {
-		if d := st.ServerPowerW[id] - idleWBy[st.DC.Servers[id].GPU.Model]; d > 0 {
+		if d := st.ServerPowerW[id] - idleWBy[st.DC.ServerModel[id]]; d > 0 {
 			saasDynW += d
 		}
 	}

@@ -148,6 +148,26 @@ type Datacenter struct {
 	Racks   []*Rack
 	Servers []*Server
 	UPSes   []*UPS
+
+	// ServerRow, ServerAisle and ServerModel are the server index: each
+	// server's Row, Aisle and GPU.Model (a GPUModel in one byte) by server
+	// ID, in flat tables. Code that runs per server or per instance every
+	// tick reads them instead of loading the server's struct. New and
+	// AddRacks fill them; they are read-only.
+	ServerRow   []int32
+	ServerAisle []int32
+	ServerModel []uint8
+}
+
+// addServer appends a generated server to its rack, its row, the fleet and
+// the server index.
+func (dc *Datacenter) addServer(rack *Rack, row *Row, srv *Server) {
+	rack.Servers = append(rack.Servers, srv)
+	row.Servers = append(row.Servers, srv)
+	dc.Servers = append(dc.Servers, srv)
+	dc.ServerRow = append(dc.ServerRow, int32(srv.Row))
+	dc.ServerAisle = append(dc.ServerAisle, int32(srv.Aisle))
+	dc.ServerModel = append(dc.ServerModel, uint8(srv.GPU.Model))
 }
 
 // Models returns the distinct GPU models present in the fleet in GPUModel
@@ -248,9 +268,7 @@ func New(cfg Config) (*Datacenter, error) {
 					}
 					srv.GPUTempGainC, srv.GPUTempBiasC = gpuHeterogeneity(rng, spec)
 					serverID++
-					rack.Servers = append(rack.Servers, srv)
-					row.Servers = append(row.Servers, srv)
-					dc.Servers = append(dc.Servers, srv)
+					dc.addServer(rack, row, srv)
 				}
 				row.Racks = append(row.Racks, rack)
 				dc.Racks = append(dc.Racks, rack)
@@ -331,9 +349,7 @@ func (dc *Datacenter) AddRacks(ratio float64) {
 				}
 				srv.GPUTempGainC, srv.GPUTempBiasC = gpuHeterogeneity(rng, spec)
 				serverID++
-				rack.Servers = append(rack.Servers, srv)
-				row.Servers = append(row.Servers, srv)
-				dc.Servers = append(dc.Servers, srv)
+				dc.addServer(rack, row, srv)
 			}
 			row.Racks = append(row.Racks, rack)
 			dc.Racks = append(dc.Racks, rack)

@@ -361,3 +361,39 @@ func TestMixedFleetValidation(t *testing.T) {
 		t.Error("negative mix fraction accepted")
 	}
 }
+
+// TestServerIndexMatchesServers checks the server index against every
+// server's own fields on a mixed A100/H100 fleet, after New and again after
+// AddRacks appends servers to every row.
+func TestServerIndexMatchesServers(t *testing.T) {
+	cfg := SmallConfig()
+	cfg.Aisles, cfg.MixGPU, cfg.MixFraction = 3, H100, 0.4
+	dc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dc.Heterogeneous() {
+		t.Fatal("fleet must mix GPU generations")
+	}
+	check := func(when string) {
+		t.Helper()
+		n := len(dc.Servers)
+		if len(dc.ServerRow) != n || len(dc.ServerAisle) != n || len(dc.ServerModel) != n {
+			t.Fatalf("%s: index holds %d rows, %d aisles and %d models for %d servers",
+				when, len(dc.ServerRow), len(dc.ServerAisle), len(dc.ServerModel), n)
+		}
+		for id, s := range dc.Servers {
+			if s.ID != id || int(dc.ServerRow[id]) != s.Row || int(dc.ServerAisle[id]) != s.Aisle || GPUModel(dc.ServerModel[id]) != s.GPU.Model {
+				t.Fatalf("%s: server %d (ID %d, row %d, aisle %d, %v) indexed as row %d, aisle %d, %v",
+					when, id, s.ID, s.Row, s.Aisle, s.GPU.Model, dc.ServerRow[id], dc.ServerAisle[id], GPUModel(dc.ServerModel[id]))
+			}
+		}
+	}
+	check("after New")
+	before := len(dc.Servers)
+	dc.AddRacks(0.25)
+	if len(dc.Servers) <= before {
+		t.Fatal("AddRacks added no server")
+	}
+	check("after AddRacks")
+}

@@ -56,7 +56,8 @@ type Instance struct {
 
 	// Derived rates of the current configuration, cached because Step,
 	// DemandSeconds and GPUPowerFrac run per instance per tick while the
-	// configuration changes rarely. Refreshed by refreshRates.
+	// configuration changes rarely. Derived by refreshRates and copied from
+	// the profile entry by Reconfigure.
 	prefillRate float64 // PrefillRate(Spec, Config)
 	decodeRate  float64 // DecodeTokenRate(Spec, Config, Config.MaxBatch)
 	prefillFrac float64 // GPUPowerFrac(Spec, Config, Prefill)
@@ -76,8 +77,8 @@ type Instance struct {
 	Spec layout.GPUSpec
 	SLOs SLOs
 
-	// decodeW is decodeWeightSecs(Spec.Model, Config), refreshed by
-	// refreshRates and read per request-level decode step. fullLoadW is
+	// decodeW is decodeWeightSecs(Spec.Model, Config), set with the rates
+	// above and read per request-level decode step. fullLoadW is
 	// power.ServerPowerAtUniformLoad(&Spec, 1), read per routed request; it
 	// depends on Spec alone, so NewInstance and Rehost refresh it.
 	decodeW   float64
@@ -118,7 +119,9 @@ func NewInstance(spec layout.GPUSpec, c Config, w Workload, slos SLOs) *Instance
 	return in
 }
 
-// refreshRates recomputes the cached configuration-derived rates.
+// refreshRates derives the cached rates from the spec and configuration,
+// for a new instance or new hardware; Reconfigure copies them from the
+// profile entry instead.
 func (in *Instance) refreshRates() {
 	in.decodeW = decodeWeightSecs(in.Spec.Model, in.Config)
 	in.prefillRate = PrefillRate(in.Spec, in.Config)
@@ -126,6 +129,12 @@ func (in *Instance) refreshRates() {
 	in.prefillFrac = GPUPowerFrac(in.Spec, in.Config, Prefill)
 	in.decodeFrac = GPUPowerFrac(in.Spec, in.Config, Decode)
 	in.gpuIdleFrac = in.Spec.GPUIdleW / in.Spec.GPUTDPW
+	in.refreshSlack()
+}
+
+// refreshSlack derives the TTFT slack at full speed from the instance's own
+// SLOs and prompt size and the cached prefill rate.
+func (in *Instance) refreshSlack() {
 	in.slackFull = in.SLOs.TTFT.Seconds() - in.Work.AvgPromptTokens/in.prefillRate
 }
 
@@ -172,12 +181,17 @@ func (in *Instance) QueueTokens() float64 {
 // Reloading reports whether the instance is mid-reconfiguration.
 func (in *Instance) Reloading() bool { return in.reloadLeft > 0 }
 
-// Reconfigure switches the instance to a new configuration, incurring the
-// reload penalty when the change requires one. Queued work is retained.
-func (in *Instance) Reconfigure(to Config) {
-	in.reloadLeft += ReconfigTime(in.Config, to)
-	in.Config = to
-	in.refreshRates()
+// Reconfigure switches the instance to the configuration of a profile
+// entry, incurring the reload penalty when the change requires one. Queued
+// work is retained. The entry must characterize the instance's own hardware
+// (a profile or Characterize call under its Spec): the instance copies the
+// entry's rates and derives only its TTFT slack.
+func (in *Instance) Reconfigure(e *ProfileEntry) {
+	in.reloadLeft += ReconfigTime(in.Config, e.Config)
+	in.Config = e.Config
+	in.decodeW, in.prefillRate, in.decodeRate = e.decodeW, e.prefillRate, e.decodeRate
+	in.prefillFrac, in.decodeFrac = e.prefillFrac, e.decodeFrac
+	in.refreshSlack()
 }
 
 // DemandSeconds estimates how many seconds of work currently sit in the

@@ -14,6 +14,13 @@ func newTestInstance() *Instance {
 	return NewInstance(spec, DefaultConfig(), w, ComputeSLOs(spec, DefaultConfig(), w))
 }
 
+// entryAt characterizes c on the instance's hardware: the profile entry
+// Reconfigure takes to switch the instance to c.
+func entryAt(in *Instance, c Config) *ProfileEntry {
+	e := Characterize(in.Spec, c, in.Work, in.SLOs)
+	return &e
+}
+
 func TestInstanceIdleStep(t *testing.T) {
 	in := newTestInstance()
 	in.Step(time.Minute)
@@ -91,7 +98,7 @@ func TestInstanceReconfigureReload(t *testing.T) {
 	in := newTestInstance()
 	to := in.Config
 	to.Model = Llama13B
-	in.Reconfigure(to)
+	in.Reconfigure(entryAt(in, to))
 	if !in.Reloading() {
 		t.Fatal("model change must trigger reload")
 	}
@@ -113,7 +120,7 @@ func TestInstanceFreqChangeNoReload(t *testing.T) {
 	in := newTestInstance()
 	to := in.Config
 	to.FreqFrac = 0.8
-	in.Reconfigure(to)
+	in.Reconfigure(entryAt(in, to))
 	if in.Reloading() {
 		t.Error("frequency change must not reload")
 	}
@@ -130,7 +137,7 @@ func TestInstanceQualityAccounting(t *testing.T) {
 	fresh := newTestInstance()
 	cfg := fresh.Config
 	cfg.Model = Llama7B
-	fresh.Reconfigure(cfg)
+	fresh.Reconfigure(entryAt(fresh, cfg))
 	if q := fresh.AvgQuality(); q >= 1 {
 		t.Errorf("7B config quality = %v, want < 1", q)
 	}

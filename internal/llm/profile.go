@@ -22,6 +22,15 @@ type ProfileEntry struct {
 	AvgServerPowerW float64
 	// Quality is the relative answer quality (70B FP16 = 1).
 	Quality float64
+
+	// The rates an instance caches at this configuration, the values
+	// refreshRates derives from the profile's spec: Reconfigure copies them
+	// instead of deriving them again.
+	decodeW     float64 // decodeWeightSecs(spec.Model, Config)
+	prefillRate float64 // PrefillRate(spec, Config)
+	decodeRate  float64 // tokenRate(decodeW, Config.MaxBatch)
+	prefillFrac float64 // GPUPowerFrac(spec, Config, Prefill)
+	decodeFrac  float64 // GPUPowerFrac(spec, Config, Decode)
 }
 
 // Profile is the full offline profile of an LLM on a hardware generation.
@@ -132,13 +141,15 @@ func BuildProfile(spec layout.GPUSpec, w Workload) *Profile {
 	return p
 }
 
-// Characterize computes the profile entry for a single configuration.
+// Characterize computes the profile entry for a single configuration,
+// including the rates an instance on spec's hardware caches at it.
 func Characterize(spec layout.GPUSpec, c Config, w Workload, slos SLOs) ProfileEntry {
 	prefillFrac := phaseTimeShare(spec, c, w)
 	prePower := ServerPowerW(spec, c, Prefill)
 	decPower := ServerPowerW(spec, c, Decode)
 	preFrac := GPUPowerFrac(spec, c, Prefill)
 	decFrac := GPUPowerFrac(spec, c, Decode)
+	decodeW := decodeWeightSecs(spec.Model, c)
 	e := ProfileEntry{
 		Config:           c,
 		Goodput:          Goodput(spec, c, w, slos),
@@ -146,6 +157,11 @@ func Characterize(spec layout.GPUSpec, c Config, w Workload, slos SLOs) ProfileE
 		PeakServerPowerW: maxf(prePower, decPower),
 		AvgServerPowerW:  prefillFrac*prePower + (1-prefillFrac)*decPower,
 		Quality:          c.Quality(),
+		decodeW:          decodeW,
+		prefillRate:      PrefillRate(spec, c),
+		decodeRate:       tokenRate(decodeW, c.MaxBatch),
+		prefillFrac:      preFrac,
+		decodeFrac:       decFrac,
 	}
 	return e
 }

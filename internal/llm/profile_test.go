@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -210,5 +211,42 @@ func TestCharacterizeTable1Directions(t *testing.T) {
 	e = Characterize(spec, smallBatch, w, slos)
 	if !(e.Goodput < base.Goodput && e.PeakGPUPowerFrac < base.PeakGPUPowerFrac && e.Quality == base.Quality) {
 		t.Error("batch row of Table 1 violated")
+	}
+}
+
+// TestReconfigureFromEntryMatchesNewInstance pins the rates profile entries
+// carry: for every entry of the A100 and H100 profiles, an instance
+// reconfigured from the entry caches, by float bits, the rates of a new
+// instance at that configuration. The instances run a workload and SLOs of
+// their own, not the profile's, so the TTFT slack Reconfigure derives is
+// checked against them too.
+func TestReconfigureFromEntryMatchesNewInstance(t *testing.T) {
+	rates := func(in *Instance) map[string]float64 {
+		return map[string]float64{
+			"decodeW": in.decodeW, "prefillRate": in.prefillRate, "decodeRate": in.decodeRate,
+			"prefillFrac": in.prefillFrac, "decodeFrac": in.decodeFrac, "gpuIdleFrac": in.gpuIdleFrac,
+			"slackFull": in.slackFull, "fullLoadW": in.fullLoadW,
+		}
+	}
+	own := Workload{AvgPromptTokens: 700, AvgOutputTokens: 90}
+	for _, m := range []layout.GPUModel{layout.A100, layout.H100} {
+		spec := layout.Spec(m)
+		p := BuildProfile(spec, DefaultWorkload())
+		slos := ComputeSLOs(spec, Config{Model: Llama13B, Quant: FP16, TP: 4, MaxBatch: 16, FreqFrac: 1}, own)
+		in := NewInstance(spec, DefaultConfig(), own, slos)
+		for i := range p.Entries {
+			e := &p.Entries[i]
+			in.Reconfigure(e)
+			fresh := NewInstance(spec, e.Config, own, slos)
+			if in.Config != e.Config {
+				t.Fatalf("%v: reconfigured to %v", e.Config, in.Config)
+			}
+			got, want := rates(in), rates(fresh)
+			for name, w := range want {
+				if g := got[name]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%v on %v: %s %v after Reconfigure, %v from NewInstance", e.Config, m, name, g, w)
+				}
+			}
+		}
 	}
 }

@@ -73,8 +73,16 @@ type RequestQueue struct {
 	now  float64 // wall clock, seconds since simulation start
 	disc Discipline
 
-	waiting []*queuedReq
-	active  []*queuedReq
+	// waiting and active hold the records of queued requests. complete
+	// returns a finished request's record to free and EnqueueRequest reuses
+	// it, so a warm queue allocates no record. finishOp pops waiting's
+	// front by reslicing: waiting is waitBuf[waitHead:], and pushWaiting
+	// reclaims the waitHead slots stranded before it.
+	waiting  []*queuedReq
+	active   []*queuedReq
+	free     []*queuedReq
+	waitBuf  []*queuedReq
+	waitHead int
 
 	op         opKind
 	opUnitLeft float64 // full-speed seconds of work remaining in the op
@@ -131,9 +139,35 @@ func (in *Instance) EnqueueRequest(req Request) {
 	in.enqueuedTokens += float64(req.TotalTokens())
 	in.Touch(req.Customer)
 	q := in.queue
-	q.waiting = append(q.waiting, &queuedReq{req: req})
+	var r *queuedReq
+	if n := len(q.free); n > 0 {
+		r = q.free[n-1]
+		q.free = q.free[:n-1]
+		*r = queuedReq{req: req}
+	} else {
+		r = &queuedReq{req: req}
+	}
+	q.pushWaiting(r)
 	q.waitingPrompt += float64(req.PromptTokens)
 	q.waitingOutput += float64(req.OutputTokens)
+}
+
+// pushWaiting appends a record to waiting. When the backing array has no
+// room after waiting and at least as many slots sit stranded before it as
+// waiting holds, it moves waiting back to the array's start instead of
+// growing the array, so each moved record is paid for by as many appends
+// and a queue that pops as fast as it pushes keeps one array.
+func (q *RequestQueue) pushWaiting(r *queuedReq) {
+	if n := len(q.waiting); n == cap(q.waiting) {
+		if q.waitHead == 0 || q.waitHead < n {
+			q.waiting = append(q.waiting, r)
+			q.waitBuf, q.waitHead = q.waiting[:cap(q.waiting)], 0
+			return
+		}
+		copy(q.waitBuf, q.waiting)
+		q.waiting, q.waitHead = q.waitBuf[:n], 0
+	}
+	q.waiting = append(q.waiting, r)
 }
 
 // DrainCompletions returns the latency records accumulated since the last
@@ -343,7 +377,9 @@ func (q *RequestQueue) finishOp(in *Instance, t float64) {
 	switch q.op {
 	case opPrefill:
 		r := q.waiting[0]
+		q.waiting[0] = nil
 		q.waiting = q.waiting[1:]
+		q.waitHead++
 		q.waitingPrompt -= float64(r.req.PromptTokens)
 		q.waitingOutput -= float64(r.req.OutputTokens)
 		in.ServedTokens += float64(r.req.PromptTokens)
@@ -372,7 +408,7 @@ func (q *RequestQueue) finishOp(in *Instance, t float64) {
 			}
 		}
 		for i := len(keep); i < len(q.active); i++ {
-			q.active[i] = nil // release completed requests
+			q.active[i] = nil // completed records are back on free
 		}
 		q.active = keep
 	}
@@ -380,8 +416,8 @@ func (q *RequestQueue) finishOp(in *Instance, t float64) {
 	q.opUnitLeft = 0
 }
 
-// complete records a finished request and folds it into the instance's
-// cumulative accounting.
+// complete records a finished request, folds it into the instance's
+// cumulative accounting and returns its record to free.
 func (q *RequestQueue) complete(in *Instance, r *queuedReq) {
 	ttft := r.firstToken - r.req.Arrival.Seconds()
 	violated := ttft > in.SLOs.TTFT.Seconds() || r.maxTBT > in.SLOs.TBT.Seconds()
@@ -397,6 +433,7 @@ func (q *RequestQueue) complete(in *Instance, r *queuedReq) {
 		QueueDelay: r.queueDelay,
 		Violated:   violated,
 	})
+	q.free = append(q.free, r)
 }
 
 // queueDemandSeconds estimates the seconds of work queued in request-level

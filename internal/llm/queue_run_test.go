@@ -204,13 +204,13 @@ func TestRequestQueueRunsMatchStepwise(t *testing.T) {
 			switch r := rng.IntN(100); {
 			case r < 1: // any configuration; a model, quantization or TP change reloads for 20 s
 				c := randomConfig(batches[rng.IntN(len(batches))])
-				runs.Reconfigure(c)
-				oracle.Reconfigure(c)
+				runs.Reconfigure(entryAt(runs, c))
+				oracle.Reconfigure(entryAt(oracle, c))
 			case r < 3: // shrink the batch limit below the running batch
 				c := runs.Config
 				c.MaxBatch = 1
-				runs.Reconfigure(c)
-				oracle.Reconfigure(c)
+				runs.Reconfigure(entryAt(runs, c))
+				oracle.Reconfigure(entryAt(oracle, c))
 			case r < 5: // a spell in which nothing can prefill
 				runs.prefillRate, oracle.prefillRate = 0, 0
 			case r < 12: // the rate comes back (a no-op when it never left)

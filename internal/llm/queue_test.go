@@ -54,7 +54,7 @@ func TestDecodeUnitMatchesDecodeStepTime(t *testing.T) {
 		in.AttachQueue(0)
 		check(in, "NewInstance")
 		for _, c := range ConfigSpace(spec) {
-			in.Reconfigure(c)
+			in.Reconfigure(entryAt(in, c))
 			check(in, "Reconfigure")
 			in.Rehost(specs[1-i])
 			check(in, "Rehost")
@@ -413,5 +413,38 @@ func TestQueueZeroOutputCompletesAtPrefill(t *testing.T) {
 	}
 	if !in.Queue().Idle() {
 		t.Error("queue not idle after the only request completed")
+	}
+}
+
+// TestEnqueueAndStepAllocFree pins the storage of queued requests: once the
+// queue is warm, enqueueing requests for customers already in the affinity
+// map and stepping the instance until they complete allocates nothing. The
+// records come back from the queue's free list, and the waiting list
+// reclaims the slots its popped front left behind instead of growing.
+func TestEnqueueAndStepAllocFree(t *testing.T) {
+	in := queueInstance(DefaultConfig())
+	id := int64(0)
+	burst := func() {
+		for c := 0; c < 3; c++ {
+			in.EnqueueRequest(Request{ID: id, Customer: c, PromptTokens: 256 + 128*c, OutputTokens: 8 + 4*c, Arrival: time.Duration(in.queue.now * float64(time.Second))})
+			id++
+		}
+		in.Step(2 * time.Second)
+		// The engine drains completions once per instance, at departure;
+		// keep their buffer so its growth is not counted here.
+		in.queue.completions = in.queue.completions[:0]
+	}
+	for i := 0; i < 10; i++ {
+		burst()
+	}
+	if !in.queue.Idle() {
+		t.Fatalf("a burst left %d waiting and %d running requests", in.queue.WaitingLen(), in.queue.ActiveLen())
+	}
+	completed := in.CompletedRequests
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Errorf("enqueue and step allocate %.1f times per burst, want 0", allocs)
+	}
+	if got := in.CompletedRequests - completed; got != 3*101 {
+		t.Errorf("%v requests completed over 101 bursts, want %d", got, 3*101)
 	}
 }

@@ -68,14 +68,17 @@ func NewCompileCache(maxEntries int) *CompileCache {
 // key is present, waiting for a compile of the key already in flight, and
 // compiling (then caching) it otherwise. The returned value adopts sc's
 // runtime-only fields and is safe for any number of concurrent Run calls. A
-// start offset the weather window cannot cover is rejected before the
-// lookup, so a hit never hands one out.
+// start offset the weather window cannot cover and an oversubscription ratio
+// no layout can be built with are rejected before the lookup.
 //
 // Traces attached to sc (Scenario.Trace, splice overlays) must not be
 // mutated after first use — the read-only contract every compilation
 // imposes — because their content fingerprints are memoized by pointer.
 func (c *CompileCache) Compile(sc Scenario) (*CompiledScenario, error) {
 	if err := checkWindow(sc); err != nil {
+		return nil, err
+	}
+	if err := checkOversubscribe(sc); err != nil {
 		return nil, err
 	}
 	key, err := scenarioKey(sc, c.fp)

@@ -73,13 +73,14 @@ type layoutArtifacts struct {
 type layoutTables struct {
 	// Per-generation artifacts for heterogeneous fleets, dense-indexed by
 	// layout.GPUModel. profileBy[base model] aliases the base profile;
-	// absent models hold zero values. srvModel is the per-server generation
-	// index used by the tick kernel, and fleetTDPW the aggregate server TDP.
+	// absent models hold zero values. The tick kernel finds a server's
+	// generation, row and aisle in the layout's server index
+	// (layout.Datacenter.ServerModel, ServerRow, ServerAisle). fleetTDPW is
+	// the aggregate server TDP.
 	profileBy  [layout.GPUModelCount]*llm.Profile
 	specBy     [layout.GPUModelCount]layout.GPUSpec
 	idleWBy    [layout.GPUModelCount]float64
 	idleFracBy [layout.GPUModelCount]float64
-	srvModel   []uint8
 	fleetTDPW  float64
 
 	// Idle tick-kernel constants, precomputed with the exact operation
@@ -90,10 +91,6 @@ type layoutTables struct {
 	// derives from that power.
 	idleTickWBy   [layout.GPUModelCount]float64
 	idleAirflowBy [layout.GPUModelCount]float64
-
-	// Flat per-server topology for the tick kernel's fleet sweeps.
-	srvRow   []int32
-	srvAisle []int32
 
 	// Per-server maxima over the GPU block's thermal coefficients. Rounding
 	// is monotone, so inlet + srvMaxBias + srvMaxGain*cf is a floating-point
@@ -142,9 +139,6 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 		profile: llm.BuildProfile(spec, llm.DefaultWorkload()),
 		coeffs:  thermal.CompileCoeffs(dc.Servers, spec.GPUsPerServer),
 		layoutTables: layoutTables{
-			srvRow:     make([]int32, n),
-			srvAisle:   make([]int32, n),
-			srvModel:   make([]uint8, n),
 			srvMaxBias: make([]float64, n),
 			srvMaxGain: make([]float64, n),
 		},
@@ -163,10 +157,7 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 		la.srvMaxBias[i] = maxB
 		la.srvMaxGain[i] = maxG
 	}
-	for i, s := range dc.Servers {
-		la.srvRow[i] = int32(s.Row)
-		la.srvAisle[i] = int32(s.Aisle)
-		la.srvModel[i] = uint8(s.GPU.Model)
+	for _, s := range dc.Servers {
 		la.fleetTDPW += s.GPU.ServerTDPW
 	}
 	// One serving profile and idle-power table per hardware generation
@@ -265,6 +256,17 @@ func checkWindow(sc Scenario) error {
 	return nil
 }
 
+// checkOversubscribe rejects an oversubscription ratio layout.AddRacks
+// cannot turn into racks: NaN, infinite or negative. The cache (which
+// Compile goes through) and GenerateWorkload check it before they build a
+// layout.
+func checkOversubscribe(sc Scenario) error {
+	if r := sc.Oversubscribe; !(r >= 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("sim: oversubscription ratio %v is not a finite ratio of at least 0", r)
+	}
+	return nil
+}
+
 // workloadFor materializes the workload a scenario simulates over a fleet of
 // the given size: the replayed trace when set (transformed by the scenario's
 // chain, validated against the fleet), otherwise a synthetic trace.Generate
@@ -334,6 +336,9 @@ func validateReplay(w *trace.Workload, servers int, duration time.Duration) erro
 // layout (including oversubscribed racks), exactly as Compile computes it,
 // so a recorded trace replays against the same scenario byte-identically.
 func GenerateWorkload(sc Scenario) (*trace.Workload, error) {
+	if err := checkOversubscribe(sc); err != nil {
+		return nil, err
+	}
 	dc, err := layout.New(sc.Layout)
 	if err != nil {
 		return nil, err

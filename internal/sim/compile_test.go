@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -367,5 +368,56 @@ func TestCompileRejectsBadWeatherWindow(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompileRejectsBadOversubscription pins the compile path's guard on
+// the oversubscription ratio: layout.AddRacks converts ratio × racks per row
+// to a rack count, so NaN or +Inf would add an arbitrary number of racks (at
+// NaN, none) and a negative ratio silently means none. Compile, a cold and a
+// warm cache, Run and GenerateWorkload all refuse them; 0 and a positive
+// ratio still compile.
+func TestCompileRejectsBadOversubscription(t *testing.T) {
+	good := SmallScenario()
+	good.Duration = 20 * time.Minute
+	warm := NewCompileCache(0)
+	if _, err := warm.Compile(good); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ratio float64
+		ok    bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{-0.1, false},
+		{0, true},
+		{0.2, true},
+	} {
+		sc := good
+		sc.Oversubscribe = tc.ratio
+		_, compileErr := Compile(sc)
+		_, coldErr := NewCompileCache(0).Compile(sc)
+		_, warmErr := warm.Compile(sc)
+		_, runErr := Run(sc, naivePolicy{})
+		_, genErr := GenerateWorkload(sc)
+		for _, e := range []struct {
+			path string
+			err  error
+		}{
+			{"Compile", compileErr},
+			{"cold cache", coldErr},
+			{"warm cache", warmErr},
+			{"Run", runErr},
+			{"GenerateWorkload", genErr},
+		} {
+			if tc.ok && e.err != nil {
+				t.Errorf("%s, ratio %v: %v", e.path, tc.ratio, e.err)
+			}
+			if !tc.ok && (e.err == nil || !strings.Contains(e.err.Error(), "oversubscription ratio")) {
+				t.Errorf("%s, ratio %v: err = %v, want an oversubscription error", e.path, tc.ratio, e.err)
+			}
+		}
 	}
 }

@@ -196,7 +196,7 @@ func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
 		// Seed the fan-control lag with each generation's idle draw and the
 		// fan airflow of that draw: at idle power the heat fraction is 0,
 		// so the airflow is the generation's idle airflow.
-		m := r.cs.srvModel[i]
+		m := cs.DC.ServerModel[i]
 		st.ServerPowerW[i] = r.cs.idleWBy[m]
 		st.ServerAirflowCFM[i] = r.cs.specBy[m].AirflowIdleCFM
 	}
@@ -456,7 +456,7 @@ func (r *runner) airflowStep() {
 	for a := range st.AisleDemandCFM {
 		st.AisleDemandCFM[a] = 0
 	}
-	srvAisle := r.cs.srvAisle
+	srvAisle := r.cs.DC.ServerAisle
 	for id, af := range st.ServerAirflowCFM {
 		st.AisleDemandCFM[srvAisle[id]] += af
 	}
@@ -505,7 +505,7 @@ func (r *runner) fleetStep(wall time.Duration) {
 		r.phaseDaily[i] = trace.DailySin(wall, ph)
 	}
 
-	srvRow := cs.srvRow
+	srvRow := cs.DC.ServerRow
 	maxTemp, total := 0.0, 0.0
 	for id := range st.ServerPowerW {
 		if t := r.serverStep(id, wall, inletBase); t > maxTemp {
@@ -559,7 +559,8 @@ func (r *runner) serverStep(id int, wall time.Duration, inletBase float64) float
 	st := r.st
 	cs := r.cs
 	co := cs.Coeffs
-	aisle := int(cs.srvAisle[id])
+	dc := cs.DC
+	aisle := int(dc.ServerAisle[id])
 	vmID := st.ServerVM[id]
 	if vmID == -1 && st.ServerFreqCap[id] == 1 && r.thermalCap[id] == 1 {
 		// Idle and uncapped: cap recovery is a no-op, the GPUs sit at the
@@ -568,13 +569,13 @@ func (r *runner) serverStep(id int, wall time.Duration, inletBase float64) float
 		// for bit.
 		return r.idleServer(id, inletBase, aisle)
 	}
-	m := cs.srvModel[id]
+	m := dc.ServerModel[id]
 	spec := &cs.specBy[m]
 	idleFrac := cs.idleFracBy[m]
 	throttleC := spec.ThrottleTempC
 	gpus := st.GPUsPerServer
 
-	if r.rowRecoverOK[cs.srvRow[id]] && r.aisleRecoverOK[aisle] {
+	if r.rowRecoverOK[dc.ServerRow[id]] && r.aisleRecoverOK[aisle] {
 		// Branch instead of math.Min: caps are positive finite, so the
 		// semantics match and the non-inlined call is avoided.
 		if c := st.ServerFreqCap[id] * capRecovery; c < 1 {
@@ -770,7 +771,7 @@ func (r *runner) idleServer(id int, inletBase float64, aisle int) float64 {
 	cs := r.cs
 	co := cs.Coeffs
 	gpus := st.GPUsPerServer
-	m := cs.srvModel[id]
+	m := cs.DC.ServerModel[id]
 	idleFrac := cs.idleFracBy[m]
 	base := id * gpus
 	fracs := st.GPUPowerFrac[base : base+gpus]

@@ -216,7 +216,7 @@ func (k *oracleKernel) fleetStep(wall time.Duration) {
 		r.phaseDaily[i] = trace.DailySin(wall, ph)
 	}
 
-	srvRow := cs.srvRow
+	srvRow := cs.DC.ServerRow
 	maxTemp, total := 0.0, 0.0
 	for id := range st.ServerPowerW {
 		if t := k.serverStep(id, wall, inletBase); t > maxTemp {
@@ -269,7 +269,8 @@ func (k *oracleKernel) serverStep(id int, wall time.Duration, inletBase float64)
 	st := r.st
 	cs := r.cs
 	co := cs.Coeffs
-	aisle := int(cs.srvAisle[id])
+	dc := cs.DC
+	aisle := int(dc.ServerAisle[id])
 	vmID := st.ServerVM[id]
 	if vmID == -1 && st.ServerFreqCap[id] == 1 && r.thermalCap[id] == 1 {
 		// Idle and uncapped: cap recovery is a no-op, the GPUs sit at the
@@ -278,13 +279,13 @@ func (k *oracleKernel) serverStep(id int, wall time.Duration, inletBase float64)
 		// for bit.
 		return k.idleServer(id, inletBase, aisle)
 	}
-	m := cs.srvModel[id]
+	m := dc.ServerModel[id]
 	spec := &cs.specBy[m]
 	idleFrac := cs.idleFracBy[m]
 	throttleC := spec.ThrottleTempC
 	gpus := st.GPUsPerServer
 
-	if r.rowRecoverOK[cs.srvRow[id]] && r.aisleRecoverOK[aisle] {
+	if r.rowRecoverOK[dc.ServerRow[id]] && r.aisleRecoverOK[aisle] {
 		// Branch instead of math.Min: caps are positive finite, so the
 		// semantics match and the non-inlined call is avoided.
 		if c := st.ServerFreqCap[id] * capRecovery; c < 1 {
@@ -464,7 +465,7 @@ func (k *oracleKernel) idleServer(id int, inletBase float64, aisle int) float64 
 	cs := r.cs
 	co := cs.Coeffs
 	gpus := st.GPUsPerServer
-	m := cs.srvModel[id]
+	m := cs.DC.ServerModel[id]
 	idleFrac := cs.idleFracBy[m]
 	base := id * gpus
 	fracs := st.GPUPowerFrac[base : base+gpus]

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/tapas-sim/tapas/internal/regress"
 )
@@ -114,6 +115,69 @@ func (m *GPUTempModel) HeadroomPowerFrac(serverID, gpu int, inletC, limitC float
 		return 1
 	}
 	return v
+}
+
+// ServerHeadroomPowerFrac is the server's thermal ceiling: the smallest
+// HeadroomPowerFrac over its GPUs at one inlet, at most 1. A GPU whose
+// inversion is NaN does not bind.
+func (m *GPUTempModel) ServerHeadroomPowerFrac(serverID int, inletC, limitC float64) float64 {
+	frac := 1.0
+	for g := 0; g < m.GPUsPerServer; g++ {
+		if h := m.HeadroomPowerFrac(serverID, g, inletC, limitC); h < frac {
+			frac = h
+		}
+	}
+	return frac
+}
+
+// fullPowerSteps bounds the one-ulp steps down FullPowerInlet takes from its
+// derived candidate. Without cancellation the derivation lands within a few
+// ulps of the threshold.
+const fullPowerSteps = 64
+
+// FullPowerInlet returns an inlet at or below which
+// ServerHeadroomPowerFrac(serverID, inlet, limitC) is exactly 1 at every
+// finite inlet, or −Inf when it knows no such inlet. The Instance
+// Configurator compares a server's inlet with it to skip the per-GPU
+// inversion, which is exactly 1 in most of its decisions.
+//
+// A GPU with a non-positive power weight returns 1 at every inlet. With a
+// non-negative inlet weight, the inversion never increases as the inlet
+// rises, rounding included, so every inlet below a confirmed one gives 1
+// too. With a negative inlet weight it falls below 1 at low enough inlets,
+// and the server gets −Inf. The candidate, the largest inlet in exact
+// arithmetic, solves (limit−w0−w1·inlet)/w2 = 1 on each GPU;
+// ServerHeadroomPowerFrac itself confirms it, and each failed check steps
+// it down one ulp (math.Nextafter). A candidate that fullPowerSteps steps
+// do not confirm gives −Inf.
+func (m *GPUTempModel) FullPowerInlet(serverID int, limitC float64) float64 {
+	t := math.MaxFloat64
+	for g := 0; g < m.GPUsPerServer; g++ {
+		w := m.weights(serverID, g)
+		if !(w[2] > 0) {
+			continue // 1 (or a NaN that never binds) at every inlet
+		}
+		if !(w[1] >= 0) {
+			return math.Inf(-1) // a negative or NaN inlet weight
+		}
+		// With a zero inlet weight the inversion does not depend on the
+		// inlet, and the candidate is +Inf (never binds) or −Inf (always
+		// binds). A NaN candidate comes from a NaN the inversion carries at
+		// every inlet; it never binds, so it drops out too.
+		if c := (limitC - w[0] - w[2]) / w[1]; c < t {
+			t = c
+		}
+	}
+	if math.IsInf(t, -1) {
+		return t
+	}
+	for k := 0; m.ServerHeadroomPowerFrac(serverID, t, limitC) != 1; k++ {
+		if k == fullPowerSteps {
+			return math.Inf(-1)
+		}
+		t = math.Nextafter(t, math.Inf(-1))
+	}
+	return t
 }
 
 // FitGPUTempModel fits a linear model per (server, GPU) pair over the
