@@ -766,7 +766,7 @@ func TestServerHeadroomMatchesOracle(t *testing.T) {
 		case 4:
 			return -rng.Float64(), "negative"
 		case 5:
-			return math.Copysign(0, -1), "zero"
+			return math.Copysign(0, float64(2*rng.IntN(2)-1)), "zero"
 		default:
 			return 1.1 * rng.Float64(), "random"
 		}

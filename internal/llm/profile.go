@@ -115,9 +115,12 @@ func (p *Profile) Candidates(cur Config, qualityFloor float64, sameClass bool) [
 // behind Figs. 15 and 16.
 func BuildProfile(spec layout.GPUSpec, w Workload) *Profile {
 	slos := ComputeSLOs(spec, DefaultConfig(), w)
-	p := &Profile{Spec: spec, Work: w, SLOs: slos}
-	for _, c := range ConfigSpace(spec) {
-		p.Entries = append(p.Entries, Characterize(spec, c, w, slos))
+	space := ConfigSpace(spec)
+	// Sized exactly: profiles outlive their runs in the compile cache's
+	// layouts, and append's growth would leave a third of the table unused.
+	p := &Profile{Spec: spec, Work: w, SLOs: slos, Entries: make([]ProfileEntry, len(space))}
+	for i, c := range space {
+		p.Entries[i] = Characterize(spec, c, w, slos)
 	}
 	// Deterministic ordering: by goodput descending, then by string.
 	sort.Slice(p.Entries, func(i, j int) bool {

@@ -161,9 +161,10 @@ func (m *GPUTempModel) FullPowerInlet(serverID int, limitC float64) float64 {
 			return math.Inf(-1) // a negative or NaN inlet weight
 		}
 		// With a zero inlet weight the inversion does not depend on the
-		// inlet, and the candidate is +Inf (never binds) or −Inf (always
-		// binds). A NaN candidate comes from a NaN the inversion carries at
-		// every inlet; it never binds, so it drops out too.
+		// inlet: the candidate is −Inf where it binds and +Inf or NaN where
+		// it does not. Any other NaN candidate comes from a NaN the
+		// inversion carries at every inlet, which never binds either; a NaN
+		// drops out of the minimum.
 		if c := (limitC - w[0] - w[2]) / w[1]; c < t {
 			t = c
 		}
