@@ -79,8 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "airflow model:  %.0f CFM idle → %.0f CFM at full load\n", prof.Airflow.IdleCFM, prof.Airflow.MaxCFM)
 	fmt.Fprintf(stdout, "power model:    %.0f W idle → %.0f W at full load\n", prof.Power.Predict(0), prof.Power.Predict(1))
 
-	spec := layout.Spec(cfg.GPU)
-	llmProf := llm.BuildProfile(spec, llm.DefaultWorkload())
+	llmProf := llm.DefaultProfile(cfg.GPU)
 	fmt.Fprintf(stdout, "\nLLM profile: %d configurations, SLOs TTFT=%v TBT=%v\n",
 		len(llmProf.Entries), llmProf.SLOs.TTFT.Round(0), llmProf.SLOs.TBT.Round(0))
 	for _, m := range []llm.ModelSize{llm.Llama70B, llm.Llama13B, llm.Llama7B} {

@@ -127,12 +127,10 @@ type State struct {
 	freeCount   int
 }
 
-// NewState initializes cluster state for a datacenter and workload, building
-// a fresh LLM profile. Prefer NewStateFrom when running the same scenario
-// repeatedly: the profile depends only on the hardware generation and can be
-// shared read-only across runs.
+// NewState initializes cluster state for a datacenter and workload around
+// the base generation's shared serving profile (llm.DefaultProfile).
 func NewState(dc *layout.Datacenter, w *trace.Workload) *State {
-	return NewStateFrom(dc, w, llm.BuildProfile(layout.Spec(dc.Config.GPU), llm.DefaultWorkload()))
+	return NewStateFrom(dc, w, llm.DefaultProfile(dc.Config.GPU))
 }
 
 // NewStateFrom initializes cluster state around a pre-built (immutable) LLM

@@ -15,7 +15,15 @@ import (
 // component tests (no simulator loop).
 func newComponentState(t *testing.T) (*cluster.State, *Profiles) {
 	t.Helper()
-	dc, err := layout.New(layout.SmallConfig())
+	return newComponentStateOn(t, layout.SmallConfig())
+}
+
+// newComponentStateOn is newComponentState on the layout cfg describes. A
+// mixed fleet gets each other generation's serving profile, as the
+// simulator's runner registers them.
+func newComponentStateOn(t *testing.T, cfg layout.Config) (*cluster.State, *Profiles) {
+	t.Helper()
+	dc, err := layout.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,6 +35,11 @@ func newComponentState(t *testing.T) (*cluster.State, *Profiles) {
 		t.Fatal(err)
 	}
 	st := cluster.NewState(dc, w)
+	for _, m := range dc.Models() {
+		if m != cfg.GPU {
+			st.SetModelProfile(m, llm.DefaultProfile(m))
+		}
+	}
 	st.Tick = time.Minute
 	prof, err := BuildProfiles(dc)
 	if err != nil {
@@ -193,22 +206,33 @@ func TestAllocatorValidatorRejectsWhenEnvelopesFull(t *testing.T) {
 
 func setupEndpoint(t *testing.T, st *cluster.State, n int) []*cluster.VM {
 	t.Helper()
-	placed := 0
-	var vms []*cluster.VM
+	servers := make([]int, n)
 	rowSize := len(st.DC.Rows[0].Servers)
+	for i := range servers {
+		// Alternate rows so row-level routing behaviour is observable.
+		servers[i] = (i%2)*rowSize + i/2
+	}
+	return placeEndpoint(t, st, servers...)
+}
+
+// placeEndpoint places endpoint 0's SaaS VMs, in VM order, on the given
+// servers.
+func placeEndpoint(t *testing.T, st *cluster.State, servers ...int) []*cluster.VM {
+	t.Helper()
+	var vms []*cluster.VM
 	for i, vm := range st.VMs {
-		if vm.Spec.Kind == trace.SaaS && vm.Spec.Endpoint == 0 && placed < n {
-			// Alternate rows so row-level routing behaviour is observable.
-			server := (placed%2)*rowSize + placed/2
-			if err := st.Place(i, server); err != nil {
+		if len(vms) == len(servers) {
+			break
+		}
+		if vm.Spec.Kind == trace.SaaS && vm.Spec.Endpoint == 0 {
+			if err := st.Place(i, servers[len(vms)]); err != nil {
 				t.Fatal(err)
 			}
-			placed++
 			vms = append(vms, vm)
 		}
 	}
-	if placed < n {
-		t.Fatalf("only %d endpoint VMs available", placed)
+	if len(vms) < len(servers) {
+		t.Fatalf("only %d endpoint VMs available", len(vms))
 	}
 	return vms
 }

@@ -94,17 +94,21 @@ func TestPowerGovOnlyTouchesOccupiedServers(t *testing.T) {
 // backlog on the efficient instance flips the decision — energy preference
 // never starves latency.
 func TestEnergyRoutingPrefersEfficientGeneration(t *testing.T) {
-	st, _ := newComponentState(t)
-	// Re-arm one target server as the other GPU generation before placement,
-	// so its instance profile (llm.NewInstance copies the server's GPU spec)
-	// belongs to that generation.
-	rowSize := len(st.DC.Rows[0].Servers)
-	st.DC.Servers[rowSize].GPU = layout.Spec(layout.H100)
+	// Two aisles, the second built from H100 servers: the layout's index,
+	// ProfileFor and ServerGPUSpec agree with the instances placed there.
+	cfg := layout.SmallConfig()
+	cfg.Aisles, cfg.MixGPU, cfg.MixFraction = 2, layout.H100, 0.5
+	st, _ := newComponentStateOn(t, cfg)
 	pol := NewPowerGov(true)
 	if err := pol.Init(st); err != nil {
 		t.Fatal(err)
 	}
-	vms := setupEndpoint(t, st, 2) // servers 0 (A100) and rowSize (H100)
+	a100, h100 := 0, st.DC.Aisles[1].Servers()[0].ID
+	if st.ServerGPUSpec(a100).Model != layout.A100 || st.ServerGPUSpec(h100).Model != layout.H100 ||
+		st.ProfileFor(h100).Spec.Model != layout.H100 {
+		t.Fatalf("servers %d and %d are not an A100/H100 pair", a100, h100)
+	}
+	vms := placeEndpoint(t, st, a100, h100)
 	j0, j1 := energyPerTokenEst(vms[0]), energyPerTokenEst(vms[1])
 	if j0 == j1 {
 		t.Fatalf("generations estimate identical energy per token (%.3f J); test fleet not heterogeneous", j0)

@@ -673,7 +673,7 @@ func Fig15(p Params) (*Report, error) {
 // Fig16 prints the normalized goodput/temperature/power frontier.
 func Fig16(p Params) (*Report, error) {
 	r := &Report{ID: "fig16", Title: "Goodput vs temperature and power (Pareto)"}
-	prof := llm.BuildProfile(layout.Spec(layout.A100), llm.DefaultWorkload())
+	prof := llm.DefaultProfile(layout.A100)
 	maxGoodput, maxFrac, maxPower := 0.0, 0.0, 0.0
 	for _, e := range prof.Entries {
 		if e.Goodput > maxGoodput {

@@ -2,6 +2,7 @@ package llm
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/tapas-sim/tapas/internal/layout"
 )
@@ -111,13 +112,33 @@ func (p *Profile) Candidates(cur Config, qualityFloor float64, sameClass bool) [
 	return p.classAny[k]
 }
 
+// defaultProfiles is DefaultProfile's memo, one entry per GPU generation.
+var defaultProfiles [layout.GPUModelCount]struct {
+	once sync.Once
+	p    *Profile
+}
+
+// DefaultProfile returns the serving profile of generation m's hardware under
+// the default workload, BuildProfile(layout.Spec(m), DefaultWorkload()). It
+// is a pure function of the generation, so it is built once per process and
+// every layout of a generation reads the same profile; like layout.Spec, a
+// model outside the known generations gets A100's. The profile is shared
+// read-only and must not be modified.
+func DefaultProfile(m layout.GPUModel) *Profile {
+	spec := layout.Spec(m)
+	d := &defaultProfiles[spec.Model]
+	d.once.Do(func() { d.p = BuildProfile(spec, DefaultWorkload()) })
+	return d.p
+}
+
 // BuildProfile characterizes every valid configuration, computing the data
 // behind Figs. 15 and 16.
 func BuildProfile(spec layout.GPUSpec, w Workload) *Profile {
 	slos := ComputeSLOs(spec, DefaultConfig(), w)
 	space := ConfigSpace(spec)
-	// Sized exactly: profiles outlive their runs in the compile cache's
-	// layouts, and append's growth would leave a third of the table unused.
+	// Sized exactly: profiles outlive their runs (DefaultProfile keeps one
+	// per generation), and append's growth would leave a third of the table
+	// unused.
 	p := &Profile{Spec: spec, Work: w, SLOs: slos, Entries: make([]ProfileEntry, len(space))}
 	for i, c := range space {
 		p.Entries[i] = Characterize(spec, c, w, slos)

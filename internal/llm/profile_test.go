@@ -2,6 +2,7 @@ package llm
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -23,6 +24,28 @@ func TestBuildProfileCoversSpace(t *testing.T) {
 		if p.Entries[i].Goodput > p.Entries[i-1].Goodput {
 			t.Fatal("entries not sorted by goodput descending")
 		}
+	}
+}
+
+// TestDefaultProfileIsBuiltOncePerGeneration pins DefaultProfile: equal in
+// every field to a fresh BuildProfile of the generation's spec under the
+// default workload, the same pointer on every call, and A100's for a model
+// outside the known generations (as layout.Spec falls back).
+func TestDefaultProfileIsBuiltOncePerGeneration(t *testing.T) {
+	for _, m := range []layout.GPUModel{layout.A100, layout.H100} {
+		p := DefaultProfile(m)
+		if !reflect.DeepEqual(p, BuildProfile(layout.Spec(m), DefaultWorkload())) {
+			t.Errorf("%v: DefaultProfile differs from BuildProfile", m)
+		}
+		if DefaultProfile(m) != p {
+			t.Errorf("%v: DefaultProfile built a second profile", m)
+		}
+	}
+	if DefaultProfile(layout.A100) == DefaultProfile(layout.H100) {
+		t.Error("A100 and H100 share a profile")
+	}
+	if DefaultProfile(layout.GPUModelCount) != DefaultProfile(layout.A100) {
+		t.Error("an unknown model did not get A100's profile")
 	}
 }
 

@@ -97,12 +97,12 @@ func (s *Scheduler) Submit(spec *scenario.Spec, scale float64) (*Job, error) {
 		return nil, ErrShuttingDown
 	}
 	s.seq++
-	j := newJob(fmt.Sprintf("c%d", s.seq), spec, camp)
+	j := newJob(fmt.Sprintf("c%d", s.seq), camp)
 	// The queued event precedes the enqueue, so it always precedes the
 	// dispatcher's start event. The job is listed only once the queue has
 	// accepted it, under the lock that guards draining, so a rejected
 	// submission is never listed and Shutdown's drain sees every accepted job.
-	j.emit(Event{Type: "queued", ID: j.ID, Name: spec.Name, Runs: camp.Runs()})
+	j.emit(Event{Type: "queued", ID: j.ID, Name: j.Name, Runs: j.Runs})
 	select {
 	case s.queue <- j:
 	default:
@@ -203,12 +203,20 @@ type Event struct {
 
 // Job is one submitted campaign: an append-only event log plus the final
 // report. All methods are safe for concurrent use.
+//
+// The campaign's name and shape are copied at submit. The expanded campaign
+// (with its spec and any loaded traces) is held only until the job reaches a
+// terminal state, so a finished job keeps its status, counters, event log and
+// report, and nothing else.
 type Job struct {
 	ID       string
-	Spec     *scenario.Spec
-	Campaign *scenario.Campaign
+	Name     string // the spec's name
+	Points   int    // grid points
+	Policies int    // policies run at each point
+	Runs     int    // Points × Policies
 
 	mu       sync.Mutex
+	campaign *scenario.Campaign // nil once terminal
 	status   Status
 	events   []Event
 	changed  chan struct{}
@@ -221,11 +229,14 @@ type Job struct {
 	done chan struct{}
 }
 
-func newJob(id string, spec *scenario.Spec, camp *scenario.Campaign) *Job {
+func newJob(id string, camp *scenario.Campaign) *Job {
 	return &Job{
 		ID:       id,
-		Spec:     spec,
-		Campaign: camp,
+		Name:     camp.Spec.Name,
+		Points:   len(camp.Points),
+		Policies: len(camp.Policies),
+		Runs:     camp.Runs(),
+		campaign: camp,
 		status:   StatusQueued,
 		changed:  make(chan struct{}),
 		done:     make(chan struct{}),
@@ -240,10 +251,10 @@ func (j *Job) run(ctx context.Context, opt scenario.RunOptions) {
 	}
 	j.mu.Lock()
 	j.status = StatusRunning
+	camp := j.campaign
 	j.mu.Unlock()
-	total := j.Campaign.Runs()
-	j.emit(Event{Type: "start", ID: j.ID, Name: j.Spec.Name,
-		Points: len(j.Campaign.Points), Policies: len(j.Campaign.Policies), Runs: total})
+	j.emit(Event{Type: "start", ID: j.ID, Name: j.Name,
+		Points: j.Points, Policies: j.Policies, Runs: j.Runs})
 	opt.Context = ctx
 	opt.OnProgress = func(done, total int) {
 		j.mu.Lock()
@@ -253,7 +264,7 @@ func (j *Job) run(ctx context.Context, opt scenario.RunOptions) {
 		j.mu.Unlock()
 		j.emit(Event{Type: "progress", ID: j.ID, Done: done, Total: total})
 	}
-	res, err := j.Campaign.Run(opt)
+	res, err := camp.Run(opt)
 	if err != nil {
 		if ctx.Err() != nil {
 			j.finish(StatusCanceled, err)
@@ -271,7 +282,7 @@ func (j *Job) run(ctx context.Context, opt scenario.RunOptions) {
 	j.report = buf.Bytes()
 	j.compiles = res.Compiles
 	j.mu.Unlock()
-	j.emit(Event{Type: "result", ID: j.ID, Compiles: res.Compiles, Runs: total})
+	j.emit(Event{Type: "result", ID: j.ID, Compiles: res.Compiles, Runs: j.Runs})
 	j.finish(StatusDone, nil)
 }
 
@@ -285,7 +296,9 @@ func (j *Job) emit(ev Event) {
 }
 
 // finish records the terminal state, emits the done event, and releases
-// waiters. Idempotent: only the first terminal state sticks.
+// waiters. Idempotent: only the first terminal state sticks. Nothing runs or
+// appends after it, so it drops the campaign and trims the event log to its
+// length.
 func (j *Job) finish(st Status, err error) {
 	j.mu.Lock()
 	if j.terminal {
@@ -294,11 +307,13 @@ func (j *Job) finish(st Status, err error) {
 	}
 	j.status = st
 	j.err = err
+	j.campaign = nil
 	ev := Event{Type: "done", ID: j.ID, Status: st}
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	j.events = append(j.events, ev)
+	events := make([]Event, 0, len(j.events)+1)
+	j.events = append(append(events, j.events...), ev)
 	j.terminal = true
 	close(j.changed)
 	j.changed = make(chan struct{})
@@ -361,5 +376,5 @@ func (j *Job) Report() []byte {
 func (j *Job) Progress() (done, total, scenarios int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.progress, j.Campaign.Runs(), j.compiles
+	return j.progress, j.Runs, j.compiles
 }

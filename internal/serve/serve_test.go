@@ -2,13 +2,16 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -477,4 +480,140 @@ func TestHTTPQueueFull429(t *testing.T) {
 			t.Errorf("submission %d = %d, want %d", i, resp.StatusCode, want)
 		}
 	}
+}
+
+// TestFinishedJobsDropTheirCampaign pins what a job keeps once it is
+// terminal: done, failed and canceled-while-queued jobs reference no
+// campaign (and so no spec or trace), and their event log is trimmed to its
+// length, while jobView, Progress, EventsSince and Report answer as they
+// did while the campaign was held.
+func TestFinishedJobsDropTheirCampaign(t *testing.T) {
+	const twoPolicies = `{
+  "name": "pair",
+  "layout": {"preset": "small"},
+  "duration": "10m",
+  "policies": ["baseline", "tapas"],
+  "report": {"format": "csv"}
+}`
+	type snapshot struct {
+		view                  jobJSON
+		done, total, compiles int
+		events                []Event
+		report                []byte
+	}
+	check := func(j *Job, want snapshot) {
+		t.Helper()
+		j.mu.Lock()
+		camp, n, c := j.campaign, len(j.events), cap(j.events)
+		j.mu.Unlock()
+		if camp != nil {
+			t.Errorf("%s job %s still holds its campaign", want.view.Status, j.ID)
+		}
+		if n != c {
+			t.Errorf("%s job %s keeps %d event slots for %d events", want.view.Status, j.ID, c, n)
+		}
+		if got := jobView(j); got != want.view {
+			t.Errorf("jobView = %+v, want %+v", got, want.view)
+		}
+		if done, total, compiles := j.Progress(); done != want.done || total != want.total || compiles != want.compiles {
+			t.Errorf("Progress = %d/%d/%d, want %d/%d/%d", done, total, compiles, want.done, want.total, want.compiles)
+		}
+		evs, _, terminal := j.EventsSince(0)
+		if !terminal || !reflect.DeepEqual(evs, want.events) {
+			t.Errorf("EventsSince(0) = %+v (terminal %v), want %+v", evs, terminal, want.events)
+		}
+		if got := j.Report(); !bytes.Equal(got, want.report) {
+			t.Errorf("Report = %q, want %q", got, want.report)
+		}
+	}
+
+	// Done: a one-point, two-policy campaign through the dispatcher.
+	s := newTestScheduler(t, SchedulerConfig{})
+	j, err := s.Submit(parseSpec(t, twoPolicies), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Name != "pair" || j.Points != 1 || j.Policies != 2 || j.Runs != 2 {
+		t.Fatalf("job shape %q %d×%d=%d, want pair 1×2=2", j.Name, j.Points, j.Policies, j.Runs)
+	}
+	if err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseSpec(t, twoPolicies).Campaign(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var direct bytes.Buffer
+	if _, err := res.WriteTo(&direct); err != nil {
+		t.Fatal(err)
+	}
+	evs, _, _ := j.EventsSince(0)
+	progress := evs[2 : len(evs)-2] // one per run, in completion order
+	check(j, snapshot{
+		view: jobJSON{ID: j.ID, Name: "pair", Status: StatusDone, Runs: 2, Done: 2, Compiles: 1},
+		done: 2, total: 2, compiles: 1,
+		events: append(append([]Event{
+			{Type: "queued", ID: j.ID, Name: "pair", Runs: 2},
+			{Type: "start", ID: j.ID, Name: "pair", Points: 1, Policies: 2, Runs: 2},
+		}, progress...),
+			Event{Type: "result", ID: j.ID, Compiles: 1, Runs: 2},
+			Event{Type: "done", ID: j.ID, Status: StatusDone}),
+		report: direct.Bytes(),
+	})
+	var dones []int
+	for _, ev := range progress {
+		if ev.Type != "progress" || ev.ID != j.ID || ev.Total != 2 {
+			t.Errorf("run event %+v, want progress of 2 runs", ev)
+		}
+		dones = append(dones, ev.Done)
+	}
+	if slices.Sort(dones); !slices.Equal(dones, []int{1, 2}) {
+		t.Errorf("progress events count %v runs, want 1 and 2", dones)
+	}
+
+	// Failed: a grid point whose layout cannot be built fails its compile.
+	camp, err := parseSpec(t, smokeSpec).Campaign(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp.Points[0].Scenario.Layout.Aisles = 0
+	j = newJob("c1", camp)
+	j.run(context.Background(), scenario.RunOptions{Cache: sim.NewCompileCache(0)})
+	failure := j.Err()
+	if j.Status() != StatusFailed || failure == nil {
+		t.Fatalf("broken campaign ended %s (%v), want failed", j.Status(), failure)
+	}
+	check(j, snapshot{
+		view:  jobJSON{ID: "c1", Name: "smoke", Status: StatusFailed, Runs: 1, Error: failure.Error()},
+		total: 1,
+		events: []Event{
+			{Type: "start", ID: "c1", Name: "smoke", Points: 1, Policies: 1, Runs: 1},
+			{Type: "done", ID: "c1", Status: StatusFailed, Error: failure.Error()},
+		},
+	})
+
+	// Canceled while queued: the dispatcher is gone, and Shutdown drains
+	// the queue.
+	stuck := NewScheduler(SchedulerConfig{QueueDepth: 1})
+	stuck.cancel()
+	stuck.wg.Wait()
+	j, err = stuck.Submit(parseSpec(t, smokeSpec), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stuck.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check(j, snapshot{
+		view:  jobJSON{ID: j.ID, Name: "smoke", Status: StatusCanceled, Runs: 1, Error: context.Canceled.Error()},
+		total: 1,
+		events: []Event{
+			{Type: "queued", ID: j.ID, Name: "smoke", Runs: 1},
+			{Type: "done", ID: j.ID, Status: StatusCanceled, Error: context.Canceled.Error()},
+		},
+	})
 }

@@ -58,7 +58,7 @@ func jobView(j *Job) jobJSON {
 	done, total, compiles := j.Progress()
 	v := jobJSON{
 		ID:       j.ID,
-		Name:     j.Spec.Name,
+		Name:     j.Name,
 		Status:   j.Status(),
 		Runs:     total,
 		Done:     done,

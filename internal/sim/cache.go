@@ -59,7 +59,7 @@ func NewCompileCache(maxEntries int) *CompileCache {
 	return &CompileCache{
 		scenarios: newLRUCache[*CompiledScenario](maxEntries),
 		layouts:   newLRUCache[*layoutArtifacts](maxEntries),
-		fp:        newFingerprintMemo(4 * maxEntries),
+		fp:        newFingerprintMemo(fingerprintMemoEntries),
 		flight:    make(map[CacheKey]*flightCall),
 	}
 }
@@ -255,6 +255,13 @@ type fingerprintMemo struct {
 	max int
 	fps map[*trace.Workload]CacheKey
 }
+
+// fingerprintMemoEntries bounds a CompileCache's fingerprint memo by what its
+// hits need: the points of one campaign share its trace pointer and any
+// splice overlays, while a spec loads its traces afresh for each campaign,
+// so a daemon submission's pointers never recur. The memo keeps every trace
+// it keys alive, and a larger bound would only keep dead ones.
+const fingerprintMemoEntries = 8
 
 func newFingerprintMemo(max int) *fingerprintMemo {
 	return &fingerprintMemo{max: max, fps: make(map[*trace.Workload]CacheKey)}

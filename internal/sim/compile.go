@@ -72,11 +72,12 @@ type layoutArtifacts struct {
 // the layout.
 type layoutTables struct {
 	// Per-generation artifacts for heterogeneous fleets, dense-indexed by
-	// layout.GPUModel. profileBy[base model] aliases the base profile;
-	// absent models hold zero values. The tick kernel finds a server's
-	// generation, row and aisle in the layout's server index
-	// (layout.Datacenter.ServerModel, ServerRow, ServerAisle). fleetTDPW is
-	// the aggregate server TDP.
+	// layout.GPUModel. profileBy holds each present generation's
+	// process-wide profile (llm.DefaultProfile), so profileBy[base model] is
+	// the base profile; absent models hold zero values. The tick kernel
+	// finds a server's generation, row and aisle in the layout's server
+	// index (layout.Datacenter.ServerModel, ServerRow, ServerAisle).
+	// fleetTDPW is the aggregate server TDP.
 	profileBy  [layout.GPUModelCount]*llm.Profile
 	specBy     [layout.GPUModelCount]layout.GPUSpec
 	idleWBy    [layout.GPUModelCount]float64
@@ -136,7 +137,7 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 	n := len(dc.Servers)
 	la := &layoutArtifacts{
 		dc:      dc,
-		profile: llm.BuildProfile(spec, llm.DefaultWorkload()),
+		profile: llm.DefaultProfile(spec.Model),
 		coeffs:  thermal.CompileCoeffs(dc.Servers, spec.GPUsPerServer),
 		layoutTables: layoutTables{
 			srvMaxBias: make([]float64, n),
@@ -161,16 +162,14 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 		la.fleetTDPW += s.GPU.ServerTDPW
 	}
 	// One serving profile and idle-power table per hardware generation
-	// present; the base generation reuses the profile built above.
-	la.profileBy[spec.Model] = la.profile
+	// present. The profiles are the process-wide ones (llm.DefaultProfile),
+	// so every layout of a generation shares one.
 	for _, m := range dc.Models() {
 		ms := layout.Spec(m)
 		la.specBy[m] = ms
 		la.idleWBy[m] = power.ServerPowerAtUniformLoad(&ms, 0)
 		la.idleFracBy[m] = ms.GPUIdleW / ms.GPUTDPW
-		if la.profileBy[m] == nil {
-			la.profileBy[m] = llm.BuildProfile(ms, llm.DefaultWorkload())
-		}
+		la.profileBy[m] = llm.DefaultProfile(m)
 		// The tick kernel's idle constants replay the fused loop's exact
 		// arithmetic — a per-GPU accumulation at the idle fraction, then
 		// the server-power and airflow passes — so the idle fast paths are

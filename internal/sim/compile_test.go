@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/cluster"
+	"github.com/tapas-sim/tapas/internal/layout"
+	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/trace/transform"
 )
 
@@ -419,5 +421,51 @@ func TestCompileRejectsBadOversubscription(t *testing.T) {
 				t.Errorf("%s, ratio %v: err = %v, want an oversubscription error", e.path, tc.ratio, e.err)
 			}
 		}
+	}
+}
+
+// TestLayoutsShareServingProfiles pins one serving profile per GPU generation
+// per process: two layouts of one generation (two seeds of the small preset,
+// compiled through separate caches) and a mixed A100/H100 layout all read
+// the same *llm.Profile for a generation, so a cache of many layouts does
+// not hold a copy per layout.
+func TestLayoutsShareServingProfiles(t *testing.T) {
+	compile := func(sc Scenario) *CompiledScenario {
+		t.Helper()
+		cs, err := Compile(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
+	}
+	a, b := SmallScenario(), SmallScenario()
+	a.Layout.Seed, b.Layout.Seed = 1, 2
+	mixed := SmallScenario()
+	mixed.Layout.Aisles, mixed.Layout.MixGPU, mixed.Layout.MixFraction = 2, layout.H100, 0.5
+	csA, csB, csMix := compile(a), compile(b), compile(mixed)
+	if csA.DC == csB.DC {
+		t.Fatal("two layout seeds compiled to one datacenter")
+	}
+	if !csMix.DC.Heterogeneous() {
+		t.Fatal("mixed layout has one generation")
+	}
+	a100, h100 := llm.DefaultProfile(layout.A100), llm.DefaultProfile(layout.H100)
+	for name, got := range map[string]*llm.Profile{
+		"seed 1 base": csA.Profile,
+		"seed 1 A100": csA.profileBy[layout.A100],
+		"seed 2 base": csB.Profile,
+		"seed 2 A100": csB.profileBy[layout.A100],
+		"mixed base":  csMix.Profile,
+		"mixed A100":  csMix.profileBy[layout.A100],
+	} {
+		if got != a100 {
+			t.Errorf("%s profile %p, want the shared A100 profile %p", name, got, a100)
+		}
+	}
+	if got := csMix.profileBy[layout.H100]; got != h100 || got == a100 {
+		t.Errorf("mixed H100 profile %p, want the shared H100 profile %p", got, h100)
+	}
+	if csA.profileBy[layout.H100] != nil {
+		t.Error("uniform A100 layout holds an H100 profile")
 	}
 }

@@ -220,3 +220,60 @@ func TestFingerprintMemo(t *testing.T) {
 		t.Errorf("full memo kept %d entries (w1 present: %v), want only w2", len(m.fps), ok)
 	}
 }
+
+// TestFingerprintMemoHoldsOneCampaign pins the compile cache's memo bound:
+// keying many distinct trace pointers (a daemon loads each submission's
+// trace afresh) leaves at most fingerprintMemoEntries of them alive in the
+// memo, while the points of one replay campaign, which share the trace and
+// its splice overlay, serialize them once: planted entries prove every later
+// point reads the memo.
+func TestFingerprintMemoHoldsOneCampaign(t *testing.T) {
+	c := NewCompileCache(0)
+	for i := 0; i < 4*fingerprintMemoEntries; i++ {
+		sc := SmallScenario()
+		sc.Trace = smallTrace(t, 1)
+		if _, err := scenarioKey(sc, c.fp); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(c.fp.fps); n > fingerprintMemoEntries {
+			t.Fatalf("memo holds %d traces after %d submissions, want at most %d", n, i+1, fingerprintMemoEntries)
+		}
+	}
+
+	shared, overlay := smallTrace(t, 2), smallTrace(t, 3)
+	chain, err := transform.Parse([]byte(`[{"op":"splice","trace":"overlay.csv"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain[0].(*transform.Splice).SetWorkload(overlay)
+	points := make([]Scenario, 4)
+	for i := range points {
+		points[i] = SmallScenario()
+		points[i].Trace, points[i].TraceTransforms = shared, chain
+		points[i].Duration = time.Duration(i+1) * 10 * time.Minute
+	}
+	if _, err := scenarioKey(points[0], c.fp); err != nil {
+		t.Fatal(err)
+	}
+	planted := newFingerprintMemo(2)
+	for i, w := range []*trace.Workload{shared, overlay} {
+		if _, ok := c.fp.get(w); !ok {
+			t.Fatalf("the first point left trace %d out of the memo", i)
+		}
+		c.fp.put(w, CacheKey{byte(i + 1)})
+		planted.put(w, CacheKey{byte(i + 1)})
+	}
+	for i, sc := range points[1:] {
+		got, err := scenarioKey(sc, c.fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := scenarioKey(sc, planted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got == mustKey(t, sc) {
+			t.Errorf("point %d serialized a trace the campaign's first point had keyed", i+1)
+		}
+	}
+}
