@@ -297,6 +297,54 @@ func TestSeedHistoryBelowObservedPeak(t *testing.T) {
 	}
 }
 
+// TestNewStateReadsEachGenerationsProfile builds states on two-aisle small
+// layouts whose second aisle is H100. NewState alone must give every server
+// its own generation's shared serving profile (by pointer) and published
+// spec. With every aisle H100 the base generation, A100, has no server, yet
+// the SLOs and the per-VM capacity EstimateVMPeakLoad divides by still come
+// from its profile.
+func TestNewStateReadsEachGenerationsProfile(t *testing.T) {
+	for _, mix := range []float64{0.5, 1} {
+		cfg := layout.SmallConfig()
+		cfg.Aisles, cfg.MixGPU, cfg.MixFraction = 2, layout.H100, mix
+		dc, err := layout.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := trace.Generate(trace.WorkloadConfig{
+			Servers: len(dc.Servers), SaaSFraction: 0.5,
+			Duration: 24 * time.Hour, Endpoints: 3, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewState(dc, w)
+		seen := map[layout.GPUModel]int{}
+		for i, s := range dc.Servers {
+			m := s.GPU.Model
+			seen[m]++
+			if got, want := st.ProfileFor(i), llm.DefaultProfile(m); got != want {
+				t.Fatalf("mix %v, server %d (%v): ProfileFor = %p, want the shared %v profile %p", mix, i, m, got, m, want)
+			}
+			if got, want := st.ServerGPUSpec(i), layout.Spec(m); !reflect.DeepEqual(*got, want) {
+				t.Fatalf("mix %v, server %d (%v): ServerGPUSpec = %+v, want %+v", mix, i, m, *got, want)
+			}
+		}
+		if seen[layout.H100] == 0 || (seen[layout.A100] == 0) != (mix == 1) {
+			t.Fatalf("mix %v: servers per generation %v", mix, seen)
+		}
+		base := llm.DefaultProfile(layout.A100)
+		if st.SLOs != base.SLOs {
+			t.Errorf("mix %v: SLOs %+v, want the base generation's %+v", mix, st.SLOs, base.SLOs)
+		}
+		def, _ := base.Entry(llm.DefaultConfig())
+		st.ObserveEndpointDemand(0, def.Goodput/4)
+		if got := st.EstimateVMPeakLoad(trace.VMSpec{Kind: trace.SaaS, Endpoint: 0}); got != 0.25 {
+			t.Errorf("mix %v: endpoint estimate %v, want 0.25 of the base generation's capacity", mix, got)
+		}
+	}
+}
+
 func TestAisleLimitUnderEmergency(t *testing.T) {
 	st := newTestState(t)
 	normal := st.AisleLimitCFM(0)
