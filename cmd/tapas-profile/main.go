@@ -76,8 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "inlet model:    piecewise surface per server, MAE %.2f °C\n", regress.MAE(inletPred, inletAct))
 	fmt.Fprintf(stdout, "GPU temp model: linear per GPU, MAE %.2f °C\n", regress.MAE(gpuPred, gpuAct))
-	fmt.Fprintf(stdout, "airflow model:  %.0f CFM idle → %.0f CFM at full load\n", prof.Airflow.IdleCFM, prof.Airflow.MaxCFM)
-	fmt.Fprintf(stdout, "power model:    %.0f W idle → %.0f W at full load\n", prof.Power.Predict(0), prof.Power.Predict(1))
+	af, pw := prof.AirflowFor(cfg.GPU), prof.PowerFor(cfg.GPU)
+	fmt.Fprintf(stdout, "airflow model:  %.0f CFM idle → %.0f CFM at full load\n", af.IdleCFM, af.MaxCFM)
+	fmt.Fprintf(stdout, "power model:    %.0f W idle → %.0f W at full load\n", pw.Predict(0), pw.Predict(1))
 
 	llmProf := llm.DefaultProfile(cfg.GPU)
 	fmt.Fprintf(stdout, "\nLLM profile: %d configurations, SLOs TTFT=%v TBT=%v\n",

@@ -39,18 +39,17 @@ type State struct {
 	// anything that differs across generations (TDP, idle power, serving
 	// profile). The thermal throttle threshold is uniform across supported
 	// generations, so policies may read Spec.ThrottleTempC directly.
-	Spec    layout.GPUSpec
-	Work    *trace.Workload
-	Profile *llm.Profile
-	SLOs    llm.SLOs
-	Budget  *power.Budget
+	Spec   layout.GPUSpec
+	Work   *trace.Workload
+	SLOs   llm.SLOs
+	Budget *power.Budget
 
-	// modelProfiles maps a GPU generation to its serving profile; uniform
-	// fleets point every present generation at Profile. specBy holds each
-	// generation's published spec. ServerGPUSpec and ProfileFor find a
-	// server's generation in the layout's server index (DC.ServerModel).
-	modelProfiles [layout.GPUModelCount]*llm.Profile
-	specBy        [layout.GPUModelCount]layout.GPUSpec
+	// profiles holds every generation's shared serving profile
+	// (llm.DefaultProfile), the base generation's too when no server
+	// carries it: SLOs and the per-VM capacity come from it. ServerGPUSpec
+	// and ProfileFor find a server's generation in the layout's server
+	// index (DC.ServerModel).
+	profiles [layout.GPUModelCount]*llm.Profile
 
 	VMs      []*VM
 	ServerVM []int // server → VM index, or -1
@@ -128,23 +127,15 @@ type State struct {
 }
 
 // NewState initializes cluster state for a datacenter and workload around
-// the base generation's shared serving profile (llm.DefaultProfile).
+// each generation's shared serving profile (llm.DefaultProfile).
 func NewState(dc *layout.Datacenter, w *trace.Workload) *State {
-	return NewStateFrom(dc, w, llm.DefaultProfile(dc.Config.GPU))
-}
-
-// NewStateFrom initializes cluster state around a pre-built (immutable) LLM
-// profile.
-func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile) *State {
 	spec := layout.Spec(dc.Config.GPU)
 	n := len(dc.Servers)
 	st := &State{
-		DC:      dc,
-		Spec:    spec,
-		Work:    w,
-		Profile: profile,
-		SLOs:    profile.SLOs,
-		Budget:  power.NewBudget(dc),
+		DC:     dc,
+		Spec:   spec,
+		Work:   w,
+		Budget: power.NewBudget(dc),
 
 		ServerVM:          make([]int, n),
 		ServerInst:        make([]*llm.Instance, n),
@@ -174,10 +165,10 @@ func NewStateFrom(dc *layout.Datacenter, w *trace.Workload, profile *llm.Profile
 		st.ServerVM[i] = -1
 		st.ServerFreqCap[i] = 1
 	}
-	for m := range st.specBy {
-		st.specBy[m] = layout.Spec(layout.GPUModel(m))
+	for m := range st.profiles {
+		st.profiles[m] = llm.DefaultProfile(layout.GPUModel(m))
 	}
-	st.modelProfiles[spec.Model] = profile
+	st.SLOs = st.profiles[spec.Model].SLOs
 	if w != nil {
 		st.VMs = make([]*VM, len(w.VMs))
 		maxCustomer := -1
@@ -324,28 +315,19 @@ func (st *State) EndpointInstances(endpoint int) []*VM {
 	return st.epInstances[endpoint]
 }
 
-// SetModelProfile installs the serving profile of a non-base GPU generation
-// (heterogeneous fleets). Must be called before the run starts.
-func (st *State) SetModelProfile(m layout.GPUModel, p *llm.Profile) {
-	st.modelProfiles[m] = p
-}
-
-// ProfileFor returns the serving profile matching a server's GPU generation;
-// uniform fleets always return Profile.
+// ProfileFor returns the serving profile of a server's GPU generation.
 func (st *State) ProfileFor(server int) *llm.Profile {
-	if p := st.modelProfiles[st.DC.ServerModel[server]]; p != nil {
-		return p
-	}
-	return st.Profile
+	return st.profiles[st.DC.ServerModel[server]]
 }
 
 // ServerGPUSpec returns a server's published hardware specification (TDP,
 // idle power, clock range): its generation's layout.Spec, which every
-// server of that generation carries. Published specs are fair game for
-// policies — unlike the per-server thermal heterogeneity, which stays hidden
-// behind profiled sensor data. The spec is shared and must not be modified.
+// server of that generation carries and its serving profile was built on.
+// Published specs are fair game for policies — unlike the per-server
+// thermal heterogeneity, which stays hidden behind profiled sensor data.
+// The spec is shared and must not be modified.
 func (st *State) ServerGPUSpec(server int) *layout.GPUSpec {
-	return &st.specBy[st.DC.ServerModel[server]]
+	return &st.profiles[st.DC.ServerModel[server]].Spec
 }
 
 // GPUFracs returns the per-GPU power fractions of one server as a subslice
@@ -448,10 +430,11 @@ func (st *State) EstimateVMPeakLoad(spec trace.VMSpec) float64 {
 	return 1
 }
 
-// capacityTokensPerSec is the per-VM token goodput at the default serving
-// configuration, the capacity a SaaS VM's peak demand is measured against.
+// capacityTokensPerSec is the base generation's per-VM token goodput at the
+// default serving configuration, the capacity a SaaS VM's peak demand is
+// measured against.
 func capacityTokensPerSec(st *State) float64 {
-	e, ok := st.Profile.Entry(llm.DefaultConfig())
+	e, ok := st.profiles[st.Spec.Model].Entry(llm.DefaultConfig())
 	if !ok {
 		return 0
 	}

@@ -18,9 +18,7 @@ func newComponentState(t *testing.T) (*cluster.State, *Profiles) {
 	return newComponentStateOn(t, layout.SmallConfig())
 }
 
-// newComponentStateOn is newComponentState on the layout cfg describes. A
-// mixed fleet gets each other generation's serving profile, as the
-// simulator's runner registers them.
+// newComponentStateOn is newComponentState on the layout cfg describes.
 func newComponentStateOn(t *testing.T, cfg layout.Config) (*cluster.State, *Profiles) {
 	t.Helper()
 	dc, err := layout.New(cfg)
@@ -35,11 +33,6 @@ func newComponentStateOn(t *testing.T, cfg layout.Config) (*cluster.State, *Prof
 		t.Fatal(err)
 	}
 	st := cluster.NewState(dc, w)
-	for _, m := range dc.Models() {
-		if m != cfg.GPU {
-			st.SetModelProfile(m, llm.DefaultProfile(m))
-		}
-	}
 	st.Tick = time.Minute
 	prof, err := BuildProfiles(dc)
 	if err != nil {
@@ -369,11 +362,11 @@ func TestConfiguratorDownsizesIdleInstances(t *testing.T) {
 		cfgtor.configure(st)
 	}
 	for _, vm := range vms {
-		e, ok := st.Profile.Entry(vm.Instance.Config)
+		e, ok := st.ProfileFor(vm.Server).Entry(vm.Instance.Config)
 		if !ok {
 			t.Fatal("current config missing from profile")
 		}
-		def, _ := st.Profile.Entry(llm.DefaultConfig())
+		def, _ := st.ProfileFor(vm.Server).Entry(llm.DefaultConfig())
 		if e.AvgServerPowerW >= def.AvgServerPowerW {
 			t.Errorf("idle instance still at %.0f W config (default %.0f W)", e.AvgServerPowerW, def.AvgServerPowerW)
 		}

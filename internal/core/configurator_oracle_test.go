@@ -272,14 +272,12 @@ func TestConfigureMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h100 := llm.BuildProfile(layout.Spec(layout.H100), llm.DefaultWorkload())
 	rng := rand.New(rand.NewPCG(61, 67))
 	seen := map[string]int{}
 	for trial := 0; trial < 12; trial++ {
 		sts := make([]*cluster.State, 2)
 		for k := range sts {
 			sts[k] = cluster.NewState(f.dc, f.w)
-			sts[k].SetModelProfile(layout.H100, h100)
 			sts[k].Tick = []time.Duration{time.Minute, 5 * time.Second}[trial%2]
 		}
 		got, want := newConfigurator(prof), newConfigurator(prof)

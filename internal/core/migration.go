@@ -13,9 +13,8 @@ import (
 // mispredictions and workload drift. IaaS VMs are never migrated: live GPU
 // VM migration is unsupported (§4.1).
 type migrator struct {
-	prof     *Profiles
-	interval time.Duration
-	lastRun  time.Duration
+	prof    *Profiles
+	lastRun time.Duration
 	// lastMove rate-limits per-VM churn.
 	lastMove map[int]time.Duration
 }
@@ -33,7 +32,7 @@ const (
 )
 
 func newMigrator(prof *Profiles) *migrator {
-	return &migrator{prof: prof, interval: migrationInterval, lastMove: map[int]time.Duration{}}
+	return &migrator{prof: prof, lastMove: map[int]time.Duration{}}
 }
 
 // step evaluates migration opportunities and executes up to
@@ -41,7 +40,7 @@ func newMigrator(prof *Profiles) *migrator {
 // collapsed to one tick at simulator granularity; cluster.State.Move carries
 // the serving instance along with its queues and affinity state).
 func (m *migrator) step(st *cluster.State) int {
-	if st.Now-m.lastRun < m.interval {
+	if st.Now-m.lastRun < migrationInterval {
 		return 0
 	}
 	m.lastRun = st.Now

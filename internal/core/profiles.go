@@ -16,17 +16,15 @@ import (
 
 // Profiles bundles the models TAPAS learns during the offline profiling
 // phase (§4.5): per-server inlet surfaces (Eq. 1), per-GPU temperature
-// models (Eq. 2), the shared airflow curve, and the server power polynomial.
-// The LLM configuration profile lives in cluster.State.Profile.
+// models (Eq. 2), and each generation's airflow curve and server power
+// polynomial. The LLM configuration profiles are per generation too
+// (llm.DefaultProfile); cluster.State.ProfileFor reads a server's.
 type Profiles struct {
 	Inlet   *thermal.InletModel
 	GPUTemp *thermal.GPUTempModel
-	Airflow thermal.AirflowModel
-	Power   power.Model
 
-	// Per-generation airflow/power fits for heterogeneous fleets,
-	// dense-indexed by layout.GPUModel. Absent generations alias the base
-	// fit, so uniform fleets behave exactly as before.
+	// Per-generation airflow/power fits, dense-indexed by layout.GPUModel.
+	// Generations absent from the fleet alias the base generation's fit.
 	airflowBy [layout.GPUModelCount]thermal.AirflowModel
 	powerBy   [layout.GPUModelCount]power.Model
 }
@@ -74,12 +72,7 @@ func BuildProfiles(dc *layout.Datacenter) (*Profiles, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := &Profiles{
-		Inlet:   inletModel,
-		GPUTemp: gpuModel,
-		Airflow: airflowModel,
-		Power:   powerModel,
-	}
+	prof := &Profiles{Inlet: inletModel, GPUTemp: gpuModel}
 	for m := range prof.airflowBy {
 		prof.airflowBy[m] = airflowModel
 		prof.powerBy[m] = powerModel

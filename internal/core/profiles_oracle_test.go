@@ -404,14 +404,6 @@ func TestBuildProfilesMatchesOracle(t *testing.T) {
 			if d := diffBits("GPU weights", got.GPUTemp.Weights, want.gpu); d != "" {
 				t.Fatal(d)
 			}
-			base := tc.cfg.GPU
-			if d := diffBits("base airflow", []float64{got.Airflow.IdleCFM, got.Airflow.MaxCFM},
-				[]float64{want.airflowBy[base].IdleCFM, want.airflowBy[base].MaxCFM}); d != "" {
-				t.Fatal(d)
-			}
-			if d := diffBits("base power", got.Power.Poly.Coeffs, want.powerBy[base].Poly.Coeffs); d != "" {
-				t.Fatal(d)
-			}
 			for m := layout.GPUModel(0); m < layout.GPUModelCount; m++ {
 				af, waf := got.AirflowFor(m), want.airflowBy[m]
 				if d := diffBits(fmt.Sprintf("%v airflow", m), []float64{af.IdleCFM, af.MaxCFM}, []float64{waf.IdleCFM, waf.MaxCFM}); d != "" {

@@ -61,11 +61,11 @@ func TestBuildProfilesAirflowAndPower(t *testing.T) {
 	spec := layout.Spec(dc.Config.GPU)
 	for _, l := range []float64{0, 0.3, 0.7, 1} {
 		wantAF := thermal.Airflow(&spec, l)
-		if got := prof.Airflow.Predict(l); got < wantAF-20 || got > wantAF+20 {
+		if got := prof.AirflowFor(spec.Model).Predict(l); got < wantAF-20 || got > wantAF+20 {
 			t.Errorf("airflow at load %v = %v, want ≈ %v", l, got, wantAF)
 		}
 		wantP := power.ServerPowerAtUniformLoad(&spec, l)
-		if got := prof.Power.Predict(l); got < wantP-150 || got > wantP+150 {
+		if got := prof.PowerFor(spec.Model).Predict(l); got < wantP-150 || got > wantP+150 {
 			t.Errorf("power at load %v = %v, want ≈ %v", l, got, wantP)
 		}
 	}

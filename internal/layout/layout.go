@@ -359,10 +359,3 @@ func (dc *Datacenter) AddRacks(ratio float64) {
 		dc.Aisles[row.Aisle].servers = nil // invalidate the memoized roster
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -16,11 +16,12 @@ import (
 // CompiledScenario holds every run-invariant artifact of a Scenario, built
 // once by a CompileCache (Compile uses a private one) and shared — strictly
 // read-only — by any number of subsequent (including concurrent) runs: the
-// generated datacenter layout, the workload trace, the LLM configuration
-// profile, flattened per-(server,GPU) thermal coefficient tables, and the
-// seeded "previous week" demand history. Each Run gets its own fresh
-// cluster.State and builds its own outside-temperature series from its
-// Region and StartOffset, so runs never observe each other.
+// generated datacenter layout, the workload trace, flattened
+// per-(server,GPU) thermal coefficient tables, and the seeded "previous
+// week" demand history. Each Run gets its own fresh cluster.State, which
+// reads each generation's serving profile (llm.DefaultProfile), and builds
+// its own outside-temperature series from its Region and StartOffset, so
+// runs never observe each other.
 //
 // Experiment grids that evaluate many policies, failure schedules or
 // climates over the same fleet and workload compile once and run many times
@@ -34,7 +35,6 @@ type CompiledScenario struct {
 
 	DC       *layout.Datacenter
 	Workload *trace.Workload
-	Profile  *llm.Profile
 	Coeffs   *thermal.Coeffs
 
 	// The tick kernel's tables, embedded by value so that every kernel read
@@ -57,14 +57,13 @@ func Compile(sc Scenario) (*CompiledScenario, error) {
 }
 
 // layoutArtifacts groups every compiled artifact derived solely from the
-// layout config (plus oversubscription): the generated datacenter, its base
-// generation's serving profile and thermal coefficients, and the tables the
-// tick kernel reads. One instance is shared read-only by every compiled
-// scenario with the same layout — a workload sweep builds it once.
+// layout config (plus oversubscription): the generated datacenter, its
+// thermal coefficients, and the tables the tick kernel reads. One instance
+// is shared read-only by every compiled scenario with the same layout — a
+// workload sweep builds it once.
 type layoutArtifacts struct {
-	dc      *layout.Datacenter
-	profile *llm.Profile
-	coeffs  *thermal.Coeffs
+	dc     *layout.Datacenter
+	coeffs *thermal.Coeffs
 	layoutTables
 }
 
@@ -72,13 +71,10 @@ type layoutArtifacts struct {
 // the layout.
 type layoutTables struct {
 	// Per-generation artifacts for heterogeneous fleets, dense-indexed by
-	// layout.GPUModel. profileBy holds each present generation's
-	// process-wide profile (llm.DefaultProfile), so profileBy[base model] is
-	// the base profile; absent models hold zero values. The tick kernel
+	// layout.GPUModel; absent models hold zero values. The tick kernel
 	// finds a server's generation, row and aisle in the layout's server
 	// index (layout.Datacenter.ServerModel, ServerRow, ServerAisle).
 	// fleetTDPW is the aggregate server TDP.
-	profileBy  [layout.GPUModelCount]*llm.Profile
 	specBy     [layout.GPUModelCount]layout.GPUSpec
 	idleWBy    [layout.GPUModelCount]float64
 	idleFracBy [layout.GPUModelCount]float64
@@ -136,9 +132,8 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 	spec := layout.Spec(dc.Config.GPU)
 	n := len(dc.Servers)
 	la := &layoutArtifacts{
-		dc:      dc,
-		profile: llm.DefaultProfile(spec.Model),
-		coeffs:  thermal.CompileCoeffs(dc.Servers, spec.GPUsPerServer),
+		dc:     dc,
+		coeffs: thermal.CompileCoeffs(dc.Servers, spec.GPUsPerServer),
 		layoutTables: layoutTables{
 			srvMaxBias: make([]float64, n),
 			srvMaxGain: make([]float64, n),
@@ -161,15 +156,12 @@ func buildLayoutArtifacts(lc layout.Config, oversubscribe float64) (*layoutArtif
 	for _, s := range dc.Servers {
 		la.fleetTDPW += s.GPU.ServerTDPW
 	}
-	// One serving profile and idle-power table per hardware generation
-	// present. The profiles are the process-wide ones (llm.DefaultProfile),
-	// so every layout of a generation shares one.
+	// One spec and idle-power table per hardware generation present.
 	for _, m := range dc.Models() {
 		ms := layout.Spec(m)
 		la.specBy[m] = ms
 		la.idleWBy[m] = power.ServerPowerAtUniformLoad(&ms, 0)
 		la.idleFracBy[m] = ms.GPUIdleW / ms.GPUTDPW
-		la.profileBy[m] = llm.DefaultProfile(m)
 		// The tick kernel's idle constants replay the fused loop's exact
 		// arithmetic — a per-GPU accumulation at the idle fraction, then
 		// the server-power and airflow passes — so the idle fast paths are
@@ -208,7 +200,6 @@ func compileOn(sc Scenario, key CacheKey, la *layoutArtifacts) (*CompiledScenari
 		Scenario:     sc,
 		DC:           la.dc,
 		Workload:     w,
-		Profile:      la.profile,
 		Coeffs:       la.coeffs,
 		layoutTables: la.layoutTables,
 		key:          key,

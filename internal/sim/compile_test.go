@@ -425,47 +425,41 @@ func TestCompileRejectsBadOversubscription(t *testing.T) {
 }
 
 // TestLayoutsShareServingProfiles pins one serving profile per GPU generation
-// per process: two layouts of one generation (two seeds of the small preset,
-// compiled through separate caches) and a mixed A100/H100 layout all read
-// the same *llm.Profile for a generation, so a cache of many layouts does
-// not hold a copy per layout.
+// per process: in one-tick runs on two layouts of one generation (two seeds
+// of the small preset) and on a mixed A100/H100 layout, every server reads
+// the shared *llm.Profile of its generation: no layout or run builds a copy
+// of its own.
 func TestLayoutsShareServingProfiles(t *testing.T) {
-	compile := func(sc Scenario) *CompiledScenario {
-		t.Helper()
-		cs, err := Compile(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs
-	}
 	a, b := SmallScenario(), SmallScenario()
 	a.Layout.Seed, b.Layout.Seed = 1, 2
 	mixed := SmallScenario()
 	mixed.Layout.Aisles, mixed.Layout.MixGPU, mixed.Layout.MixFraction = 2, layout.H100, 0.5
-	csA, csB, csMix := compile(a), compile(b), compile(mixed)
-	if csA.DC == csB.DC {
-		t.Fatal("two layout seeds compiled to one datacenter")
-	}
-	if !csMix.DC.Heterogeneous() {
-		t.Fatal("mixed layout has one generation")
-	}
-	a100, h100 := llm.DefaultProfile(layout.A100), llm.DefaultProfile(layout.H100)
-	for name, got := range map[string]*llm.Profile{
-		"seed 1 base": csA.Profile,
-		"seed 1 A100": csA.profileBy[layout.A100],
-		"seed 2 base": csB.Profile,
-		"seed 2 A100": csB.profileBy[layout.A100],
-		"mixed base":  csMix.Profile,
-		"mixed A100":  csMix.profileBy[layout.A100],
-	} {
-		if got != a100 {
-			t.Errorf("%s profile %p, want the shared A100 profile %p", name, got, a100)
+	var dcs []*layout.Datacenter
+	seen := map[layout.GPUModel]int{}
+	for _, sc := range []Scenario{a, b, mixed} {
+		sc.Duration = sc.Tick
+		sc.Observer = func(st *cluster.State) {
+			dcs = append(dcs, st.DC)
+			for i, s := range st.DC.Servers {
+				m := s.GPU.Model
+				seen[m]++
+				if got, want := st.ProfileFor(i), llm.DefaultProfile(m); got != want {
+					t.Fatalf("layout %d, server %d (%v): profile %p, want the shared %v profile %p", len(dcs), i, m, got, m, want)
+				}
+			}
+		}
+		cs, err := Compile(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cs.Run(naivePolicy{}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := csMix.profileBy[layout.H100]; got != h100 || got == a100 {
-		t.Errorf("mixed H100 profile %p, want the shared H100 profile %p", got, h100)
+	if len(dcs) != 3 || dcs[0] == dcs[1] {
+		t.Fatalf("want one tick on each of three datacenters, got %d ticks", len(dcs))
 	}
-	if csA.profileBy[layout.H100] != nil {
-		t.Error("uniform A100 layout holds an H100 profile")
+	if seen[layout.A100] == 0 || seen[layout.H100] == 0 {
+		t.Fatalf("servers per generation %v, want both generations", seen)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/tapas-sim/tapas/internal/cluster"
-	"github.com/tapas-sim/tapas/internal/layout"
 	"github.com/tapas-sim/tapas/internal/llm"
 	"github.com/tapas-sim/tapas/internal/power"
 	"github.com/tapas-sim/tapas/internal/thermal"
@@ -167,12 +166,7 @@ const outsideSeedXor = 0xd00d
 // working state.
 func (cs *CompiledScenario) newRunner(pol Policy) (*runner, error) {
 	sc := cs.Scenario
-	st := cluster.NewStateFrom(cs.DC, cs.Workload, cs.Profile)
-	for m, p := range cs.profileBy {
-		if p != nil && p != cs.Profile {
-			st.SetModelProfile(layout.GPUModel(m), p)
-		}
-	}
+	st := cluster.NewState(cs.DC, cs.Workload)
 	st.Tick = sc.Tick
 	st.SeedHistory(cs.customerPeak, cs.endpointPeak)
 	if init, ok := pol.(Initializer); ok {

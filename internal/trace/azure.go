@@ -300,9 +300,9 @@ func reconstructAzureWorkload(eps []*azureEndpoint, lastRel time.Duration, cfg A
 		phase     float64 // PhaseHours aligning the pattern peak to the data
 		avgPrompt float64
 		avgOutput float64
-		weight    float64 // peak token throughput, the VM-allocation weight
 	}
 	fits := make([]fit, len(eps))
+	weights := make([]float64, len(eps)) // peak token throughput, the VM-allocation weight
 	for i, ep := range eps {
 		peak, minRate, peakBin := 0.0, math.Inf(1), 0
 		for b := 0; b < totalBins; b++ {
@@ -327,34 +327,11 @@ func reconstructAzureWorkload(eps []*azureEndpoint, lastRel time.Duration, cfg A
 		// hour-of-day of the hottest bin.
 		peakHour := math.Mod((time.Duration(peakBin)*cfg.Bin + cfg.Bin/2).Hours(), 24)
 		f.phase = peakHour - 15
-		f.weight = f.peakRPS * (f.avgPrompt + f.avgOutput)
+		weights[i] = f.peakRPS * (f.avgPrompt + f.avgOutput)
 		fits[i] = f
 	}
 
-	// VM allocation: proportional to peak token throughput, one VM minimum,
-	// with the heaviest endpoint absorbing the rounding remainder (mirroring
-	// the synthetic generator's endpointSizes).
-	totalWeight := 0.0
-	heaviest := 0
-	for i, f := range fits {
-		totalWeight += f.weight
-		if f.weight > fits[heaviest].weight {
-			heaviest = i
-		}
-	}
-	sizes := make([]int, len(eps))
-	assigned := 0
-	for i, f := range fits {
-		sizes[i] = int(float64(targetVMs) * f.weight / totalWeight)
-		if sizes[i] < 1 {
-			sizes[i] = 1
-		}
-		assigned += sizes[i]
-	}
-	sizes[heaviest] += targetVMs - assigned
-	if sizes[heaviest] < 1 {
-		sizes[heaviest] = 1
-	}
+	sizes := splitVMs(targetVMs, weights)
 
 	totalVMs := 0
 	w := &Workload{}

@@ -281,7 +281,7 @@ func Generate(cfg WorkloadConfig) (*Workload, error) {
 
 	// SaaS endpoints: VM counts spanning 23–100 (paper §5.1), scaled down
 	// proportionally if the cluster is small.
-	sizes := endpointSizes(cfg.Endpoints, saasCount, rng)
+	sizes := endpointSizes(cfg.Endpoints, saasCount)
 	for i, n := range sizes {
 		w.Endpoints = append(w.Endpoints, EndpointSpec{
 			ID:     i,
@@ -353,30 +353,36 @@ func Generate(cfg WorkloadConfig) (*Workload, error) {
 
 // endpointSizes splits saasCount VMs across n endpoints with the skew of
 // Fig. 12b: a few large endpoints hold most VMs.
-func endpointSizes(n, saasCount int, rng *rand.Rand) []int {
+func endpointSizes(n, saasCount int) []int {
 	if n <= 0 || saasCount <= 0 {
 		return nil
 	}
 	weights := make([]float64, n)
-	total := 0.0
 	for i := range weights {
 		weights[i] = math.Pow(float64(i+1), -0.8) // heavy head
-		total += weights[i]
 	}
-	sizes := make([]int, n)
-	assigned := 0
-	for i := range sizes {
-		sizes[i] = int(float64(saasCount) * weights[i] / total)
-		if sizes[i] < 1 {
-			sizes[i] = 1
+	return splitVMs(saasCount, weights)
+}
+
+// splitVMs splits total VMs across endpoints in proportion to weights, at
+// least one VM each, with the heaviest endpoint (the first among equals)
+// absorbing the rounding remainder. The synthetic generator and the Azure
+// import both size their endpoints with it.
+func splitVMs(total int, weights []float64) []int {
+	sum, heaviest := 0.0, 0
+	for i, w := range weights {
+		sum += w
+		if w > weights[heaviest] {
+			heaviest = i
 		}
+	}
+	sizes := make([]int, len(weights))
+	assigned := 0
+	for i, w := range weights {
+		sizes[i] = max(int(float64(total)*w/sum), 1)
 		assigned += sizes[i]
 	}
-	// Adjust the largest endpoint to hit the target exactly (when possible).
-	sizes[0] += saasCount - assigned
-	if sizes[0] < 1 {
-		sizes[0] = 1
-	}
+	sizes[heaviest] = max(sizes[heaviest]+total-assigned, 1)
 	return sizes
 }
 

@@ -1,40 +1,6 @@
-// Package units defines typed physical quantities used across the TAPAS
-// simulator: temperatures, power, airflow, and clock frequency.
-//
-// The types are thin float64 wrappers. They exist so that public structs and
-// function signatures document which unit they expect; arithmetic-heavy inner
-// loops convert to float64 at the boundary.
+// Package units holds the scalar helpers the simulator's physics, serving
+// and engine code share: clamping to a range and linear interpolation.
 package units
-
-import "fmt"
-
-// Celsius is a temperature in degrees Celsius.
-type Celsius float64
-
-func (c Celsius) String() string { return fmt.Sprintf("%.1f°C", float64(c)) }
-
-// Watts is electrical power in watts.
-type Watts float64
-
-func (w Watts) String() string {
-	if w >= 1000 {
-		return fmt.Sprintf("%.2fkW", float64(w)/1000)
-	}
-	return fmt.Sprintf("%.0fW", float64(w))
-}
-
-// Kilowatts converts to kW.
-func (w Watts) Kilowatts() float64 { return float64(w) / 1000 }
-
-// CFM is volumetric airflow in cubic feet per minute.
-type CFM float64
-
-func (a CFM) String() string { return fmt.Sprintf("%.0fCFM", float64(a)) }
-
-// GHz is a clock frequency in gigahertz.
-type GHz float64
-
-func (f GHz) String() string { return fmt.Sprintf("%.2fGHz", float64(f)) }
 
 // Clamp limits v to the inclusive range [lo, hi].
 func Clamp(v, lo, hi float64) float64 {

@@ -73,27 +73,3 @@ func TestLerpEndpointsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestStringFormats(t *testing.T) {
-	if got := Celsius(72.34).String(); got != "72.3°C" {
-		t.Errorf("Celsius string = %q", got)
-	}
-	if got := Watts(6500).String(); got != "6.50kW" {
-		t.Errorf("Watts kW string = %q", got)
-	}
-	if got := Watts(400).String(); got != "400W" {
-		t.Errorf("Watts string = %q", got)
-	}
-	if got := CFM(840).String(); got != "840CFM" {
-		t.Errorf("CFM string = %q", got)
-	}
-	if got := GHz(1.41).String(); got != "1.41GHz" {
-		t.Errorf("GHz string = %q", got)
-	}
-}
-
-func TestKilowatts(t *testing.T) {
-	if got := Watts(6500).Kilowatts(); got != 6.5 {
-		t.Errorf("Kilowatts = %v, want 6.5", got)
-	}
-}
